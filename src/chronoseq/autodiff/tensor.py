@@ -28,10 +28,8 @@ __all__ = [
     "embedding",
     "layer_norm",
     "softmax",
-    "log_softmax",
     "cross_entropy",
     "gelu",
-    "relu",
     "softplus",
     "log",
     "exp",
@@ -355,21 +353,6 @@ def softmax(x, axis=-1):
     return out
 
 
-def log_softmax(x, axis=-1):
-    m = x.data.max(axis=axis, keepdims=True)
-    z = x.data - m
-    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
-    y = z - lse
-    out = Tensor(y, parents=(x,), name="log_softmax")
-    sm = np.exp(y)
-
-    def bw(g):
-        _accum(x, g - sm * g.sum(axis=axis, keepdims=True))
-
-    out.backward_fn = bw if out.requires_grad else None
-    return out
-
-
 def cross_entropy(logits, targets):
     """Per-example negative log-likelihood; logits (N, C), targets (N,) ints."""
     t = np.asarray(targets, dtype=np.int64)
@@ -378,10 +361,11 @@ def cross_entropy(logits, targets):
     lse = np.log(np.exp(z).sum(axis=-1))
     picked = z[np.arange(len(t)), t]
     out = Tensor(lse - picked, parents=(logits,), name="cross_entropy")
-    sm = np.exp(z - lse[:, None])
 
     def bw(g):
-        gx = sm * g[:, None]
+        gx = z - lse[:, None]  # the softmax is built only when a gradient is asked for
+        np.exp(gx, out=gx)
+        gx *= g[:, None]
         gx[np.arange(len(t)), t] -= g
         _accum(logits, gx)
 
@@ -404,17 +388,6 @@ def gelu(x):
         du = _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
         local = 0.5 * (1.0 + th) + 0.5 * xd * (1.0 - th * th) * du
         _accum(x, g * local)
-
-    out.backward_fn = bw if out.requires_grad else None
-    return out
-
-
-def relu(x):
-    mask = x.data > 0
-    out = Tensor(np.where(mask, x.data, 0.0), parents=(x,), name="relu")
-
-    def bw(g):
-        _accum(x, g * mask)
 
     out.backward_fn = bw if out.requires_grad else None
     return out

@@ -357,9 +357,9 @@ def _cmd_zeroshot(args):
     tables = _read_tables_args(args)
     records, _ = tables_to_records(tables)
     cohort_rows = load_cohort_csv(args.cohort)
-    prefixes, skipped = cohort_prefixes(records, cohort_rows, codec_cfg)
+    prefixes, skipped = cohort_prefixes(records, cohort_rows, codec_cfg, model.config.context_window)
     if skipped:
-        print(f"warning: skipped {skipped} cohort rows without usable history", file=sys.stderr)
+        print(f"warning: skipped {skipped} cohort rows without usable history or room to simulate", file=sys.stderr)
     metrics = evaluate_task(
         model, prefixes, task, seed=args.seed or 0, n_bootstrap=args.n_bootstrap,
         ancestry=ancestry, n_threads=args.threads,
@@ -386,9 +386,9 @@ def _cmd_probe(args):
     tables = _read_tables_args(args)
     records, _ = tables_to_records(tables)
     cohort_rows = load_cohort_csv(args.cohort)
-    data, skipped = cohort_prefixes(records, cohort_rows, codec_cfg)
+    data, skipped = cohort_prefixes(records, cohort_rows, codec_cfg, model.config.context_window)
     if skipped:
-        print(f"warning: skipped {skipped} cohort rows without usable history", file=sys.stderr)
+        print(f"warning: skipped {skipped} cohort rows without usable history or room to simulate", file=sys.stderr)
     result = linear_probe(model, data, l2=args.l2, seed=args.seed or 0, n_bootstrap=args.n_bootstrap)
     if result.params_hash_before != result.params_hash_after:
         raise RuntimeError("model weights changed during probing")
@@ -454,7 +454,7 @@ def _cmd_pathway(args):
 
 
 def _cmd_privacy(args):
-    mani = ManifestWriter("privacy", args.seed, {"config": args.config, "threads": args.threads})
+    mani = ManifestWriter("privacy", args.seed, {"config": args.config})
     cfgkv = {}
     if args.config:
         mani.add_input("config", _require_file(args.config, "--config"))
@@ -654,7 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--synthetic-dir", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     common(p)
 
     p = sub.add_parser("simstudy", help="time-token vs summation encoder comparison")

@@ -31,21 +31,26 @@ def load_cohort_csv(path) -> list[tuple[str, dt.date, int]]:
     return rows
 
 
-def cohort_prefixes(records, cohort_rows, cfg: CodecConfig):
-    """(prefix_tokens, label) pairs; persons missing or empty at cutoff are skipped (counted)."""
+def cohort_prefixes(records, cohort_rows, cfg: CodecConfig, context_window: int | None = None):
+    """(prefix_tokens, label) pairs; persons missing or empty at cutoff are skipped (counted).
+
+    With a context_window, a prefix of that many tokens or more is skipped
+    (counted) too: it leaves the model no room for a simulated token.
+    """
     by_id = {r.person_id: r for r in records}
     out = []
     skipped = 0
     for person_id, cutoff, label in cohort_rows:
         rec = by_id.get(person_id)
-        if rec is None:
-            skipped += 1
-            continue
-        trunc = truncate_record(rec, cutoff)
+        trunc = None if rec is None else truncate_record(rec, cutoff)
         if trunc is None:
             skipped += 1
             continue
-        out.append((encode_prefix(trunc, cfg).tokens, label))
+        tokens = encode_prefix(trunc, cfg).tokens
+        if context_window is not None and len(tokens) >= context_window:
+            skipped += 1
+            continue
+        out.append((tokens, label))
     return out, skipped
 
 

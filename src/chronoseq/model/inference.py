@@ -1,10 +1,14 @@
-"""Plain-numpy inference: full-row forward plus an incremental KV-cached session.
+"""Plain-numpy inference: an incremental KV-cached decoding session.
 
-Mirrors the differentiable forward exactly (pre-norm blocks, tanh GELU, tied
-output head) but builds no graph, so token-by-token generation stays cheap.
-Per-generation caches only; nothing persists across sessions.
+The session computes what the differentiable forward computes (pre-norm
+blocks, tanh GELU, tied output head) but builds no graph, so token-by-token
+generation stays cheap. One block loop serves a whole prompt and a single
+new token alike; a unit test pins it to the autodiff forward. Per-session
+caches only; the causal mask is built once per context size and shared.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,15 +23,23 @@ def _gelu(x):
 
 
 def _layer_norm(x, g, b, eps=1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return g * (x - mu) / np.sqrt(var + eps) + b
+    xc = x - x.mean(axis=-1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)  # what x.var computes, without its Python overhead
+    return g * xc / np.sqrt(var + eps) + b
 
 
-def _softmax(x, axis=-1):
-    m = x.max(axis=axis, keepdims=True)
+def _softmax(x):
+    m = x.max(axis=-1, keepdims=True)
     e = np.exp(x - m)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@lru_cache(maxsize=8)
+def _causal_mask(n: int) -> np.ndarray:
+    """(n, n) additive mask: row i sees columns 0..i."""
+    mask = np.triu(np.full((n, n), -np.inf), k=1)
+    mask.flags.writeable = False
+    return mask
 
 
 class InferenceSession:
@@ -69,18 +81,25 @@ class InferenceSession:
         return other
 
     def prefill(self, token_ids) -> None:
-        """Process a whole prompt in one pass, filling the caches."""
-        ids = np.asarray(token_ids, dtype=np.int64)
+        """Process a prompt, or the next chunk of one, in one pass."""
+        self._advance(np.asarray(token_ids, dtype=np.int64))
+
+    def append(self, token_id: int) -> None:
+        """Advance the session by one token."""
+        self._advance(np.array([int(token_id)]))
+
+    def _advance(self, ids) -> None:
+        """Run the pre-norm blocks over ids at positions length.., filling the caches."""
         T = ids.shape[0]
+        base = self._len
         cfg = self.model.config
-        if self._len + T > cfg.context_window:
-            raise ValueError("prompt exceeds context window")
+        if base + T > cfg.context_window:
+            raise ValueError(f"{base} + {T} tokens exceed the {cfg.context_window}-token context window")
         if T == 0:
             return
         w = self._w
         H, dh = self._H, self._dh
-        base = self._len
-        causal = np.triu(np.full((T, base + T), -np.inf), k=base + 1)
+        causal = _causal_mask(cfg.context_window)[base : base + T, : base + T]
         x = w["tok_emb"][ids]
         for i in range(cfg.n_layers):
             p = f"block{i}."
@@ -98,42 +117,10 @@ class InferenceSession:
             x = x + ctx @ w[p + "proj.w"] + w[p + "proj.b"]
             b = _layer_norm(x, w[p + "ln2.g"], w[p + "ln2.b"])
             x = x + _gelu(b @ w[p + "ff1.w"] + w[p + "ff1.b"]) @ w[p + "ff2.w"] + w[p + "ff2.b"]
-        hidden = _layer_norm(x, w["final_ln.g"], w["final_ln.b"])
         self._len = base + T
         self._ids.extend(int(t) for t in ids)
-        self._last_hidden = hidden[-1]
-        self._last_logits = hidden[-1] @ w["tok_emb"].T
-
-    def append(self, token_id: int) -> None:
-        """Advance the session by one token."""
-        cfg = self.model.config
-        if self._len + 1 > cfg.context_window:
-            raise ValueError("context window exhausted")
-        w = self._w
-        H, dh = self._H, self._dh
-        t = self._len
-        x = w["tok_emb"][int(token_id)]
-        for i in range(cfg.n_layers):
-            p = f"block{i}."
-            a = _layer_norm(x, w[p + "ln1.g"], w[p + "ln1.b"])
-            qkv = a @ w[p + "qkv.w"] + w[p + "qkv.b"]
-            d = cfg.embed_dim
-            q = qkv[:d].reshape(H, dh)
-            self._k[i][:, t] = qkv[d : 2 * d].reshape(H, dh)
-            self._v[i][:, t] = qkv[2 * d :].reshape(H, dh)
-            keys = self._k[i][:, : t + 1]
-            vals = self._v[i][:, : t + 1]
-            scores = np.einsum("hd,htd->ht", q, keys) / np.sqrt(dh)
-            weights = _softmax(scores, axis=-1)
-            ctx = np.einsum("ht,htd->hd", weights, vals).reshape(H * dh)
-            x = x + ctx @ w[p + "proj.w"] + w[p + "proj.b"]
-            b = _layer_norm(x, w[p + "ln2.g"], w[p + "ln2.b"])
-            x = x + _gelu(b @ w[p + "ff1.w"] + w[p + "ff1.b"]) @ w[p + "ff2.w"] + w[p + "ff2.b"]
-        hidden = _layer_norm(x, w["final_ln.g"], w["final_ln.b"])
-        self._len = t + 1
-        self._ids.append(int(token_id))
-        self._last_hidden = hidden
-        self._last_logits = hidden @ w["tok_emb"].T
+        self._last_hidden = _layer_norm(x[-1], w["final_ln.g"], w["final_ln.b"])
+        self._last_logits = self._last_hidden @ w["tok_emb"].T
 
     def next_logits(self) -> np.ndarray:
         if self._last_logits is None:

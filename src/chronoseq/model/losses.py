@@ -4,6 +4,10 @@ The combined objective sums per-token next-token cross-entropy with, at time
 token positions only, the decomposition cross-entropies and the Gamma
 negative log-likelihood; the sum is normalized by the non-pad token count so
 the scale transfers across batch sizes.
+
+Training differentiates total_loss; evaluate_loss runs the same function over
+parameters wrapped as constants, so evaluation builds no graph and touches no
+gradient.
 """
 from __future__ import annotations
 
@@ -13,6 +17,7 @@ from ..autodiff import (
     Tensor,
     add,
     add_const,
+    constant,
     cross_entropy,
     gelu,
     index_axis0,
@@ -26,11 +31,12 @@ from ..autodiff import (
     transpose,
 )
 from ..autodiff.special import gamma_log_pdf
+from .bundle import TimelineModel
 from .config import ModelConfig
 from .params import ModelParams
 from .transformer import forward
 
-__all__ = ["td_loss", "tte_loss", "gamma_heads", "total_loss", "LossBreakdown"]
+__all__ = ["td_loss", "tte_loss", "gamma_heads", "total_loss", "evaluate_loss", "LossBreakdown"]
 
 _POSITIVE_EPS = 1e-6
 
@@ -122,3 +128,18 @@ def total_loss(params: ModelParams, cfg: ModelConfig, batch, dropout_rng=None):
         tte=sum(float(t.data) for t in tte_terms) / n_tokens,
     )
     return total, breakdown
+
+
+def evaluate_loss(model: TimelineModel, batches) -> dict:
+    """Token-weighted average loss components over a batch list, dropout off, no graph."""
+    frozen = ModelParams({name: constant(t.data, name=name) for name, t in model.params.items()})
+    total = {"total": 0.0, "ntp": 0.0, "td": 0.0, "tte": 0.0}
+    n = 0
+    for b in batches:
+        _, parts = total_loss(frozen, model.config, b)
+        for k in total:
+            total[k] += parts[k] * b.n_tokens
+        n += b.n_tokens
+    if n == 0:
+        raise ValueError("no tokens to evaluate")
+    return {k: v / n for k, v in total.items()}

@@ -9,8 +9,7 @@ import numpy as np
 
 from ..autodiff import backward
 from ..autodiff.tensor import first_nonfinite
-from ..model import TimelineModel, save_checkpoint, total_loss
-from ..model.evaluation import evaluate_loss
+from ..model import TimelineModel, evaluate_loss, save_checkpoint, total_loss
 from .optimizer import AdamW
 from .packing import pack
 

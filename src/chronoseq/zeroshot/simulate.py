@@ -83,7 +83,6 @@ def simulate_probability(
         outcome_ids = expand_outcomes(task, ancestry)
     sampling = sampling or _NEUTRAL
     vocab = model.vocab
-    end_id = vocab.end_id
     prefix_ids = [vocab.id_of(t) for t in prefix_tokens]
     base = model.open_session() if hasattr(model, "open_session") else None
     if base is None:
@@ -98,7 +97,7 @@ def simulate_probability(
     while completed < n and attempts < cap:
         attempts += 1
         session = base.clone()
-        verdict = _run_one(session, model, task, outcome_ids, sampling, rng, end_id)
+        verdict = _run_one(session, model, task, outcome_ids, sampling, rng)
         if verdict == CENSORED:
             censored += 1
             continue
@@ -116,25 +115,16 @@ def simulate_probability(
     )
 
 
-def _run_one(session, model, task, outcome_ids, sampling, rng, end_id) -> str:
-    vocab = model.vocab
-    accrued = 0
-    window_start = task.prediction_window_start
-    window_end = task.prediction_window_end
+def _run_one(session, model, task, outcome_ids, sampling, rng) -> str:
     budget = min(task.max_new_tokens, model.config.context_window - session.length)
+    tokens = _sampled_tokens(session, model.vocab, sampling, rng, budget)
+    return classify_continuation(tokens, outcome_ids, task.prediction_window_start, task.prediction_window_end)
+
+
+def _sampled_tokens(session, vocab, sampling, rng, budget):
+    """Up to budget sampled tokens; each is fed back only when the next one is asked for."""
     for _ in range(budget):
         probs = apply_decoding_controls(session.next_logits(), session.context_ids, sampling)
         tid = sample_token_id(probs, rng)
-        if tid == end_id:
-            return CENSORED  # timeline ended inside the window
-        tok = vocab.token_of(tid)
-        cls = classify_token(tok)
-        if cls in (TokenClass.ATT_DAY, TokenClass.ATT_LT):
-            accrued += att_days_of(tok)
-            if accrued > window_end:
-                return NEGATIVE
-        elif cls in (TokenClass.CONCEPT, TokenClass.VT):
-            if concept_id_of(tok) in outcome_ids and window_start <= accrued <= window_end:
-                return POSITIVE
+        yield vocab.token_of(tid)
         session.append(tid)
-    return CENSORED  # budget exhausted with the window still open

@@ -24,7 +24,6 @@ from chronoseq.autodiff import (
     mul,
     neg,
     parameter,
-    relu,
     reshape,
     softmax,
     softplus,
@@ -99,7 +98,7 @@ def test_backward_requires_scalar_root():
 
 
 @pytest.mark.parametrize("op_case", [
-    "matmul2d", "matmul_batched", "layer_norm", "softmax", "gelu", "relu", "softplus",
+    "matmul2d", "matmul_batched", "layer_norm", "softmax", "gelu", "softplus",
     "log", "cross_entropy", "gather", "take_rows", "concat", "transpose_reshape",
     "index_axis0", "lgamma", "mean",
 ])
@@ -127,10 +126,6 @@ def test_each_op_passes_grad_check(op_case):
     elif op_case == "gelu":
         x = parameter(rng.normal(size=(4, 3)))
         fn = lambda: total_sum(square(gelu(x)))
-        params = [x]
-    elif op_case == "relu":
-        x = parameter(rng.normal(size=(4, 3)) + 0.3)  # keep away from the kink
-        fn = lambda: total_sum(square(relu(x)))
         params = [x]
     elif op_case == "softplus":
         x = parameter(rng.normal(size=(4,)))

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from chronoseq.cli import main
-from chronoseq.codec import records_to_tables, write_tables
+from chronoseq.codec import PatientRecord, records_to_tables, write_tables
 from chronoseq.manifest import sha256_file
 from chronoseq.synthworld import WorldConfig, sample_hospital_records
 
@@ -232,6 +232,30 @@ def test_zeroshot_and_probe_cli(trained_run, table_dir, tmp_path):
                *tbl_args(table_dir), "--out", str(probe_out), "--n-bootstrap", "20", "--seed", "3"])
     assert rc == 0
     assert "auroc" in probe_out.read_text()
+
+
+def test_probe_cli_skips_cohort_prompt_longer_than_window(trained_run, table_dir, tmp_path, capsys):
+    from chronoseq.codec import read_tables, tables_to_records
+
+    records, _ = tables_to_records(read_tables(table_dir / "persons.csv", table_dir / "visits.csv",
+                                               table_dir / "events.csv"))
+    long_rec = sample_hospital_records(1, seed=9, cfg=WorldConfig(visits_range=(40, 45)))[0]
+    long_rec = PatientRecord("long", long_rec.birth_year, long_rec.gender_concept, long_rec.race_concept,
+                             long_rec.visits)
+    tables = tmp_path / "tables"
+    write_tables(records_to_tables([*records, long_rec]), tables)
+    cohort = tmp_path / "cohort.csv"
+    lines = ["person_id,cutoff_date,label"]
+    lines += [f"{r.person_id},{r.visits[0].end_date.isoformat()},{i % 2}" for i, r in enumerate(records[:10])]
+    lines.append(f"long,{long_rec.visits[-1].end_date.isoformat()},1")  # far more than 128 tokens
+    cohort.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "probe.csv"
+    capsys.readouterr()
+    rc = main(["probe", "--checkpoint", str(trained_run / "final.ckpt"), "--cohort", str(cohort),
+               *tbl_args(tables), "--out", str(out), "--n-bootstrap", "20", "--seed", "3"])
+    assert rc == 0
+    assert "skipped 1 cohort rows" in capsys.readouterr().err
+    assert "auroc" in out.read_text()
 
 
 def test_zeroshot_missing_ancestry_is_validation_error(trained_run, table_dir, tmp_path):

@@ -25,7 +25,7 @@ from chronoseq.evalharness import (
 )
 from chronoseq.evalharness.fidelity import STRATA
 from chronoseq.model import ModelConfig, TimelineModel
-from chronoseq.synthworld import sample_hospital_records
+from chronoseq.synthworld import WorldConfig, sample_hospital_records
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +228,27 @@ def test_truncate_record_and_prefixes():
     assert skipped == 1
     assert len(prefixes) == 1
     assert prefixes[0][0][-1] == "[VE]"  # prompt ends at a visit boundary
+
+
+def test_cohort_prefixes_skip_prompts_that_fill_the_window():
+    short = sample_hospital_records(3, seed=77, cfg=WorldConfig(visits_range=(2, 3)))
+    long_rec = sample_hospital_records(1, seed=78, cfg=WorldConfig(visits_range=(40, 45)))[0]
+    long_rec = PatientRecord("long", long_rec.birth_year, long_rec.gender_concept, long_rec.race_concept,
+                             long_rec.visits)
+    rows = [(r.person_id, r.visits[-1].end_date, i % 2) for i, r in enumerate([*short, long_rec])]
+    everything, skipped = cohort_prefixes([*short, long_rec], rows, CodecConfig())
+    assert skipped == 0
+    n_long = len(everything[-1][0])
+    n_short = max(len(p) for p, _ in everything[:-1])
+    assert n_long > 128 > n_short
+    prefixes, skipped = cohort_prefixes([*short, long_rec], rows, CodecConfig(), 128)
+    assert skipped == 1
+    assert prefixes == everything[:-1]
+    # a prompt of exactly context_window tokens leaves no room for one simulated token
+    _, skipped = cohort_prefixes([long_rec], rows[-1:], CodecConfig(), n_long)
+    assert skipped == 1
+    kept, skipped = cohort_prefixes([long_rec], rows[-1:], CodecConfig(), n_long + 1)
+    assert skipped == 0 and len(kept) == 1
 
 
 def test_build_labeled_cohort():

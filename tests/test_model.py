@@ -7,15 +7,18 @@ from chronoseq.model import (
     InferenceSession,
     ModelConfig,
     TimelineModel,
+    evaluate_loss,
     extract_representation,
     forward,
     load_checkpoint,
+    params_sha256,
     save_checkpoint,
     segment_causal_mask,
     total_loss,
 )
 from chronoseq.model.diagnostics import toy_batch
-from chronoseq.model.evaluation import batch_loss_numpy
+from chronoseq.synthworld import sample_hospital_records
+from chronoseq.training import pack, prepare_corpus
 from conftest import random_record
 
 
@@ -120,13 +123,55 @@ def test_inference_session_matches_forward(toy):
     npt.assert_allclose(fork.next_logits(), ref_logits.data[-1], atol=1e-12)
     assert s3.length == 3  # clone is independent
 
+    s4 = InferenceSession(model)  # a prompt fed in chunks, then token by token
+    s4.prefill(ids[:3])
+    s4.prefill(ids[3:6])
+    npt.assert_allclose(s4.next_logits(), ref_logits.data[5], atol=1e-12)
+    npt.assert_allclose(s4.last_hidden(), ref_hidden.data[5], atol=1e-12)
+    for t in ids[6:]:
+        s4.append(int(t))
+    npt.assert_allclose(s4.next_logits(), ref_logits.data[-1], atol=1e-12)
+    npt.assert_allclose(s4.last_hidden(), ref_hidden.data[-1], atol=1e-12)
+    assert s4.context_ids == [int(t) for t in ids]
 
-def test_numpy_eval_matches_autodiff_loss(toy):
-    model, batch = toy
-    _, parts = total_loss(model.params, model.config, batch)
-    parts_np = batch_loss_numpy(model.params, model.config, batch)
-    for k in ("total", "ntp", "td", "tte"):
-        assert parts[k] == pytest.approx(parts_np[k], abs=1e-12)
+
+def test_inference_session_rejects_overflow_at_window_edge(toy):
+    model, _ = toy
+    cw = model.config.context_window
+    s = InferenceSession(model)
+    with pytest.raises(ValueError, match="context window"):
+        s.prefill(np.zeros(cw + 1, dtype=np.int64))
+    s.prefill(np.zeros(cw - 1, dtype=np.int64))
+    with pytest.raises(ValueError, match="context window"):
+        s.prefill(np.zeros(2, dtype=np.int64))
+    s.append(0)  # the last free slot
+    assert s.length == cw
+    with pytest.raises(ValueError, match="context window"):
+        s.append(0)
+    with pytest.raises(ValueError, match="context window"):
+        s.prefill(np.zeros(1, dtype=np.int64))
+    assert s.length == cw
+
+
+def test_evaluate_loss_is_graph_free_total_loss():
+    corpus = prepare_corpus(sample_hospital_records(16, seed=4), CodecConfig(), context_window=96,
+                            eval_fraction=0.5, seed=0)
+    cfg = ModelConfig(vocab_size=len(corpus.vocab), embed_dim=12, n_layers=2, n_heads=2, context_window=96)
+    model = TimelineModel.initialize(cfg, corpus.vocab, seed=2)
+    batches = pack(corpus.eval, tokens_per_batch=192, row_capacity=96)
+    assert len(batches) >= 2
+    n = sum(b.n_tokens for b in batches)
+    want = dict.fromkeys(("total", "ntp", "td", "tte"), 0.0)
+    for b in batches:
+        _, parts = total_loss(model.params, cfg, b)
+        for k in want:
+            want[k] += parts[k] * b.n_tokens / n
+    before = params_sha256(model.params)
+    got = evaluate_loss(model, batches)
+    for k in want:
+        assert got[k] == pytest.approx(want[k], abs=1e-12)
+    assert all(t.grad is None for t in model.params.values())
+    assert params_sha256(model.params) == before
 
 
 def test_extract_representation_properties():
