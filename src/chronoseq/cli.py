@@ -366,7 +366,19 @@ def _cmd_zeroshot(args):
     )
     write_task_metrics(args.out, metrics)
     mani.add_output("metrics", args.out)
+    est = metrics.estimates
+    counts = dict(
+        futures_attempted=sum(e.n_attempts for e in est),
+        futures_completed=sum(e.n_completed for e in est),
+        futures_censored=sum(e.n_censored for e in est),
+        capped_estimates=metrics.n_capped,
+        lanes_launched=sum(e.n_lanes for e in est),
+        lanes_discarded=sum(e.n_lanes - e.n_attempts for e in est),
+    )
+    mani.add_counters(**counts)
     mani.write(_manifest_path(args, args.out))
+    print(f"zeroshot: {counts['futures_censored']} of {counts['futures_attempted']} futures censored, "
+          f"{counts['capped_estimates']} of {metrics.n_examples} estimates capped", file=sys.stderr)
     print(
         f"{task.task_name}: AUROC {metrics.auroc.point:.4f} sd {metrics.auroc.sd:.4f}, "
         f"AUPRC {metrics.auprc.point:.4f} sd {metrics.auprc.sd:.4f} "
@@ -398,6 +410,11 @@ def _cmd_probe(args):
         w.writerow(["auroc", result.auroc.point, result.auroc.sd, result.auroc.ci_low, result.auroc.ci_high])
         w.writerow(["auprc", result.auprc.point, result.auprc.sd, result.auprc.ci_low, result.auprc.ci_high])
         w.writerow(["train_accuracy", result.train_accuracy, "", "", ""])
+        w.writerow(["converged", int(result.converged), "", "", ""])
+        w.writerow(["n_iterations", result.n_iterations, "", "", ""])
+    if not result.converged:
+        print(f"warning: the probe's logistic fit did not converge in {result.n_iterations} iterations",
+              file=sys.stderr)
     mani.add_output("metrics", args.out)
     mani.write(_manifest_path(args, args.out))
     print(f"probe AUROC {result.auroc.point:.4f}, AUPRC {result.auprc.point:.4f}")

@@ -21,6 +21,8 @@ class ProbeResult:
     train_accuracy: float
     params_hash_before: str
     params_hash_after: str
+    converged: bool  # the logistic fit reached its gradient tolerance
+    n_iterations: int
 
 
 def linear_probe(
@@ -57,4 +59,6 @@ def linear_probe(
         train_accuracy=float((clf.predict(X[train_idx]) == y[train_idx]).mean()),
         params_hash_before=hash_before,
         params_hash_after=model.params_hash(),
+        converged=clf.converged,
+        n_iterations=clf.n_iterations,
     )

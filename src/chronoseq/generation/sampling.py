@@ -42,34 +42,72 @@ class SamplingConfig:
             raise ValueError("token limits must be positive")
 
 
+_NUCLEUS_CANDIDATES = 64  # tokens sorted before falling back to a full-vocabulary sort
+
+
 def apply_decoding_controls(logits, context_ids, cfg: SamplingConfig) -> np.ndarray:
-    """Raw next-token logits -> normalized sampling distribution."""
+    """Raw next-token logits -> normalized sampling distribution.
+
+    logits is one (V,) row with its context ids, or a (B, V) batch with one
+    context per row; each row of a batch comes out bit-identical to the call
+    on that row alone.
+    """
     z = np.array(logits, dtype=np.float64)
-    if cfg.repetition_penalty != 1.0 and len(context_ids) > 0:
-        seen = np.unique(np.asarray(context_ids, dtype=np.int64))
-        vals = z[seen]
-        z[seen] = np.where(vals > 0, vals / cfg.repetition_penalty, vals * cfg.repetition_penalty)
+    rows = z.reshape(-1, z.shape[-1])  # a view: edits below land in z
+    contexts = [context_ids] if z.ndim == 1 else context_ids
+    if cfg.repetition_penalty != 1.0:
+        for row, context in zip(rows, contexts):
+            if len(context) > 0:
+                seen = np.unique(np.asarray(context, dtype=np.int64))
+                vals = row[seen]
+                row[seen] = np.where(vals > 0, vals / cfg.repetition_penalty, vals * cfg.repetition_penalty)
     z /= cfg.temperature
-    if cfg.top_k and cfg.top_k < z.shape[0]:
-        cutoff = np.partition(z, -cfg.top_k)[-cfg.top_k]
+    if cfg.top_k and cfg.top_k < z.shape[-1]:
+        cutoff = np.partition(z, -cfg.top_k, axis=-1)[..., -cfg.top_k, None]
         z[z < cutoff] = -np.inf
-    z -= z[np.isfinite(z)].max()
-    probs = np.exp(z)  # exp(-inf) underflows to an exact zero
-    probs /= probs.sum()
+    top = z.max(axis=-1, keepdims=True)
+    if not np.isfinite(top).all():  # a row holding +inf or nan: subtract its largest finite logit
+        top = np.where(np.isfinite(z), z, -np.inf).max(axis=-1, keepdims=True)
+    z -= top
+    probs = np.exp(z, out=z)  # exp(-inf) underflows to an exact zero
+    probs /= probs.sum(axis=-1, keepdims=True)
     if cfg.top_p < 1.0:
-        order = np.argsort(-probs, kind="stable")
-        csum = np.cumsum(probs[order])
-        keep_n = int(np.searchsorted(csum, cfg.top_p, side="left")) + 1  # always >= 1 token
-        mask = np.zeros_like(probs, dtype=bool)
-        mask[order[:keep_n]] = True
-        probs = np.where(mask, probs, 0.0)
-        probs /= probs.sum()
+        for row in probs.reshape(-1, probs.shape[-1]):
+            mask = np.zeros(row.shape, dtype=bool)
+            mask[_nucleus(row, cfg.top_p)] = True
+            row[~mask] = 0.0
+            row /= row.sum()
     return probs
 
 
-def sample_token_id(probs: np.ndarray, rng: np.random.Generator) -> int:
-    csum = np.cumsum(probs)
-    return int(np.searchsorted(csum, rng.random() * csum[-1], side="right"))
+def _nucleus(p: np.ndarray, top_p: float) -> np.ndarray:
+    """The smallest run of tokens, taken by (-p, index), whose mass reaches top_p (at least one).
+
+    Only the candidates at or above the _NUCLEUS_CANDIDATES-th largest
+    probability are sorted; their running sums are those of a full stable
+    sort, so the full sort is needed only when they fall short of top_p.
+    """
+    if p.shape[0] > _NUCLEUS_CANDIDATES:
+        kth = np.partition(p, -_NUCLEUS_CANDIDATES)[-_NUCLEUS_CANDIDATES]
+        cand = np.flatnonzero(p >= kth)
+        order = cand[np.argsort(-p[cand], kind="stable")]
+        csum = np.cumsum(p[order])
+        if csum[-1] >= top_p:
+            return order[: int(np.searchsorted(csum, top_p, side="left")) + 1]
+    order = np.argsort(-p, kind="stable")
+    csum = np.cumsum(p[order])
+    return order[: int(np.searchsorted(csum, top_p, side="left")) + 1]
+
+
+def sample_token_id(probs: np.ndarray, rng: np.random.Generator):
+    """One draw from a (V,) distribution, or one per row of a (B, V) batch
+    from rng.random(B); row i draws what the (V,) call would with the i-th
+    uniform."""
+    csum = np.cumsum(probs, axis=-1)
+    if csum.ndim == 1:
+        return int(np.searchsorted(csum, rng.random() * csum[-1], side="right"))
+    target = rng.random(csum.shape[0]) * csum[:, -1]
+    return (csum <= target[:, None]).sum(axis=1)  # searchsorted(side="right") per row
 
 
 def _check_prompt(tokens):

@@ -33,6 +33,7 @@ class ManifestWriter:
         self.config = config
         self.inputs: dict[str, dict] = {}
         self.outputs: dict[str, dict] = {}
+        self.counters: dict[str, int] = {}
         self._t0 = time.monotonic()
 
     def add_input(self, name: str, path):
@@ -40,6 +41,10 @@ class ManifestWriter:
 
     def add_output(self, name: str, path):
         self.outputs[name] = {"path": str(path), "sha256": sha256_file(path)}
+
+    def add_counters(self, **counts: int):
+        """Diagnostic counts of the run (what it attempted, kept and dropped)."""
+        self.counters.update(counts)
 
     def write(self, path):
         doc = {
@@ -49,6 +54,7 @@ class ManifestWriter:
             "config": self.config,
             "inputs": self.inputs,
             "outputs": self.outputs,
+            "counters": self.counters,
             "wall_clock_seconds": round(time.monotonic() - self._t0, 6),
             "created_utc": dt.datetime.now(dt.timezone.utc).isoformat(),
         }

@@ -1,7 +1,7 @@
 """Decoder-only model without positional embeddings: forward, losses, inference, checkpoints."""
 
 from .config import ModelConfig  # noqa: F401
-from .params import ModelParams, init_params, params_sha256  # noqa: F401
+from .params import ModelParams, init_params, param_shapes, params_sha256  # noqa: F401
 from .bundle import TimelineModel  # noqa: F401
 from .transformer import forward, segment_causal_mask  # noqa: F401
 from .supervision import AttSupervision, build_att_supervision  # noqa: F401

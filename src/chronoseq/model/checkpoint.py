@@ -16,11 +16,13 @@ from ..autodiff import parameter
 from ..codec.vocab import Vocabulary
 from .bundle import TimelineModel
 from .config import ModelConfig
-from .params import ModelParams
+from .params import ModelParams, param_shapes
 
 __all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError"]
 
 FORMAT_VERSION = 1
+
+_KINDS = {"p:": "parameter", "om:": "optimizer first-moment", "ov:": "optimizer second-moment"}
 
 
 class CheckpointError(RuntimeError):
@@ -73,14 +75,30 @@ def load_checkpoint(path):
         if vocab.sha256() != meta["vocab_sha256"]:
             raise CheckpointError(f"{path}: vocabulary hash mismatch")
         cfg = ModelConfig.from_dict(meta["model_config"])
-        tensors = {}
-        for name in meta["param_names"]:
-            tensors[name] = parameter(z[f"p:{name}"], name=name)
-        params = ModelParams(tensors)
+        shapes = param_shapes(cfg)
+        if meta["param_names"] != list(shapes):
+            raise CheckpointError(f"{path}: parameter names do not match the model config")
+        params = ModelParams({name: parameter(arr, name=name) for name, arr in _arrays(z, "p:", shapes, path).items()})
         optimizer_state = None
         if "optimizer" in meta:
             optimizer_state = dict(meta["optimizer"])
-            optimizer_state["m"] = {name: z[f"om:{name}"] for name in meta["param_names"]}
-            optimizer_state["v"] = {name: z[f"ov:{name}"] for name in meta["param_names"]}
+            optimizer_state["m"] = _arrays(z, "om:", shapes, path)
+            optimizer_state["v"] = _arrays(z, "ov:", shapes, path)
     model = TimelineModel(config=cfg, params=params, vocab=vocab)
     return model, optimizer_state, meta.get("extra", {})
+
+
+def _arrays(z, prefix, shapes, path) -> dict:
+    """The arrays stored under prefix, checked name by name and shape by shape against shapes."""
+    kind = _KINDS[prefix]
+    stored = {key[len(prefix):] for key in z.files if key.startswith(prefix)}
+    missing, extra = [n for n in shapes if n not in stored], sorted(stored - set(shapes))
+    if missing or extra:
+        raise CheckpointError(f"{path}: {kind} arrays missing {missing}, unexpected {extra}")
+    out = {}
+    for name, shape in shapes.items():
+        arr = z[prefix + name]
+        if arr.shape != shape:
+            raise CheckpointError(f"{path}: {kind} {name} has shape {arr.shape}, the model config needs {shape}")
+        out[name] = arr
+    return out

@@ -16,7 +16,7 @@ import numpy as np
 from ..autodiff import Tensor, parameter
 from .config import ModelConfig, TD_DAY_CLASSES, TD_MONTH_CLASSES
 
-__all__ = ["ModelParams", "init_params", "params_sha256"]
+__all__ = ["ModelParams", "init_params", "param_shapes", "params_sha256"]
 
 _INIT_STD = 0.02
 
@@ -47,43 +47,43 @@ class ModelParams:
         return sum(t.data.size for t in self.tensors.values())
 
 
-def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
-    rng = np.random.default_rng(seed)
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter, in checkpoint layout order."""
     d = cfg.embed_dim
-    d3 = cfg.sub_embed_dim
-
-    def w(shape):
-        return rng.normal(0.0, _INIT_STD, size=shape)
-
-    tensors: dict[str, Tensor] = {}
-
-    def add(name, data):
-        tensors[name] = parameter(data, name=name)
-
-    add("tok_emb", w((cfg.vocab_size, d)))
+    shapes = {"tok_emb": (cfg.vocab_size, d)}
     for i in range(cfg.n_layers):
         p = f"block{i}."
-        add(p + "ln1.g", np.ones(d))
-        add(p + "ln1.b", np.zeros(d))
-        add(p + "qkv.w", w((d, 3 * d)))
-        add(p + "qkv.b", np.zeros(3 * d))
-        add(p + "proj.w", w((d, d)))
-        add(p + "proj.b", np.zeros(d))
-        add(p + "ln2.g", np.ones(d))
-        add(p + "ln2.b", np.zeros(d))
-        add(p + "ff1.w", w((d, 4 * d)))
-        add(p + "ff1.b", np.zeros(4 * d))
-        add(p + "ff2.w", w((4 * d, d)))
-        add(p + "ff2.b", np.zeros(d))
-    add("final_ln.g", np.ones(d))
-    add("final_ln.b", np.zeros(d))
-    add("td.year.w", w((d3, cfg.td_year_classes)))
-    add("td.month.w", w((d3, TD_MONTH_CLASSES)))
-    add("td.day.w", w((d3, TD_DAY_CLASSES)))
-    add("tte.fc1.w", w((d, d)))
-    add("tte.fc1.b", np.zeros(d))
-    add("tte.fc2.w", w((d, 2)))
-    add("tte.fc2.b", np.zeros(2))
+        shapes.update({
+            p + "ln1.g": (d,), p + "ln1.b": (d,),
+            p + "qkv.w": (d, 3 * d), p + "qkv.b": (3 * d,),
+            p + "proj.w": (d, d), p + "proj.b": (d,),
+            p + "ln2.g": (d,), p + "ln2.b": (d,),
+            p + "ff1.w": (d, 4 * d), p + "ff1.b": (4 * d,),
+            p + "ff2.w": (4 * d, d), p + "ff2.b": (d,),
+        })
+    shapes.update({
+        "final_ln.g": (d,), "final_ln.b": (d,),
+        "td.year.w": (cfg.sub_embed_dim, cfg.td_year_classes),
+        "td.month.w": (cfg.sub_embed_dim, TD_MONTH_CLASSES),
+        "td.day.w": (cfg.sub_embed_dim, TD_DAY_CLASSES),
+        "tte.fc1.w": (d, d), "tte.fc1.b": (d,),
+        "tte.fc2.w": (d, 2), "tte.fc2.b": (2,),
+    })
+    return shapes
+
+
+def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
+    """Gains start at one, biases at zero, weight matrices at N(0, 0.02^2), drawn in layout order."""
+    rng = np.random.default_rng(seed)
+    tensors: dict[str, Tensor] = {}
+    for name, shape in param_shapes(cfg).items():
+        if name.endswith(".g"):
+            data = np.ones(shape)
+        elif name.endswith(".b"):
+            data = np.zeros(shape)
+        else:
+            data = rng.normal(0.0, _INIT_STD, size=shape)
+        tensors[name] = parameter(data, name=name)
     return ModelParams(tensors)
 
 

@@ -31,11 +31,38 @@ class MarkovSession:
     def append(self, tid):
         self._ids.append(int(tid))
 
-    def clone(self):
-        return MarkovSession(self.model, list(self._ids))
+    def fork(self, n):
+        return MarkovLanes(self.model, self._ids, n)
 
     def next_logits(self):
         return self.model.logits_after(self._ids[-1])
+
+
+class MarkovLanes:
+    """n lanes over the Markov rows after a shared prefix, with the LaneBatch interface."""
+
+    def __init__(self, model, prefix, n):
+        self.model = model
+        self._prefix = list(prefix)
+        self._suffixes = [[] for _ in range(n)]
+
+    @property
+    def n_lanes(self):
+        return len(self._suffixes)
+
+    @property
+    def context_ids(self):
+        return [self._prefix + s for s in self._suffixes]
+
+    def next_logits(self):
+        return np.stack([self.model.logits_after((s or self._prefix)[-1]) for s in self._suffixes])
+
+    def append(self, ids):
+        for s, t in zip(self._suffixes, ids, strict=True):
+            s.append(int(t))
+
+    def keep(self, idx):
+        self._suffixes = [self._suffixes[i] for i in idx]
 
 
 class MarkovModel:

@@ -232,6 +232,46 @@ def test_zeroshot_and_probe_cli(trained_run, table_dir, tmp_path):
                *tbl_args(table_dir), "--out", str(probe_out), "--n-bootstrap", "20", "--seed", "3"])
     assert rc == 0
     assert "auroc" in probe_out.read_text()
+    assert "converged,1" in probe_out.read_text()
+
+
+def test_zeroshot_counters_leave_metrics_byte_identical(trained_run, table_dir, tmp_path, monkeypatch, capsys):
+    import csv
+
+    from chronoseq.codec import read_tables, tables_to_records
+    from chronoseq.manifest import ManifestWriter
+
+    records, _ = tables_to_records(read_tables(table_dir / "persons.csv", table_dir / "visits.csv",
+                                               table_dir / "events.csv"))
+    cohort = tmp_path / "cohort.csv"
+    with open(cohort, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["person_id", "cutoff_date", "label"])
+        for i, r in enumerate(records[:8]):
+            w.writerow([r.person_id, r.visits[0].end_date.isoformat(), i % 2])
+    task = tmp_path / "task.yml"
+    task.write_text(
+        'task_name: "toy"\noutcome_events: ["9201", "262"]\ninclude_descendants: false\n'
+        "prediction_window_start: 0\nprediction_window_end: 30\nmax_new_tokens: 16\nn_simulations: 6\n"
+    )
+
+    def run(name):
+        out = tmp_path / f"{name}.csv"
+        rc = main(["zeroshot", "--task", str(task), "--checkpoint", str(trained_run / "final.ckpt"),
+                   "--cohort", str(cohort), *tbl_args(table_dir), "--out", str(out),
+                   "--n-bootstrap", "20", "--seed", "3", "--threads", "1"])
+        assert rc == 0
+        return out.read_bytes(), json.loads((tmp_path / f"{name}.csv.manifest.json").read_text())
+
+    with_block, mani = run("with")
+    counters = mani["counters"]
+    assert counters["futures_completed"] + counters["futures_censored"] == counters["futures_attempted"]
+    assert counters["lanes_launched"] - counters["lanes_discarded"] == counters["futures_attempted"]
+    assert "futures censored" in capsys.readouterr().err
+    monkeypatch.setattr(ManifestWriter, "add_counters", lambda self, **counts: None)
+    without_block, mani = run("without")
+    assert mani["counters"] == {}
+    assert with_block == without_block
 
 
 def test_probe_cli_skips_cohort_prompt_longer_than_window(trained_run, table_dir, tmp_path, capsys):

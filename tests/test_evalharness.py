@@ -129,6 +129,20 @@ def test_linear_probe_separable_task_and_frozen_weights():
     assert res2.auroc.point == res.auroc.point  # deterministic under seed
 
 
+def test_linear_probe_fit_converges_on_synthworld_cohort():
+    records = sample_hospital_records(60, seed=5)
+    rows = [(r.person_id, r.visits[len(r.visits) // 2 - 1].end_date, int(len(r.visits) % 2 == 0))
+            for r in records if len(r.visits) >= 3]
+    data, _ = cohort_prefixes(records, rows, CodecConfig(), 256)
+    from chronoseq.codec import build_vocabulary
+
+    vocab = build_vocabulary([encode_patient(r) for r in records])
+    cfg = ModelConfig(vocab_size=len(vocab), embed_dim=12, n_layers=1, n_heads=2, context_window=256)
+    res = linear_probe(TimelineModel.initialize(cfg, vocab, seed=0), data, seed=0, n_bootstrap=20)
+    assert res.converged
+    assert res.n_iterations < 50
+
+
 # ---------------------------------------------------------------------------
 # prevalence
 

@@ -4,6 +4,7 @@ import pytest
 
 from chronoseq.codec import CodecConfig, encode_patient
 from chronoseq.model import (
+    CheckpointError,
     InferenceSession,
     ModelConfig,
     TimelineModel,
@@ -117,11 +118,12 @@ def test_inference_session_matches_forward(toy):
 
     s3 = InferenceSession(model)
     s3.prefill(ids[:3])
-    fork = s3.clone()
+    lanes = s3.fork(2)
     for t in ids[3:]:
-        fork.append(int(t))
-    npt.assert_allclose(fork.next_logits(), ref_logits.data[-1], atol=1e-12)
-    assert s3.length == 3  # clone is independent
+        lanes.append([t, t])
+    for row in lanes.next_logits():
+        npt.assert_allclose(row, ref_logits.data[-1], atol=1e-12)
+    assert s3.length == 3  # the lanes keep their suffix to themselves
 
     s4 = InferenceSession(model)  # a prompt fed in chunks, then token by token
     s4.prefill(ids[:3])
@@ -151,6 +153,56 @@ def test_inference_session_rejects_overflow_at_window_edge(toy):
     with pytest.raises(ValueError, match="context window"):
         s.prefill(np.zeros(1, dtype=np.int64))
     assert s.length == cw
+
+
+def test_lane_batch_matches_sessions_across_keep_and_growth(toy):
+    model, _ = toy
+    V = model.config.vocab_size
+    rng = np.random.default_rng(11)
+    prefix = rng.integers(0, V, size=7)
+    streams = rng.integers(0, V, size=(5, 30))  # 30 tokens: the suffix caches double twice
+    parent = InferenceSession(model)
+    parent.prefill(prefix)
+    lanes = parent.fork(5)
+    refs = []
+    for _ in range(5):
+        r = InferenceSession(model)
+        r.prefill(prefix)
+        refs.append(r)
+    alive = list(range(5))
+    for step in range(30):
+        if step == 6:
+            alive = [alive[j] for j in (4, 1, 3)]  # drop two lanes and reorder the rest
+            lanes.keep([4, 1, 3])
+        logits = lanes.next_logits()
+        assert logits.shape == (len(alive), V)
+        for row, lane in zip(logits, alive):
+            npt.assert_allclose(row, refs[lane].next_logits(), atol=1e-12, rtol=0)
+        npt.assert_array_equal(lanes.context_ids, [refs[lane].context_ids for lane in alive])
+        ids = streams[alive, step]
+        lanes.append(ids)
+        for lane, t in zip(alive, ids):
+            refs[lane].append(int(t))
+    assert lanes.length == parent.length + 30
+    assert parent.length == len(prefix)
+
+
+def test_lane_batch_rejects_overflow_at_window_edge(toy):
+    model, _ = toy
+    cw = model.config.context_window
+    s = InferenceSession(model)
+    s.prefill(np.zeros(cw - 3, dtype=np.int64))
+    lanes = s.fork(4)
+    for _ in range(3):
+        lanes.append(np.zeros(4, dtype=np.int64))
+    assert lanes.length == cw
+    with pytest.raises(ValueError, match="context window"):
+        lanes.append(np.zeros(4, dtype=np.int64))
+    assert lanes.length == cw
+    with pytest.raises(ValueError):
+        lanes.append(np.zeros(3, dtype=np.int64))  # one id per lane
+    with pytest.raises(RuntimeError):
+        InferenceSession(model).fork(2)  # nothing to fork from
 
 
 def test_evaluate_loss_is_graph_free_total_loss():
@@ -209,6 +261,38 @@ def test_checkpoint_bit_exact_roundtrip(tmp_path, toy):
     a, _ = forward(model.params, model.config, row.token_ids, row.attention_mask())
     b, _ = forward(model2.params, model2.config, row.token_ids, row.attention_mask())
     npt.assert_array_equal(a.data, b.data)  # logits reproduce exactly
+
+
+def _drop(arrays, key):
+    del arrays[key]
+
+
+def _reshape(arrays, key):
+    arrays[key] = np.zeros(arrays[key].shape + (1,))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda a: _drop(a, "p:tok_emb"),
+    lambda a: a.__setitem__("p:block0.extra.w", np.zeros(3)),
+    lambda a: _reshape(a, "p:block1.ff1.w"),
+    lambda a: _drop(a, "om:tok_emb"),
+    lambda a: a.__setitem__("ov:block9.qkv.w", np.zeros(3)),
+    lambda a: _reshape(a, "ov:final_ln.g"),
+], ids=["missing-param", "extra-param", "misshaped-param", "missing-moment", "extra-moment", "misshaped-moment"])
+def test_checkpoint_shape_faults_raise_checkpoint_error(tmp_path, toy, edit):
+    model, _ = toy
+    path = tmp_path / "model.ckpt"
+    moments = {name: np.zeros_like(t.data) for name, t in model.params.items()}
+    save_checkpoint(path, model, optimizer_state={"step": 3, "m": moments, "v": moments})
+    load_checkpoint(path)  # intact
+    with np.load(path, allow_pickle=False) as z:
+        arrays = {key: z[key] for key in z.files}
+    edit(arrays)
+    bad = tmp_path / "bad.ckpt"
+    with open(bad, "wb") as f:
+        np.savez(f, **arrays)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(bad)
 
 
 def test_checkpoint_atomic_no_partial_files(tmp_path, toy):

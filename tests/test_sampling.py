@@ -116,3 +116,57 @@ def test_chi2_helper_matches_closed_form():
     # dof 4: exp(-x/2) * (1 + x/2)
     for x in (0.5, 2.0, 7.0):
         assert chi2_sf_even(x, 4) == pytest.approx(np.exp(-x / 2) * (1 + x / 2))
+
+
+def full_sort_controls(logits, context_ids, cfg):
+    """The decoding controls as they were with a full-vocabulary nucleus sort: the reference."""
+    z = np.array(logits, dtype=np.float64)
+    if cfg.repetition_penalty != 1.0 and len(context_ids) > 0:
+        seen = np.unique(np.asarray(context_ids, dtype=np.int64))
+        vals = z[seen]
+        z[seen] = np.where(vals > 0, vals / cfg.repetition_penalty, vals * cfg.repetition_penalty)
+    z /= cfg.temperature
+    if cfg.top_k and cfg.top_k < z.shape[0]:
+        cutoff = np.partition(z, -cfg.top_k)[-cfg.top_k]
+        z[z < cutoff] = -np.inf
+    z -= z[np.isfinite(z)].max()
+    probs = np.exp(z)
+    probs /= probs.sum()
+    if cfg.top_p < 1.0:
+        order = np.argsort(-probs, kind="stable")
+        csum = np.cumsum(probs[order])
+        keep_n = int(np.searchsorted(csum, cfg.top_p, side="left")) + 1
+        mask = np.zeros_like(probs, dtype=bool)
+        mask[order[:keep_n]] = True
+        probs = np.where(mask, probs, 0.0)
+        probs /= probs.sum()
+    return probs
+
+
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("top_k", [0, 40])
+def test_nucleus_matches_full_sort_bit_for_bit(tied, top_k):
+    rng = np.random.default_rng(17 + 2 * top_k + tied)
+    for _ in range(60):
+        V = int(rng.choice([5, 64, 65, 300, 1241]))
+        scale = float(rng.choice([0.3, 2.0, 8.0]))
+        logits = rng.normal(scale=scale, size=V)
+        if tied:
+            logits = np.round(logits)  # many exact ties across the nucleus edge
+        cfg = SamplingConfig(top_k=top_k, top_p=float(rng.choice([0.1, 0.5, 0.9, 0.99, 0.999999])),
+                             temperature=float(rng.choice([0.6, 1.0])))
+        npt.assert_array_equal(apply_decoding_controls(logits, [], cfg), full_sort_controls(logits, [], cfg))
+
+
+def test_batched_rows_match_single_row_calls_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for cfg in (SamplingConfig(), SamplingConfig(temperature=0.7, top_k=30, top_p=0.9, repetition_penalty=1.3),
+                SamplingConfig(top_p=0.95), SamplingConfig(repetition_penalty=2.0)):
+        logits = rng.normal(scale=3.0, size=(7, 200))
+        contexts = [rng.integers(0, 200, size=int(rng.integers(0, 12))) for _ in range(7)]
+        probs = apply_decoding_controls(logits, contexts, cfg)
+        for row, lg, ctx in zip(probs, logits, contexts):
+            npt.assert_array_equal(row, apply_decoding_controls(lg, list(ctx), cfg))
+        draws = sample_token_id(probs, np.random.default_rng(5))
+        one_by_one = np.random.default_rng(5)
+        assert draws.tolist() == [sample_token_id(row, one_by_one) for row in probs]

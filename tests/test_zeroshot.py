@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from chronoseq.codec.vocab import Vocabulary
+from chronoseq.model import ModelConfig, TimelineModel
 from chronoseq.zeroshot import (
     ConceptAncestry,
     TaskConfig,
+    WindowRule,
     classify_continuation,
     evaluate_task,
     expand_outcomes,
@@ -125,6 +128,25 @@ def test_classify_continuation_cases():
     assert classify_continuation(("D90", "c:100"), out, 0, 90) == "positive"
 
 
+def test_window_rule_steps_agree_with_classify_continuation():
+    # many random futures stepped together over a vocabulary table, as the
+    # lanes do, against classify_continuation on each future alone
+    pool = ["D30", "D0", "D89", "i-D1", "i-D45", "[LT]", "c:100", "v:100", "c:200", "v:9202",
+            "[VS]", "[VE]", "[END]"]
+    rng = np.random.default_rng(4)
+    streams = rng.integers(0, len(pool), size=(400, 12))
+    for window in ((0, 90), (10, 60), (30, 1200)):
+        rule = WindowRule(pool, {100}, *window)
+        verdicts = np.zeros(len(streams), dtype=np.int64)
+        accrued = np.zeros(len(streams), dtype=np.int64)
+        for j in range(streams.shape[1]):
+            accrued, v = rule.step(accrued, streams[:, j])
+            verdicts = np.where(verdicts == 0, v, verdicts)
+        names = {0: "censored", 1: "positive", 2: "negative", 3: "censored"}
+        for stream, got in zip(streams, verdicts):
+            assert classify_continuation([pool[i] for i in stream], {100}, *window) == names[int(got)]
+
+
 def test_monotone_window_on_fixed_trajectories():
     rng = np.random.default_rng(0)
     tokens_pool = ["D30", "c:100", "c:200", "[END]"]
@@ -200,6 +222,60 @@ def test_simulate_probability_cap_on_always_censored_prefix():
     assert est.n_completed == 0 and est.probability == 0.0
 
 
+def test_simulate_probability_cap_spans_several_waves():
+    # 4 x 30 = 120 attempts need more than MAX_LANES lanes: waves of 30, 64 and 26
+    model = MarkovModel({"default": {"[END]": 1.0}}, extra_tokens=PREFIX)
+    est = simulate_probability(model, PREFIX, task(n_simulations=30), np.random.default_rng(0))
+    assert est.capped
+    assert est.n_attempts == est.n_censored == est.n_lanes == 120  # no wave overshoots the cap
+    assert est.n_completed == 0 and est.probability == 0.0
+
+
+@pytest.mark.parametrize("row, discards", [
+    ({"D30": 0.2, "c:100": 0.3, "[END]": 0.5}, True),
+    ({"D30": 0.1, "c:100": 0.1, "[END]": 0.8}, False),  # completion rate under the 1/4 floor: 4x waves
+])
+def test_simulate_probability_overprovisioned_waves_stop_at_n(row, discards):
+    # censored futures make later waves larger than the missing futures;
+    # lanes past the n-th completion are discarded uncounted
+    model = MarkovModel({"default": row}, extra_tokens=PREFIX)
+    discarded = 0
+    for seed in range(20):
+        t = task(n_simulations=int(5 + 3 * seed))
+        est = simulate_probability(model, PREFIX, t, np.random.default_rng(seed))
+        assert est.n_completed + est.n_censored == est.n_attempts
+        assert est.n_completed == t.n_simulations or (est.capped and est.n_attempts == 4 * t.n_simulations)
+        assert est.probability == est.n_positive / est.n_completed
+        assert est.n_attempts <= est.n_lanes
+        discarded += est.n_lanes - est.n_attempts
+    if discards:
+        assert discarded > 0
+
+
+def test_simulate_probability_counts_only_real_censoring():
+    # no [END] and a budget no future exhausts: every future completes, so a
+    # lane stopped early and then counted as censored would show here
+    model = MarkovModel({"default": {"D30": 0.4, "c:100": 0.1, "c:200": 0.5}}, extra_tokens=PREFIX)
+    for n in (2, 3, 5, 50):
+        for seed in range(10):
+            t = task(n_simulations=n, max_new_tokens=200)
+            est = simulate_probability(model, PREFIX, t, np.random.default_rng(seed))
+            assert est.n_censored == 0
+            assert est.n_attempts == est.n_lanes == est.n_completed == n
+
+
+def test_simulate_probability_accounting_on_model_lanes():
+    # the same wave loop over InferenceSession lanes of a small trained-shape model
+    vocab = Vocabulary(["[PAD]", "[VS]", "[VE]", "[LT]", "[END]", *PREFIX, "D30", "D5", "c:100", "c:200"])
+    cfg = ModelConfig(vocab_size=len(vocab), embed_dim=12, n_layers=1, n_heads=2, context_window=16)
+    model = TimelineModel.initialize(cfg, vocab, seed=0)
+    t = task(n_simulations=20, max_new_tokens=64)  # the window leaves 11 new tokens
+    est = simulate_probability(model, PREFIX, t, np.random.default_rng(1))
+    assert est.n_completed + est.n_censored == est.n_attempts
+    assert est.n_completed == 20 or est.n_attempts == 80
+    assert est == simulate_probability(model, PREFIX, t, np.random.default_rng(1))
+
+
 def test_evaluate_task_end_to_end_and_hand_auroc():
     model = rigged_model()
     t = task(n_simulations=20, prediction_window_end=60)
@@ -220,3 +296,15 @@ def test_evaluate_task_thread_invariance():
     m1 = evaluate_task(model, cohort, t, seed=5, n_bootstrap=10, n_threads=1)
     m2 = evaluate_task(model, cohort, t, seed=5, n_bootstrap=10, n_threads=3)
     assert m1.scores == m2.scores
+
+
+def test_evaluate_task_thread_invariance_with_lanes():
+    vocab = Vocabulary(["[PAD]", "[VS]", "[VE]", "[LT]", "[END]", *PREFIX, "D30", "D5", "c:100", "c:200"])
+    cfg = ModelConfig(vocab_size=len(vocab), embed_dim=12, n_layers=2, n_heads=2, context_window=32)
+    model = TimelineModel.initialize(cfg, vocab, seed=3)
+    t = task(n_simulations=12, prediction_window_end=60, max_new_tokens=10)
+    cohort = [(PREFIX[: 4 + i % 2], i % 2) for i in range(6)]
+    m1 = evaluate_task(model, cohort, t, seed=5, n_bootstrap=10, n_threads=1)
+    m2 = evaluate_task(model, cohort, t, seed=5, n_bootstrap=10, n_threads=3)
+    assert m1.scores == m2.scores
+    assert m1.estimates == m2.estimates
