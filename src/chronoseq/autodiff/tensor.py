@@ -47,11 +47,12 @@ _MASK_NEG = -1e30  # additive attention mask value; exp() underflows to exactly 
 class Tensor:
     """A node in the compute graph: float64 data plus an optional gradient slot."""
 
-    __slots__ = ("data", "grad", "requires_grad", "parents", "backward_fn", "name")
+    __slots__ = ("data", "grad", "owns_grad", "requires_grad", "parents", "backward_fn", "name")
 
     def __init__(self, data, requires_grad=False, parents=(), backward_fn=None, name=""):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
+        self.owns_grad = False  # may .grad be written in place, or does it alias another array?
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
         self.parents = parents if self.requires_grad else ()
         self.backward_fn = backward_fn if self.requires_grad else None
@@ -80,17 +81,46 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else constant(x)
 
 
-def _accum(t: Tensor, g: np.ndarray):
+def _accum(t: Tensor, g: np.ndarray, owned=False):
+    """Add g into t.grad.
+
+    owned=True hands over an array the op has just created, which t keeps as
+    it is. Otherwise g may alias another node's gradient (add, add_const,
+    reshape, transpose and slices pass views on), so t keeps the view and
+    copies it only when a second contribution has to be written into it.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
-    else:
+        t.grad = g
+        t.owns_grad = owned
+    elif t.owns_grad:
         t.grad += g
+    else:
+        t.grad = t.grad + g
+        t.owns_grad = True
+
+
+def _accum_unbroadcast(t: Tensor, g: np.ndarray):
+    """_accum of g reduced to t's shape; a reduced gradient is a new array."""
+    r = _unbroadcast(g, t.data.shape)
+    _accum(t, r, owned=r is not g)
+
+
+def _accum_at(t: Tensor, index, g: np.ndarray):
+    """Add g into t.grad[index], starting from zeros; index must not repeat a position."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    elif not t.owns_grad:
+        t.grad = t.grad.copy()
+    t.owns_grad = True
+    t.grad[index] += g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Reduce a gradient back to the shape of a broadcast operand."""
+    """Reduce a gradient back to the shape of a broadcast operand (g itself if no reduction is needed)."""
     if g.shape == tuple(shape):
         return g
     extra = g.ndim - len(shape)
@@ -102,19 +132,33 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _consumed(g):
+    raise RuntimeError("backward() already ran through this graph; build it again")
+
+
 def backward(root: Tensor):
     """Backpropagate d(root)/d(leaf) into .grad of every reachable parameter.
 
     Gradients accumulate (+=) so shared subexpressions are handled correctly;
-    call zero_grad on parameters between steps.
+    call zero_grad on parameters between steps. backward consumes the graph:
+    once an interior node has passed its gradient on, its grad, parents and
+    backward closure are dropped, so the graph's buffers are freed as the
+    pass runs and only leaf gradients remain. Call it once per graph; a
+    second call through the same nodes raises RuntimeError.
     """
     if root.data.size != 1:
         raise ValueError("backward() expects a scalar root tensor")
     order = _toposort(root)
     root.grad = np.ones_like(root.data)
+    root.owns_grad = True
     for node in reversed(order):
-        if node.backward_fn is not None and node.grad is not None:
+        if node.backward_fn is None:
+            continue
+        if node.grad is not None:
             node.backward_fn(node.grad)
+        node.grad = None
+        node.parents = ()
+        node.backward_fn = _consumed
 
 
 def _toposort(root: Tensor):
@@ -153,8 +197,8 @@ def add(a, b):
     out = Tensor(a.data + b.data, parents=(a, b), name="add")
 
     def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        _accum_unbroadcast(a, g)
+        _accum_unbroadcast(b, g)
 
     out.backward_fn = bw if out.requires_grad else None
     return out
@@ -165,8 +209,8 @@ def sub(a, b):
     out = Tensor(a.data - b.data, parents=(a, b), name="sub")
 
     def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
+        _accum_unbroadcast(a, g)
+        _accum(b, _unbroadcast(-g, b.data.shape), owned=True)
 
     out.backward_fn = bw if out.requires_grad else None
     return out
@@ -177,8 +221,8 @@ def mul(a, b):
     out = Tensor(a.data * b.data, parents=(a, b), name="mul")
 
     def bw(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        _accum(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
+        _accum(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
 
     out.backward_fn = bw if out.requires_grad else None
     return out
@@ -188,7 +232,7 @@ def neg(a):
     out = Tensor(-a.data, parents=(a,), name="neg")
 
     def bw(g):
-        _accum(a, -g)
+        _accum(a, -g, owned=True)
 
     out.backward_fn = bw if out.requires_grad else None
     return out
@@ -198,7 +242,7 @@ def scale(a, s: float):
     out = Tensor(a.data * s, parents=(a,), name="scale")
 
     def bw(g):
-        _accum(a, g * s)
+        _accum(a, g * s, owned=True)
 
     out.backward_fn = bw if out.requires_grad else None
     return out
@@ -219,9 +263,9 @@ def matmul(a, b):
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
+            _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape), owned=True)
         if b.requires_grad:
-            _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
+            _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape), owned=True)
 
     out.backward_fn = bw if out.requires_grad else None
     return out
@@ -274,9 +318,7 @@ def index_axis0(a, i: int):
     out = Tensor(a.data[i], parents=(a,), name="index_axis0")
 
     def bw(g):
-        full = np.zeros_like(a.data)
-        full[i] = g
-        _accum(a, full)
+        _accum_at(a, i, g)
 
     out.backward_fn = bw if out.requires_grad else None
     return out
@@ -290,7 +332,7 @@ def gather_rows(table, idx):
     def bw(g):
         full = np.zeros_like(table.data)
         np.add.at(full, idx, g)
-        _accum(table, full)
+        _accum(table, full, owned=True)
 
     out.backward_fn = bw if out.requires_grad else None
     return out
@@ -303,11 +345,15 @@ def take_rows(a, idx):
     """Select rows of a 2-D tensor by position (e.g. hidden states at ATT slots)."""
     idx = np.asarray(idx, dtype=np.int64)
     out = Tensor(a.data[idx], parents=(a,), name="take_rows")
+    increasing = idx.size < 2 or (idx[0] >= 0 and bool((np.diff(idx) > 0).all()))
 
     def bw(g):
+        if increasing:  # no position repeats, so rows can be added in place
+            _accum_at(a, idx, g)
+            return
         full = np.zeros_like(a.data)
         np.add.at(full, idx, g)
-        _accum(a, full)
+        _accum(a, full, owned=True)
 
     out.backward_fn = bw if out.requires_grad else None
     return out
@@ -326,14 +372,14 @@ def layer_norm(x, gain, bias, eps=1e-5):
 
     def bw(g):
         if gain.requires_grad:
-            _accum(gain, _unbroadcast(g * xhat, gain.data.shape))
+            _accum(gain, _unbroadcast(g * xhat, gain.data.shape), owned=True)
         if bias.requires_grad:
-            _accum(bias, _unbroadcast(g, bias.data.shape))
+            _accum_unbroadcast(bias, g)
         if x.requires_grad:
             gx = g * gain.data
             m1 = gx.mean(axis=-1, keepdims=True)
             m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            _accum(x, (gx - m1 - xhat * m2) * inv)
+            _accum(x, (gx - m1 - xhat * m2) * inv, owned=True)
 
     out.backward_fn = bw if out.requires_grad else None
     return out
@@ -347,7 +393,7 @@ def softmax(x, axis=-1):
 
     def bw(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
-        _accum(x, y * (g - dot))
+        _accum(x, y * (g - dot), owned=True)
 
     out.backward_fn = bw if out.requires_grad else None
     return out
@@ -367,7 +413,7 @@ def cross_entropy(logits, targets):
         np.exp(gx, out=gx)
         gx *= g[:, None]
         gx[np.arange(len(t)), t] -= g
-        _accum(logits, gx)
+        _accum(logits, gx, owned=True)
 
     out.backward_fn = bw if out.requires_grad else None
     return out
@@ -387,7 +433,7 @@ def gelu(x):
     def bw(g):
         du = _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
         local = 0.5 * (1.0 + th) + 0.5 * xd * (1.0 - th * th) * du
-        _accum(x, g * local)
+        _accum(x, g * local, owned=True)
 
     out.backward_fn = bw if out.requires_grad else None
     return out
@@ -399,7 +445,7 @@ def softplus(x):
     sig = 1.0 / (1.0 + np.exp(-x.data))
 
     def bw(g):
-        _accum(x, g * sig)
+        _accum(x, g * sig, owned=True)
 
     out.backward_fn = bw if out.requires_grad else None
     return out
@@ -409,7 +455,7 @@ def log(x):
     out = Tensor(np.log(x.data), parents=(x,), name="log")
 
     def bw(g):
-        _accum(x, g / x.data)
+        _accum(x, g / x.data, owned=True)
 
     out.backward_fn = bw if out.requires_grad else None
     return out
@@ -420,7 +466,7 @@ def exp(x):
     out = Tensor(y, parents=(x,), name="exp")
 
     def bw(g):
-        _accum(x, g * y)
+        _accum(x, g * y, owned=True)
 
     out.backward_fn = bw if out.requires_grad else None
     return out
@@ -430,7 +476,7 @@ def square(x):
     out = Tensor(x.data**2, parents=(x,), name="square")
 
     def bw(g):
-        _accum(x, 2.0 * g * x.data)
+        _accum(x, 2.0 * g * x.data, owned=True)
 
     out.backward_fn = bw if out.requires_grad else None
     return out
@@ -442,7 +488,7 @@ def lgamma(x):
     out = Tensor(lgamma_value(x.data), parents=(x,), name="lgamma")
 
     def bw(g):
-        _accum(x, g * digamma_value(x.data))
+        _accum(x, g * digamma_value(x.data), owned=True)
 
     out.backward_fn = bw if out.requires_grad else None
     return out
@@ -457,7 +503,7 @@ def dropout(x, rate: float, rng: np.random.Generator):
     out = Tensor(np.where(keep, x.data * scale_, 0.0), parents=(x,), name="dropout")
 
     def bw(g):
-        _accum(x, np.where(keep, g * scale_, 0.0))
+        _accum(x, np.where(keep, g * scale_, 0.0), owned=True)
 
     out.backward_fn = bw if out.requires_grad else None
     return out
@@ -467,7 +513,7 @@ def total_sum(x):
     out = Tensor(x.data.sum(), parents=(x,), name="sum")
 
     def bw(g):
-        _accum(x, np.full_like(x.data, float(g)))
+        _accum(x, np.full_like(x.data, float(g)), owned=True)
 
     out.backward_fn = bw if out.requires_grad else None
     return out
@@ -478,7 +524,7 @@ def mean_all(x):
     out = Tensor(x.data.mean(), parents=(x,), name="mean")
 
     def bw(g):
-        _accum(x, np.full_like(x.data, float(g) / n))
+        _accum(x, np.full_like(x.data, float(g) / n), owned=True)
 
     out.backward_fn = bw if out.requires_grad else None
     return out

@@ -246,9 +246,14 @@ def _cmd_train(args):
         mcfg = ModelConfig(vocab_size=len(corpus.vocab), **{k: v for k, v in mkv.items()})
     except (TypeError, ValueError) as e:
         raise ValidationFailure(f"{args.model_config}: {e}") from None
-    model = TimelineModel.initialize(mcfg, corpus.vocab, seed=tcfg.seed)
+    if args.resume is None:
+        model, resume_state = TimelineModel.initialize(mcfg, corpus.vocab, seed=tcfg.seed), None
+    else:
+        mani.add_input("resume", _require_file(args.resume, "--resume"))
+        model, resume_state = _resume_point(args.resume, mcfg, corpus.vocab)
     out_dir = Path(args.out_dir)
-    result = train(model, corpus.train, corpus.eval, tcfg, out_dir=out_dir)
+    result = train(model, corpus.train, corpus.eval, tcfg, out_dir=out_dir, resume_state=resume_state,
+                   log=_eval_progress())
     corpus.vocab.save(out_dir / "vocabulary.tsv")
     mani.add_output("vocabulary", out_dir / "vocabulary.tsv")
     mani.add_output("loss_curves", out_dir / "loss_curves.csv")
@@ -260,6 +265,34 @@ def _cmd_train(args):
         + (" (early stop)" if result.stopped_early else "")
     )
     return 0
+
+
+def _resume_point(path, mcfg: ModelConfig, vocab: Vocabulary):
+    """(model, resume_state) from a training checkpoint that matches this run's model and vocabulary."""
+    model, opt_state, extra = load_checkpoint(path)
+    if model.config != mcfg:
+        raise ValidationFailure(f"--resume: {path} was trained with a different model config")
+    if model.vocab.tokens != vocab.tokens:
+        raise ValidationFailure(f"--resume: {path} has a different vocabulary than these tables")
+    if opt_state is None or "epoch" not in extra or "batch_index" not in extra:
+        raise ValidationFailure(f"--resume: {path} holds no optimizer state or position to resume from")
+    return model, {"optimizer": opt_state, **extra}
+
+
+def _eval_progress():
+    """train() log hook: one stderr line per epoch-end eval with the step and the last train loss."""
+    last_train = None
+
+    def log(row):
+        nonlocal last_train
+        if row["train_loss"] != "":
+            last_train = row["train_loss"]
+            return
+        train_loss = "-" if last_train is None else f"{last_train:.4f}"
+        print(f"step {row['step']} epoch {row['epoch']}: train loss {train_loss}, eval loss {row['eval_loss']:.4f}",
+              file=sys.stderr)
+
+    return log
 
 
 def _load_experts(path) -> tuple[list[SamplingConfig], list[int]]:
@@ -614,6 +647,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-config", required=True)
     p.add_argument("--codec-config", default=None)
     p.add_argument("--out-dir", required=True)
+    p.add_argument("--resume", default=None, metavar="CKPT",
+                   help="continue from a checkpoint this command wrote (e.g. out-dir/step200.ckpt)")
     common(p)
 
     p = sub.add_parser("generate", help="sample synthetic sequences from a checkpoint")

@@ -29,25 +29,26 @@ def _validate(scores, labels):
 
 def auroc(scores, labels) -> float:
     """Probability a random positive outscores a random negative (ties = 1/2)."""
-    s, y, n_pos = _validate(scores, labels)
-    n_neg = len(y) - n_pos
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(len(s), dtype=np.float64)
-    sorted_s = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average rank, 1-based
-        i = j + 1
-    r_pos = ranks[y == 1].sum()
-    return float((r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    return _auroc(*_validate(scores, labels))
+
+
+def _auroc(s, y, n_pos) -> float:
+    """auroc of validated inputs. Each positive counts the negatives below it
+    and half those tied with it; the numerator is an exact half-integer."""
+    neg = np.sort(s[y == 0])
+    pos = s[y == 1]
+    below = np.searchsorted(neg, pos, side="left")
+    tied = np.searchsorted(neg, pos, side="right") - below
+    return float((below.sum() + 0.5 * tied.sum()) / (n_pos * (len(y) - n_pos)))
 
 
 def auprc(scores, labels) -> float:
     """Area under the precision envelope across recall steps."""
-    s, y, n_pos = _validate(scores, labels)
+    return _auprc(*_validate(scores, labels))
+
+
+def _auprc(s, y, n_pos) -> float:
+    """auprc of validated inputs."""
     order = np.argsort(-s, kind="mergesort")
     s_sorted = s[order]
     y_sorted = y[order]
@@ -63,6 +64,10 @@ def auprc(scores, labels) -> float:
     return float(np.sum((recall - prev_recall) * env))
 
 
+_VALIDATED = {auroc: _auroc, auprc: _auprc}  # metric -> the same metric without input checks
+_DRAW_CELLS = 1 << 20  # resample indices drawn per rng call, to bound memory
+
+
 @dataclass(frozen=True)
 class BootstrapResult:
     point: float
@@ -74,17 +79,25 @@ class BootstrapResult:
 
 
 def bootstrap_metric(scores, labels, metric_fn, n_resamples: int = 1000, seed: int = 0) -> BootstrapResult:
-    """Percentile bootstrap: resample pairs, skip single-class resamples."""
+    """Percentile bootstrap: resample pairs, skip single-class resamples.
+
+    Resample indices come from one rng call per block of resamples, which
+    draws the same stream as one call per resample. The inputs are checked
+    once; auroc and auprc then run without re-checking each resample.
+    """
     s, y, _ = _validate(scores, labels)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB007]))
     point = metric_fn(s, y)
+    fn = _VALIDATED.get(metric_fn) or (lambda s_, y_, _n_pos: metric_fn(s_, y_))
+    n = len(s)
     values = []
-    for _ in range(n_resamples):
-        idx = rng.integers(0, len(s), size=len(s))
-        yt = y[idx]
-        if yt.min() == yt.max():
-            continue
-        values.append(metric_fn(s[idx], yt))
+    block = max(1, _DRAW_CELLS // n)
+    for start in range(0, n_resamples, block):
+        idx = rng.integers(0, n, size=(min(block, n_resamples - start), n))
+        ys = y[idx]
+        n_pos = ys.sum(axis=1)
+        for row in np.nonzero((n_pos > 0) & (n_pos < n))[0]:
+            values.append(fn(s[idx[row]], ys[row], int(n_pos[row])))
     if not values:
         raise ValueError("every bootstrap resample was single-class")
     arr = np.array(values)

@@ -34,7 +34,7 @@ from ..autodiff.special import gamma_log_pdf
 from .bundle import TimelineModel
 from .config import ModelConfig
 from .params import ModelParams
-from .transformer import forward
+from .transformer import hidden_states, tied_head
 
 __all__ = ["td_loss", "tte_loss", "gamma_heads", "total_loss", "evaluate_loss", "LossBreakdown"]
 
@@ -81,8 +81,8 @@ class LossBreakdown(dict):
 
 
 def _row_sums(params: ModelParams, cfg: ModelConfig, row, dropout_rng):
-    logits, hidden = forward(params, cfg, row.token_ids, row.attention_mask(), dropout_rng)
-    ntp_logits = take_rows(logits, row.ntp_positions)
+    hidden = hidden_states(params, cfg, row.token_ids, row.attention_mask(), dropout_rng)
+    ntp_logits = tied_head(params, take_rows(hidden, row.ntp_positions))  # only rows with a next-token target
     ntp_sum = total_sum(cross_entropy(ntp_logits, row.ntp_targets))
     td_sum = tte_sum = None
     if len(row.att_positions) > 0:

@@ -20,7 +20,7 @@ from ..autodiff import (
 from .config import ModelConfig
 from .params import ModelParams
 
-__all__ = ["forward", "segment_causal_mask", "MASK_NEG"]
+__all__ = ["forward", "hidden_states", "tied_head", "segment_causal_mask", "MASK_NEG"]
 
 MASK_NEG = -1e30
 
@@ -36,7 +36,18 @@ def segment_causal_mask(n_tokens: int, segment_bounds) -> np.ndarray:
 
 
 def forward(params: ModelParams, cfg: ModelConfig, token_ids, attn_mask, dropout_rng=None):
-    """Token ids (T,) + additive mask (T,T) -> (logits (T,V), final hidden (T,d)).
+    """Token ids (T,) + additive mask (T,T) -> (logits (T,V), final hidden (T,d))."""
+    hidden = hidden_states(params, cfg, token_ids, attn_mask, dropout_rng)
+    return tied_head(params, hidden), hidden
+
+
+def tied_head(params: ModelParams, hidden):
+    """Vocabulary logits of hidden rows (N, d) -> (N, V); the head shares tok_emb."""
+    return matmul(hidden, transpose(params["tok_emb"], (1, 0)))
+
+
+def hidden_states(params: ModelParams, cfg: ModelConfig, token_ids, attn_mask, dropout_rng=None):
+    """Token ids (T,) + additive mask (T,T) -> final hidden (T,d), after the final layer norm.
 
     Hidden state at a position depends only on earlier positions of the same
     segment; there is no positional-embedding lookup anywhere in this path.
@@ -73,6 +84,4 @@ def forward(params: ModelParams, cfg: ModelConfig, token_ids, attn_mask, dropout
         h = gelu(add(matmul(b, params[p + "ff1.w"]), params[p + "ff1.b"]))
         ff_out = add(matmul(h, params[p + "ff2.w"]), params[p + "ff2.b"])
         x = add(x, dropout(ff_out, rate, dropout_rng))
-    hidden = layer_norm(x, params["final_ln.g"], params["final_ln.b"])
-    logits = matmul(hidden, transpose(params["tok_emb"], (1, 0)))  # tied head
-    return logits, hidden
+    return layer_norm(x, params["final_ln.g"], params["final_ln.b"])

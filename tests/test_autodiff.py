@@ -200,3 +200,83 @@ def test_gradcheck_reports_nonfinite():
     x = parameter([-1.0])
     with pytest.raises(GradCheckError):
         grad_check(lambda: total_sum(log(x)), [x])
+
+
+@pytest.mark.parametrize("square_first", [False, True])
+def test_fan_out_gradient_is_copied_before_a_second_contribution(square_first):
+    # add hands its own gradient array to both a and b; a later (or earlier) gets a
+    # second contribution from square(a), which must not leak into b's gradient
+    rng = np.random.default_rng(7)
+    a, b = parameter(rng.normal(size=(2, 3))), parameter(rng.normal(size=(2, 3)))
+    w = constant(rng.normal(size=(2, 3)))
+
+    def loss():
+        fan = total_sum(mul(add(a, b), w))
+        own = total_sum(square(a))
+        return add(own, fan) if square_first else add(fan, own)
+
+    assert grad_check(loss, [a, b]) < 1e-8
+    a.zero_grad(), b.zero_grad()
+    backward(loss())
+    npt.assert_array_equal(b.grad, w.data)
+    npt.assert_allclose(a.grad, w.data + 2 * a.data, rtol=1e-15)
+
+
+def test_backward_consumes_the_graph():
+    import weakref
+
+    rng = np.random.default_rng(3)
+    x, wt = parameter(rng.normal(size=(4, 3))), parameter(rng.normal(size=(3, 2)))
+    h = gelu(matmul(x, wt))
+    root = total_sum(square(reshape(transpose(h, (1, 0)), (8,))))
+    interior, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if node.parents:
+            interior.append(node)
+            stack.extend(node.parents)
+    closures = [weakref.ref(n.backward_fn) for n in interior]
+    backward(root)
+    assert len(interior) == 6
+    assert all(n.grad is None and n.parents == () for n in interior)
+    assert all(c() is None for c in closures)  # closures and the arrays they held are freed
+    assert x.grad.shape == (4, 3) and wt.grad.shape == (3, 2)  # leaf gradients stay
+    with pytest.raises(RuntimeError):
+        backward(root)
+    with pytest.raises(RuntimeError):  # a new graph over a consumed node cannot backpropagate either
+        backward(total_sum(h))
+
+
+def test_consecutive_training_steps_hold_one_graph():
+    import tracemalloc
+
+    from chronoseq.codec import CodecConfig
+    from chronoseq.model import ModelConfig, TimelineModel, total_loss
+    from chronoseq.synthworld import sample_hospital_records
+    from chronoseq.training import pack, prepare_corpus
+
+    corpus = prepare_corpus(sample_hospital_records(40, seed=2), CodecConfig(), context_window=128, seed=0)
+    cfg = ModelConfig(vocab_size=len(corpus.vocab), embed_dim=12, n_layers=1, n_heads=2, context_window=128)
+    model = TimelineModel.initialize(cfg, corpus.vocab, seed=0)
+    batch = pack(corpus.train, 512, row_capacity=128)[0]
+
+    def step():
+        model.params.zero_grads()
+        loss, _ = total_loss(model.params, model.config, batch)
+        backward(loss)
+        return loss
+
+    step()  # first-call caches stay out of the measurement
+    tracemalloc.start()
+    try:
+        step()
+        one_step = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        tracemalloc.start()
+        loss = step()
+        loss = step()  # as in the training loop: the previous loss is still bound during this step
+        two_steps = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert two_steps < 1.5 * one_step, (two_steps, one_step)
+    assert loss.parents == ()

@@ -307,3 +307,70 @@ def test_zeroshot_missing_ancestry_is_validation_error(trained_run, table_dir, t
     rc = main(["zeroshot", "--task", str(task), "--checkpoint", str(trained_run / "final.ckpt"),
                "--cohort", str(cohort), *tbl_args(table_dir), "--out", str(tmp_path / "o.csv")])
     assert rc == 1
+
+
+TRAIN_CFG = ("learning_rate: 1e-3\nwarmup_steps: 5\nmax_epochs: 3\ntokens_per_batch: 512\n"
+             "checkpoint_every_steps: {every}\nearly_stop_patience: 1000000\nmin_seq_tokens: 10\nseed: 0\n{extra}")
+
+
+def _train(table_dir, d, name, every=0, extra="", more=()):
+    train_cfg = d / "train.cfg"
+    train_cfg.write_text(TRAIN_CFG.format(every=every, extra=extra))
+    model_cfg = d / "model.cfg"
+    model_cfg.write_text("embed_dim: 12\nn_layers: 1\nn_heads: 2\ncontext_window: 128\n")
+    out_dir = d / name
+    rc = main(["train", *tbl_args(table_dir), "--train-config", str(train_cfg),
+               "--model-config", str(model_cfg), "--out-dir", str(out_dir), *more])
+    assert rc == 0
+    return out_dir
+
+
+def _curve_rows(out_dir):
+    return (out_dir / "loss_curves.csv").read_text().splitlines()[1:]
+
+
+def test_train_resume_from_cadence_checkpoint_replays_the_run(table_dir, tmp_path):
+    a = _curve_rows(_train(table_dir, tmp_path, "a", every=3))
+    steps = [int(r.split(",")[0]) for r in a]
+    # stop B after step 3, as a killed run would, then resume it from its cadence checkpoint
+    stopped = _train(table_dir, tmp_path, "b", every=3, extra="max_steps: 3\n")
+    assert (stopped / "step3.ckpt").exists()
+    assert steps.count(3) == 1  # step 3 falls inside an epoch, so the resume skips batches
+    resumed = _train(table_dir, tmp_path, "b2", every=3, more=["--resume", str(stopped / "step3.ckpt")])
+    assert _curve_rows(resumed) == a[steps.index(3) + 1:]
+
+
+def test_train_resume_rejects_other_model_config(table_dir, tmp_path, trained_run, capsys):
+    train_cfg = tmp_path / "t.cfg"
+    train_cfg.write_text(TRAIN_CFG.format(every=0, extra=""))
+    model_cfg = tmp_path / "wide.cfg"
+    model_cfg.write_text("embed_dim: 24\nn_layers: 1\nn_heads: 2\ncontext_window: 128\n")
+    rc = main(["train", *tbl_args(table_dir), "--train-config", str(train_cfg), "--model-config", str(model_cfg),
+               "--out-dir", str(tmp_path / "o"), "--resume", str(trained_run / "final.ckpt")])
+    assert rc == 1
+    assert "different model config" in capsys.readouterr().err
+
+
+def test_train_progress_lines_leave_outputs_byte_identical(table_dir, tmp_path, monkeypatch, capsys):
+    import chronoseq.cli as cli
+
+    def run(name):
+        out_dir = _train(table_dir, tmp_path, name, every=4)
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir()) if p.name != "run.manifest.json"}
+        mani = json.loads((out_dir / "run.manifest.json").read_text())
+        return captured, files, {k: v for k, v in mani.items() if k not in ("wall_clock_seconds", "created_utc")}
+
+    with_log, files_with, mani_with = run("with")
+    n_evals = sum(1 for r in _curve_rows(tmp_path / "with") if r.split(",")[2] == "")
+    lines = with_log.err.splitlines()
+    assert len(lines) == n_evals == 3
+    assert all(" train loss " in ln and " eval loss " in ln for ln in lines)
+    monkeypatch.setattr(cli, "_eval_progress", lambda: None)
+    without_log, files_without, mani_without = run("without")
+    assert without_log.err == ""
+    assert with_log.out == without_log.out
+    assert files_with == files_without
+    for m in (mani_with, mani_without):
+        m["outputs"] = {k: v["sha256"] for k, v in m["outputs"].items()}
+    assert mani_with == mani_without

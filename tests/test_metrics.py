@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chronoseq.evalharness import auprc, auroc, bootstrap_metric
+from chronoseq.evalharness import BootstrapResult, auprc, auroc, bootstrap_metric, metrics
 from helpers import auprc_bruteforce, auroc_bruteforce
 
 
@@ -78,3 +78,62 @@ def test_bootstrap_width_shrinks_with_n():
     w_small = np.median([width(40) for _ in range(5)])
     w_big = np.median([width(640) for _ in range(5)])
     assert w_big < w_small
+
+
+def _auroc_tie_loop(scores, labels):
+    """AUROC by average ranks with a Python loop over tie groups (the former implementation)."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels).astype(np.int64)
+    n_pos = int(y.sum())
+    n_neg = len(y) - n_pos
+    order = np.argsort(s, kind="mergesort")
+    ranks = np.empty(len(s), dtype=np.float64)
+    sorted_s = s[order]
+    i = 0
+    while i < len(s):
+        j = i
+        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    r_pos = ranks[y == 1].sum()
+    return float((r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def _bootstrap_one_draw_per_resample(scores, labels, metric_fn, n_resamples, seed):
+    """The former bootstrap_metric: one rng call and one checked metric call per resample."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels).astype(np.int64)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB007]))
+    point = metric_fn(s, y)
+    values = []
+    for _ in range(n_resamples):
+        idx = rng.integers(0, len(s), size=len(s))
+        yt = y[idx]
+        if yt.min() == yt.max():
+            continue
+        values.append(metric_fn(s[idx], yt))
+    arr = np.array(values)
+    return BootstrapResult(point=point, sd=float(arr.std(ddof=1)), ci_low=float(np.percentile(arr, 2.5)),
+                           ci_high=float(np.percentile(arr, 97.5)), n_resamples=n_resamples, n_valid=len(arr))
+
+
+@pytest.mark.parametrize("draw_cells", [None, 50])
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("n", [7, 21, 150])
+def test_bootstrap_matches_one_draw_per_resample_bit_for_bit(n, tied, draw_cells, monkeypatch):
+    if draw_cells is not None:  # many small blocks of resamples per bootstrap
+        monkeypatch.setattr(metrics, "_DRAW_CELLS", draw_cells)
+    rng = np.random.default_rng(100 + n)
+    scores = rng.random(n)
+    if tied:
+        scores = np.round(scores, 1)
+    labels = (rng.random(n) < 0.3).astype(int)
+    labels[:2] = (0, 1)
+    for new_fn, old_fn in ((auroc, _auroc_tie_loop), (auprc, auprc)):
+        assert new_fn(scores, labels) == old_fn(scores, labels)
+        new = bootstrap_metric(scores, labels, new_fn, n_resamples=400, seed=n)
+        old = _bootstrap_one_draw_per_resample(scores, labels, old_fn, 400, n)
+        assert new == old
+        if n == 7:  # some resamples of 7 pairs are single-class and skipped
+            assert new.n_valid < 400
