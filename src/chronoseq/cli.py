@@ -12,7 +12,7 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import __version__
@@ -31,7 +31,7 @@ from .codec import (
     write_tables,
 )
 from .codec.vocab import Vocabulary, expand_vocabulary
-from .configfile import ConfigParseError, parse_kv_blocks, parse_kv_text
+from .configfile import ConfigParseError, load_config, parse_kv_blocks, read_config
 from .evalharness import (
     CohortSpec,
     cohort_prefixes,
@@ -55,7 +55,7 @@ from .privacy import audit_tables, write_privacy_csv
 from .simstudy import EncoderConfig, run_comparison, write_curves_csv
 from .synthworld import demographics_of
 from .training import TrainConfig, TrainingDiverged, prepare_corpus, train
-from .zeroshot import ConceptAncestry, evaluate_task, load_task_config, write_task_metrics
+from .zeroshot import ConceptAncestry, TaskConfig, evaluate_task, write_task_metrics
 
 
 class ValidationFailure(ValueError):
@@ -63,68 +63,68 @@ class ValidationFailure(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config-file loaders
+# inputs: each is checked, hashed into the manifest, then read
 
 
-def _load_codec_config(path) -> CodecConfig:
-    if path is None:
-        return CodecConfig()
-    kv = parse_kv_text(Path(path).read_text(encoding="utf-8"))
-    known = {"inpatient_concepts", "intra_visit_time", "long_gap_days"}
-    unknown = set(kv) - known
-    if unknown:
-        raise ValidationFailure(f"{path}: unknown codec field(s): {', '.join(sorted(unknown))}")
-    out = CodecConfig()
-    if "inpatient_concepts" in kv:
-        vals = kv["inpatient_concepts"]
-        out = CodecConfig(
-            inpatient_concepts=frozenset(int(v) for v in (vals if isinstance(vals, list) else [vals])),
-            intra_visit_time=bool(kv.get("intra_visit_time", out.intra_visit_time)),
-            long_gap_days=int(kv.get("long_gap_days", out.long_gap_days)),
-        )
-    else:
-        out = CodecConfig(
-            intra_visit_time=bool(kv.get("intra_visit_time", out.intra_visit_time)),
-            long_gap_days=int(kv.get("long_gap_days", out.long_gap_days)),
-        )
-    return out
+@dataclass(frozen=True)
+class _ExpertBlock(SamplingConfig):
+    """One block of an experts file: a sampling configuration and the number of sequences it generates."""
+
+    count: int = field(kw_only=True)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.count <= 0:
+            raise ValueError("count must be a positive integer")
 
 
-def _load_dataclass_kv(path, cls, required=(), name="config"):
-    kv = parse_kv_text(Path(path).read_text(encoding="utf-8"))
-    fields = {f.name for f in cls.__dataclass_fields__.values()} if hasattr(cls, "__dataclass_fields__") else set()
-    unknown = set(kv) - fields
-    if unknown:
-        raise ValidationFailure(f"{path}: unknown {name} field(s): {', '.join(sorted(unknown))}")
-    missing = [f for f in required if f not in kv]
-    if missing:
-        raise ValidationFailure(f"{path}: missing required {name} field(s): {', '.join(missing)}")
-    try:
-        return cls(**kv)
-    except (TypeError, ValueError) as e:
-        raise ValidationFailure(f"{path}: {e}") from None
-
-
-def _read_tables_args(args):
-    for name in ("persons", "visits", "events"):
-        p = getattr(args, name)
-        if not Path(p).exists():
-            raise ValidationFailure(f"--{name}: no such file: {p}")
-    return read_tables(args.persons, args.visits, args.events)
-
-
-def _read_tables_dir(path, flag):
-    d = Path(path)
-    for f in ("persons.csv", "visits.csv", "events.csv"):
-        if not (d / f).exists():
-            raise ValidationFailure(f"{flag}: missing {f} under {d}")
-    return read_tables(d / "persons.csv", d / "visits.csv", d / "events.csv")
+_GRADCHECK_DEFAULTS = {"embed_dim": 6, "n_layers": 2, "n_heads": 2, "epsilon": 1e-5, "tolerance": 1e-4}
+_PRIVACY_FIELDS = {"top_k_concepts": int, "match_tolerance": float, "seed": int, "sample_size": int,
+                   "key_attrs": tuple[int, ...], "sensitive_attrs": tuple[int, ...],
+                   "quasi_identifiers": tuple[int, ...]}
+_TABLES = ("persons", "visits", "events")
 
 
 def _require_file(path, flag):
     if not Path(path).exists():
         raise ValidationFailure(f"{flag}: no such file: {path}")
     return path
+
+
+def _config_input(mani, name, path, flag, schema, **kw):
+    mani.add_input(name, _require_file(path, flag))
+    return read_config(path, schema, **kw)
+
+
+def _codec_config(mani, args) -> CodecConfig:
+    if args.codec_config is None:
+        return CodecConfig()
+    return _config_input(mani, "codec_config", args.codec_config, "--codec-config", CodecConfig)
+
+
+def _tables(mani, args, dir_flag=None):
+    """Event tables from the --persons/--visits/--events triple, or from the directory behind dir_flag
+    (e.g. "--real-dir", whose files enter the manifest as real_persons.csv, ...)."""
+    if dir_flag is None:
+        files = [(name, getattr(args, name), f"--{name}") for name in _TABLES]
+    else:
+        d = Path(getattr(args, dir_flag[2:].replace("-", "_")))
+        label = dir_flag[2:].removesuffix("-dir")
+        files = [(f"{label}_{name}.csv", d / f"{name}.csv", dir_flag) for name in _TABLES]
+    for name, path, flag in files:
+        mani.add_input(name, _require_file(path, flag))
+    return read_tables(*(path for _, path, _ in files))
+
+
+def _cohort(mani, args, model, codec_cfg):
+    """Simulation prompts and labels of the --cohort rows, cut from the table records."""
+    mani.add_input("cohort", _require_file(args.cohort, "--cohort"))
+    records, _ = tables_to_records(_tables(mani, args))
+    prefixes, skipped = cohort_prefixes(records, load_cohort_csv(args.cohort), codec_cfg,
+                                        model.config.context_window)
+    if skipped:
+        print(f"warning: skipped {skipped} cohort rows without usable history or room to simulate", file=sys.stderr)
+    return prefixes
 
 
 def _manifest_path(args, default_anchor) -> Path:
@@ -139,11 +139,8 @@ def _manifest_path(args, default_anchor) -> Path:
 
 def _cmd_encode(args):
     mani = ManifestWriter("encode", args.seed, {"codec_config": args.codec_config})
-    for name in ("persons", "visits", "events"):
-        mani.add_input(name, _require_file(getattr(args, name), f"--{name}"))
-    cfg = _load_codec_config(args.codec_config)
-    tables = _read_tables_args(args)
-    records, report = tables_to_records(tables)
+    cfg = _codec_config(mani, args)
+    records, report = tables_to_records(_tables(mani, args))
     sequences = [encode_patient(r, cfg) for r in records]
     write_sequences(sequences, args.out)
     mani.add_output("sequences", args.out)
@@ -161,7 +158,7 @@ def _cmd_encode(args):
 def _cmd_decode(args):
     mani = ManifestWriter("decode", args.seed, {"codec_config": args.codec_config})
     mani.add_input("sequences", _require_file(args.sequences, "--sequences"))
-    cfg = _load_codec_config(args.codec_config)
+    cfg = _codec_config(mani, args)
     sequences = read_sequences(args.sequences)
     records = []
     failures: dict[str, int] = {}
@@ -214,38 +211,23 @@ def _cmd_train(args):
         args.seed,
         {"train_config": args.train_config, "model_config": args.model_config, "codec_config": args.codec_config},
     )
-    for name in ("persons", "visits", "events"):
-        mani.add_input(name, _require_file(getattr(args, name), f"--{name}"))
-    mani.add_input("train_config", _require_file(args.train_config, "--train-config"))
-    mani.add_input("model_config", _require_file(args.model_config, "--model-config"))
-    codec_cfg = _load_codec_config(args.codec_config)
-    tcfg = _load_dataclass_kv(args.train_config, TrainConfig, name="training")
+    tcfg = _config_input(mani, "train_config", args.train_config, "--train-config", TrainConfig)
     if args.seed is not None:
-        tcfg = TrainConfig(**{**asdict(tcfg), "seed": args.seed})
-    mkv = parse_kv_text(Path(args.model_config).read_text(encoding="utf-8"))
-    allowed = {"embed_dim", "n_layers", "n_heads", "context_window", "dropout_rate", "max_td_year_class"}
-    unknown = set(mkv) - allowed
-    if unknown:
-        raise ValidationFailure(f"{args.model_config}: unknown model field(s): {', '.join(sorted(unknown))}")
-    missing = [k for k in ("embed_dim", "n_layers", "n_heads", "context_window") if k not in mkv]
-    if missing:
-        raise ValidationFailure(f"{args.model_config}: missing model field(s): {', '.join(missing)}")
-
-    tables = _read_tables_args(args)
-    records, _ = tables_to_records(tables)
+        tcfg = replace(tcfg, seed=args.seed)
+    # vocab_size is known only once the corpus is encoded, which needs the context window first
+    mcfg = _config_input(mani, "model_config", args.model_config, "--model-config", ModelConfig, vocab_size=1)
+    codec_cfg = _codec_config(mani, args)
+    records, _ = tables_to_records(_tables(mani, args))
     corpus = prepare_corpus(
         records,
         codec_cfg,
-        context_window=int(mkv["context_window"]),
+        context_window=mcfg.context_window,
         min_seq_tokens=tcfg.min_seq_tokens,
         eval_fraction=tcfg.eval_fraction,
         seed=tcfg.seed,
-        max_year_class=int(mkv.get("max_td_year_class", 10)),
+        max_year_class=mcfg.max_td_year_class,
     )
-    try:
-        mcfg = ModelConfig(vocab_size=len(corpus.vocab), **{k: v for k, v in mkv.items()})
-    except (TypeError, ValueError) as e:
-        raise ValidationFailure(f"{args.model_config}: {e}") from None
+    mcfg = replace(mcfg, vocab_size=len(corpus.vocab))
     if args.resume is None:
         model, resume_state = TimelineModel.initialize(mcfg, corpus.vocab, seed=tcfg.seed), None
     else:
@@ -295,45 +277,27 @@ def _eval_progress():
     return log
 
 
-def _load_experts(path) -> tuple[list[SamplingConfig], list[int]]:
+def _load_experts(path) -> list[_ExpertBlock]:
     blocks = parse_kv_blocks(Path(path).read_text(encoding="utf-8"))
     if not blocks:
         raise ValidationFailure(f"{path}: no expert blocks found")
-    experts, counts = [], []
-    allowed = {"temperature", "top_k", "top_p", "repetition_penalty", "max_tokens", "min_tokens",
-               "checkpoint_id", "seed", "count"}
-    for i, kv in enumerate(blocks):
-        unknown = set(kv) - allowed
-        if unknown:
-            raise ValidationFailure(f"{path}: expert {i}: unknown field(s): {', '.join(sorted(unknown))}")
-        count = int(kv.pop("count", 0))
-        if count <= 0:
-            raise ValidationFailure(f"{path}: expert {i}: count must be a positive integer")
-        try:
-            experts.append(SamplingConfig(**kv))
-        except (TypeError, ValueError) as e:
-            raise ValidationFailure(f"{path}: expert {i}: {e}") from None
-        counts.append(count)
-    return experts, counts
+    return [load_config(kv, _ExpertBlock, f"{path}: expert {i}") for i, kv in enumerate(blocks)]
 
 
 def _cmd_generate(args):
     mani = ManifestWriter("generate", args.seed, {"experts": args.experts, "threads": args.threads})
-    mani.add_input("checkpoint", _require_file(args.checkpoint, "--checkpoint"))
     mani.add_input("experts", _require_file(args.experts, "--experts"))
-    for name in ("persons", "visits", "events"):
-        mani.add_input(name, _require_file(getattr(args, name), f"--{name}"))
-    model, _, _ = load_checkpoint(args.checkpoint)
-    experts, counts = _load_experts(args.experts)
+    experts = _load_experts(args.experts)
     if args.seed is not None:
-        experts = [SamplingConfig(**{**asdict(e), "seed": e.seed + args.seed}) for e in experts]
-    tables = _read_tables_args(args)
-    records, _ = tables_to_records(tables)
+        experts = [replace(e, seed=e.seed + args.seed) for e in experts]
+    mani.add_input("checkpoint", _require_file(args.checkpoint, "--checkpoint"))
+    model, _, _ = load_checkpoint(args.checkpoint)
+    records, _ = tables_to_records(_tables(mani, args))
     pool = [
         (f"year:{y}", f"age:{a}", f"gender:{g}", f"race:{r}")
         for y, a, g, r in demographics_of(records)
     ]
-    corpus = generate_pool(model, experts, counts, pool, n_threads=args.threads)
+    corpus = generate_pool(model, experts, [e.count for e in experts], pool, n_threads=args.threads)
     write_sequences(corpus.sequences, args.out)
     mani.add_output("sequences", args.out)
     report_path = Path(str(args.out) + ".experts.csv")
@@ -343,7 +307,12 @@ def _cmd_generate(args):
         for r in corpus.per_expert:
             w.writerow([r.expert, r.requested, r.generated, r.kept, r.dropped_short, r.hit_max_tokens])
     mani.add_output("expert_report", report_path)
+    counts = dict(dropped_short=sum(r.dropped_short for r in corpus.per_expert),
+                  hit_max_tokens=sum(r.hit_max_tokens for r in corpus.per_expert))
+    mani.add_counters(**counts)
     mani.write(_manifest_path(args, args.out))
+    print(f"generate: {counts['dropped_short']} of {sum(r.generated for r in corpus.per_expert)} sequences "
+          f"dropped as shorter than min_tokens, {counts['hit_max_tokens']} hit max_tokens", file=sys.stderr)
     print(f"generated {len(corpus)} sequences from {len(experts)} expert(s)")
     return 0
 
@@ -351,7 +320,7 @@ def _cmd_generate(args):
 def _cmd_convert(args):
     mani = ManifestWriter("convert", args.seed, {"codec_config": args.codec_config})
     mani.add_input("sequences", _require_file(args.sequences, "--sequences"))
-    cfg = _load_codec_config(args.codec_config)
+    cfg = _codec_config(mani, args)
     sequences = read_sequences(args.sequences)
     tables, report = convert_to_tables(sequences, cfg)
     out_dir = Path(args.out_dir)
@@ -373,26 +342,17 @@ def _cmd_convert(args):
 def _cmd_zeroshot(args):
     mani = ManifestWriter("zeroshot", args.seed, {"task": args.task, "threads": args.threads,
                                                   "n_bootstrap": args.n_bootstrap})
-    mani.add_input("task", _require_file(args.task, "--task"))
-    mani.add_input("checkpoint", _require_file(args.checkpoint, "--checkpoint"))
-    mani.add_input("cohort", _require_file(args.cohort, "--cohort"))
-    for name in ("persons", "visits", "events"):
-        mani.add_input(name, _require_file(getattr(args, name), f"--{name}"))
-    task = load_task_config(args.task)
-    model, _, _ = load_checkpoint(args.checkpoint)
-    codec_cfg = _load_codec_config(args.codec_config)
+    task = _config_input(mani, "task", args.task, "--task", TaskConfig)
+    codec_cfg = _codec_config(mani, args)
     ancestry = None
     if args.ancestry:
         mani.add_input("ancestry", _require_file(args.ancestry, "--ancestry"))
         ancestry = ConceptAncestry.load(args.ancestry)
     elif task.include_descendants:
         raise ValidationFailure("--ancestry: task sets include_descendants but no ancestry file was given")
-    tables = _read_tables_args(args)
-    records, _ = tables_to_records(tables)
-    cohort_rows = load_cohort_csv(args.cohort)
-    prefixes, skipped = cohort_prefixes(records, cohort_rows, codec_cfg, model.config.context_window)
-    if skipped:
-        print(f"warning: skipped {skipped} cohort rows without usable history or room to simulate", file=sys.stderr)
+    mani.add_input("checkpoint", _require_file(args.checkpoint, "--checkpoint"))
+    model, _, _ = load_checkpoint(args.checkpoint)
+    prefixes = _cohort(mani, args, model, codec_cfg)
     metrics = evaluate_task(
         model, prefixes, task, seed=args.seed or 0, n_bootstrap=args.n_bootstrap,
         ancestry=ancestry, n_threads=args.threads,
@@ -422,18 +382,10 @@ def _cmd_zeroshot(args):
 
 def _cmd_probe(args):
     mani = ManifestWriter("probe", args.seed, {"l2": args.l2, "n_bootstrap": args.n_bootstrap})
+    codec_cfg = _codec_config(mani, args)
     mani.add_input("checkpoint", _require_file(args.checkpoint, "--checkpoint"))
-    mani.add_input("cohort", _require_file(args.cohort, "--cohort"))
-    for name in ("persons", "visits", "events"):
-        mani.add_input(name, _require_file(getattr(args, name), f"--{name}"))
     model, _, _ = load_checkpoint(args.checkpoint)
-    codec_cfg = _load_codec_config(args.codec_config)
-    tables = _read_tables_args(args)
-    records, _ = tables_to_records(tables)
-    cohort_rows = load_cohort_csv(args.cohort)
-    data, skipped = cohort_prefixes(records, cohort_rows, codec_cfg, model.config.context_window)
-    if skipped:
-        print(f"warning: skipped {skipped} cohort rows without usable history or room to simulate", file=sys.stderr)
+    data = _cohort(mani, args, model, codec_cfg)
     result = linear_probe(model, data, l2=args.l2, seed=args.seed or 0, n_bootstrap=args.n_bootstrap)
     if result.params_hash_before != result.params_hash_after:
         raise RuntimeError("model weights changed during probing")
@@ -456,12 +408,7 @@ def _cmd_probe(args):
 
 def _cmd_prevalence(args):
     mani = ManifestWriter("prevalence", args.seed, {})
-    real = _read_tables_dir(args.real_dir, "--real-dir")
-    synth = _read_tables_dir(args.synthetic_dir, "--synthetic-dir")
-    for f in ("persons.csv", "visits.csv", "events.csv"):
-        mani.add_input(f"real_{f}", Path(args.real_dir) / f)
-        mani.add_input(f"synthetic_{f}", Path(args.synthetic_dir) / f)
-    rows = prevalence_report(real, synth)
+    rows = prevalence_report(_tables(mani, args, "--real-dir"), _tables(mani, args, "--synthetic-dir"))
     write_prevalence_csv(args.out, rows)
     mani.add_output("report", args.out)
     mani.write(_manifest_path(args, args.out))
@@ -471,27 +418,9 @@ def _cmd_prevalence(args):
 
 def _cmd_pathway(args):
     mani = ManifestWriter("pathway", args.seed, {"cohort_spec": args.cohort_spec})
-    for name in ("persons", "visits", "events"):
-        mani.add_input(name, _require_file(getattr(args, name), f"--{name}"))
-    mani.add_input("cohort_spec", _require_file(args.cohort_spec, "--cohort-spec"))
-    kv = parse_kv_text(Path(args.cohort_spec).read_text(encoding="utf-8"))
-    allowed = {"name", "index_concepts", "lookback_days", "interval_days", "n_intervals", "domain"}
-    unknown = set(kv) - allowed
-    if unknown:
-        raise ValidationFailure(f"{args.cohort_spec}: unknown field(s): {', '.join(sorted(unknown))}")
-    if "index_concepts" not in kv:
-        raise ValidationFailure(f"{args.cohort_spec}: missing required field index_concepts")
-    ic = kv["index_concepts"]
-    spec = CohortSpec(
-        name=str(kv.get("name", "pathway")),
-        index_concepts=frozenset(int(c) for c in (ic if isinstance(ic, list) else [ic])),
-        lookback_days=int(kv.get("lookback_days", 365)),
-        interval_days=int(kv.get("interval_days", 120)),
-        n_intervals=int(kv.get("n_intervals", 9)),
-        domain=str(kv.get("domain", "drug")),
-    )
-    tables = _read_tables_args(args)
-    result = pathway_cohort(tables, spec)
+    spec = _config_input(mani, "cohort_spec", args.cohort_spec, "--cohort-spec", CohortSpec,
+                         exclude=("outcome_concepts", "outcome_window"), defaults={"name": "pathway"})
+    result = pathway_cohort(_tables(mani, args), spec)
     with open(args.out, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(["person_id"])
@@ -505,39 +434,14 @@ def _cmd_pathway(args):
 
 def _cmd_privacy(args):
     mani = ManifestWriter("privacy", args.seed, {"config": args.config})
-    cfgkv = {}
+    cfg = {}
     if args.config:
-        mani.add_input("config", _require_file(args.config, "--config"))
-        cfgkv = parse_kv_text(Path(args.config).read_text(encoding="utf-8"))
-        allowed = {"top_k_concepts", "match_tolerance", "seed", "sample_size",
-                   "key_attrs", "sensitive_attrs", "quasi_identifiers"}
-        unknown = set(cfgkv) - allowed
-        if unknown:
-            raise ValidationFailure(f"{args.config}: unknown field(s): {', '.join(sorted(unknown))}")
-    train_t = _read_tables_dir(args.train_dir, "--train-dir")
-    eval_t = _read_tables_dir(args.eval_dir, "--eval-dir")
-    synth_t = _read_tables_dir(args.synthetic_dir, "--synthetic-dir")
-    for label, d in (("train", args.train_dir), ("eval", args.eval_dir), ("synthetic", args.synthetic_dir)):
-        for f in ("persons.csv", "visits.csv", "events.csv"):
-            mani.add_input(f"{label}_{f}", Path(d) / f)
-    def _idx(key):
-        v = cfgkv.get(key)
-        if v is None:
-            return None
-        return [int(x) for x in (v if isinstance(v, list) else [v])]
-
-    result = audit_tables(
-        train_t,
-        eval_t,
-        synth_t,
-        top_k_concepts=int(cfgkv.get("top_k_concepts", 64)),
-        seed=int(cfgkv.get("seed", args.seed or 0)),
-        match_tolerance=float(cfgkv.get("match_tolerance", 0.8)),
-        sample_size=int(cfgkv["sample_size"]) if "sample_size" in cfgkv else None,
-        key_attrs=_idx("key_attrs"),
-        sensitive_attrs=_idx("sensitive_attrs"),
-        quasi_identifiers=_idx("quasi_identifiers"),
-    )
+        cfg = _config_input(mani, "config", args.config, "--config", _PRIVACY_FIELDS)
+    # --seed wins over the file's seed, as in train; the manifest records the seed used
+    mani.seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    cfg["seed"] = mani.seed
+    tables = [_tables(mani, args, flag) for flag in ("--train-dir", "--eval-dir", "--synthetic-dir")]
+    result = audit_tables(*tables, **cfg)
     write_privacy_csv(args.out, result)
     mani.add_output("scores", args.out)
     mani.write(_manifest_path(args, args.out))
@@ -571,22 +475,14 @@ def _cmd_simstudy(args):
 
 
 def _cmd_gradcheck(args):
-    config = {"embed_dim": 6, "n_layers": 2, "n_heads": 2, "epsilon": 1e-5, "tolerance": 1e-4}
+    config = dict(_GRADCHECK_DEFAULTS)
     if args.config:
-        kv = parse_kv_text(Path(_require_file(args.config, "--config")).read_text(encoding="utf-8"))
-        unknown = set(kv) - set(config)
-        if unknown:
-            raise ValidationFailure(f"{args.config}: unknown field(s): {', '.join(sorted(unknown))}")
-        config.update(kv)
+        fields = {k: type(v) for k, v in _GRADCHECK_DEFAULTS.items()}
+        config.update(read_config(_require_file(args.config, "--config"), fields))
     mani = ManifestWriter("gradcheck", args.seed, config)
-    err = toy_grad_check(
-        embed_dim=int(config["embed_dim"]),
-        n_layers=int(config["n_layers"]),
-        n_heads=int(config["n_heads"]),
-        seed=args.seed or 0,
-        epsilon=float(config["epsilon"]),
-    )
-    tol = float(config["tolerance"])
+    tol = config["tolerance"]
+    err = toy_grad_check(embed_dim=config["embed_dim"], n_layers=config["n_layers"], n_heads=config["n_heads"],
+                         seed=args.seed or 0, epsilon=config["epsilon"])
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as f:
             w = csv.writer(f)

@@ -39,10 +39,6 @@ class ClinicalEvent:
     domain: str
     concept_id: int
 
-    @property
-    def sort_key(self):
-        return (self.date, DOMAIN_RANK[self.domain], self.concept_id)
-
 
 @dataclass(frozen=True)
 class Visit:

@@ -55,9 +55,6 @@ class Vocabulary:
     def end_id(self) -> int:
         return self._index[END]
 
-    def class_of_id(self, idx: int):
-        return classify_token(self.tokens[idx])
-
     def serialize(self) -> str:
         lines = [f"{i}\t{t}\t{classify_token(t).value}" for i, t in enumerate(self.tokens)]
         return "\n".join(lines) + "\n"

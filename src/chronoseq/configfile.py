@@ -3,10 +3,16 @@
 Supports `key: value` and `key = value`, quoted or bare scalars, booleans,
 ints, floats, inline lists, and bracketed lists spanning multiple lines —
 enough to read task, training, expert, cohort, and attack files verbatim.
+`load_config` checks a parsed mapping against a field table and converts
+each value to the field's declared type.
 """
 from __future__ import annotations
 
-__all__ = ["parse_kv_text", "parse_kv_blocks", "format_kv"]
+import dataclasses
+import typing
+from pathlib import Path
+
+__all__ = ["ConfigParseError", "parse_kv_text", "parse_kv_blocks", "format_kv", "load_config", "read_config"]
 
 
 class ConfigParseError(ValueError):
@@ -123,3 +129,93 @@ def format_kv(d: dict) -> str:
         else:
             lines.append(f"{k}: {v}")
     return "\n".join(lines) + "\n"
+
+
+def _as_int(v):
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise ValueError
+    return int(v)  # an int, an integral float, or a quoted number such as "9201"
+
+
+def _as_float(v):
+    if isinstance(v, bool):
+        raise ValueError
+    return float(v)
+
+
+def _as_bool(v):
+    if not isinstance(v, bool):
+        raise ValueError
+    return v
+
+
+def _as_str(v):
+    if isinstance(v, (bool, list)):
+        raise ValueError
+    return str(v)
+
+
+_CONVERTERS = {int: _as_int, float: _as_float, bool: _as_bool, str: _as_str}
+
+
+def _convert(value, tp, where: str, name: str):
+    container = typing.get_origin(tp)  # tuple or frozenset of a scalar type, else None
+    item = typing.get_args(tp)[0] if container else tp
+    conv = _CONVERTERS[item]
+    try:
+        if container:
+            return container(conv(v) for v in (value if isinstance(value, list) else [value]))
+        return conv(value)
+    except (TypeError, ValueError):
+        what = f"a list of {item.__name__}" if container else item.__name__
+        raise ConfigParseError(f"{where}: {name}: expected {what}, got {value!r}") from None
+
+
+def load_config(kv: dict, schema, where: str, *, exclude=(), defaults=None, **fixed):
+    """Check a parsed key-value mapping against a field table and convert it.
+
+    `schema` is a dataclass, whose field table comes from its annotations, or
+    a name -> type map. Types are int, float, bool, str, and tuple[int, ...]
+    or frozenset[int] (from a scalar or a list). An int field takes an
+    integral number only, and a bool field takes true/false/yes/no only.
+    Fields named in `exclude` or given in `fixed` (values the program
+    supplies) are not part of the file's table; `defaults` holds values for
+    fields the file leaves out. A dataclass's fields without a default are
+    required, and the result is `schema(**fixed, **values)`;
+    a map's fields are optional, and the result is the dict of converted
+    values. Every fault, including a ValueError from the dataclass's own
+    checks, raises ConfigParseError naming `where` (the file, and the block
+    within it) and the field.
+    """
+    if dataclasses.is_dataclass(schema):
+        hints = typing.get_type_hints(schema)
+        table = {f.name: hints[f.name] for f in dataclasses.fields(schema)}
+        required = [f.name for f in dataclasses.fields(schema)
+                    if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    else:
+        table, required = dict(schema), []
+    for name in (*exclude, *fixed):
+        table.pop(name)
+    kv = {**(defaults or {}), **kv}
+    unknown = sorted(set(kv) - set(table))
+    if unknown:
+        raise ConfigParseError(f"{where}: unknown field(s): {', '.join(unknown)}")
+    missing = [name for name in required if name in table and name not in kv]
+    if missing:
+        raise ConfigParseError(f"{where}: missing required field(s): {', '.join(missing)}")
+    values = {name: _convert(v, table[name], where, name) for name, v in kv.items()}
+    if not dataclasses.is_dataclass(schema):
+        return values
+    try:
+        return schema(**fixed, **values)
+    except ValueError as e:
+        raise ConfigParseError(f"{where}: {e}") from None
+
+
+def read_config(path, schema, **kw):
+    """`load_config` over the key-value file at `path`."""
+    try:
+        kv = parse_kv_text(Path(path).read_text(encoding="utf-8"))
+    except ConfigParseError as e:
+        raise ConfigParseError(f"{path}: {e}") from None
+    return load_config(kv, schema, str(path), **kw)

@@ -26,9 +26,6 @@ class LogisticModel:
     def decision(self, X) -> np.ndarray:
         return np.asarray(X, dtype=np.float64) @ self.weights + self.intercept
 
-    def predict_proba(self, X) -> np.ndarray:
-        return _sigmoid(self.decision(X))
-
     def predict(self, X) -> np.ndarray:
         return (self.decision(X) >= 0).astype(np.int64)
 

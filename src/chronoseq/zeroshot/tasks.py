@@ -3,9 +3,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
 
-from ..configfile import parse_kv_text
+from ..configfile import read_config
 
 __all__ = ["TaskConfig", "ConceptAncestry", "expand_outcomes", "load_task_config"]
 
@@ -31,33 +30,7 @@ class TaskConfig:
 
 def load_task_config(path) -> TaskConfig:
     """Key-value task file; field names match the task-definition examples verbatim."""
-    kv = parse_kv_text(Path(path).read_text(encoding="utf-8"))
-    known = {
-        "task_name",
-        "outcome_events",
-        "include_descendants",
-        "prediction_window_start",
-        "prediction_window_end",
-        "max_new_tokens",
-        "n_simulations",
-    }
-    unknown = set(kv) - known
-    if unknown:
-        raise ValueError(f"{path}: unknown task field(s): {', '.join(sorted(unknown))}")
-    if "task_name" not in kv or "outcome_events" not in kv:
-        raise ValueError(f"{path}: task_name and outcome_events are required")
-    events = kv["outcome_events"]
-    if not isinstance(events, list):
-        events = [events]
-    return TaskConfig(
-        task_name=str(kv["task_name"]),
-        outcome_events=tuple(int(e) for e in events),
-        include_descendants=bool(kv.get("include_descendants", False)),
-        prediction_window_start=int(kv.get("prediction_window_start", 0)),
-        prediction_window_end=int(kv.get("prediction_window_end", 30)),
-        max_new_tokens=int(kv.get("max_new_tokens", 128)),
-        n_simulations=int(kv.get("n_simulations", 50)),
-    )
+    return read_config(path, TaskConfig)
 
 
 class ConceptAncestry:

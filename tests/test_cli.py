@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -374,3 +375,189 @@ def test_train_progress_lines_leave_outputs_byte_identical(table_dir, tmp_path, 
     for m in (mani_with, mani_without):
         m["outputs"] = {k: v["sha256"] for k, v in m["outputs"].items()}
     assert mani_with == mani_without
+
+
+def _cohort_csv(table_dir, path, n=10):
+    from chronoseq.codec import read_tables, tables_to_records
+
+    records, _ = tables_to_records(read_tables(table_dir / "persons.csv", table_dir / "visits.csv",
+                                               table_dir / "events.csv"))
+    lines = ["person_id,cutoff_date,label"]
+    lines += [f"{r.person_id},{r.visits[0].end_date.isoformat()},{i % 2}" for i, r in enumerate(records[:n])]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+MODEL_CFG = "embed_dim: 12\nn_layers: 1\nn_heads: 2\ncontext_window: 128\n"
+TASK_CFG = 'task_name: "t"\noutcome_events: ["9201"]\n'
+
+
+def _config_argv(flag, cfg, table_dir, trained_run, tmp_path):
+    """A command that reads cfg through flag, every other input valid."""
+    good = tmp_path / "good"
+    good.mkdir(exist_ok=True)
+    (good / "train.cfg").write_text(TRAIN_CFG.format(every=0, extra=""))
+    (good / "model.cfg").write_text(MODEL_CFG)
+    ckpt = str(trained_run / "final.ckpt")
+    out = str(tmp_path / "out.csv")
+    dirs = ["--train-dir", str(table_dir), "--eval-dir", str(table_dir), "--synthetic-dir", str(table_dir)]
+    return {
+        "--codec-config": ["encode", *tbl_args(table_dir), "--out", out, "--codec-config", cfg],
+        "--train-config": ["train", *tbl_args(table_dir), "--train-config", cfg,
+                           "--model-config", str(good / "model.cfg"), "--out-dir", str(tmp_path / "o")],
+        "--model-config": ["train", *tbl_args(table_dir), "--train-config", str(good / "train.cfg"),
+                           "--model-config", cfg, "--out-dir", str(tmp_path / "o")],
+        "--experts": ["generate", "--checkpoint", ckpt, "--experts", cfg, *tbl_args(table_dir), "--out", out],
+        "--task": ["zeroshot", "--task", cfg, "--checkpoint", ckpt,
+                   "--cohort", str(_cohort_csv(table_dir, tmp_path / "cohort.csv")), *tbl_args(table_dir),
+                   "--out", out],
+        "--cohort-spec": ["pathway", *tbl_args(table_dir), "--cohort-spec", cfg, "--out", out],
+        "privacy --config": ["privacy", *dirs, "--config", cfg, "--out", out],
+        "gradcheck --config": ["gradcheck", "--config", cfg],
+    }[flag]
+
+
+CONFIG_FAULTS = [
+    # (flag, file text, text stderr must name besides the file)
+    ("--codec-config", "inpatient: [1]\n", "inpatient"),
+    ("--codec-config", "intra_visit_time: off\n", "intra_visit_time"),
+    ("--train-config", "learning_rate: 1e-3\nbogus_field: 2\n", "bogus_field"),
+    ("--train-config", "tokens_per_batch: abc\n", "tokens_per_batch"),
+    ("--model-config", MODEL_CFG + "width: 3\n", "width"),
+    ("--model-config", "n_layers: 1\nn_heads: 2\ncontext_window: 128\n", "embed_dim"),
+    ("--model-config", "embed_dim: 12.5\nn_layers: 1\nn_heads: 2\ncontext_window: 128\n", "embed_dim"),
+    ("--experts", "temperature: 0.9\ncount: 2\n\ntemperature: 1.1\ncount: 2\nbogus: 1\n", "expert 1: unknown"),
+    ("--experts", "temperature: 0.9\n", "count"),
+    ("--experts", "temperature: 0.9\ncount: many\n", "count"),
+    ("--task", TASK_CFG + "window: 3\n", "window"),
+    ("--task", 'outcome_events: ["9201"]\n', "task_name"),
+    ("--task", TASK_CFG + "n_simulations: 2.5\n", "n_simulations"),
+    ("--task", TASK_CFG + "include_descendants: off\n", "include_descendants"),
+    ("--cohort-spec", "index_concepts: [1]\nwhat: 2\n", "what"),
+    ("--cohort-spec", "name: x\n", "index_concepts"),
+    ("--cohort-spec", "index_concepts: [1]\nn_intervals: 1.5\n", "n_intervals"),
+    ("privacy --config", "widget: 1\n", "widget"),
+    ("privacy --config", "sample_size: lots\n", "sample_size"),
+    ("gradcheck --config", "widget: 3\n", "widget"),
+    ("gradcheck --config", "embed_dim: 6.5\n", "embed_dim"),
+]
+
+
+@pytest.mark.parametrize("flag,text,field", CONFIG_FAULTS,
+                         ids=[f"{flag}:{field}:{i}" for i, (flag, _, field) in enumerate(CONFIG_FAULTS)])
+def test_config_file_faults_exit_1_naming_file_and_field(flag, text, field, table_dir, trained_run, tmp_path,
+                                                         capsys):
+    cfg = tmp_path / "faulty.cfg"
+    cfg.write_text(text)
+    capsys.readouterr()
+    assert main(_config_argv(flag, str(cfg), table_dir, trained_run, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert str(cfg) in err and field in err, err
+
+
+def _readme_files():
+    import re
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return dict(re.findall(r"cat > (\S+) <<EOF\n(.*?)\nEOF", readme, flags=re.S))
+
+
+def _same(a, b):
+    """Equal, and every field of the same type (1 == 1.0, but a float field must hold a float)."""
+    from dataclasses import fields
+
+    return a == b and all(type(getattr(a, f.name)) is type(getattr(b, f.name)) for f in fields(a))
+
+
+def test_readme_config_files_load_to_expected_objects(tmp_path):
+    from chronoseq.cli import _ExpertBlock, _load_experts
+    from chronoseq.configfile import read_config
+    from chronoseq.model import ModelConfig
+    from chronoseq.training import TrainConfig
+    from chronoseq.zeroshot import TaskConfig, load_task_config
+
+    texts = _readme_files()
+    assert set(texts) >= {"train.cfg", "model.cfg", "experts.cfg", "readmission.yml"}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text + "\n")
+    assert _same(read_config(tmp_path / "train.cfg", TrainConfig),
+                 TrainConfig(learning_rate=2e-3, warmup_steps=150, max_epochs=80, tokens_per_batch=2048,
+                             early_stop_patience=5, eval_fraction=0.1, seed=0))
+    assert _same(read_config(tmp_path / "model.cfg", ModelConfig, vocab_size=100),
+                 ModelConfig(vocab_size=100, embed_dim=48, n_layers=2, n_heads=4, context_window=256))
+    experts = _load_experts(tmp_path / "experts.cfg")
+    expected = [
+        _ExpertBlock(temperature=0.6, top_p=0.95, max_tokens=200, min_tokens=20, seed=1, count=500),
+        _ExpertBlock(temperature=0.75, top_k=60, max_tokens=200, min_tokens=20, seed=2, count=500),
+    ]
+    assert len(experts) == 2 and all(_same(a, b) for a, b in zip(experts, expected))
+    assert _same(load_task_config(tmp_path / "readmission.yml"),
+                 TaskConfig(task_name="30_day_readmission_prediction", outcome_events=(9201, 262),
+                            include_descendants=False, prediction_window_start=0, prediction_window_end=30,
+                            max_new_tokens=128))
+
+
+@pytest.mark.parametrize("command", ["encode", "decode", "convert"])
+def test_codec_config_is_hashed_into_the_manifest(command, table_dir, tmp_path):
+    seq = tmp_path / "seq.txt"
+    assert main(["encode", *tbl_args(table_dir), "--out", str(seq)]) == 0
+    cfg = tmp_path / "codec.cfg"
+    hashes = []
+    for text in ("intra_visit_time: true\n", "intra_visit_time: false\n"):
+        cfg.write_text(text)
+        if command == "encode":
+            argv, mani = ["encode", *tbl_args(table_dir), "--out", str(tmp_path / "enc.txt")], "enc.txt.manifest.json"
+        else:
+            argv, mani = [command, "--sequences", str(seq), "--out-dir", str(tmp_path / "d")], "d/run.manifest.json"
+        assert main([*argv, "--codec-config", str(cfg)]) == 0
+        entry = json.loads((tmp_path / mani).read_text())["inputs"]["codec_config"]
+        assert entry == {"path": str(cfg), "sha256": sha256_file(cfg)}
+        hashes.append(entry["sha256"])
+    assert hashes[0] != hashes[1]
+
+
+def test_privacy_seed_flag_wins_over_config_seed(tmp_path):
+    dirs = []
+    for name, seed in (("train", 1), ("eval", 2), ("synth", 3)):
+        write_tables(records_to_tables(sample_hospital_records(60, seed=seed)), tmp_path / name)
+        dirs += [f"--{name.replace('synth', 'synthetic')}-dir", str(tmp_path / name)]
+
+    def run(name, file_seed, *flags):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(f"seed: {file_seed}\nsample_size: 40\n")
+        out = tmp_path / f"{name}.csv"
+        assert main(["privacy", *dirs, "--config", str(cfg), "--out", str(out), *flags]) == 0
+        return out.read_bytes(), json.loads((tmp_path / f"{name}.csv.manifest.json").read_text())["seed"]
+
+    flag_scores, flag_seed = run("flag", 5, "--seed", "7")
+    file7_scores, file7_seed = run("file7", 7)
+    file5_scores, file5_seed = run("file5", 5)
+    assert (flag_seed, file7_seed, file5_seed) == (7, 7, 5)
+    assert flag_scores == file7_scores
+    assert flag_scores != file5_scores  # the seed reaches the subsampling
+
+
+def test_generate_counters_match_expert_report(trained_run, table_dir, tmp_path, monkeypatch, capsys):
+    from chronoseq.manifest import ManifestWriter
+
+    experts = tmp_path / "experts.cfg"
+    experts.write_text("temperature: 0.9\ntop_p: 0.95\nmax_tokens: 40\nmin_tokens: 30\nseed: 1\ncount: 4\n\n"
+                       "temperature: 1.1\ntop_k: 50\nmax_tokens: 80\nmin_tokens: 10\nseed: 2\ncount: 3\n")
+
+    def run(name):
+        seq = tmp_path / f"{name}.txt"
+        rc = main(["generate", "--checkpoint", str(trained_run / "final.ckpt"), "--experts", str(experts),
+                   *tbl_args(table_dir), "--out", str(seq), "--threads", "1", "--seed", "5"])
+        assert rc == 0
+        return seq, json.loads((tmp_path / f"{name}.txt.manifest.json").read_text())["counters"]
+
+    seq, counters = run("with")
+    rows = list(csv.DictReader(open(f"{seq}.experts.csv", newline="")))
+    assert counters == {k: sum(int(r[k]) for r in rows) for k in ("dropped_short", "hit_max_tokens")}
+    assert counters["hit_max_tokens"] > 0
+    assert f"{counters['dropped_short']} of 7 sequences dropped" in capsys.readouterr().err
+    monkeypatch.setattr(ManifestWriter, "add_counters", lambda self, **counts: None)
+    seq_without, counters_without = run("without")
+    assert counters_without == {}
+    assert seq.read_bytes() == seq_without.read_bytes()

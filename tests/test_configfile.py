@@ -1,7 +1,7 @@
 import pytest
 
 from chronoseq.codec import TokenSequence, read_sequences, write_sequences
-from chronoseq.configfile import ConfigParseError, format_kv, parse_kv_blocks, parse_kv_text
+from chronoseq.configfile import ConfigParseError, format_kv, load_config, parse_kv_blocks, parse_kv_text, read_config
 
 
 def test_scalars_and_types():
@@ -64,3 +64,54 @@ def test_sequence_file_flags_roundtrip(tmp_path):
     assert back[0].person_id == "p1" and not back[0].hit_max_tokens
     assert back[1].person_id is None and back[1].hit_max_tokens
     assert back[0].tokens == seqs[0].tokens and back[1].tokens == seqs[1].tokens
+
+
+def test_load_config_converts_to_declared_types():
+    from dataclasses import dataclass
+
+    @dataclass(frozen=True)
+    class Spec:
+        name: str
+        ids: frozenset[int]
+        order: tuple[int, ...] = ()
+        size: int = 1
+        rate: float = 0.5
+        flag: bool = False
+
+        def __post_init__(self):
+            if self.size <= 0:
+                raise ValueError("size must be positive")
+
+    got = load_config({"name": 7, "ids": "9201", "order": ["3", 1], "size": 512.0, "rate": 2, "flag": True},
+                      Spec, "spec.cfg")
+    assert got == Spec(name="7", ids=frozenset({9201}), order=(3, 1), size=512, rate=2.0, flag=True)
+    assert type(got.size) is int and type(got.rate) is float
+    assert load_config({"ids": [1]}, Spec, "spec.cfg", exclude=("order",), defaults={"name": "x"}).name == "x"
+    assert load_config({"ids": 1}, Spec, "spec.cfg", name="fixed").name == "fixed"
+    assert load_config({"n": "4", "xs": 5}, {"n": int, "xs": tuple[int, ...], "unused": float}, "m.cfg") == \
+        {"n": 4, "xs": (5,)}
+    faults = [
+        ({"name": "a", "ids": [1], "size": 2.5}, "size"),
+        ({"name": "a", "ids": [1], "size": True}, "size"),
+        ({"name": "a", "ids": [1], "flag": "off"}, "flag"),
+        ({"name": "a", "ids": [1], "flag": 1}, "flag"),
+        ({"name": "a", "ids": ["x"]}, "ids"),
+        ({"name": "a", "ids": [1], "rate": [1.0]}, "rate"),
+        ({"name": ["a"], "ids": [1]}, "name"),
+        ({"name": "a", "ids": [1], "other": 1}, "unknown field(s): other"),
+        ({"name": "a"}, "missing required field(s): ids"),
+        ({"name": "a", "ids": [1], "size": 0}, "size must be positive"),
+    ]
+    for kv, text in faults:
+        with pytest.raises(ConfigParseError, match="^spec.cfg: ") as e:
+            load_config(kv, Spec, "spec.cfg")
+        assert text in str(e.value)
+    with pytest.raises(ConfigParseError, match="unknown field"):
+        load_config({"name": "a", "ids": [1], "order": [1]}, Spec, "spec.cfg", exclude=("order",))
+
+
+def test_read_config_names_the_file_on_parse_errors(tmp_path):
+    p = tmp_path / "bad.cfg"
+    p.write_text("justaword\n")
+    with pytest.raises(ConfigParseError, match="bad.cfg: line 1"):
+        read_config(p, {"a": int})
