@@ -278,7 +278,10 @@ def _eval_progress():
 
 
 def _load_experts(path) -> list[_ExpertBlock]:
-    blocks = parse_kv_blocks(Path(path).read_text(encoding="utf-8"))
+    try:
+        blocks = parse_kv_blocks(Path(path).read_text(encoding="utf-8"))
+    except ConfigParseError as e:
+        raise ConfigParseError(f"{path}: {e}") from None
     if not blocks:
         raise ValidationFailure(f"{path}: no expert blocks found")
     return [load_config(kv, _ExpertBlock, f"{path}: expert {i}") for i, kv in enumerate(blocks)]
@@ -340,7 +343,7 @@ def _cmd_convert(args):
 
 
 def _cmd_zeroshot(args):
-    mani = ManifestWriter("zeroshot", args.seed, {"task": args.task, "threads": args.threads,
+    mani = ManifestWriter("zeroshot", args.seed or 0, {"task": args.task, "threads": args.threads,
                                                   "n_bootstrap": args.n_bootstrap})
     task = _config_input(mani, "task", args.task, "--task", TaskConfig)
     codec_cfg = _codec_config(mani, args)
@@ -354,7 +357,7 @@ def _cmd_zeroshot(args):
     model, _, _ = load_checkpoint(args.checkpoint)
     prefixes = _cohort(mani, args, model, codec_cfg)
     metrics = evaluate_task(
-        model, prefixes, task, seed=args.seed or 0, n_bootstrap=args.n_bootstrap,
+        model, prefixes, task, seed=mani.seed, n_bootstrap=args.n_bootstrap,
         ancestry=ancestry, n_threads=args.threads,
     )
     write_task_metrics(args.out, metrics)
@@ -367,11 +370,15 @@ def _cmd_zeroshot(args):
         capped_estimates=metrics.n_capped,
         lanes_launched=sum(e.n_lanes for e in est),
         lanes_discarded=sum(e.n_lanes - e.n_attempts for e in est),
+        decode_steps=metrics.decode_steps,
+        lane_tokens=metrics.lane_tokens,
     )
     mani.add_counters(**counts)
     mani.write(_manifest_path(args, args.out))
     print(f"zeroshot: {counts['futures_censored']} of {counts['futures_attempted']} futures censored, "
-          f"{counts['capped_estimates']} of {metrics.n_examples} estimates capped", file=sys.stderr)
+          f"{counts['capped_estimates']} of {metrics.n_examples} estimates capped, "
+          f"{metrics.lane_tokens / max(metrics.decode_steps, 1):.1f} live lanes per step "
+          f"over {metrics.decode_steps} steps", file=sys.stderr)
     print(
         f"{task.task_name}: AUROC {metrics.auroc.point:.4f} sd {metrics.auroc.sd:.4f}, "
         f"AUPRC {metrics.auprc.point:.4f} sd {metrics.auprc.sd:.4f} "
@@ -381,12 +388,12 @@ def _cmd_zeroshot(args):
 
 
 def _cmd_probe(args):
-    mani = ManifestWriter("probe", args.seed, {"l2": args.l2, "n_bootstrap": args.n_bootstrap})
+    mani = ManifestWriter("probe", args.seed or 0, {"l2": args.l2, "n_bootstrap": args.n_bootstrap})
     codec_cfg = _codec_config(mani, args)
     mani.add_input("checkpoint", _require_file(args.checkpoint, "--checkpoint"))
     model, _, _ = load_checkpoint(args.checkpoint)
     data = _cohort(mani, args, model, codec_cfg)
-    result = linear_probe(model, data, l2=args.l2, seed=args.seed or 0, n_bootstrap=args.n_bootstrap)
+    result = linear_probe(model, data, l2=args.l2, seed=mani.seed, n_bootstrap=args.n_bootstrap)
     if result.params_hash_before != result.params_hash_after:
         raise RuntimeError("model weights changed during probing")
     with open(args.out, "w", newline="", encoding="utf-8") as f:
@@ -453,10 +460,10 @@ def _cmd_privacy(args):
 
 def _cmd_simstudy(args):
     mani = ManifestWriter(
-        "simstudy", args.seed, {"steps": args.steps, "samples": args.samples, "early_stop": args.early_stop}
+        "simstudy", args.seed or 0, {"steps": args.steps, "samples": args.samples, "early_stop": args.early_stop}
     )
     cfg = EncoderConfig(steps=args.steps)
-    result = run_comparison(cfg, n_samples=args.samples, seed=args.seed or 0,
+    result = run_comparison(cfg, n_samples=args.samples, seed=mani.seed,
                             stop_at_convergence=args.early_stop)
     write_curves_csv(args.out, result)
     mani.add_output("curves", args.out)
@@ -479,10 +486,10 @@ def _cmd_gradcheck(args):
     if args.config:
         fields = {k: type(v) for k, v in _GRADCHECK_DEFAULTS.items()}
         config.update(read_config(_require_file(args.config, "--config"), fields))
-    mani = ManifestWriter("gradcheck", args.seed, config)
+    mani = ManifestWriter("gradcheck", args.seed or 0, config)
     tol = config["tolerance"]
     err = toy_grad_check(embed_dim=config["embed_dim"], n_layers=config["n_layers"], n_heads=config["n_heads"],
-                         seed=args.seed or 0, epsilon=config["epsilon"])
+                         seed=mani.seed, epsilon=config["epsilon"])
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as f:
             w = csv.writer(f)

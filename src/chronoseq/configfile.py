@@ -51,8 +51,13 @@ def _split_items(body: str):
 
 
 def parse_kv_text(text: str) -> dict:
+    """One key-value mapping; a key given twice is an error."""
+    return _parse_lines(text.splitlines(), 1)
+
+
+def _parse_lines(lines: list[str], first: int) -> dict:
+    """Parse lines[0:] as file lines first, first + 1, ..."""
     out: dict = {}
-    lines = text.splitlines()
     i = 0
     while i < len(lines):
         raw = lines[i]
@@ -60,13 +65,16 @@ def parse_kv_text(text: str) -> dict:
         i += 1
         if not line:
             continue
+        lineno = first + i - 1
         if ":" in line:
             key, _, rest = line.partition(":")
         elif "=" in line:
             key, _, rest = line.partition("=")
         else:
-            raise ConfigParseError(f"line {i}: expected 'key: value', got {raw!r}")
+            raise ConfigParseError(f"line {lineno}: expected 'key: value', got {raw!r}")
         key = key.strip()
+        if key in out:
+            raise ConfigParseError(f"line {lineno}: duplicate key {key!r}")
         rest = rest.strip()
         if rest.startswith("[") and not rest.endswith("]"):
             # bracketed list continuing over following lines
@@ -104,14 +112,17 @@ def _strip_comment(line: str) -> str:
 
 
 def parse_kv_blocks(text: str) -> list[dict]:
-    """Blank-line-separated key-value blocks (one block per expert, etc.)."""
+    """Blank-line-separated key-value blocks (one block per expert, etc.);
+    a paragraph of comments only is not a block."""
     blocks = []
     current: list[str] = []
-    for line in text.splitlines() + [""]:
+    for n, line in enumerate(text.splitlines() + [""], start=1):
         if line.strip():
             current.append(line)
         elif current:
-            blocks.append(parse_kv_text("\n".join(current)))
+            block = _parse_lines(current, n - len(current))
+            if block:
+                blocks.append(block)
             current = []
     return blocks
 

@@ -61,7 +61,8 @@ def apply_decoding_controls(logits, context_ids, cfg: SamplingConfig) -> np.ndar
                 seen = np.unique(np.asarray(context, dtype=np.int64))
                 vals = row[seen]
                 row[seen] = np.where(vals > 0, vals / cfg.repetition_penalty, vals * cfg.repetition_penalty)
-    z /= cfg.temperature
+    if cfg.temperature != 1.0:  # dividing by 1 changes nothing
+        z /= cfg.temperature
     if cfg.top_k and cfg.top_k < z.shape[-1]:
         cutoff = np.partition(z, -cfg.top_k, axis=-1)[..., -cfg.top_k, None]
         z[z < cutoff] = -np.inf
@@ -99,14 +100,18 @@ def _nucleus(p: np.ndarray, top_p: float) -> np.ndarray:
     return order[: int(np.searchsorted(csum, top_p, side="left")) + 1]
 
 
-def sample_token_id(probs: np.ndarray, rng: np.random.Generator):
-    """One draw from a (V,) distribution, or one per row of a (B, V) batch
-    from rng.random(B); row i draws what the (V,) call would with the i-th
-    uniform."""
+def sample_token_id(probs: np.ndarray, rng):
+    """One draw from a (V,) distribution, or one per row of a (B, V) batch.
+
+    rng is a Generator, or for a batch the (B,) uniforms already drawn; a
+    batch with a Generator draws rng.random(B). Row i draws what the (V,)
+    call would with the i-th uniform.
+    """
     csum = np.cumsum(probs, axis=-1)
     if csum.ndim == 1:
         return int(np.searchsorted(csum, rng.random() * csum[-1], side="right"))
-    target = rng.random(csum.shape[0]) * csum[:, -1]
+    uniforms = rng.random(csum.shape[0]) if isinstance(rng, np.random.Generator) else np.asarray(rng)
+    target = uniforms * csum[:, -1]
     return (csum <= target[:, None]).sum(axis=1)  # searchsorted(side="right") per row
 
 

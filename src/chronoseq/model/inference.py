@@ -4,12 +4,13 @@ The session computes what the differentiable forward computes (pre-norm
 blocks, tanh GELU, tied output head) but builds no graph, so token-by-token
 generation stays cheap. One block function serves a whole prompt, a single
 new token and a batch of lanes alike; only the attention step differs. A unit
-test pins it to the autodiff forward. Per-session caches only; the causal
-mask is built once per context size and shared.
+test pins it to the autodiff forward. Per-session caches only, grown by
+doubling; the causal mask is built once per context size and shared.
 
-A session's prefix can be forked into lanes that decode in lockstep: every
-lane reads the prefix keys and values from the session in place and keeps
-only its own suffix, so many futures of one prompt share one prefix cache.
+Sessions' prefixes can be joined into one batch of lanes that decode in
+lockstep: every lane reads its prefix keys and values from its session in
+place and keeps only its own suffix, so many futures of one prompt share one
+prefix cache, and lanes of different prompts share each step's dense work.
 """
 from __future__ import annotations
 
@@ -50,6 +51,22 @@ def _causal_mask(n: int) -> np.ndarray:
     return mask
 
 
+def _grown(a, axis: int, size: int) -> np.ndarray:
+    """a with its `axis` extended to `size` slots; the new slots are left unset."""
+    shape = list(a.shape)
+    shape[axis] = size
+    out = np.empty(shape, dtype=a.dtype)
+    out[(slice(None),) * axis + (slice(0, a.shape[axis]),)] = a
+    return out
+
+
+def _dense(x, w, b):
+    """x @ w + b over the last axis of x, as one 2-D matmul whatever the leading axes."""
+    if x.ndim == 2:
+        return x @ w + b
+    return (x.reshape(-1, x.shape[-1]) @ w + b).reshape(*x.shape[:-1], w.shape[1])
+
+
 def _blocks(w, cfg, x, attend) -> np.ndarray:
     """The pre-norm blocks over x (..., T, d); returns the final-normed last row (..., d).
 
@@ -63,11 +80,11 @@ def _blocks(w, cfg, x, attend) -> np.ndarray:
     for i in range(cfg.n_layers):
         p = f"block{i}."
         a = _layer_norm(x, w[p + "ln1.g"], w[p + "ln1.b"])
-        qkv = (a @ w[p + "qkv.w"] + w[p + "qkv.b"]).reshape(*lead, T, 3, H, dh).transpose(to_heads)
+        qkv = _dense(a, w[p + "qkv.w"], w[p + "qkv.b"]).reshape(*lead, T, 3, H, dh).transpose(to_heads)
         ctx = attend(i, qkv[0], qkv[1], qkv[2]).swapaxes(-3, -2).reshape(*lead, T, H * dh)
-        x = x + ctx @ w[p + "proj.w"] + w[p + "proj.b"]
+        x = x + _dense(ctx, w[p + "proj.w"], w[p + "proj.b"])
         b = _layer_norm(x, w[p + "ln2.g"], w[p + "ln2.b"])
-        x = x + _gelu(b @ w[p + "ff1.w"] + w[p + "ff1.b"]) @ w[p + "ff2.w"] + w[p + "ff2.b"]
+        x = x + _dense(_gelu(_dense(b, w[p + "ff1.w"], w[p + "ff1.b"])), w[p + "ff2.w"], w[p + "ff2.b"])
     return _layer_norm(x[..., -1, :], w["final_ln.g"], w["final_ln.b"])
 
 
@@ -83,7 +100,7 @@ class InferenceSession:
         self.model = model
         cfg = model.config
         self._w = {name: t.data for name, t in model.params.items()}
-        shape = (cfg.n_heads, cfg.context_window, cfg.head_dim)
+        shape = (cfg.n_heads, 0, cfg.head_dim)  # grown by doubling, up to the context window
         self._k = [np.empty(shape) for _ in range(cfg.n_layers)]
         self._v = [np.empty(shape) for _ in range(cfg.n_layers)]
         self._len = 0
@@ -108,13 +125,10 @@ class InferenceSession:
         self._advance(np.array([int(token_id)]))
 
     def fork(self, n: int) -> "LaneBatch":
-        """n lanes that decode in lockstep after this session's tokens.
-
-        The lanes read this session's caches in place; advancing the session
-        afterwards leaves them unaffected, since they look only at the first
-        `length` positions.
-        """
-        return LaneBatch(self, n)
+        """A batch of n lanes that decode in lockstep after this session's tokens (see LaneBatch.join)."""
+        batch = LaneBatch(self.model)
+        batch.join(self, n)
+        return batch
 
     def _advance(self, ids) -> None:
         """Run the blocks over ids at positions length.., filling the caches."""
@@ -124,6 +138,11 @@ class InferenceSession:
         _check_room(base, T, cfg.context_window)
         if T == 0:
             return
+        cap = self._k[0].shape[1]
+        if base + T > cap:
+            cap = min(max(base + T, 2 * cap), cfg.context_window)
+            self._k = [_grown(k, 1, cap) for k in self._k]
+            self._v = [_grown(v, 1, cap) for v in self._v]
         causal = _causal_mask(cfg.context_window)[base : base + T, : base + T]
         scale = np.sqrt(cfg.head_dim)
 
@@ -150,46 +169,98 @@ class InferenceSession:
         return self._last_hidden
 
 
-class LaneBatch:
-    """B lanes decoding in lockstep after a parent session's prefix.
+class _LaneGroup:
+    """The lanes of one prefix: the prefix session, read in place, and the
+    lanes' own suffix caches of shape (B, H, cap, dh) per layer, which start
+    small and double as the lanes grow."""
 
-    Each lane has its own suffix cache of shape (B, H, cap, dh) per layer,
-    which starts small and doubles as the lanes grow; the prefix keys and
-    values are never copied. A lane attends over the prefix and its own
-    suffix with one softmax.
-    """
-
-    def __init__(self, parent: InferenceSession, n: int):
-        if n < 1:
-            raise ValueError("a lane batch needs at least one lane")
-        hidden = parent.last_hidden()  # raises on an empty session
-        cfg = parent.model.config
-        self._parent, self._cfg, self._w = parent, cfg, parent._w
-        self._prefix_len = parent.length
-        self._prefix_ids = np.asarray(parent.context_ids, dtype=np.int64)
-        cap = max(1, min(_LANE_START_CAP, cfg.context_window - self._prefix_len))
+    def __init__(self, session: InferenceSession, n: int):
+        cfg = session.model.config
+        self.session = session
+        self.prefix_len = session.length
+        self.len = 0
+        cap = max(1, min(_LANE_START_CAP, cfg.context_window - self.prefix_len))
         shape = (n, cfg.n_heads, cap, cfg.head_dim)
-        self._k = [np.empty(shape) for _ in range(cfg.n_layers)]
-        self._v = [np.empty(shape) for _ in range(cfg.n_layers)]
-        self._ids = np.empty((n, cap), dtype=np.int64)
-        self._len = 0
-        self._hidden = np.broadcast_to(hidden, (n, hidden.shape[0]))
+        self.k = [np.empty(shape) for _ in range(cfg.n_layers)]
+        self.v = [np.empty(shape) for _ in range(cfg.n_layers)]
+        self.ids = np.empty((n, cap), dtype=np.int64)
 
     @property
     def n_lanes(self) -> int:
-        return self._ids.shape[0]
+        return self.ids.shape[0]
+
+    def context_ids(self) -> list[np.ndarray]:
+        prefix = np.asarray(self.session.context_ids[: self.prefix_len], dtype=np.int64)
+        return [np.concatenate([prefix, row[: self.len]]) for row in self.ids]
+
+    def keep(self, idx) -> None:
+        if idx.size == self.n_lanes and (idx == np.arange(idx.size)).all():
+            return
+        self.k = [k[idx] for k in self.k]
+        self.v = [v[idx] for v in self.v]
+        self.ids = self.ids[idx]
+
+    def grow(self, window: int) -> None:
+        cap = min(2 * self.ids.shape[1], window - self.prefix_len)
+        self.k = [_grown(k, 2, cap) for k in self.k]
+        self.v = [_grown(v, 2, cap) for v in self.v]
+        self.ids = _grown(self.ids, 1, cap)
+
+    def attend(self, i, q, k, v):
+        """One score block over the prefix and this group's suffix; q is (B, H, dh), pre-scaled."""
+        P, L = self.prefix_len, self.len
+        sk, sv = self.k[i], self.v[i]
+        sk[:, :, L] = k[:, :, 0]
+        sv[:, :, L] = v[:, :, 0]
+        pre = q.transpose(1, 0, 2) @ self.session._k[i][:, :P].transpose(0, 2, 1)  # (H, B, P)
+        suf = q[:, :, None] @ sk[:, :, : L + 1].transpose(0, 1, 3, 2)  # (B, H, 1, L + 1)
+        probs = _softmax(np.concatenate([pre.transpose(1, 0, 2)[:, :, None], suf], axis=-1))
+        pre_ctx = probs[:, :, 0, :P].transpose(1, 0, 2) @ self.session._v[i][:, :P]  # (H, B, dh)
+        return probs[..., P:] @ sv[:, :, : L + 1] + pre_ctx.transpose(1, 0, 2)[:, :, None]
+
+
+class LaneBatch:
+    """Decoding lanes that advance together, one token each per step.
+
+    Lanes are grouped by prefix: a group is joined from an InferenceSession,
+    whose prefix keys and values are read in place (never copied), and keeps
+    its own suffix caches. Groups of one batch may have different prefix and
+    suffix lengths. A step runs the dense block work over every lane at once
+    and one attention score block per group. Rows are ordered by group, in
+    joining order; `InferenceSession.fork(n)` is a batch of one group.
+    """
+
+    def __init__(self, model: TimelineModel):
+        self._cfg = model.config
+        self._w = {name: t.data for name, t in model.params.items()}
+        self._groups: list[_LaneGroup] = []
+        self._hidden = np.empty((0, self._cfg.embed_dim))
+
+    @property
+    def n_lanes(self) -> int:
+        return self._hidden.shape[0]
 
     @property
     def length(self) -> int:
-        """Tokens per lane, prefix included."""
-        return self._prefix_len + self._len
+        """Tokens of the longest lane, prefix included."""
+        return max((g.prefix_len + g.len for g in self._groups), default=0)
 
     @property
-    def context_ids(self) -> np.ndarray:
-        """(B, length) token ids of every lane, prefix included."""
-        B = self.n_lanes
-        return np.concatenate([np.broadcast_to(self._prefix_ids, (B, self._prefix_len)),
-                               self._ids[:, : self._len]], axis=1)
+    def context_ids(self) -> list[np.ndarray]:
+        """Token ids of every lane, prefix included, in row order."""
+        return [row for g in self._groups for row in g.context_ids()]
+
+    def join(self, session: InferenceSession, n: int) -> None:
+        """Add n lanes after session's tokens, as the last rows of the batch.
+
+        Advancing the session afterwards leaves them unaffected, since they
+        look only at its first `length` positions.
+        """
+        if n < 1:
+            raise ValueError("a lane group needs at least one lane")
+        hidden = session.last_hidden()  # raises on an empty session
+        self._groups.append(_LaneGroup(session, n))
+        self._hidden = np.concatenate([self._hidden, np.broadcast_to(hidden, (n, hidden.shape[0]))])
 
     def next_logits(self) -> np.ndarray:
         """(B, V) next-token logits, one row per lane, computed on each call
@@ -197,13 +268,23 @@ class LaneBatch:
         return self._hidden @ self._w["tok_emb"].T
 
     def keep(self, idx) -> None:
-        """Compact the batch to the lanes at idx, in that order."""
+        """Compact the batch to the rows at idx, in that order.
+
+        Each group's rows must stay together and groups keep their order;
+        a group with no row left leaves the batch.
+        """
         idx = np.asarray(idx, dtype=np.int64)
-        if idx.size == 0:
-            raise ValueError("a lane batch needs at least one lane")
-        self._k = [k[idx] for k in self._k]
-        self._v = [v[idx] for v in self._v]
-        self._ids = self._ids[idx]
+        bounds = np.cumsum([0] + [g.n_lanes for g in self._groups])
+        owner = np.searchsorted(bounds, idx, side="right") - 1
+        if idx.size and (idx.min() < 0 or idx.max() >= self.n_lanes or (np.diff(owner) < 0).any()):
+            raise ValueError("kept rows must be lanes of the batch, grouped in batch order")
+        cuts = np.searchsorted(owner, np.arange(len(self._groups) + 1))
+        groups = []
+        for j, g in enumerate(self._groups):
+            if cuts[j + 1] > cuts[j]:
+                g.keep(idx[cuts[j] : cuts[j + 1]] - bounds[j])
+                groups.append(g)
+        self._groups = groups
         self._hidden = self._hidden[idx]
 
     def append(self, ids) -> None:
@@ -211,35 +292,25 @@ class LaneBatch:
         ids = np.asarray(ids, dtype=np.int64)
         if ids.shape != (self.n_lanes,):
             raise ValueError(f"expected {self.n_lanes} token ids, got shape {ids.shape}")
-        cfg, w = self._cfg, self._w
+        cfg, w, groups = self._cfg, self._w, self._groups
         _check_room(self.length, 1, cfg.context_window)
-        if self._len == self._ids.shape[1]:
-            self._grow()
-        P, L = self._prefix_len, self._len
+        for g in groups:
+            if g.len == g.ids.shape[1]:
+                g.grow(cfg.context_window)
+        bounds = np.cumsum([0] + [g.n_lanes for g in groups])
         scale = 1.0 / np.sqrt(cfg.head_dim)
 
         def attend(i, q, k, v):
-            sk, sv = self._k[i], self._v[i]
-            sk[:, :, L] = k[:, :, 0]
-            sv[:, :, L] = v[:, :, 0]
             q = q[:, :, 0] * scale  # (B, H, dh)
-            pre = q.transpose(1, 0, 2) @ self._parent._k[i][:, :P].transpose(0, 2, 1)  # (H, B, P)
-            suf = q[:, :, None] @ sk[:, :, : L + 1].transpose(0, 1, 3, 2)  # (B, H, 1, L + 1)
-            probs = _softmax(np.concatenate([pre.transpose(1, 0, 2)[:, :, None], suf], axis=-1))
-            pre_ctx = probs[:, :, 0, :P].transpose(1, 0, 2) @ self._parent._v[i][:, :P]  # (H, B, dh)
-            return probs[..., P:] @ sv[:, :, : L + 1] + pre_ctx.transpose(1, 0, 2)[:, :, None]
+            ctx = np.empty(k.shape)
+            for g, lo, hi in zip(groups, bounds, bounds[1:]):
+                ctx[lo:hi] = g.attend(i, q[lo:hi], k[lo:hi], v[lo:hi])
+            return ctx
 
         self._hidden = _blocks(w, cfg, w["tok_emb"][ids][:, None], attend)
-        self._ids[:, L] = ids
-        self._len = L + 1
-
-    def _grow(self) -> None:
-        cap = self._ids.shape[1]
-        new = min(2 * cap, self._cfg.context_window - self._prefix_len)
-        pad = [(0, 0)] * 2 + [(0, new - cap), (0, 0)]
-        self._k = [np.pad(k, pad) for k in self._k]
-        self._v = [np.pad(v, pad) for v in self._v]
-        self._ids = np.pad(self._ids, [(0, 0), (0, new - cap)])
+        for g, lo, hi in zip(groups, bounds, bounds[1:]):
+            g.ids[:, g.len] = ids[lo:hi]
+            g.len += 1
 
 
 def extract_representation(model: TimelineModel, tokens) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..evalharness.metrics import BootstrapResult, auprc, auroc, bootstrap_metric
 from ..generation.sampling import SamplingConfig
-from .simulate import SimulationEstimate, simulate_probability
+from .simulate import SimulationEstimate, simulate_cohort
 from .tasks import TaskConfig, expand_outcomes
 
 __all__ = ["TaskMetrics", "evaluate_task", "write_task_metrics"]
@@ -26,6 +26,8 @@ class TaskMetrics:
     labels: list[int]
     estimates: list[SimulationEstimate]
     n_capped: int
+    decode_steps: int = 0  # batched sampling steps, summed over threads
+    lane_tokens: int = 0  # tokens sampled over all lanes and steps
 
 
 def evaluate_task(
@@ -38,26 +40,31 @@ def evaluate_task(
     sampling: SamplingConfig | None = None,
     n_threads: int = 1,
 ) -> TaskMetrics:
-    """cohort: iterable of (prefix_tokens, label). Per-patient simulation
-    bundles draw from independent streams keyed by (seed, patient index), so
-    any thread count reproduces the same scores."""
+    """cohort: iterable of (prefix_tokens, label). The patients' futures run
+    in one shared lane batch (per thread; each thread takes every n_threads-th
+    patient). Patient i draws from its own stream keyed by (seed, i), so its
+    estimate depends neither on the other patients, nor on their order, nor
+    on the thread count."""
     cohort = list(cohort)
     labels = [int(lbl) for _, lbl in cohort]
     if len(set(labels)) < 2:
         raise ValueError("cohort must contain both classes")
     outcome_ids = expand_outcomes(task, ancestry)
 
-    def one(i):
-        prefix, _ = cohort[i]
-        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        return simulate_probability(model, prefix, task, rng, sampling=sampling, outcome_ids=outcome_ids)
+    def shard(t):
+        indices = range(t, len(cohort), max(n_threads, 1))
+        rngs = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in indices]
+        return indices, simulate_cohort(model, [cohort[i][0] for i in indices], rngs, task, outcome_ids, sampling)
 
-    indices = range(len(cohort))
     if n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as ex:
-            estimates = list(ex.map(one, indices))
+            runs = list(ex.map(shard, range(n_threads)))
     else:
-        estimates = [one(i) for i in indices]
+        runs = [shard(0)]
+    estimates = [None] * len(cohort)
+    for indices, run in runs:
+        for i, e in zip(indices, run.estimates):
+            estimates[i] = e
     scores = [e.probability for e in estimates]
     return TaskMetrics(
         task_name=task.task_name,
@@ -69,6 +76,8 @@ def evaluate_task(
         labels=labels,
         estimates=estimates,
         n_capped=sum(1 for e in estimates if e.capped),
+        decode_steps=sum(run.decode_steps for _, run in runs),
+        lane_tokens=sum(run.lane_tokens for _, run in runs),
     )
 
 

@@ -7,9 +7,9 @@ end, and censored when the timeline ends ([END], or the new-token budget)
 while the window is still open. Censored runs are discarded and replaced,
 up to a resample cap so degenerate prefixes cannot livelock.
 
-The patient's prefix is prefilled once; futures then run in waves of
-decoding lanes forked from it, every lane advancing one token per step. The
-first wave has n_simulations lanes; each later one has as many as the
+A patient's prefix is prefilled once; its futures then run in waves of
+decoding lanes over that prefix, every lane advancing one token per step.
+The first wave has n_simulations lanes; each later one has as many as the
 completion rate observed so far says the missing futures need (the rate
 floored at 1/RESAMPLE_CAP_FACTOR), at most MAX_LANES and never past the
 attempt cap. Lanes count as attempts in lane order, up to the future that
@@ -17,9 +17,15 @@ completes the estimate; later lanes are discarded uncounted, so the
 stopping rule and the estimate's distribution are those of running the
 futures one after another. Each step draws one uniform per live lane from
 the patient's own stream.
+
+The waves of a whole cohort share one lane batch (simulate_cohort):
+patients join while it has room and leave once their estimate is done, so
+a step carries the lanes of several patients instead of one patient's
+stragglers.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,8 +35,8 @@ from ..codec.tokens import TokenClass, att_days_of, classify_token, concept_id_o
 from ..generation.sampling import SamplingConfig, apply_decoding_controls, sample_token_id
 from .tasks import TaskConfig, expand_outcomes
 
-__all__ = ["SimulationEstimate", "WindowRule", "classify_continuation", "simulate_probability",
-           "RESAMPLE_CAP_FACTOR", "MAX_LANES"]
+__all__ = ["SimulationEstimate", "CohortRun", "WindowRule", "classify_continuation", "simulate_probability",
+           "simulate_cohort", "RESAMPLE_CAP_FACTOR", "MAX_LANES"]
 
 RESAMPLE_CAP_FACTOR = 4
 MAX_LANES = 64
@@ -41,6 +47,7 @@ CENSORED = "censored"
 
 _OPEN, _POSITIVE, _NEGATIVE, _CENSORED = 0, 1, 2, 3  # verdict codes of WindowRule.step
 _NAMES = {_POSITIVE: POSITIVE, _NEGATIVE: NEGATIVE, _CENSORED: CENSORED}
+_COMPLETES = np.array([0, 1, 1, 0])  # per verdict code: does the future complete?
 
 _NEUTRAL = SamplingConfig(max_tokens=10**9, min_tokens=0)
 
@@ -131,74 +138,189 @@ def simulate_probability(
     Runs until task.n_simulations uncensored trajectories are collected or
     the attempt cap (4x) is reached; a capped run reports the probability
     over the simulations that did complete, with the censoring counts as the
-    diagnostic.
+    diagnostic. This is simulate_cohort with one patient.
     """
     if outcome_ids is None:
         outcome_ids = expand_outcomes(task, ancestry)
+    return simulate_cohort(model, [prefix_tokens], [rng], task, outcome_ids, sampling).estimates[0]
+
+
+@dataclass(frozen=True)
+class CohortRun:
+    estimates: list[SimulationEstimate]  # one per patient, in cohort order
+    decode_steps: int  # batched sampling steps
+    lane_tokens: int  # tokens sampled, summed over the lanes of every step
+
+
+def simulate_cohort(model, prefixes, rngs, task: TaskConfig, outcome_ids,
+                    sampling: SamplingConfig | None = None) -> CohortRun:
+    """One estimate per prefix, all patients' futures decoded in one shared lane batch.
+
+    Patient i draws only from rngs[i]. A wave joins the batch when the batch
+    has room for it, that is when its lanes and the live ones number at most
+    MAX_LANES, or when the batch is empty, so the batch never holds more
+    lanes than a wave may have. A patient's next wave waits from the step
+    its previous wave decides; waiting waves join first, in that order, and
+    while none waits the next patients are admitted as long as their first
+    wave fits: a patient's prefix is prefilled on admission, and its
+    session is released once its estimate is done. Each step samples one
+    token per lane from one batched logits call, each patient drawing
+    rng.random(its live lanes), so a patient's estimate does not depend on
+    which patients share the batch.
+    """
     sampling = sampling or _NEUTRAL
     vocab = model.vocab
-    base = model.open_session() if hasattr(model, "open_session") else None
-    if base is None:
-        from ..model.inference import InferenceSession
-
-        base = InferenceSession(model)
-    base.prefill([vocab.id_of(t) for t in prefix_tokens])
     rule = WindowRule(vocab.tokens, outcome_ids, task.prediction_window_start, task.prediction_window_end)
-    budget = min(task.max_new_tokens, model.config.context_window - base.length)
+    with_context = sampling.repetition_penalty != 1.0
+    estimates: list[SimulationEstimate | None] = [None] * len(prefixes)
+    queue = iter(range(len(prefixes)))
+    batch = None
+    active: list[_Patient] = []  # patients with a wave in the batch, in row order
+    waiting: deque[_Patient] = deque()  # patients whose next wave waits for room, oldest first
+    steps = lane_tokens = 0
 
-    n = task.n_simulations
-    cap = RESAMPLE_CAP_FACTOR * n
-    positives = completed = censored = attempts = lanes = 0
-    while completed < n and attempts < cap:
-        need = n - completed
-        if attempts == 0:
+    def room_for(width):
+        return not active or batch.n_lanes + width <= MAX_LANES
+
+    while True:
+        while waiting and room_for(waiting[0].width):
+            p = waiting.popleft()
+            batch = p.join(batch)
+            active.append(p)
+        while not waiting and room_for(min(task.n_simulations, MAX_LANES)):
+            i = next(queue, None)
+            if i is None:
+                break
+            p = _Patient(i, model, prefixes[i], rule, task, rngs[i])
+            if p.done:
+                estimates[i] = p.estimate()
+            else:
+                batch = p.join(batch)
+                active.append(p)
+        if not active:
+            return CohortRun(estimates, steps, lane_tokens)
+        probs = apply_decoding_controls(batch.next_logits(), batch.context_ids if with_context else None, sampling)
+        ids = sample_token_id(probs, np.concatenate([p.rng.random(p.n_live) for p in active]))
+        steps += 1
+        lane_tokens += ids.size
+        kept, stepping, lo = [], [], 0
+        for p in active:
+            hi = lo + p.n_live
+            rows = p.step(ids[lo:hi])
+            if rows.size:
+                kept.append(lo + rows)
+                stepping.append(p)
+            elif p.done:
+                estimates[p.index] = p.estimate()
+            else:
+                waiting.append(p)
+            lo = hi
+        active = stepping
+        idx = np.concatenate(kept) if kept else np.empty(0, dtype=np.int64)
+        if idx.size < ids.size:
+            batch.keep(idx)
+        if active:
+            batch.append(ids[idx])
+
+
+class _Patient:
+    """One patient's futures as a state machine of waves over a shared lane batch.
+
+    The first wave has n_simulations lanes; each later one as many as the
+    completion rate so far says the missing futures need. A wave's lanes
+    count in lane order up to the need-th completion; a lane stops as soon
+    as `need` completions lie before it, and lanes still open when the token
+    budget runs out are censored.
+    """
+
+    def __init__(self, index, model, prefix_tokens, rule, task, rng):
+        session = model.open_session() if hasattr(model, "open_session") else None
+        if session is None:
+            from ..model.inference import InferenceSession
+
+            session = InferenceSession(model)
+        session.prefill([model.vocab.id_of(t) for t in prefix_tokens])
+        self.index, self.session, self.rule, self.rng = index, session, rule, rng
+        self.budget = min(task.max_new_tokens, model.config.context_window - session.length)
+        self.n = task.n_simulations
+        self.cap = RESAMPLE_CAP_FACTOR * self.n
+        self.positives = self.completed = self.censored = self.attempts = self.lanes = 0
+        self.live = np.empty(0, dtype=np.int64)
+        while self.budget == 0 and not self.done:  # no room to decode: every wave censors at once
+            self._launch()
+            self._close()
+
+    @property
+    def done(self) -> bool:
+        return self.completed >= self.n or self.attempts >= self.cap
+
+    @property
+    def n_live(self) -> int:
+        return self.live.size
+
+    @property
+    def width(self) -> int:
+        """Lanes of the next wave."""
+        need = self.n - self.completed
+        if self.attempts == 0:
             width = need
-        elif RESAMPLE_CAP_FACTOR * completed <= attempts:
+        elif RESAMPLE_CAP_FACTOR * self.completed <= self.attempts:
             width = RESAMPLE_CAP_FACTOR * need
         else:
-            width = -(-need * attempts // completed)  # ceil(need / observed completion rate)
-        width = min(width, cap - attempts, MAX_LANES)
-        lanes += width
-        wave = _run_wave(base, width, need, rule, budget, sampling, rng)
-        attempts += wave.size
-        censored += int((wave == _CENSORED).sum())
-        positives += int((wave == _POSITIVE).sum())
-        completed = attempts - censored
-    prob = positives / completed if completed else 0.0
-    return SimulationEstimate(
-        probability=prob,
-        n_positive=positives,
-        n_completed=completed,
-        n_censored=censored,
-        n_attempts=attempts,
-        capped=completed < n,
-        n_lanes=lanes,
-    )
+            width = -(-need * self.attempts // self.completed)  # ceil(need / observed completion rate)
+        return min(width, self.cap - self.attempts, MAX_LANES)
 
+    def join(self, batch):
+        """Launch the next wave into batch (forked from the session when there is none yet)."""
+        width = self._launch()
+        if batch is None:
+            return self.session.fork(width)
+        batch.join(self.session, width)
+        return batch
 
-def _run_wave(session, width, need, rule, budget, sampling, rng) -> np.ndarray:
-    """Verdicts of `width` futures forked from session, in lane order, up to the need-th completion.
+    def _launch(self) -> int:
+        width = self.width
+        self.lanes += width
+        self.need, self.steps = self.n - self.completed, 0
+        self.verdicts = np.full(width, _OPEN)
+        self.live = np.arange(width)  # lane number of each of this patient's rows
+        self.accrued = np.zeros(width, dtype=np.int64)
+        return width
 
-    A lane stops early once `need` futures before it have completed: the
-    estimate will never count it. Lanes still open when the token budget
-    runs out are censored.
-    """
-    verdicts = np.full(width, _OPEN)
-    live = np.arange(width)  # lane number of each row of the batch
-    accrued = np.zeros(width, dtype=np.int64)
-    batch = session.fork(width) if budget > 0 else None
-    for step in range(budget):
-        ids = sample_token_id(apply_decoding_controls(batch.next_logits(), batch.context_ids, sampling), rng)
-        accrued, verdicts[live] = rule.step(accrued, ids)
-        completions = np.cumsum((verdicts == _POSITIVE) | (verdicts == _NEGATIVE))
-        still = (verdicts[live] == _OPEN) & (completions[live] < need)  # need-th completion not yet behind
-        if not still.any() or step == budget - 1:
-            break
-        if not still.all():
-            keep = np.flatnonzero(still)
-            batch.keep(keep)
-            live, accrued, ids = live[keep], accrued[keep], ids[keep]
-        batch.append(ids)
-    completions = np.cumsum((verdicts == _POSITIVE) | (verdicts == _NEGATIVE))
-    verdicts[verdicts == _OPEN] = _CENSORED
-    return verdicts[: np.searchsorted(completions, need) + 1]  # through the need-th completion, if any
+    def step(self, ids) -> np.ndarray:
+        """Classify one token per live lane; returns the positions in ids of
+        the lanes that go on stepping (none once the wave has decided)."""
+        self.accrued, verdict = self.rule.step(self.accrued, ids)
+        self.verdicts[self.live] = verdict
+        completions = np.cumsum(_COMPLETES[self.verdicts])
+        still = (verdict == _OPEN) & (completions[self.live] < self.need)
+        self.steps += 1
+        if not still.any() or self.steps == self.budget:
+            self._close()
+            return np.empty(0, dtype=np.int64)
+        rows = np.flatnonzero(still)
+        self.live, self.accrued = self.live[rows], self.accrued[rows]
+        return rows
+
+    def _close(self) -> None:
+        """Count the wave's verdicts through the need-th completion, if any."""
+        v = self.verdicts
+        completions = np.cumsum(_COMPLETES[v])
+        v[v == _OPEN] = _CENSORED
+        wave = v[: np.searchsorted(completions, self.need) + 1]
+        self.attempts += wave.size
+        self.censored += int((wave == _CENSORED).sum())
+        self.positives += int((wave == _POSITIVE).sum())
+        self.completed = self.attempts - self.censored
+        self.live = np.empty(0, dtype=np.int64)
+
+    def estimate(self) -> SimulationEstimate:
+        return SimulationEstimate(
+            probability=self.positives / self.completed if self.completed else 0.0,
+            n_positive=self.positives,
+            n_completed=self.completed,
+            n_censored=self.censored,
+            n_attempts=self.attempts,
+            capped=self.completed < self.n,
+            n_lanes=self.lanes,
+        )

@@ -32,37 +32,52 @@ class MarkovSession:
         self._ids.append(int(tid))
 
     def fork(self, n):
-        return MarkovLanes(self.model, self._ids, n)
+        lanes = MarkovLanes(self.model)
+        lanes.join(self, n)
+        return lanes
 
     def next_logits(self):
         return self.model.logits_after(self._ids[-1])
 
 
 class MarkovLanes:
-    """n lanes over the Markov rows after a shared prefix, with the LaneBatch interface."""
+    """Lanes over the Markov rows, with the LaneBatch interface: groups of
+    lanes joined from different sessions, rows ordered by group."""
 
-    def __init__(self, model, prefix, n):
+    def __init__(self, model):
         self.model = model
-        self._prefix = list(prefix)
-        self._suffixes = [[] for _ in range(n)]
+        self._groups = []  # [prefix, suffixes] per group, in row order
 
     @property
     def n_lanes(self):
-        return len(self._suffixes)
+        return sum(len(suffixes) for _, suffixes in self._groups)
 
     @property
     def context_ids(self):
-        return [self._prefix + s for s in self._suffixes]
+        return [prefix + s for prefix, suffixes in self._groups for s in suffixes]
+
+    def join(self, session, n):
+        self._groups.append([list(session.context_ids), [[] for _ in range(n)]])
 
     def next_logits(self):
-        return np.stack([self.model.logits_after((s or self._prefix)[-1]) for s in self._suffixes])
+        return np.stack([self.model.logits_after((s or prefix)[-1])
+                         for prefix, suffixes in self._groups for s in suffixes])
 
     def append(self, ids):
-        for s, t in zip(self._suffixes, ids, strict=True):
+        rows = [s for _, suffixes in self._groups for s in suffixes]
+        for s, t in zip(rows, ids, strict=True):
             s.append(int(t))
 
     def keep(self, idx):
-        self._suffixes = [self._suffixes[i] for i in idx]
+        owners = [(g, j) for g, (_, suffixes) in enumerate(self._groups) for j in range(len(suffixes))]
+        kept = [owners[i] for i in idx]
+        assert [g for g, _ in kept] == sorted(g for g, _ in kept), "rows must stay grouped in batch order"
+        groups = []
+        for g, (prefix, suffixes) in enumerate(self._groups):
+            mine = [suffixes[j] for h, j in kept if h == g]
+            if mine:
+                groups.append([prefix, mine])
+        self._groups = groups
 
 
 class MarkovModel:

@@ -95,6 +95,11 @@ def test_vocab_build_and_expand(table_dir, tmp_path):
     assert sha256_file(vocab) == sha256_file(vocab2)  # nothing new to add
 
 
+def test_manifest_records_the_default_seed(tmp_path):
+    assert main(["gradcheck", "--out", str(tmp_path / "g.csv")]) == 0
+    assert json.loads((tmp_path / "g.csv.manifest.json").read_text())["seed"] == 0
+
+
 def test_gradcheck_pass_and_fail(tmp_path):
     assert main(["gradcheck", "--out", str(tmp_path / "g.csv"), "--seed", "0"]) == 0
     bad = tmp_path / "bad.cfg"
@@ -268,7 +273,10 @@ def test_zeroshot_counters_leave_metrics_byte_identical(trained_run, table_dir, 
     counters = mani["counters"]
     assert counters["futures_completed"] + counters["futures_censored"] == counters["futures_attempted"]
     assert counters["lanes_launched"] - counters["lanes_discarded"] == counters["futures_attempted"]
-    assert "futures censored" in capsys.readouterr().err
+    assert 0 < counters["decode_steps"] <= counters["lane_tokens"]
+    err = capsys.readouterr().err
+    assert "futures censored" in err
+    assert f"{counters['lane_tokens'] / counters['decode_steps']:.1f} live lanes per step" in err
     monkeypatch.setattr(ManifestWriter, "add_counters", lambda self, **counts: None)
     without_block, mani = run("without")
     assert mani["counters"] == {}
@@ -536,6 +544,17 @@ def test_privacy_seed_flag_wins_over_config_seed(tmp_path):
     assert (flag_seed, file7_seed, file5_seed) == (7, 7, 5)
     assert flag_scores == file7_scores
     assert flag_scores != file5_scores  # the seed reaches the subsampling
+
+
+def test_experts_file_opening_with_a_comment_paragraph(trained_run, table_dir, tmp_path):
+    experts = tmp_path / "experts.cfg"
+    experts.write_text("# two experts for the demo\n\ntemperature: 0.6\ncount: 5\n")
+    seq = tmp_path / "seq.txt"
+    rc = main(["generate", "--checkpoint", str(trained_run / "final.ckpt"), "--experts", str(experts),
+               *tbl_args(table_dir), "--out", str(seq), "--seed", "1"])
+    assert rc == 0
+    rows = list(csv.DictReader(open(f"{seq}.experts.csv", newline="")))
+    assert len(rows) == 1
 
 
 def test_generate_counters_match_expert_report(trained_run, table_dir, tmp_path, monkeypatch, capsys):

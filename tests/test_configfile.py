@@ -46,6 +46,24 @@ def test_blocks():
     assert blocks == [{"a": 1, "b": 2}, {"c": 3}]
 
 
+def test_duplicate_key_is_rejected_naming_key_and_line(tmp_path):
+    with pytest.raises(ConfigParseError, match=r"line 2: duplicate key 'seed'"):
+        parse_kv_text("seed: 1\nseed: 2\n")
+    with pytest.raises(ConfigParseError, match=r"line 6: duplicate key 'count'"):  # lines of the file
+        parse_kv_blocks("# experts\n\ncount: 1\n\ncount: 2\ncount = 3\n")
+    assert parse_kv_blocks("count: 1\n\ncount: 2\n") == [{"count": 1}, {"count": 2}]
+    p = tmp_path / "train.cfg"
+    p.write_text("lr: 0.01\nseed: 1\nseed: 2\n")
+    with pytest.raises(ConfigParseError, match=r"train.cfg: line 3: duplicate key 'seed'"):
+        read_config(p, {"lr": float, "seed": int})
+
+
+def test_comment_only_paragraphs_are_not_blocks():
+    assert parse_kv_blocks("# two experts for the demo\n\ntemperature: 0.6\ncount: 5\n") == [
+        {"temperature": 0.6, "count": 5}]
+    assert parse_kv_blocks("a: 1\n\n# between\n# blocks\n\nb: 2\n# trailing\n") == [{"a": 1}, {"b": 2}]
+
+
 def test_format_roundtrip():
     d = {"s": "text", "n": 5, "f": True, "xs": ["a", "b"]}
     assert parse_kv_text(format_kv(d)) == d

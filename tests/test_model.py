@@ -18,6 +18,7 @@ from chronoseq.model import (
     total_loss,
 )
 from chronoseq.model.diagnostics import toy_batch
+from chronoseq.model.inference import LaneBatch
 from chronoseq.synthworld import sample_hospital_records
 from chronoseq.training import pack, prepare_corpus
 from conftest import random_record
@@ -185,6 +186,60 @@ def test_lane_batch_matches_sessions_across_keep_and_growth(toy):
             refs[lane].append(int(t))
     assert lanes.length == parent.length + 30
     assert parent.length == len(prefix)
+
+
+def test_lane_batch_mixes_prefix_groups_across_keep_and_growth(toy):
+    # three prefixes of different lengths joined at different steps, so the
+    # groups' suffixes differ in length and double at different steps
+    model, _ = toy
+    V = model.config.vocab_size
+    rng = np.random.default_rng(12)
+    prefixes = [rng.integers(0, V, size=n) for n in (3, 11, 20)]
+    sessions = []
+    for p in prefixes:
+        s = InferenceSession(model)
+        s.prefill(p)
+        sessions.append(s)
+
+    def lone(g):
+        r = InferenceSession(model)
+        r.prefill(prefixes[g])
+        return r
+
+    batch = LaneBatch(model)
+    refs = []  # one lone session per row, in row order
+    joins = {0: (0, 2), 5: (1, 3), 12: (2, 2)}  # step -> (prefix, lanes)
+    for step in range(30):
+        if step in joins:
+            g, n = joins[step]
+            batch.join(sessions[g], n)
+            refs += [lone(g) for _ in range(n)]
+        if step == 15:  # rows 0-1 prefix 0, 2-4 prefix 1, 5-6 prefix 2: drop and reorder within groups
+            idx = [1, 4, 2, 6, 5]
+            batch.keep(idx)
+            refs = [refs[i] for i in idx]
+            with pytest.raises(ValueError):
+                batch.keep([3, 0])  # rows of different groups out of batch order
+        if step == 22:  # prefix 1's group leaves
+            batch.keep([0, 3, 4])
+            refs = [refs[i] for i in (0, 3, 4)]
+        logits = batch.next_logits()
+        assert logits.shape == (len(refs), V)
+        for row, ref in zip(logits, refs):
+            npt.assert_allclose(row, ref.next_logits(), atol=1e-12, rtol=0)
+        for ctx, ref in zip(batch.context_ids, refs):
+            npt.assert_array_equal(ctx, ref.context_ids)
+        ids = rng.integers(0, V, size=len(refs))
+        batch.append(ids)
+        for ref, t in zip(refs, ids):
+            ref.append(int(t))
+    assert batch.length == 20 + 18  # the longest lane; prefix 0's suffixes doubled from 8 to 32 slots
+    assert [s.length for s in sessions] == [len(p) for p in prefixes]
+    batch.keep([])  # every group leaves; the empty batch takes new groups
+    assert batch.n_lanes == 0
+    batch.join(sessions[1], 2)
+    for row in batch.next_logits():
+        npt.assert_allclose(row, sessions[1].next_logits(), atol=1e-12, rtol=0)
 
 
 def test_lane_batch_rejects_overflow_at_window_edge(toy):

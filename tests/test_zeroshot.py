@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chronoseq.codec.vocab import Vocabulary
+from chronoseq.generation import SamplingConfig
 from chronoseq.model import ModelConfig, TimelineModel
 from chronoseq.zeroshot import (
     ConceptAncestry,
@@ -11,9 +12,11 @@ from chronoseq.zeroshot import (
     evaluate_task,
     expand_outcomes,
     load_task_config,
+    simulate_cohort,
     simulate_probability,
 )
-from helpers import MarkovModel, enumerate_outcome_probability
+from chronoseq.zeroshot.simulate import MAX_LANES
+from helpers import MarkovLanes, MarkovModel, enumerate_outcome_probability
 
 
 def task(**kw):
@@ -308,3 +311,52 @@ def test_evaluate_task_thread_invariance_with_lanes():
     m2 = evaluate_task(model, cohort, t, seed=5, n_bootstrap=10, n_threads=3)
     assert m1.scores == m2.scores
     assert m1.estimates == m2.estimates
+
+
+def _composition_cases(model, prefixes, t, seed=5, sampling=None):
+    """A patient's estimate alone, inside the cohort, in the reversed cohort and over 1 or 3 threads."""
+    def rngs():
+        return [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(len(prefixes))]
+
+    outcome_ids = expand_outcomes(t)
+    alone = [simulate_probability(model, p, t, rng, sampling=sampling) for p, rng in zip(prefixes, rngs())]
+    together = simulate_cohort(model, prefixes, rngs(), t, outcome_ids, sampling)
+    reversed_ = simulate_cohort(model, prefixes[::-1], rngs()[::-1], t, outcome_ids, sampling)
+    assert together.estimates == alone
+    assert reversed_.estimates[::-1] == alone
+    cohort = [(p, i % 2) for i, p in enumerate(prefixes)]
+    for threads in (1, 3):
+        m = evaluate_task(model, cohort, t, seed=seed, n_bootstrap=10, sampling=sampling, n_threads=threads)
+        assert m.estimates == alone
+    one_by_one = [simulate_cohort(model, [p], [rng], t, outcome_ids, sampling) for p, rng in zip(prefixes, rngs())]
+    assert together.lane_tokens == sum(r.lane_tokens for r in one_by_one)  # the same futures, token for token
+    assert together.decode_steps < sum(r.decode_steps for r in one_by_one)  # in fewer, wider steps
+    return alone
+
+
+def test_estimates_do_not_depend_on_batch_composition():
+    vocab = Vocabulary(["[PAD]", "[VS]", "[VE]", "[LT]", "[END]", *PREFIX, "D30", "D5", "c:100", "c:200"])
+    cfg = ModelConfig(vocab_size=len(vocab), embed_dim=12, n_layers=2, n_heads=2, context_window=32)
+    model = TimelineModel.initialize(cfg, vocab, seed=3)
+    t = task(n_simulations=12, prediction_window_end=60, max_new_tokens=12)
+    # 7 patients x 12 lanes exceed MAX_LANES, so admission waits for room;
+    # the last prefix fills the window and leaves no room to decode
+    prefixes = [PREFIX[: 4 + i % 2] + ("D5", "c:200") * (i // 2) for i in range(7)] + [PREFIX[:4] + ("D5",) * 28]
+    alone = _composition_cases(model, prefixes, t)
+    assert alone[-1].capped and alone[-1].n_attempts == alone[-1].n_censored == 48
+
+
+def test_markov_estimates_do_not_depend_on_batch_composition(monkeypatch):
+    model = MarkovModel({"default": {"D30": 0.3, "c:100": 0.2, "c:200": 0.35, "[END]": 0.15},
+                         "c:100": {"[END]": 0.6, "D30": 0.4}}, extra_tokens=PREFIX)
+    prefixes = [PREFIX, PREFIX[:4] + ("c:100",), PREFIX[:4] + ("c:200", "D30")] * 3
+    widths = []
+    next_logits = MarkovLanes.next_logits
+    monkeypatch.setattr(MarkovLanes, "next_logits", lambda self: widths.append(self.n_lanes) or next_logits(self))
+    t = task(n_simulations=20, prediction_window_end=60)
+    _composition_cases(model, prefixes, t)
+    assert max(widths) <= MAX_LANES  # a wave joins only when the batch has room for it
+    assert max(widths) > 20  # and steps carry lanes of several patients
+    # a repetition penalty reads every lane's own context, prefix included
+    _composition_cases(model, prefixes, t, sampling=SamplingConfig(repetition_penalty=1.5, max_tokens=10**9,
+                                                                   min_tokens=0))
