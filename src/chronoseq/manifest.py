@@ -4,12 +4,19 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 import json
+import os
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 
-__all__ = ["sha256_file", "ManifestWriter"]
+__all__ = ["sha256_file", "ManifestWriter", "THREAD_ENV_VARS"]
+
+# Thread-count variables of the BLAS/OpenMP runtimes, recorded as the run saw
+# them. The effective count would need threadpoolctl, which is not a dependency.
+THREAD_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def sha256_file(path) -> str:
@@ -50,6 +57,8 @@ class ManifestWriter:
         doc = {
             "subcommand": self.subcommand,
             "version": __version__,
+            "numpy_version": np.__version__,
+            "thread_env": {name: os.environ.get(name) for name in THREAD_ENV_VARS},
             "seed": self.seed,
             "config": self.config,
             "inputs": self.inputs,

@@ -1,9 +1,10 @@
 """Self-contained gradient-check harness over a tiny fixed batch.
 
 Builds a miniature vocabulary (full time-token coverage is pointless when
-finite-differencing every embedding row) and a two-sequence packed batch
-that exercises all three loss heads, then compares analytic gradients of the
-combined objective against central differences.
+finite-differencing every embedding row) and a three-sequence packed batch
+that exercises all three loss heads and two length blocks, one of them
+padded, then compares analytic gradients of the combined objective against
+central differences.
 """
 from __future__ import annotations
 
@@ -31,13 +32,22 @@ _TOKENS_B = (
     "[VS]", "v:9202", "d:1125316", "[VE]", "D0",
     "[VS]", "v:9202", "c:320129", "[VE]", "[END]",
 )
+_TOKENS_C = (  # no time token: no ATT position; pads out B's length block
+    "year:2000", "age:40", "gender:8507", "race:8516",
+    "[VS]", "v:9201", "c:320128", "c:320129", "d:1125316", "dis:8536", "[VE]", "[END]",
+)
 
 
 def toy_batch(max_year_class: int = 10):
-    """(vocabulary, packed batch) covering NTP, TD, TTE, [LT] and D0 cases."""
+    """(vocabulary, packed batch) covering NTP, TD, TTE, [LT], D0 and no-ATT cases.
+
+    The 20-token sequence fills one length block; the 14- and 12-token ones
+    share a second, padded one.
+    """
     seqs = [
         TokenSequence(_TOKENS_A, person_id="a", att_days=((8, 7), (15, 2000))),
         TokenSequence(_TOKENS_B, person_id="b", att_days=((8, 0),)),
+        TokenSequence(_TOKENS_C, person_id="c"),
     ]
     used = sorted({t for s in seqs for t in s.tokens})
     specials = ["[PAD]", "[VS]", "[VE]", "[LT]", "[END]"]

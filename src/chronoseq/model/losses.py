@@ -34,7 +34,7 @@ from ..autodiff.special import gamma_log_pdf
 from .bundle import TimelineModel
 from .config import ModelConfig
 from .params import ModelParams
-from .transformer import hidden_states, tied_head
+from .transformer import hidden_states, segment_causal_mask, tied_head
 
 __all__ = ["td_loss", "tte_loss", "gamma_heads", "total_loss", "evaluate_loss", "LossBreakdown"]
 
@@ -80,38 +80,30 @@ class LossBreakdown(dict):
     """total/ntp/td/tte components, each already normalized per non-pad token."""
 
 
-def _row_sums(params: ModelParams, cfg: ModelConfig, row, dropout_rng):
-    hidden = hidden_states(params, cfg, row.token_ids, row.attention_mask(), dropout_rng)
-    ntp_logits = tied_head(params, take_rows(hidden, row.ntp_positions))  # only rows with a next-token target
-    ntp_sum = total_sum(cross_entropy(ntp_logits, row.ntp_targets))
-    td_sum = tte_sum = None
-    if len(row.att_positions) > 0:
-        h_att = take_rows(hidden, row.att_positions)
-        td_sum = td_loss(params, cfg, h_att, row.year_target, row.month_target, row.day_target)
-        tte_sum = tte_loss(params, h_att, row.tte_t)
-    return ntp_sum, td_sum, tte_sum
-
-
 def total_loss(params: ModelParams, cfg: ModelConfig, batch, dropout_rng=None):
     """Combined objective over one packed batch -> (scalar Tensor, LossBreakdown).
 
-    Per-token next-token cross-entropy everywhere it has a same-segment
+    Per-token next-token cross-entropy everywhere it has a same-sequence
     target, plus TD and TTE at time-token positions only, summed and divided
-    by the batch's non-pad token count.
+    by the batch's non-pad token count. The decoder runs once per length
+    block of the batch, (B, L) right-padded sequences under one causal mask.
     """
-    rows = batch.rows if hasattr(batch, "rows") else (batch,)
-    n_tokens = int(getattr(batch, "n_tokens", sum(r.n_tokens for r in rows)))
+    n_tokens = batch.n_tokens
     if n_tokens <= 0:
         raise ValueError("batch has no non-pad tokens")
-    if all(len(r.ntp_positions) == 0 for r in rows):
+    if all(len(b.ntp_positions) == 0 for b in batch.blocks):
         raise ValueError("batch has no next-token targets")
     ntp_terms, td_terms, tte_terms = [], [], []
-    for row in rows:
-        ntp_sum, td_sum, tte_sum = _row_sums(params, cfg, row, dropout_rng)
-        ntp_terms.append(ntp_sum)
-        if td_sum is not None:
-            td_terms.append(td_sum)
-            tte_terms.append(tte_sum)
+    for block in batch.blocks:
+        B, L = block.token_ids.shape
+        hidden = hidden_states(params, cfg, block.token_ids, segment_causal_mask(L, ((0, L),)), dropout_rng)
+        hidden = reshape(hidden, (B * L, cfg.embed_dim))
+        ntp_logits = tied_head(params, take_rows(hidden, block.ntp_positions))  # only rows with a next-token target
+        ntp_terms.append(total_sum(cross_entropy(ntp_logits, block.ntp_targets)))
+        if len(block.att_positions) > 0:
+            h_att = take_rows(hidden, block.att_positions)
+            td_terms.append(td_loss(params, cfg, h_att, block.year_target, block.month_target, block.day_target))
+            tte_terms.append(tte_loss(params, h_att, block.tte_t))
 
     def tree_sum(terms):
         acc = terms[0]

@@ -1,4 +1,4 @@
-"""Differentiable forward pass of the decoder over one (possibly packed) row."""
+"""Differentiable forward pass of the decoder over one (possibly packed) row or a stack of rows."""
 from __future__ import annotations
 
 import numpy as np
@@ -47,13 +47,15 @@ def tied_head(params: ModelParams, hidden):
 
 
 def hidden_states(params: ModelParams, cfg: ModelConfig, token_ids, attn_mask, dropout_rng=None):
-    """Token ids (T,) + additive mask (T,T) -> final hidden (T,d), after the final layer norm.
+    """Token ids (..., T) + additive mask (T,T) -> final hidden (..., T, d), after the final layer norm.
 
-    Hidden state at a position depends only on earlier positions of the same
-    segment; there is no positional-embedding lookup anywhere in this path.
+    Leading axes stack independent sequences that share the one mask (a
+    length block: right-padded rows under a causal mask). Hidden state at a
+    position depends only on earlier positions of the same segment; there is
+    no positional-embedding lookup anywhere in this path.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
-    T = ids.shape[0]
+    lead, T = ids.shape[:-1], ids.shape[-1]
     if T > cfg.context_window:
         raise ValueError(f"input length {T} exceeds context window {cfg.context_window}")
     if attn_mask.shape != (T, T):
@@ -62,26 +64,32 @@ def hidden_states(params: ModelParams, cfg: ModelConfig, token_ids, attn_mask, d
     H, dh = cfg.n_heads, cfg.head_dim
     scale_qk = 1.0 / np.sqrt(dh)
     mask_t = constant(attn_mask, name="attn_mask")
+    n = len(lead)
+    N = ids.size  # the dense layers run on all N tokens as one (N, d) matrix
+    qkv_axes = (n + 1, *range(n), n + 2, n, n + 3)  # (..., T, 3, H, dh) -> (3, ..., H, T, dh)
+    key_axes = (*range(n + 1), n + 2, n + 1)  # (..., H, T, dh) -> (..., H, dh, T)
+    ctx_axes = (*range(n), n + 1, n, n + 2)  # (..., H, T, dh) -> (..., T, H, dh)
 
-    x = gather_rows(params["tok_emb"], ids)
+    x = gather_rows(params["tok_emb"], ids.reshape(N))
     x = dropout(x, rate, dropout_rng)
     for i in range(cfg.n_layers):
         p = f"block{i}."
         a = layer_norm(x, params[p + "ln1.g"], params[p + "ln1.b"])
         qkv = add(matmul(a, params[p + "qkv.w"]), params[p + "qkv.b"])
-        qkv = transpose(reshape(qkv, (T, 3, H, dh)), (1, 2, 0, 3))  # (3, H, T, dh)
+        qkv = transpose(reshape(qkv, (*lead, T, 3, H, dh)), qkv_axes)
         q = index_axis0(qkv, 0)
         k = index_axis0(qkv, 1)
         v = index_axis0(qkv, 2)
-        scores = add(scale(matmul(q, transpose(k, (0, 2, 1))), scale_qk), mask_t)  # (H, T, T) + (T, T)
+        scores = add(scale(matmul(q, transpose(k, key_axes)), scale_qk), mask_t)  # (..., H, T, T) + (T, T)
         weights = softmax(scores)
         weights = dropout(weights, rate, dropout_rng)
-        ctx = matmul(weights, v)  # (H, T, dh)
-        ctx = reshape(transpose(ctx, (1, 0, 2)), (T, H * dh))
+        ctx = matmul(weights, v)  # (..., H, T, dh)
+        ctx = reshape(transpose(ctx, ctx_axes), (N, H * dh))
         attn_out = add(matmul(ctx, params[p + "proj.w"]), params[p + "proj.b"])
         x = add(x, dropout(attn_out, rate, dropout_rng))
         b = layer_norm(x, params[p + "ln2.g"], params[p + "ln2.b"])
         h = gelu(add(matmul(b, params[p + "ff1.w"]), params[p + "ff1.b"]))
         ff_out = add(matmul(h, params[p + "ff2.w"]), params[p + "ff2.b"])
         x = add(x, dropout(ff_out, rate, dropout_rng))
-    return layer_norm(x, params["final_ln.g"], params["final_ln.b"])
+    out = layer_norm(x, params["final_ln.g"], params["final_ln.b"])
+    return reshape(out, (*lead, T, cfg.embed_dim)) if n else out

@@ -3,7 +3,10 @@
 A row is one concatenated sequence of whole examples with a block-diagonal
 causal mask (never longer than the model's context window). A batch is the
 unit of one optimizer step: one or more rows totalling at most
-tokens_per_batch tokens.
+tokens_per_batch tokens. The batch's rows fix its composition; training runs
+its sequences as length blocks: the sequences sorted by length, cut into
+groups of similar length, each group right-padded into one (B, L) array under
+a plain causal mask.
 """
 from __future__ import annotations
 
@@ -14,7 +17,14 @@ import numpy as np
 from ..model.supervision import AttSupervision
 from ..model.transformer import segment_causal_mask
 
-__all__ = ["EncodedExample", "PackedRow", "PackedBatch", "pack"]
+__all__ = ["EncodedExample", "PackedRow", "LengthBlock", "PackedBatch", "pack", "BLOCK_SPLIT"]
+
+# A sequence shorter than this share of its block's longest starts a new block,
+# so a block wastes under 1 - BLOCK_SPLIT of a row on padding.
+BLOCK_SPLIT = 0.8
+# The id right padding carries. Any id would do: under a causal mask a real
+# query never attends a later (pad) key, and pad positions carry no target.
+_PAD_ID = 0
 
 
 @dataclass
@@ -50,24 +60,41 @@ class PackedRow:
 
 
 @dataclass
+class LengthBlock:
+    """Whole sequences of one batch, longest first, right-padded to (B, L).
+
+    Positions index the flattened B*L tokens (sequence r starts at r*L); pad
+    positions carry no target.
+    """
+
+    token_ids: np.ndarray  # (B, L) int64
+    lengths: np.ndarray  # (B,) real tokens per sequence
+    ntp_positions: np.ndarray
+    ntp_targets: np.ndarray
+    att_positions: np.ndarray
+    year_target: np.ndarray
+    month_target: np.ndarray
+    day_target: np.ndarray
+    tte_t: np.ndarray
+
+
+@dataclass
 class PackedBatch:
     rows: tuple[PackedRow, ...]
     n_tokens: int
+    blocks: tuple[LengthBlock, ...]  # the same sequences as rows, as the loss runs them
 
     @property
     def n_att(self) -> int:
         return sum(len(r.att_positions) for r in self.rows)
 
 
-def _build_row(examples) -> PackedRow:
-    ids = np.concatenate([e.token_ids for e in examples])
-    bounds = []
+def _targets(examples, offsets) -> dict:
+    """NTP and ATT positions (shifted by each example's offset) with their targets."""
     ntp_pos, ntp_tgt = [], []
     att_pos, yt, mt, dt_, tt = [], [], [], [], []
-    offset = 0
-    for e in examples:
+    for e, offset in zip(examples, offsets):
         L = len(e.token_ids)
-        bounds.append((offset, offset + L))
         if L >= 2:
             ntp_pos.append(np.arange(offset, offset + L - 1, dtype=np.int64))
             ntp_tgt.append(e.token_ids[1:])
@@ -78,14 +105,11 @@ def _build_row(examples) -> PackedRow:
             mt.append(s.month_target)
             dt_.append(s.day_target)
             tt.append(s.tte_t)
-        offset += L
 
     def cat(parts, dtype):
         return np.concatenate(parts) if parts else np.array([], dtype=dtype)
 
-    return PackedRow(
-        token_ids=ids,
-        segment_bounds=tuple(bounds),
+    return dict(
         ntp_positions=cat(ntp_pos, np.int64),
         ntp_targets=cat(ntp_tgt, np.int64),
         att_positions=cat(att_pos, np.int64),
@@ -93,8 +117,47 @@ def _build_row(examples) -> PackedRow:
         month_target=cat(mt, np.int64),
         day_target=cat(dt_, np.int64),
         tte_t=cat(tt, np.float64),
-        n_tokens=int(ids.shape[0]),
     )
+
+
+def _build_row(examples) -> PackedRow:
+    lengths = [len(e) for e in examples]
+    starts = np.cumsum([0] + lengths[:-1]).tolist()
+    ids = np.concatenate([e.token_ids for e in examples])
+    return PackedRow(
+        token_ids=ids,
+        segment_bounds=tuple((lo, lo + n) for lo, n in zip(starts, lengths)),
+        n_tokens=int(ids.shape[0]),
+        **_targets(examples, starts),
+    )
+
+
+def _build_block(examples) -> LengthBlock:
+    B, L = len(examples), len(examples[0])
+    ids = np.full((B, L), _PAD_ID, dtype=np.int64)
+    for r, e in enumerate(examples):
+        ids[r, : len(e)] = e.token_ids
+    return LengthBlock(
+        token_ids=ids,
+        lengths=np.array([len(e) for e in examples], dtype=np.int64),
+        **_targets(examples, range(0, B * L, L)),
+    )
+
+
+def _length_blocks(examples) -> tuple[LengthBlock, ...]:
+    """Cut the sequences, longest first, wherever one falls under BLOCK_SPLIT of its block's longest."""
+    groups: list[list] = []
+    for e in sorted(examples, key=len, reverse=True):  # stable: equal lengths keep packing order
+        if groups and len(e) >= BLOCK_SPLIT * len(groups[-1][0]):
+            groups[-1].append(e)
+        else:
+            groups.append([e])
+    return tuple(_build_block(g) for g in groups)
+
+
+def _build_batch(bins) -> PackedBatch:
+    rows = tuple(_build_row(b) for b in bins)
+    return PackedBatch(rows, sum(r.n_tokens for r in rows), _length_blocks([e for b in bins for e in b]))
 
 
 def pack(examples, tokens_per_batch: int, row_capacity: int | None = None) -> list[PackedBatch]:
@@ -121,16 +184,16 @@ def pack(examples, tokens_per_batch: int, row_capacity: int | None = None) -> li
         else:
             bins.append([e])
             room.append(cap - L)
-    rows = [_build_row(b) for b in bins]
     batches: list[PackedBatch] = []
-    group: list[PackedRow] = []
+    group: list[list] = []
     total = 0
-    for row in rows:
-        if group and total + row.n_tokens > tokens_per_batch:
-            batches.append(PackedBatch(tuple(group), total))
+    for b in bins:
+        n = sum(len(e) for e in b)
+        if group and total + n > tokens_per_batch:
+            batches.append(_build_batch(group))
             group, total = [], 0
-        group.append(row)
-        total += row.n_tokens
+        group.append(b)
+        total += n
     if group:
-        batches.append(PackedBatch(tuple(group), total))
+        batches.append(_build_batch(group))
     return batches

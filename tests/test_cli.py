@@ -385,6 +385,28 @@ def test_train_progress_lines_leave_outputs_byte_identical(table_dir, tmp_path, 
     assert mani_with == mani_without
 
 
+def test_train_manifest_records_numpy_and_thread_env_without_touching_outputs(table_dir, tmp_path, monkeypatch):
+    import numpy as np
+
+    from chronoseq.manifest import THREAD_ENV_VARS
+
+    def run(name):
+        out_dir = _train(table_dir, tmp_path, name)
+        files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir()) if p.name != "run.manifest.json"}
+        return files, json.loads((out_dir / "run.manifest.json").read_text())
+
+    for var in THREAD_ENV_VARS:
+        monkeypatch.delenv(var, raising=False)
+    files_unset, mani_unset = run("unset")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    files_set, mani_set = run("set")
+    assert mani_unset["numpy_version"] == mani_set["numpy_version"] == np.__version__
+    assert mani_unset["thread_env"] == dict.fromkeys(THREAD_ENV_VARS)
+    assert mani_set["thread_env"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None}
+    assert files_unset == files_set
+
+
 def _cohort_csv(table_dir, path, n=10):
     from chronoseq.codec import read_tables, tables_to_records
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,10 @@ from chronoseq.autodiff import backward, constant, parameter
 from chronoseq.model import ModelConfig, TimelineModel, gamma_heads, td_loss, total_loss, tte_loss
 from chronoseq.model.config import TD_DAY_CLASSES, TD_MONTH_CLASSES
 from chronoseq.model.diagnostics import toy_batch, toy_grad_check
-from chronoseq.model.supervision import build_att_supervision
+from chronoseq.model.supervision import AttSupervision, build_att_supervision
+from chronoseq.model.transformer import hidden_states, segment_causal_mask
 from chronoseq.codec import TokenSequence
+from chronoseq.training.packing import EncodedExample, PackedBatch, pack
 
 
 @pytest.fixture(scope="module")
@@ -156,4 +159,91 @@ def test_total_loss_gradients_via_finite_differences():
 def test_batch_with_no_tokens_rejected(setup):
     model, cfg, _ = setup
     with pytest.raises(ValueError):
-        total_loss(model.params, cfg, type("B", (), {"rows": (), "n_tokens": 0})())
+        total_loss(model.params, cfg, PackedBatch(rows=(), n_tokens=0, blocks=()))
+
+
+def test_batch_without_next_token_targets_rejected(setup):
+    model, cfg, _ = setup
+    batch = pack([EncodedExample(None, np.array([5]), build_att_supervision(TokenSequence(("[END]",))))], 8)[0]
+    with pytest.raises(ValueError, match="no next-token targets"):
+        total_loss(model.params, cfg, batch)
+
+
+def _random_example(rng, n, n_att, cfg):
+    """n random non-pad tokens with n_att ATT positions and random targets."""
+    pos = np.sort(rng.choice(np.arange(1, n), size=n_att, replace=False)).astype(np.int64)
+    is_att = np.zeros(n, dtype=bool)
+    is_att[pos] = True
+    sup = AttSupervision(is_att=is_att, att_positions=pos,
+                         year_target=rng.integers(0, cfg.td_year_classes, n_att),
+                         month_target=rng.integers(0, TD_MONTH_CLASSES, n_att),
+                         day_target=rng.integers(0, TD_DAY_CLASSES, n_att),
+                         tte_t=rng.uniform(0.5, 400.0, n_att))
+    return EncodedExample(None, rng.integers(1, cfg.vocab_size, n), sup)
+
+
+@pytest.fixture(scope="module")
+def blocked():
+    """A two-layer model and one batch whose six sequences fall into three padded length blocks."""
+    vocab, _ = toy_batch()
+    cfg = ModelConfig(vocab_size=len(vocab), embed_dim=12, n_layers=2, n_heads=2, context_window=64)
+    model = TimelineModel.initialize(cfg, vocab, seed=3)
+    rng = np.random.default_rng(7)
+    examples = [_random_example(rng, n, k, cfg) for n, k in ((20, 3), (18, 2), (14, 1), (12, 0), (9, 2), (8, 1))]
+    (batch,) = pack(examples, tokens_per_batch=128, row_capacity=32)
+    assert [b.lengths.tolist() for b in batch.blocks] == [[20, 18], [14, 12], [9, 8]]
+    return model, examples, batch
+
+
+def _loss_and_grads(model, batch):
+    model.params.zero_grads()
+    loss, parts = total_loss(model.params, model.config, batch)
+    backward(loss)
+    grads = {n: np.zeros_like(t.data) if t.grad is None else t.grad.copy() for n, t in model.params.items()}
+    model.params.zero_grads()
+    return parts, grads
+
+
+def test_length_blocks_equal_sequences_run_alone(blocked):
+    model, examples, batch = blocked
+    parts, grads = _loss_and_grads(model, batch)
+    want = {k: 0.0 for k in parts}
+    want_grads = {n: np.zeros_like(g) for n, g in grads.items()}
+    for e in examples:  # each alone, un-normalised by its own token count, then summed
+        alone_parts, alone_grads = _loss_and_grads(model, pack([e], tokens_per_batch=128)[0])
+        for k in want:
+            want[k] += alone_parts[k] * len(e)
+        for n in want_grads:
+            want_grads[n] += alone_grads[n] * len(e)
+    for k in ("total", "ntp", "td", "tte"):
+        assert parts[k] == pytest.approx(want[k] / batch.n_tokens, rel=1e-12)
+    for n, g in grads.items():
+        w = want_grads[n] / batch.n_tokens
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), n
+
+
+def test_padded_block_rows_match_sequences_run_alone(blocked):
+    model, _, batch = blocked
+    for block in batch.blocks:
+        B, L = block.token_ids.shape
+        stacked = hidden_states(model.params, model.config, block.token_ids, segment_causal_mask(L, [(0, L)]))
+        assert stacked.data.shape == (B, L, model.config.embed_dim)
+        for r, n in enumerate(block.lengths):
+            alone = hidden_states(model.params, model.config, block.token_ids[r, :n], segment_causal_mask(n, [(0, n)]))
+            np.testing.assert_allclose(stacked.data[r, :n], alone.data, rtol=0, atol=1e-12)
+
+
+def test_pad_token_id_changes_no_loss_or_gradient_bit(blocked):
+    model, _, batch = blocked
+    other_pad = model.config.vocab_size - 1
+    repadded = []
+    for block in batch.blocks:
+        ids = block.token_ids.copy()
+        ids[np.arange(ids.shape[1]) >= block.lengths[:, None]] = other_pad
+        assert not np.array_equal(ids, block.token_ids)  # every block carries padding
+        repadded.append(dataclasses.replace(block, token_ids=ids))
+    parts, grads = _loss_and_grads(model, batch)
+    parts2, grads2 = _loss_and_grads(model, dataclasses.replace(batch, blocks=tuple(repadded)))
+    assert parts == parts2
+    for n in grads:
+        assert np.array_equal(grads[n], grads2[n]), n

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chronoseq.model.supervision import AttSupervision
-from chronoseq.training.packing import EncodedExample, pack
+from chronoseq.training.packing import BLOCK_SPLIT, EncodedExample, pack
 
 
 def make_example(n, pid="p"):
@@ -83,3 +83,43 @@ def test_ntp_targets_never_cross_segments():
         assert tgt == row.token_ids[pos + 1]
     # exactly one unsupervised position per segment
     assert len(row.ntp_positions) == row.n_tokens - len(row.segment_bounds)
+
+
+def test_length_blocks_cut_sorted_lengths_at_the_split_share():
+    lengths = [20, 9, 18, 14, 8, 12, 2]
+    examples = [make_example(n, pid=str(i)) for i, n in enumerate(lengths)]
+    (batch,) = pack(examples, tokens_per_batch=128, row_capacity=32)
+    assert [b.lengths.tolist() for b in batch.blocks] == [[20, 18], [14, 12], [9, 8], [2]]
+    prev_longest = None
+    for block in batch.blocks:
+        longest = int(block.lengths[0])
+        assert block.token_ids.shape == (len(block.lengths), longest)
+        assert block.lengths.min() >= BLOCK_SPLIT * longest
+        if prev_longest is not None:
+            assert longest < BLOCK_SPLIT * prev_longest
+        prev_longest = longest
+    in_rows = sorted(hi - lo for row in batch.rows for lo, hi in row.segment_bounds)
+    assert sorted(n for b in batch.blocks for n in b.lengths.tolist()) == in_rows == sorted(lengths)
+
+
+def test_length_block_positions_index_the_flat_padded_block():
+    examples = [make_example(n, pid=str(n)) for n in (6, 5, 1)]
+    examples[0].sup = AttSupervision(
+        is_att=np.array([False, False, True, False, True, False]),
+        att_positions=np.array([2, 4]),
+        year_target=np.array([1, 2]),
+        month_target=np.array([3, 4]),
+        day_target=np.array([5, 6]),
+        tte_t=np.array([7.5, 8.5]),
+    )
+    examples[1].token_ids = examples[1].token_ids + 10
+    (batch,) = pack(examples, tokens_per_batch=16)
+    (block, single) = batch.blocks
+    assert block.token_ids.tolist() == [[1, 2, 3, 4, 5, 6], [11, 12, 13, 14, 15, 0]]
+    flat = block.token_ids.reshape(-1)
+    assert block.ntp_positions.tolist() == [0, 1, 2, 3, 4, 6, 7, 8, 9]  # no target past a sequence's end
+    assert np.array_equal(block.ntp_targets, flat[block.ntp_positions + 1])
+    assert block.att_positions.tolist() == [2, 4]
+    assert block.year_target.tolist() == [1, 2] and block.tte_t.tolist() == [7.5, 8.5]
+    assert single.token_ids.shape == (1, 1) and len(single.ntp_positions) == 0
+    assert sum(len(b.ntp_positions) for b in batch.blocks) == sum(len(r.ntp_positions) for r in batch.rows)
