@@ -451,6 +451,7 @@ def _cmd_privacy(args):
     result = audit_tables(*tables, **cfg)
     write_privacy_csv(args.out, result)
     mani.add_output("scores", args.out)
+    mani.add_counters(**result.counters)
     mani.write(_manifest_path(args, args.out))
     for name, score in result.rows():
         print(f"{name}: {score:.4f} ({'PASS' if score < result.threshold else 'FAIL'})")

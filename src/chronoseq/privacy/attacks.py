@@ -8,7 +8,7 @@ every score against the 0.333 threshold.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,10 +29,15 @@ __all__ = [
 RISK_THRESHOLD = 0.333
 
 
-def _as_matrix(profiles) -> np.ndarray:
+def _as_matrix(profiles, name: str) -> np.ndarray:
+    """A 0/1 profile matrix as float64; `name` is the argument an error reports."""
     m = np.asarray(profiles, dtype=np.float64)
     if m.ndim != 2:
-        raise ValueError("profiles must be a 2-D binary matrix")
+        raise ValueError(f"{name}: profiles must be a 2-D binary matrix")
+    bad = ~((m == 0.0) | (m == 1.0))  # NaN is neither
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(f"{name}: profiles must hold only 0 and 1; found {m[i, j]} at row {i}, column {j}")
     return m
 
 
@@ -41,15 +46,41 @@ def _canonical_sort(m: np.ndarray) -> np.ndarray:
     return m[np.lexsort(m.T[::-1])]
 
 
-def _hamming_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(a), len(b)) pairwise Hamming distances between binary matrices."""
-    return a @ (1.0 - b).T + (1.0 - a) @ b.T
+# Rows of `a` per distance block: memory is O(_CHUNK x len(b)), never N x N.
+_CHUNK = 256
 
 
-def _min_offdiag(d: np.ndarray) -> np.ndarray:
-    d = d.copy()
-    np.fill_diagonal(d, np.inf)
-    return d.min(axis=1)
+def _nearest(a: np.ndarray, b: np.ndarray, self_pairs: bool = False):
+    """Exact Hamming nearest neighbours between binary matrices, streamed in row blocks.
+
+    Returns (row minima over b, column minima over a, row argmins into b);
+    argmin ties go to the lowest index of b. With self_pairs (b is a), a row's
+    distance to itself is excluded. Each block is one float32 product
+    |a| + |b| - 2 a.b^T: entries are 0/1 and every partial sum is an integer no
+    larger than the profile width, so the distances are exact integers under
+    any BLAS summation order.
+    """
+    if len(b) == 0:
+        raise ValueError("empty synthetic set")
+    a32 = a.astype(np.float32)
+    b32 = a32 if self_pairs else b.astype(np.float32)
+    a_bits, b_bits = a32.sum(axis=1), b32.sum(axis=1)
+    row_min = np.empty(len(a), dtype=np.float32)
+    col_min = np.full(len(b), np.inf, dtype=np.float32)
+    row_arg = np.empty(len(a), dtype=np.intp)
+    for i in range(0, len(a), _CHUNK):
+        d = a32[i:i + _CHUNK] @ b32.T
+        d *= -2.0
+        d += a_bits[i:i + _CHUNK, None]
+        d += b_bits
+        k = np.arange(len(d))
+        if self_pairs:
+            d[k, i + k] = np.inf
+        arg = d.argmin(axis=1)
+        row_arg[i:i + len(d)] = arg
+        row_min[i:i + len(d)] = d[k, arg]
+        np.minimum(col_min, d.min(axis=0), out=col_min)
+    return row_min, col_min, row_arg
 
 
 @dataclass(frozen=True)
@@ -60,12 +91,13 @@ class NnaaResult:
     n: int
 
 
-def _adversarial_accuracy(a: np.ndarray, b: np.ndarray) -> float:
+def _adversarial_accuracy(a: np.ndarray, b: np.ndarray, b_self: np.ndarray) -> float:
     """AA(A,B): how often the nearest cross-set neighbor is farther than the
-    nearest leave-self-out within-set neighbor, averaged over both directions."""
-    d_cross = _hamming_cross(a, b)
-    term_a = (d_cross.min(axis=1) > _min_offdiag(_hamming_cross(a, a))).mean()
-    term_b = (d_cross.min(axis=0) > _min_offdiag(_hamming_cross(b, b))).mean()
+    nearest leave-self-out within-set neighbor, averaged over both directions.
+    b_self holds b's leave-self-out minima, shared between calls."""
+    a_to_b, b_to_a, _ = _nearest(a, b)
+    term_a = (a_to_b > _nearest(a, a, self_pairs=True)[0]).mean()
+    term_b = (b_to_a > b_self).mean()
     return 0.5 * float(term_a + term_b)
 
 
@@ -73,7 +105,7 @@ def nnaa_risk(train, eval_, synthetic, seed: int = 0, sample_size: int | None = 
     """AA(eval, synthetic) - AA(train, synthetic); positive means synthetic
     records sit closer to training data than held-out data (memorization).
     All three sets are subsampled (seeded, order-invariant) to one size n."""
-    train, eval_, synthetic = map(_as_matrix, (train, eval_, synthetic))
+    train, eval_, synthetic = _as_matrix(train, "train"), _as_matrix(eval_, "eval_"), _as_matrix(synthetic, "synthetic")
     n = min(len(train), len(eval_), len(synthetic))
     if sample_size is not None:
         n = min(n, int(sample_size))
@@ -86,8 +118,9 @@ def nnaa_risk(train, eval_, synthetic, seed: int = 0, sample_size: int | None = 
         idx = rng.choice(len(m), size=n, replace=False)
         parts.append(m[np.sort(idx)])
     train_s, eval_s, synth_s = parts
-    aa_es = _adversarial_accuracy(eval_s, synth_s)
-    aa_ts = _adversarial_accuracy(train_s, synth_s)
+    synth_self = _nearest(synth_s, synth_s, self_pairs=True)[0]
+    aa_es = _adversarial_accuracy(eval_s, synth_s, synth_self)
+    aa_ts = _adversarial_accuracy(train_s, synth_s, synth_self)
     return NnaaResult(score=float(aa_es - aa_ts), aa_eval_synth=aa_es, aa_train_synth=aa_ts, n=n)
 
 
@@ -106,8 +139,8 @@ def membership_inference(targets, membership_truth, synthetic) -> MembershipResu
     tau Hamming bits; tau sweeps the full range and the score is the best F1
     minus the F1 of the classify-everyone-positive baseline, floored at 0.
     """
-    targets = _as_matrix(targets)
-    synthetic = _as_matrix(synthetic)
+    targets = _as_matrix(targets, "targets")
+    synthetic = _as_matrix(synthetic, "synthetic")
     if len(synthetic) == 0:
         raise ValueError("empty synthetic set")
     truth = np.asarray(membership_truth, dtype=bool)
@@ -115,7 +148,7 @@ def membership_inference(targets, membership_truth, synthetic) -> MembershipResu
         raise ValueError("membership_truth must align with targets")
     if not truth.any():
         raise ValueError("no true members among targets")
-    min_d = _hamming_cross(targets, synthetic).min(axis=1)
+    min_d = _nearest(targets, synthetic)[0]
     n_pos = int(truth.sum())
     baseline_f1 = 2.0 * n_pos / (len(targets) + n_pos)  # all-positive classifier
     best_f1, best_tau = 0.0, 0
@@ -150,16 +183,15 @@ def attribute_inference(targets, synthetic, key_attrs, sensitive_attrs) -> Attri
     attribute's majority rate, floored at zero; constant attributes carry no
     weight.
     """
-    targets = _as_matrix(targets)
-    synthetic = _as_matrix(synthetic)
+    targets = _as_matrix(targets, "targets")
+    synthetic = _as_matrix(synthetic, "synthetic")
     key = np.asarray(key_attrs, dtype=np.int64)
     sens = np.asarray(sensitive_attrs, dtype=np.int64)
     if len(key) == 0 or len(sens) == 0:
         raise ValueError("key and sensitive attribute sets must be nonempty")
     if set(key.tolist()) & set(sens.tolist()):
         raise ValueError("key and sensitive attribute sets must be disjoint")
-    d = _hamming_cross(targets[:, key], synthetic[:, key])
-    nn = d.argmin(axis=1)  # ties: lowest synthetic index, deterministic
+    nn = _nearest(targets[:, key], synthetic[:, key])[2]  # ties: lowest synthetic index, deterministic
     pred = synthetic[np.ix_(nn, sens)]
     true = targets[:, sens]
     acc = (pred == true).mean(axis=0)
@@ -191,8 +223,8 @@ def identity_disclosure(population, synthetic, quasi_identifiers, match_toleranc
     disclosing records (group_size is 1 by construction here; the
     simplification is declared, not hidden).
     """
-    population = _as_matrix(population)
-    synthetic = _as_matrix(synthetic)
+    population = _as_matrix(population, "population")
+    synthetic = _as_matrix(synthetic, "synthetic")
     qi = np.asarray(quasi_identifiers, dtype=np.int64)
     if len(qi) == 0:
         raise ValueError("quasi-identifier set must be nonempty")
@@ -224,6 +256,7 @@ class PrivacySuiteResult:
     attribute: AttributeResult
     identity: IdentityResult
     threshold: float = RISK_THRESHOLD
+    counters: dict[str, int] = field(default_factory=dict)  # input sizes, for run manifests
 
     @property
     def passed(self) -> bool:
@@ -255,18 +288,29 @@ def run_privacy_suite(
     sample_size: int | None = None,
 ) -> PrivacySuiteResult:
     """All four attacks; membership targets default to half train, half eval."""
-    train = _as_matrix(train)
-    eval_ = _as_matrix(eval_)
-    synthetic = _as_matrix(synthetic)
+    train = _as_matrix(train, "train")
+    eval_ = _as_matrix(eval_, "eval_")
+    synthetic = _as_matrix(synthetic, "synthetic")
     if membership_targets is None:
         k = min(len(train), len(eval_))
         membership_targets = np.concatenate([train[:k], eval_[:k]])
         membership_truth = np.concatenate([np.ones(k, dtype=bool), np.zeros(k, dtype=bool)])
+    else:
+        membership_targets = _as_matrix(membership_targets, "membership_targets")
+    nnaa = nnaa_risk(train, eval_, synthetic, seed=seed, sample_size=sample_size)
     return PrivacySuiteResult(
-        nnaa=nnaa_risk(train, eval_, synthetic, seed=seed, sample_size=sample_size),
+        nnaa=nnaa,
         membership=membership_inference(membership_targets, membership_truth, synthetic),
         attribute=attribute_inference(
             np.concatenate([train, eval_]), synthetic, key_attrs, sensitive_attrs
         ),
         identity=identity_disclosure(train, synthetic, quasi_identifiers, match_tolerance),
+        counters=dict(
+            profile_bits=train.shape[1],
+            train_persons=len(train),
+            eval_persons=len(eval_),
+            synthetic_persons=len(synthetic),
+            nnaa_sample=nnaa.n,
+            membership_targets=len(membership_targets),
+        ),
     )

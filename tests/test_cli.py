@@ -568,6 +568,33 @@ def test_privacy_seed_flag_wins_over_config_seed(tmp_path):
     assert flag_scores != file5_scores  # the seed reaches the subsampling
 
 
+def test_privacy_counters_leave_scores_byte_identical(tmp_path, monkeypatch):
+    from chronoseq.codec import read_tables
+    from chronoseq.manifest import ManifestWriter
+    from chronoseq.privacy import ProfileSpec
+
+    dirs = []
+    for name, n, seed in (("train", 60, 1), ("eval", 50, 2), ("synth", 40, 3)):
+        write_tables(records_to_tables(sample_hospital_records(n, seed=seed)), tmp_path / name)
+        dirs += [f"--{name.replace('synth', 'synthetic')}-dir", str(tmp_path / name)]
+    cfg = tmp_path / "privacy.cfg"
+    cfg.write_text("sample_size: 30\n")
+
+    def run(name):
+        out = tmp_path / f"{name}.csv"
+        assert main(["privacy", *dirs, "--config", str(cfg), "--out", str(out), "--seed", "2"]) == 0
+        return out.read_bytes(), json.loads((tmp_path / f"{name}.csv.manifest.json").read_text())
+
+    with_block, mani = run("with")
+    train = read_tables(*(tmp_path / "train" / f for f in ("persons.csv", "visits.csv", "events.csv")))
+    assert mani["counters"] == dict(profile_bits=ProfileSpec.from_tables(train).dimension, train_persons=60,
+                                    eval_persons=50, synthetic_persons=40, nnaa_sample=30, membership_targets=100)
+    monkeypatch.setattr(ManifestWriter, "add_counters", lambda self, **counts: None)
+    without_block, mani = run("without")
+    assert mani["counters"] == {}
+    assert with_block == without_block
+
+
 def test_experts_file_opening_with_a_comment_paragraph(trained_run, table_dir, tmp_path):
     experts = tmp_path / "experts.cfg"
     experts.write_text("# two experts for the demo\n\ntemperature: 0.6\ncount: 5\n")

@@ -4,6 +4,7 @@ import pytest
 from chronoseq.codec import records_to_tables
 from chronoseq.privacy import (
     RISK_THRESHOLD,
+    NnaaResult,
     ProfileSpec,
     attribute_inference,
     audit_tables,
@@ -178,3 +179,134 @@ def test_default_attribute_split_disjoint():
     assert set(keys) & set(sens) == set()
     assert set(qi) <= set(keys)
     assert len(sens) > 0
+
+
+# -- streamed exact distances ------------------------------------------------
+
+
+def _dense_hamming_cross(a, b):
+    """The dense float64 (len(a), len(b)) distances the attacks computed before streaming."""
+    return a @ (1.0 - b).T + (1.0 - a) @ b.T
+
+
+def _dense_min_offdiag(d):
+    d = d.copy()
+    np.fill_diagonal(d, np.inf)
+    return d.min(axis=1)
+
+
+def _dense_nearest(a, b, self_pairs=False):
+    """The dense path behind the streamed helper's interface; the attacks read
+    only the row minima of a self_pairs call."""
+    d = _dense_hamming_cross(a, b)
+    row_min = _dense_min_offdiag(d) if self_pairs else d.min(axis=1)
+    return row_min, d.min(axis=0), d.argmin(axis=1)
+
+
+def _dense_adversarial_accuracy(a, b):
+    d = _dense_hamming_cross(a, b)
+    term_a = (d.min(axis=1) > _dense_min_offdiag(_dense_hamming_cross(a, a))).mean()
+    term_b = (d.min(axis=0) > _dense_min_offdiag(_dense_hamming_cross(b, b))).mean()
+    return 0.5 * float(term_a + term_b)
+
+
+def _distance_attacks(train, eval_, synth):
+    targets = np.concatenate([train, eval_])
+    truth = np.concatenate([np.ones(len(train), bool), np.zeros(len(eval_), bool)])
+    results = [
+        membership_inference(targets, truth, synth),
+        attribute_inference(targets, synth, np.arange(30), np.arange(30, 53)),
+    ]
+    if min(len(train), len(eval_), len(synth)) >= 10:
+        results.append(nnaa_risk(train, eval_, synth, seed=4))
+    return results
+
+
+def test_streamed_distances_match_dense_bit_for_bit(monkeypatch):
+    from chronoseq.privacy import attacks
+
+    rng = np.random.default_rng(21)
+    p = rng.random(53) * 0.6 + 0.2
+    sizes = (1, 255, 257, 600)  # below, off and across the row-block size
+    assert attacks._CHUNK == 256
+    for i, n in enumerate(sizes):
+        train, eval_ = (sample_profiles(rng, n, dim=53, p=p)[0] for _ in range(2))
+        synthetic = {
+            "independent": sample_profiles(rng, sizes[(i + 1) % 4], dim=53, p=p)[0],
+            "copy": train.copy(),
+            "duplicated rows": np.repeat(train[: (n + 1) // 2], 2, axis=0)[:n],  # forces argmin ties
+        }
+        for flip in (0.01, 0.05, 0.2):
+            synthetic[f"flipped {flip}"] = train ^ (rng.random(train.shape) < flip).astype(np.uint8)
+        for name, synth in synthetic.items():
+            a, b = np.concatenate([train, eval_]).astype(np.float64), synth.astype(np.float64)
+            row_min, col_min, row_arg = attacks._nearest(a, b)
+            d = _dense_hamming_cross(a, b)
+            assert np.array_equal(row_min, d.min(axis=1)), (n, name)
+            assert np.array_equal(col_min, d.min(axis=0)), (n, name)
+            assert np.array_equal(row_arg, d.argmin(axis=1)), (n, name)
+            for m in (a, b):
+                assert np.array_equal(attacks._nearest(m, m, self_pairs=True)[0],
+                                      _dense_min_offdiag(_dense_hamming_cross(m, m))), (n, name)
+            streamed = _distance_attacks(train, eval_, synth)
+            with monkeypatch.context() as mp:
+                mp.setattr(attacks, "_nearest", _dense_nearest)
+                dense = _distance_attacks(train, eval_, synth)
+            assert streamed == dense, (n, name)  # every field, exactly
+            if n >= 10 and len(synth) == n:  # NNAA then keeps whole sets, in an order AA ignores
+                t, e, s = (m.astype(np.float64) for m in (train, eval_, synth))
+                aa_es, aa_ts = _dense_adversarial_accuracy(e, s), _dense_adversarial_accuracy(t, s)
+                assert streamed[2] == NnaaResult(aa_es - aa_ts, aa_es, aa_ts, n), (n, name)
+
+
+def test_privacy_suite_memory_is_bounded():
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    p = rng.random(53) * 0.6 + 0.2
+    train, eval_, synth = (sample_profiles(rng, 2000, dim=53, p=p)[0] for _ in range(3))
+    tracemalloc.start()
+    try:
+        run_privacy_suite(train, eval_, synth, np.arange(30), np.arange(30, 53), np.arange(4), seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"  # half of one dense 2000 x 2000 float64 matrix
+
+
+def _with_entry(m, value):
+    m = m.astype(np.float64)
+    m[3, 7] = value
+    return m
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0, -1.0, np.nan])
+def test_nnaa_rejects_non_binary_profiles(independent_sets, value):
+    train, eval_, synth = independent_sets
+    with pytest.raises(ValueError, match="eval_: profiles must hold only 0 and 1"):
+        nnaa_risk(train, _with_entry(eval_, value), synth)
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0, -1.0, np.nan])
+def test_membership_rejects_non_binary_profiles(independent_sets, value):
+    train, _, synth = independent_sets
+    truth = np.ones(len(train), bool)
+    with pytest.raises(ValueError, match="synthetic: profiles must hold only 0 and 1"):
+        membership_inference(train, truth, _with_entry(synth, value))
+    with pytest.raises(ValueError, match="targets: profiles must hold only 0 and 1"):
+        membership_inference(_with_entry(train, value), truth, synth)
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0, -1.0, np.nan])
+def test_attribute_rejects_non_binary_profiles(independent_sets, value):
+    train, _, synth = independent_sets
+    with pytest.raises(ValueError, match="targets: profiles must hold only 0 and 1"):
+        attribute_inference(_with_entry(train, value), synth, np.arange(24), np.arange(24, 48))
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0, -1.0, np.nan])
+def test_identity_rejects_non_binary_profiles(independent_sets, value):
+    train, _, synth = independent_sets
+    with pytest.raises(ValueError, match="population: profiles must hold only 0 and 1"):
+        identity_disclosure(_with_entry(train, value), synth, np.arange(12))
+
