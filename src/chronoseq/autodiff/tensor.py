@@ -25,7 +25,6 @@ __all__ = [
     "index_axis0",
     "gather_rows",
     "take_rows",
-    "embedding",
     "layer_norm",
     "softmax",
     "cross_entropy",
@@ -40,8 +39,6 @@ __all__ = [
     "mean_all",
     "first_nonfinite",
 ]
-
-_MASK_NEG = -1e30  # additive attention mask value; exp() underflows to exactly 0
 
 
 class Tensor:
@@ -336,9 +333,6 @@ def gather_rows(table, idx):
 
     out.backward_fn = bw if out.requires_grad else None
     return out
-
-
-embedding = gather_rows
 
 
 def take_rows(a, idx):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -288,7 +287,7 @@ def _load_experts(path) -> list[_ExpertBlock]:
 
 
 def _cmd_generate(args):
-    mani = ManifestWriter("generate", args.seed, {"experts": args.experts, "threads": args.threads})
+    mani = ManifestWriter("generate", args.seed, {"experts": args.experts})
     mani.add_input("experts", _require_file(args.experts, "--experts"))
     experts = _load_experts(args.experts)
     if args.seed is not None:
@@ -300,7 +299,7 @@ def _cmd_generate(args):
         (f"year:{y}", f"age:{a}", f"gender:{g}", f"race:{r}")
         for y, a, g, r in demographics_of(records)
     ]
-    corpus = generate_pool(model, experts, [e.count for e in experts], pool, n_threads=args.threads)
+    corpus = generate_pool(model, experts, [e.count for e in experts], pool)
     write_sequences(corpus.sequences, args.out)
     mani.add_output("sequences", args.out)
     report_path = Path(str(args.out) + ".experts.csv")
@@ -343,8 +342,7 @@ def _cmd_convert(args):
 
 
 def _cmd_zeroshot(args):
-    mani = ManifestWriter("zeroshot", args.seed or 0, {"task": args.task, "threads": args.threads,
-                                                  "n_bootstrap": args.n_bootstrap})
+    mani = ManifestWriter("zeroshot", args.seed or 0, {"task": args.task, "n_bootstrap": args.n_bootstrap})
     task = _config_input(mani, "task", args.task, "--task", TaskConfig)
     codec_cfg = _codec_config(mani, args)
     ancestry = None
@@ -356,10 +354,7 @@ def _cmd_zeroshot(args):
     mani.add_input("checkpoint", _require_file(args.checkpoint, "--checkpoint"))
     model, _, _ = load_checkpoint(args.checkpoint)
     prefixes = _cohort(mani, args, model, codec_cfg)
-    metrics = evaluate_task(
-        model, prefixes, task, seed=mani.seed, n_bootstrap=args.n_bootstrap,
-        ancestry=ancestry, n_threads=args.threads,
-    )
+    metrics = evaluate_task(model, prefixes, task, seed=mani.seed, n_bootstrap=args.n_bootstrap, ancestry=ancestry)
     write_task_metrics(args.out, metrics)
     mani.add_output("metrics", args.out)
     est = metrics.estimates
@@ -517,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"chronoseq {__version__}")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, manifest_anchor=True):
+    def common(p):
         p.add_argument("--seed", type=int, default=None, help="random seed (honored by every subcommand)")
         p.add_argument("--manifest", default=None, help="where to write the run manifest JSON")
 
@@ -561,7 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     tables_args(p)
     p.add_argument("--out", required=True)
     p.add_argument("--codec-config", default=None)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     common(p)
 
     p = sub.add_parser("convert", help="synthetic sequences -> event tables + report")
@@ -579,7 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--codec-config", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--n-bootstrap", type=int, default=1000)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     common(p)
 
     p = sub.add_parser("probe", help="linear probing on frozen representations")

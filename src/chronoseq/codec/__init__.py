@@ -31,6 +31,8 @@ from .records import (  # noqa: F401
     RecordValidationError,
     Visit,
     VisitRow,
+    csv_rows,
+    read_csv_table,
     read_tables,
     records_to_tables,
     sorted_events,

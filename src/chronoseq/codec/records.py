@@ -21,6 +21,8 @@ __all__ = [
     "validate_record",
     "records_to_tables",
     "tables_to_records",
+    "csv_rows",
+    "read_csv_table",
     "read_tables",
     "write_tables",
 ]
@@ -30,7 +32,7 @@ DOMAIN_RANK = {d: i for i, d in enumerate(DOMAINS)}
 
 
 class RecordValidationError(ValueError):
-    """A PatientRecord violates a structural invariant."""
+    """A PatientRecord, or a row of its event tables, violates a structural invariant."""
 
 
 @dataclass(frozen=True, order=True)
@@ -212,39 +214,54 @@ VISIT_COLUMNS = ("visit_id", "person_id", "visit_concept_id", "start_date", "end
 EVENT_COLUMNS = ("person_id", "visit_id", "domain", "concept_id", "date")
 
 
-def _check_header(header, expected, path):
-    if tuple(h.strip() for h in header) != expected:
-        raise ValueError(f"{path}: expected header {','.join(expected)}, got {','.join(header)}")
+def csv_rows(reader, path, n_fields: int, error=ValueError):
+    """(line number, fields) of each remaining non-blank row of a csv.reader over path.
+
+    Rows holding only whitespace are skipped; any other row with other than
+    n_fields fields raises error naming the file and line.
+    """
+    for row in reader:
+        if len(row) != n_fields:
+            if not "".join(row).strip():
+                continue
+            raise error(f"{path}, line {reader.line_num}: expected {n_fields} fields, got {len(row)}")
+        yield reader.line_num, row
+
+
+def read_csv_table(path, columns, parse, error=RecordValidationError) -> list:
+    """parse(fields) of each data row of the CSV file at path, whose header must be columns.
+
+    Blank rows are skipped. A row with the wrong field count, or one that
+    parse rejects with a ValueError, raises error naming the file and line.
+    """
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        header = next(reader, [])
+        if tuple(h.strip() for h in header) != tuple(columns):
+            raise error(f"{path}: expected header {','.join(columns)}, got {','.join(header)}")
+        out = []
+        for line, row in csv_rows(reader, path, len(columns), error):
+            try:
+                out.append(parse(row))
+            except ValueError as e:
+                raise error(f"{path}, line {line}: {e}") from None
+        return out
+
+
+def _visit_row(row) -> VisitRow:
+    discharge = int(row[5]) if row[5] not in ("", "NA") else None
+    return VisitRow(row[0], row[1], int(row[2]), dt.date.fromisoformat(row[3]), dt.date.fromisoformat(row[4]),
+                    discharge)
 
 
 def read_tables(persons_path, visits_path, events_path) -> EventTables:
-    tables = EventTables()
-    with open(persons_path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        _check_header(next(reader), PERSON_COLUMNS, persons_path)
-        for row in reader:
-            tables.persons.append(PersonRow(row[0], int(row[1]), int(row[2]), int(row[3])))
-    with open(visits_path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        _check_header(next(reader), VISIT_COLUMNS, visits_path)
-        for row in reader:
-            discharge = int(row[5]) if row[5] not in ("", "NA") else None
-            tables.visits.append(
-                VisitRow(
-                    row[0],
-                    row[1],
-                    int(row[2]),
-                    dt.date.fromisoformat(row[3]),
-                    dt.date.fromisoformat(row[4]),
-                    discharge,
-                )
-            )
-    with open(events_path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        _check_header(next(reader), EVENT_COLUMNS, events_path)
-        for row in reader:
-            tables.events.append(EventRow(row[0], row[1], row[2], int(row[3]), dt.date.fromisoformat(row[4])))
-    return tables
+    return EventTables(
+        persons=read_csv_table(persons_path, PERSON_COLUMNS,
+                               lambda r: PersonRow(r[0], int(r[1]), int(r[2]), int(r[3]))),
+        visits=read_csv_table(visits_path, VISIT_COLUMNS, _visit_row),
+        events=read_csv_table(events_path, EVENT_COLUMNS,
+                              lambda r: EventRow(r[0], r[1], r[2], int(r[3]), dt.date.fromisoformat(r[4]))),
+    )
 
 
 def write_tables(tables: EventTables, out_dir) -> dict[str, Path]:

@@ -1,10 +1,9 @@
 """Cohort construction: record truncation at a prediction time, labeled examples."""
 from __future__ import annotations
 
-import csv
 import datetime as dt
 
-from ..codec import CodecConfig, PatientRecord, encode_prefix, tables_to_records
+from ..codec import CodecConfig, PatientRecord, encode_prefix, read_csv_table, tables_to_records
 from .fidelity import CohortSpec
 
 __all__ = ["truncate_record", "load_cohort_csv", "cohort_prefixes", "build_labeled_cohort"]
@@ -20,15 +19,8 @@ def truncate_record(record: PatientRecord, cutoff: dt.date) -> PatientRecord | N
 
 def load_cohort_csv(path) -> list[tuple[str, dt.date, int]]:
     """person_id,cutoff_date,label rows (header required)."""
-    rows = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if [h.strip() for h in header] != ["person_id", "cutoff_date", "label"]:
-            raise ValueError(f"{path}: expected header person_id,cutoff_date,label")
-        for row in reader:
-            rows.append((row[0], dt.date.fromisoformat(row[1]), int(row[2])))
-    return rows
+    return read_csv_table(path, ("person_id", "cutoff_date", "label"),
+                          lambda r: (r[0], dt.date.fromisoformat(r[1]), int(r[2])), ValueError)
 
 
 def cohort_prefixes(records, cohort_rows, cfg: CodecConfig, context_window: int | None = None):

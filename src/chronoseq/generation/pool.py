@@ -1,7 +1,6 @@
 """Mixture-of-experts pooling: many sampling configurations, one synthetic corpus."""
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,10 +54,13 @@ def generate_pool(
 
     Demographic prompts are drawn from the empirical (year, age, gender,
     race) pool of the training corpus. Each sequence has its own random
-    stream derived from (expert seed, index), so results are reproducible
-    sequence-for-sequence at any thread count, merged in (expert, index)
-    order.
+    stream derived from (expert seed, index), so a sequence does not depend
+    on how many others the pool holds; sequences come in (expert, index)
+    order. n_threads must be 1; it is kept only for the call in
+    perfbench/workloads.py.
     """
+    if n_threads != 1:
+        raise ValueError(f"n_threads must be 1, got {n_threads}")
     if not experts:
         raise ValueError("at least one expert sampling configuration is required")
     if len(experts) != len(counts):
@@ -71,37 +73,23 @@ def generate_pool(
     if not prompts:
         raise ValueError("no demographic prompt is fully covered by the model vocabulary")
 
-    def one(job):
-        e_idx, s_idx = job
-        cfg = experts[e_idx]
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, s_idx]))
-        prompt = _prompt_for(prompts, rng)
-        seq = sample_sequence(model, prompt, cfg, rng, person_id=f"syn-{e_idx}-{s_idx}")
-        return e_idx, s_idx, seq
-
-    jobs = [(e, i) for e in range(len(experts)) for i in range(counts[e])]
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as ex:
-            results = list(ex.map(one, jobs))
-    else:
-        results = [one(j) for j in jobs]
-    results.sort(key=lambda r: (r[0], r[1]))
-
     sequences: list[TokenSequence] = []
     provenance: list[Provenance] = []
-    reports = [
-        ExpertReport(expert=e, requested=counts[e], generated=0, kept=0, dropped_short=0, hit_max_tokens=0)
-        for e in range(len(experts))
-    ]
-    for e_idx, s_idx, seq in results:
-        rep = reports[e_idx]
-        rep.generated += 1
-        if seq.hit_max_tokens:
-            rep.hit_max_tokens += 1
-        if len(seq.tokens) < experts[e_idx].min_tokens:
-            rep.dropped_short += 1
-            continue
-        rep.kept += 1
-        sequences.append(seq)
-        provenance.append(Provenance(expert=e_idx, index=s_idx, seed=experts[e_idx].seed))
+    reports = []
+    for e_idx, (cfg, count) in enumerate(zip(experts, counts)):
+        rep = ExpertReport(expert=e_idx, requested=count, generated=0, kept=0, dropped_short=0, hit_max_tokens=0)
+        reports.append(rep)
+        for s_idx in range(count):
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, s_idx]))
+            prompt = _prompt_for(prompts, rng)
+            seq = sample_sequence(model, prompt, cfg, rng, person_id=f"syn-{e_idx}-{s_idx}")
+            rep.generated += 1
+            if seq.hit_max_tokens:
+                rep.hit_max_tokens += 1
+            if len(seq.tokens) < cfg.min_tokens:
+                rep.dropped_short += 1
+                continue
+            rep.kept += 1
+            sequences.append(seq)
+            provenance.append(Provenance(expert=e_idx, index=s_idx, seed=cfg.seed))
     return SyntheticCorpus(sequences=sequences, provenance=provenance, per_expert=reports)

@@ -15,13 +15,12 @@ TTE_OFFSET = 0.5  # half-day continuity correction: Gamma support excludes zero
 
 @dataclass
 class AttSupervision:
-    """Supervision at time-token positions of one sequence (or packed row).
+    """Supervision at time-token positions of one sequence.
 
-    is_att marks exactly the ATT_DAY / ATT_LT positions; the compact arrays
-    are aligned with att_positions. tte_t already carries the half-day offset.
+    att_positions are exactly the ATT_DAY / ATT_LT positions; the target
+    arrays are aligned with them. tte_t already carries the half-day offset.
     """
 
-    is_att: np.ndarray
     att_positions: np.ndarray
     year_target: np.ndarray
     month_target: np.ndarray
@@ -43,15 +42,12 @@ def build_att_supervision(seq: TokenSequence, max_year_class: int = 10) -> AttSu
     """
     tokens = seq.tokens
     known = seq.att_day_map()
-    T = len(tokens)
-    is_att = np.zeros(T, dtype=bool)
     positions, years, months, days, tte = [], [], [], [], []
     clamped = 0
     for i, tok in enumerate(tokens):
         cls = classify_token(tok)
         if cls not in (TokenClass.ATT_DAY, TokenClass.ATT_LT):
             continue
-        is_att[i] = True
         delta = known.get(i, att_days_of(tok))
         triple = decompose_interval(delta)
         y = triple.years
@@ -64,7 +60,6 @@ def build_att_supervision(seq: TokenSequence, max_year_class: int = 10) -> AttSu
         days.append(triple.days)
         tte.append(delta + TTE_OFFSET)
     return AttSupervision(
-        is_att=is_att,
         att_positions=np.array(positions, dtype=np.int64),
         year_target=np.array(years, dtype=np.int64),
         month_target=np.array(months, dtype=np.int64),

@@ -43,13 +43,6 @@ class PackedRow:
 
     token_ids: np.ndarray
     segment_bounds: tuple[tuple[int, int], ...]
-    ntp_positions: np.ndarray
-    ntp_targets: np.ndarray
-    att_positions: np.ndarray
-    year_target: np.ndarray
-    month_target: np.ndarray
-    day_target: np.ndarray
-    tte_t: np.ndarray
     n_tokens: int
     _mask: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -83,10 +76,6 @@ class PackedBatch:
     rows: tuple[PackedRow, ...]
     n_tokens: int
     blocks: tuple[LengthBlock, ...]  # the same sequences as rows, as the loss runs them
-
-    @property
-    def n_att(self) -> int:
-        return sum(len(r.att_positions) for r in self.rows)
 
 
 def _targets(examples, offsets) -> dict:
@@ -128,7 +117,6 @@ def _build_row(examples) -> PackedRow:
         token_ids=ids,
         segment_bounds=tuple((lo, lo + n) for lo, n in zip(starts, lengths)),
         n_tokens=int(ids.shape[0]),
-        **_targets(examples, starts),
     )
 
 

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ class TaskMetrics:
     labels: list[int]
     estimates: list[SimulationEstimate]
     n_capped: int
-    decode_steps: int = 0  # batched sampling steps, summed over threads
+    decode_steps: int = 0  # batched sampling steps
     lane_tokens: int = 0  # tokens sampled over all lanes and steps
 
 
@@ -41,30 +40,20 @@ def evaluate_task(
     n_threads: int = 1,
 ) -> TaskMetrics:
     """cohort: iterable of (prefix_tokens, label). The patients' futures run
-    in one shared lane batch (per thread; each thread takes every n_threads-th
-    patient). Patient i draws from its own stream keyed by (seed, i), so its
-    estimate depends neither on the other patients, nor on their order, nor
-    on the thread count."""
+    in one shared lane batch. Patient i draws from its own stream keyed by
+    (seed, i), so its estimate depends neither on the other patients nor on
+    their order. n_threads must be 1; it is kept only for the call in
+    perfbench/workloads.py."""
+    if n_threads != 1:
+        raise ValueError(f"n_threads must be 1, got {n_threads}")
     cohort = list(cohort)
     labels = [int(lbl) for _, lbl in cohort]
     if len(set(labels)) < 2:
         raise ValueError("cohort must contain both classes")
     outcome_ids = expand_outcomes(task, ancestry)
-
-    def shard(t):
-        indices = range(t, len(cohort), max(n_threads, 1))
-        rngs = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in indices]
-        return indices, simulate_cohort(model, [cohort[i][0] for i in indices], rngs, task, outcome_ids, sampling)
-
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as ex:
-            runs = list(ex.map(shard, range(n_threads)))
-    else:
-        runs = [shard(0)]
-    estimates = [None] * len(cohort)
-    for indices, run in runs:
-        for i, e in zip(indices, run.estimates):
-            estimates[i] = e
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(len(cohort))]
+    run = simulate_cohort(model, [prefix for prefix, _ in cohort], rngs, task, outcome_ids, sampling)
+    estimates = run.estimates
     scores = [e.probability for e in estimates]
     return TaskMetrics(
         task_name=task.task_name,
@@ -76,8 +65,8 @@ def evaluate_task(
         labels=labels,
         estimates=estimates,
         n_capped=sum(1 for e in estimates if e.capped),
-        decode_steps=sum(run.decode_steps for _, run in runs),
-        lane_tokens=sum(run.lane_tokens for _, run in runs),
+        decode_steps=run.decode_steps,
+        lane_tokens=run.lane_tokens,
     )
 
 

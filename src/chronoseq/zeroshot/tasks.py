@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
+from ..codec import csv_rows
 from ..configfile import read_config
 
 __all__ = ["TaskConfig", "ConceptAncestry", "expand_outcomes", "load_task_config"]
@@ -46,14 +47,15 @@ class ConceptAncestry:
 
     @classmethod
     def load(cls, path) -> "ConceptAncestry":
+        """ancestor,descendant rows of integer concept ids, after an optional header row."""
         pairs = []
         with open(path, newline="", encoding="utf-8") as f:
-            for row in csv.reader(f):
-                if not row or not row[0].strip():
-                    continue
-                if not row[0].strip().lstrip("-").isdigit():
-                    continue  # header row
-                pairs.append((int(row[0]), int(row[1])))
+            for i, (line, (anc, desc)) in enumerate(csv_rows(csv.reader(f), path, 2)):
+                try:
+                    pairs.append((int(anc), int(desc)))
+                except ValueError:
+                    if i > 0:  # only the first row may be a header
+                        raise ValueError(f"{path}, line {line}: concept ids must be integers") from None
         return cls(pairs)
 
 

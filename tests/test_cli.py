@@ -197,7 +197,7 @@ def test_generate_and_convert_cli(trained_run, table_dir, tmp_path):
     )
     seq = tmp_path / "synthetic.txt"
     rc = main(["generate", "--checkpoint", str(trained_run / "final.ckpt"), "--experts", str(experts),
-               *tbl_args(table_dir), "--out", str(seq), "--threads", "2", "--seed", "5"])
+               *tbl_args(table_dir), "--out", str(seq), "--seed", "5"])
     assert rc == 0
     assert (tmp_path / "synthetic.txt.experts.csv").exists()
     out_dir = tmp_path / "synth_tables"
@@ -229,7 +229,7 @@ def test_zeroshot_and_probe_cli(trained_run, table_dir, tmp_path):
     out = tmp_path / "zs.csv"
     rc = main(["zeroshot", "--task", str(task), "--checkpoint", str(trained_run / "final.ckpt"),
                "--cohort", str(cohort), *tbl_args(table_dir), "--out", str(out),
-               "--n-bootstrap", "20", "--seed", "3", "--threads", "2"])
+               "--n-bootstrap", "20", "--seed", "3"])
     assert rc == 0
     assert "auroc" in out.read_text()
 
@@ -265,7 +265,7 @@ def test_zeroshot_counters_leave_metrics_byte_identical(trained_run, table_dir, 
         out = tmp_path / f"{name}.csv"
         rc = main(["zeroshot", "--task", str(task), "--checkpoint", str(trained_run / "final.ckpt"),
                    "--cohort", str(cohort), *tbl_args(table_dir), "--out", str(out),
-                   "--n-bootstrap", "20", "--seed", "3", "--threads", "1"])
+                   "--n-bootstrap", "20", "--seed", "3"])
         assert rc == 0
         return out.read_bytes(), json.loads((tmp_path / f"{name}.csv.manifest.json").read_text())
 
@@ -616,7 +616,7 @@ def test_generate_counters_match_expert_report(trained_run, table_dir, tmp_path,
     def run(name):
         seq = tmp_path / f"{name}.txt"
         rc = main(["generate", "--checkpoint", str(trained_run / "final.ckpt"), "--experts", str(experts),
-                   *tbl_args(table_dir), "--out", str(seq), "--threads", "1", "--seed", "5"])
+                   *tbl_args(table_dir), "--out", str(seq), "--seed", "5"])
         assert rc == 0
         return seq, json.loads((tmp_path / f"{name}.txt.manifest.json").read_text())["counters"]
 
@@ -629,3 +629,95 @@ def test_generate_counters_match_expert_report(trained_run, table_dir, tmp_path,
     seq_without, counters_without = run("without")
     assert counters_without == {}
     assert seq.read_bytes() == seq_without.read_bytes()
+
+
+def test_threads_flag_is_rejected(trained_run, table_dir, tmp_path, capsys):
+    ckpt = str(trained_run / "final.ckpt")
+    experts = tmp_path / "experts.cfg"
+    experts.write_text("count: 1\n")
+    task = tmp_path / "task.yml"
+    task.write_text(TASK_CFG)
+    argvs = [
+        ["generate", "--checkpoint", ckpt, "--experts", str(experts), *tbl_args(table_dir),
+         "--out", str(tmp_path / "syn.txt")],
+        ["zeroshot", "--task", str(task), "--checkpoint", ckpt, "--cohort",
+         str(_cohort_csv(table_dir, tmp_path / "cohort.csv")), *tbl_args(table_dir), "--out", str(tmp_path / "zs.csv")],
+    ]
+    for argv in argvs:
+        capsys.readouterr()
+        assert main([*argv, "--threads", "2"]) == 1
+        assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "syn.txt").exists() and not (tmp_path / "zs.csv").exists()
+
+
+def _with_lines(src, dst, edit):
+    """Copy the text file src to dst with its list of lines (terminators kept) passed through edit."""
+    lines = src.read_text(encoding="utf-8").splitlines(keepends=True)
+    dst.write_text("".join(edit(lines)), encoding="utf-8")
+    return dst
+
+
+def test_table_rows_blank_skipped_short_rejected_naming_file_and_line(table_dir, tmp_path, capsys):
+    d = tmp_path / "tables"
+    d.mkdir()
+    for name in ("persons.csv", "visits.csv"):
+        (d / name).write_bytes((table_dir / name).read_bytes())
+    # a blank line inside events.csv and a trailing one
+    _with_lines(table_dir / "events.csv", d / "events.csv", lambda ls: [*ls[:3], "\r\n", *ls[3:], "\r\n"])
+    assert main(["encode", *tbl_args(table_dir), "--out", str(tmp_path / "a.txt")]) == 0
+    assert main(["encode", *tbl_args(d), "--out", str(tmp_path / "b.txt")]) == 0
+    assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+    # the last visits row without its last field
+    visits = _with_lines(table_dir / "visits.csv", d / "visits.csv",
+                         lambda ls: [*ls[:-1], ls[-1].rstrip("\r\n").rsplit(",", 1)[0] + "\r\n"])
+    n_lines = len(visits.read_text().splitlines())
+    capsys.readouterr()
+    assert main(["encode", *tbl_args(d), "--out", str(tmp_path / "c.txt")]) == 1
+    err = capsys.readouterr().err
+    assert f"{visits}, line {n_lines}: expected 6 fields, got 5" in err, err
+    assert not (tmp_path / "c.txt").exists()
+
+
+def test_cohort_rows_blank_skipped_short_rejected_naming_file_and_line(trained_run, table_dir, tmp_path, capsys):
+    task = tmp_path / "task.yml"
+    task.write_text(TASK_CFG + "max_new_tokens: 8\nn_simulations: 3\n")
+    cohort = _cohort_csv(table_dir, tmp_path / "cohort.csv", n=6)
+
+    def run(cohort_file, name):
+        out = tmp_path / name
+        argv = ["zeroshot", "--task", str(task), "--checkpoint", str(trained_run / "final.ckpt"),
+                "--cohort", str(cohort_file), *tbl_args(table_dir), "--out", str(out), "--n-bootstrap", "5"]
+        return main(argv), out
+
+    rc, plain = run(cohort, "plain.csv")
+    assert rc == 0
+    blanks = _with_lines(cohort, tmp_path / "blanks.csv", lambda ls: [*ls[:2], "\n", "  \n", *ls[2:], "\n"])
+    rc, spaced = run(blanks, "spaced.csv")
+    assert rc == 0 and spaced.read_bytes() == plain.read_bytes()
+    short = _with_lines(cohort, tmp_path / "short.csv", lambda ls: [*ls[:2], ls[2].rsplit(",", 1)[0] + "\n", *ls[3:]])
+    capsys.readouterr()
+    rc, _ = run(short, "short_out.csv")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{short}, line 3: expected 3 fields, got 2" in err, err
+
+
+def test_ancestry_rows_blank_skipped_short_rejected_naming_file_and_line(trained_run, table_dir, tmp_path, capsys):
+    task = tmp_path / "task.yml"
+    task.write_text(TASK_CFG + "include_descendants: true\nmax_new_tokens: 8\nn_simulations: 3\n")
+    cohort = _cohort_csv(table_dir, tmp_path / "cohort.csv", n=6)
+    ancestry = tmp_path / "ancestry.csv"
+
+    def run(text):
+        ancestry.write_text(text)
+        capsys.readouterr()
+        rc = main(["zeroshot", "--task", str(task), "--checkpoint", str(trained_run / "final.ckpt"),
+                   "--cohort", str(cohort), *tbl_args(table_dir), "--ancestry", str(ancestry),
+                   "--out", str(tmp_path / "zs.csv"), "--n-bootstrap", "5"])
+        return rc, capsys.readouterr().err
+
+    assert run("ancestor_id,descendant_id\n\n9201,262\n\n")[0] == 0
+    rc, err = run("ancestor_id,descendant_id\n9201,262\n9201\n")
+    assert rc == 1 and f"{ancestry}, line 3: expected 2 fields, got 1" in err, err
+    rc, err = run("9201,262\nancestor_id,descendant_id\n")  # only the first row may be a header
+    assert rc == 1 and f"{ancestry}, line 2: concept ids must be integers" in err, err

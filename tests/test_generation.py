@@ -65,13 +65,24 @@ def test_generate_pool_provenance_counts_and_filter(tiny_trained_model):
     assert len(pool.provenance) == len(pool.sequences)
 
 
-def test_generate_pool_reproducible_and_thread_invariant(tiny_trained_model):
+def test_generate_pool_reproducible_and_independent_of_pool_size(tiny_trained_model):
     model, records = tiny_trained_model
     prompts = [(f"year:{y}", f"age:{a}", f"gender:{g}", f"race:{r}") for y, a, g, r in demographics_of(records)]
     experts = [SamplingConfig(temperature=1.0, max_tokens=40, min_tokens=0, seed=7)]
-    p1 = generate_pool(model, experts, [6], prompts, n_threads=1)
-    p2 = generate_pool(model, experts, [6], prompts, n_threads=2)
-    assert [s.tokens for s in p1.sequences] == [s.tokens for s in p2.sequences]
+    p1 = generate_pool(model, experts, [6], prompts)
+    p2 = generate_pool(model, experts, [6], prompts)
+    p3 = generate_pool(model, experts, [3], prompts)
+    six = [s.tokens for s in p1.sequences]
+    assert len(six) == 6 and len(set(six)) > 1
+    assert [s.tokens for s in p2.sequences] == six
+    assert [s.tokens for s in p3.sequences] == six[:3]
+
+
+def test_generate_pool_rejects_more_than_one_thread(tiny_trained_model):
+    model, records = tiny_trained_model
+    prompts = [(f"year:{y}", f"age:{a}", f"gender:{g}", f"race:{r}") for y, a, g, r in demographics_of(records)]
+    with pytest.raises(ValueError, match="n_threads"):
+        generate_pool(model, [SamplingConfig(seed=7)], [1], prompts, n_threads=2)
 
 
 def test_convert_roundtrip_on_real_encodings():

@@ -172,9 +172,7 @@ def test_batch_without_next_token_targets_rejected(setup):
 def _random_example(rng, n, n_att, cfg):
     """n random non-pad tokens with n_att ATT positions and random targets."""
     pos = np.sort(rng.choice(np.arange(1, n), size=n_att, replace=False)).astype(np.int64)
-    is_att = np.zeros(n, dtype=bool)
-    is_att[pos] = True
-    sup = AttSupervision(is_att=is_att, att_positions=pos,
+    sup = AttSupervision(att_positions=pos,
                          year_target=rng.integers(0, cfg.td_year_classes, n_att),
                          month_target=rng.integers(0, TD_MONTH_CLASSES, n_att),
                          day_target=rng.integers(0, TD_DAY_CLASSES, n_att),

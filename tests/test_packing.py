@@ -8,7 +8,6 @@ from chronoseq.training.packing import BLOCK_SPLIT, EncodedExample, pack
 def make_example(n, pid="p"):
     ids = np.arange(1, n + 1, dtype=np.int64)
     sup = AttSupervision(
-        is_att=np.zeros(n, dtype=bool),
         att_positions=np.array([], dtype=np.int64),
         year_target=np.array([], dtype=np.int64),
         month_target=np.array([], dtype=np.int64),
@@ -70,21 +69,6 @@ def test_block_diagonal_mask_structure():
             assert (mask[i, j] == 0.0) == allowed
 
 
-def test_ntp_targets_never_cross_segments():
-    batches = pack([make_example(5, "a"), make_example(4, "b")], tokens_per_batch=9)
-    row = batches[0].rows[0]
-    bounds = dict()
-    for lo, hi in row.segment_bounds:
-        for p in range(lo, hi):
-            bounds[p] = (lo, hi)
-    for pos, tgt in zip(row.ntp_positions, row.ntp_targets):
-        lo, hi = bounds[int(pos)]
-        assert pos + 1 < hi  # the target position stays inside the same segment
-        assert tgt == row.token_ids[pos + 1]
-    # exactly one unsupervised position per segment
-    assert len(row.ntp_positions) == row.n_tokens - len(row.segment_bounds)
-
-
 def test_length_blocks_cut_sorted_lengths_at_the_split_share():
     lengths = [20, 9, 18, 14, 8, 12, 2]
     examples = [make_example(n, pid=str(i)) for i, n in enumerate(lengths)]
@@ -105,7 +89,6 @@ def test_length_blocks_cut_sorted_lengths_at_the_split_share():
 def test_length_block_positions_index_the_flat_padded_block():
     examples = [make_example(n, pid=str(n)) for n in (6, 5, 1)]
     examples[0].sup = AttSupervision(
-        is_att=np.array([False, False, True, False, True, False]),
         att_positions=np.array([2, 4]),
         year_target=np.array([1, 2]),
         month_target=np.array([3, 4]),
@@ -122,4 +105,4 @@ def test_length_block_positions_index_the_flat_padded_block():
     assert block.att_positions.tolist() == [2, 4]
     assert block.year_target.tolist() == [1, 2] and block.tte_t.tolist() == [7.5, 8.5]
     assert single.token_ids.shape == (1, 1) and len(single.ntp_positions) == 0
-    assert sum(len(b.ntp_positions) for b in batch.blocks) == sum(len(r.ntp_positions) for r in batch.rows)
+    assert sum(len(b.ntp_positions) for b in batch.blocks) == sum(len(e) - 1 for e in examples)

@@ -292,29 +292,13 @@ def test_evaluate_task_end_to_end_and_hand_auroc():
         evaluate_task(model, [(PREFIX, 1)], t, seed=0)
 
 
-def test_evaluate_task_thread_invariance():
-    model = rigged_model()
-    t = task(n_simulations=10, prediction_window_end=60)
-    cohort = [(PREFIX, i % 2) for i in range(6)]
-    m1 = evaluate_task(model, cohort, t, seed=5, n_bootstrap=10, n_threads=1)
-    m2 = evaluate_task(model, cohort, t, seed=5, n_bootstrap=10, n_threads=3)
-    assert m1.scores == m2.scores
-
-
-def test_evaluate_task_thread_invariance_with_lanes():
-    vocab = Vocabulary(["[PAD]", "[VS]", "[VE]", "[LT]", "[END]", *PREFIX, "D30", "D5", "c:100", "c:200"])
-    cfg = ModelConfig(vocab_size=len(vocab), embed_dim=12, n_layers=2, n_heads=2, context_window=32)
-    model = TimelineModel.initialize(cfg, vocab, seed=3)
-    t = task(n_simulations=12, prediction_window_end=60, max_new_tokens=10)
-    cohort = [(PREFIX[: 4 + i % 2], i % 2) for i in range(6)]
-    m1 = evaluate_task(model, cohort, t, seed=5, n_bootstrap=10, n_threads=1)
-    m2 = evaluate_task(model, cohort, t, seed=5, n_bootstrap=10, n_threads=3)
-    assert m1.scores == m2.scores
-    assert m1.estimates == m2.estimates
+def test_evaluate_task_rejects_more_than_one_thread():
+    with pytest.raises(ValueError, match="n_threads"):
+        evaluate_task(rigged_model(), [(PREFIX, 1), (PREFIX, 0)], task(), n_threads=2)
 
 
 def _composition_cases(model, prefixes, t, seed=5, sampling=None):
-    """A patient's estimate alone, inside the cohort, in the reversed cohort and over 1 or 3 threads."""
+    """A patient's estimate alone, inside the cohort, in the reversed cohort and through evaluate_task."""
     def rngs():
         return [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(len(prefixes))]
 
@@ -324,10 +308,9 @@ def _composition_cases(model, prefixes, t, seed=5, sampling=None):
     reversed_ = simulate_cohort(model, prefixes[::-1], rngs()[::-1], t, outcome_ids, sampling)
     assert together.estimates == alone
     assert reversed_.estimates[::-1] == alone
-    cohort = [(p, i % 2) for i, p in enumerate(prefixes)]
-    for threads in (1, 3):
-        m = evaluate_task(model, cohort, t, seed=seed, n_bootstrap=10, sampling=sampling, n_threads=threads)
-        assert m.estimates == alone
+    m = evaluate_task(model, [(p, i % 2) for i, p in enumerate(prefixes)], t, seed=seed, n_bootstrap=10,
+                      sampling=sampling)
+    assert m.estimates == alone
     one_by_one = [simulate_cohort(model, [p], [rng], t, outcome_ids, sampling) for p, rng in zip(prefixes, rngs())]
     assert together.lane_tokens == sum(r.lane_tokens for r in one_by_one)  # the same futures, token for token
     assert together.decode_steps < sum(r.decode_steps for r in one_by_one)  # in fewer, wider steps
