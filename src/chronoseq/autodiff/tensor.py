@@ -24,7 +24,6 @@ __all__ = [
     "concat",
     "index_axis0",
     "gather_rows",
-    "take_rows",
     "layer_norm",
     "softmax",
     "cross_entropy",
@@ -322,32 +321,20 @@ def index_axis0(a, i: int):
 
 
 def gather_rows(table, idx):
-    """Row lookup table[idx]; idx may be any integer shape. Used for embeddings."""
-    idx = np.asarray(idx)
-    out = Tensor(table.data[idx], parents=(table,), name="gather_rows")
-
-    def bw(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, idx, g)
-        _accum(table, full, owned=True)
-
-    out.backward_fn = bw if out.requires_grad else None
-    return out
-
-
-def take_rows(a, idx):
-    """Select rows of a 2-D tensor by position (e.g. hidden states at ATT slots)."""
+    """Row lookup table[idx] along the first axis; idx may be any integer shape
+    (token embeddings, hidden states at the ATT slots)."""
     idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(a.data[idx], parents=(a,), name="take_rows")
-    increasing = idx.size < 2 or (idx[0] >= 0 and bool((np.diff(idx) > 0).all()))
+    out = Tensor(table.data[idx], parents=(table,), name="gather_rows")
+    flat = idx.ravel()
+    increasing = flat.size < 2 or (flat[0] >= 0 and bool((np.diff(flat) > 0).all()))
 
     def bw(g):
         if increasing:  # no position repeats, so rows can be added in place
-            _accum_at(a, idx, g)
+            _accum_at(table, idx, g)
             return
-        full = np.zeros_like(a.data)
+        full = np.zeros_like(table.data)
         np.add.at(full, idx, g)
-        _accum(a, full, owned=True)
+        _accum(table, full, owned=True)
 
     out.backward_fn = bw if out.requires_grad else None
     return out

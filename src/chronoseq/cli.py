@@ -38,6 +38,7 @@ from .evalharness import (
     load_cohort_csv,
     pathway_cohort,
     prevalence_report,
+    write_metrics_csv,
     write_prevalence_csv,
 )
 from .generation import (
@@ -54,7 +55,7 @@ from .privacy import audit_tables, write_privacy_csv
 from .simstudy import EncoderConfig, run_comparison, write_curves_csv
 from .synthworld import demographics_of
 from .training import TrainConfig, TrainingDiverged, prepare_corpus, train
-from .zeroshot import ConceptAncestry, TaskConfig, evaluate_task, write_task_metrics
+from .zeroshot import ConceptAncestry, TaskConfig, evaluate_task
 
 
 class ValidationFailure(ValueError):
@@ -355,7 +356,8 @@ def _cmd_zeroshot(args):
     model, _, _ = load_checkpoint(args.checkpoint)
     prefixes = _cohort(mani, args, model, codec_cfg)
     metrics = evaluate_task(model, prefixes, task, seed=mani.seed, n_bootstrap=args.n_bootstrap, ancestry=ancestry)
-    write_task_metrics(args.out, metrics)
+    write_metrics_csv(args.out, metrics.auroc, metrics.auprc, n_examples=metrics.n_examples,
+                      n_positive_labels=metrics.n_positive_labels, n_capped_estimates=metrics.n_capped)
     mani.add_output("metrics", args.out)
     est = metrics.estimates
     counts = dict(
@@ -391,14 +393,8 @@ def _cmd_probe(args):
     result = linear_probe(model, data, l2=args.l2, seed=mani.seed, n_bootstrap=args.n_bootstrap)
     if result.params_hash_before != result.params_hash_after:
         raise RuntimeError("model weights changed during probing")
-    with open(args.out, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["metric", "value", "sd", "ci_low", "ci_high"])
-        w.writerow(["auroc", result.auroc.point, result.auroc.sd, result.auroc.ci_low, result.auroc.ci_high])
-        w.writerow(["auprc", result.auprc.point, result.auprc.sd, result.auprc.ci_low, result.auprc.ci_high])
-        w.writerow(["train_accuracy", result.train_accuracy, "", "", ""])
-        w.writerow(["converged", int(result.converged), "", "", ""])
-        w.writerow(["n_iterations", result.n_iterations, "", "", ""])
+    write_metrics_csv(args.out, result.auroc, result.auprc, train_accuracy=result.train_accuracy,
+                      converged=int(result.converged), n_iterations=result.n_iterations)
     if not result.converged:
         print(f"warning: the probe's logistic fit did not converge in {result.n_iterations} iterations",
               file=sys.stderr)
@@ -555,7 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experts", required=True, help="key-value blocks, one expert per block")
     tables_args(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--codec-config", default=None)
     common(p)
 
     p = sub.add_parser("convert", help="synthetic sequences -> event tables + report")

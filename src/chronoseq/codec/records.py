@@ -167,11 +167,11 @@ def records_to_tables(records) -> EventTables:
     return tables
 
 
-def tables_to_records(tables: EventTables, drop_unknown_concepts=True):
+def tables_to_records(tables: EventTables):
     """Group the flat tables into PatientRecords (events sorted, visits by start date).
 
-    Events with concept_id 0 are dropped and counted when drop_unknown_concepts
-    is set; events referencing a missing visit are dropped and counted.
+    Events with concept_id 0 and events referencing a missing visit are
+    dropped and counted.
     """
     report = IngestReport(
         n_persons=len(tables.persons), n_visits=len(tables.visits), n_events=len(tables.events)
@@ -179,7 +179,7 @@ def tables_to_records(tables: EventTables, drop_unknown_concepts=True):
     by_visit: dict[str, list[ClinicalEvent]] = {}
     visit_ids = {v.visit_id for v in tables.visits}
     for e in tables.events:
-        if drop_unknown_concepts and e.concept_id == 0:
+        if e.concept_id == 0:
             report.n_unknown_concept_events_dropped += 1
             continue
         if e.visit_id not in visit_ids:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .codec import TokenSequence
-from .tokens import END, LT, MAX_ATT_DAYS, PAD, VE, VS, classify_token
+from .tokens import END, LT, MAX_ATT_DAYS, PAD, VE, VS, UnknownTokenError, classify_token
 
 __all__ = ["Vocabulary", "ExpandReport", "build_vocabulary", "expand_vocabulary"]
 
@@ -17,9 +17,9 @@ _ATT_RANGE = tuple(f"D{n}" for n in range(MAX_ATT_DAYS + 1))
 class Vocabulary:
     """Immutable dense token<->id bijection; ids are stable once assigned."""
 
-    __slots__ = ("tokens", "_index", "frozen")
+    __slots__ = ("tokens", "_index")
 
-    def __init__(self, tokens, frozen=True):
+    def __init__(self, tokens):
         self.tokens = tuple(tokens)
         self._index = {t: i for i, t in enumerate(self.tokens)}
         if len(self._index) != len(self.tokens):
@@ -27,7 +27,6 @@ class Vocabulary:
         for s in SPECIALS:
             if s not in self._index:
                 raise ValueError(f"special token {s} missing from vocabulary")
-        self.frozen = frozen
 
     def __len__(self):
         return len(self.tokens)
@@ -67,15 +66,29 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
+        """Read the id<TAB>token<TAB>class lines that save writes; a malformed line raises
+        ValueError naming the file and the line."""
         tokens = []
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
+        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
             if not line.strip():
                 continue
-            idx_s, token, cls_name = line.split("\t")
-            if int(idx_s) != len(tokens):
-                raise ValueError(f"{path}:{lineno + 1}: ids are not dense")
-            if classify_token(token).value != cls_name:
-                raise ValueError(f"{path}:{lineno + 1}: class mismatch for {token!r}")
+            where = f"{path}:{lineno}"
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise ValueError(f"{where}: expected 3 tab-separated fields (id, token, class), got {len(fields)}")
+            idx_s, token, cls_name = fields
+            try:
+                idx = int(idx_s)
+            except ValueError:
+                raise ValueError(f"{where}: id {idx_s!r} is not an integer") from None
+            if idx != len(tokens):
+                raise ValueError(f"{where}: ids are not dense")
+            try:
+                token_cls = classify_token(token)
+            except UnknownTokenError as e:
+                raise ValueError(f"{where}: {e}") from None
+            if token_cls.value != cls_name:
+                raise ValueError(f"{where}: class mismatch for {token!r}")
             tokens.append(token)
         return cls(tokens)
 
@@ -110,8 +123,6 @@ def build_vocabulary(corpus) -> Vocabulary:
 
 def expand_vocabulary(vocab: Vocabulary, new_tokens) -> tuple[Vocabulary, ExpandReport]:
     """Append unseen tokens, keeping every existing id; duplicates are counted, not added."""
-    if not vocab.frozen:
-        raise ValueError("expand_vocabulary requires a frozen vocabulary")
     tokens = list(vocab.tokens)
     seen = set(tokens)
     added = 0

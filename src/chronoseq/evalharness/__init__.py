@@ -1,6 +1,6 @@
 """Representation, metric, and fidelity evaluation utilities."""
 
-from .metrics import auroc, auprc, BootstrapResult, bootstrap_metric  # noqa: F401
+from .metrics import auroc, auprc, BootstrapResult, bootstrap_metric, write_metrics_csv  # noqa: F401
 from .logistic import LogisticModel, fit_logistic  # noqa: F401
 from .bow import bow_features, concept_vocabulary  # noqa: F401
 from .probe import ProbeResult, linear_probe  # noqa: F401

@@ -26,7 +26,6 @@ class SamplingConfig:
     repetition_penalty: float = 1.0
     max_tokens: int = 1024  # total sequence length cap
     min_tokens: int = 20
-    checkpoint_id: str = ""
     seed: int = 0
 
     def __post_init__(self):

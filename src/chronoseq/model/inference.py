@@ -106,7 +106,6 @@ class InferenceSession:
         self._len = 0
         self._ids: list[int] = []
         self._last_hidden: np.ndarray | None = None
-        self._last_logits: np.ndarray | None = None
 
     @property
     def length(self) -> int:
@@ -154,14 +153,12 @@ class InferenceSession:
             return _softmax(scores) @ self._v[i][:, : base + T]
 
         self._last_hidden = _blocks(self._w, cfg, self._w["tok_emb"][ids], attend)
-        self._last_logits = self._last_hidden @ self._w["tok_emb"].T
         self._len = base + T
         self._ids.extend(int(t) for t in ids)
 
     def next_logits(self) -> np.ndarray:
-        if self._last_logits is None:
-            raise RuntimeError("session is empty; prefill or append first")
-        return self._last_logits
+        """(V,) next-token logits, computed on each call from the last hidden state."""
+        return self.last_hidden() @ self._w["tok_emb"].T
 
     def last_hidden(self) -> np.ndarray:
         if self._last_hidden is None:

@@ -19,6 +19,7 @@ from ..autodiff import (
     add_const,
     constant,
     cross_entropy,
+    gather_rows,
     gelu,
     index_axis0,
     matmul,
@@ -26,7 +27,6 @@ from ..autodiff import (
     reshape,
     scale,
     softplus,
-    take_rows,
     total_sum,
     transpose,
 )
@@ -98,10 +98,10 @@ def total_loss(params: ModelParams, cfg: ModelConfig, batch, dropout_rng=None):
         B, L = block.token_ids.shape
         hidden = hidden_states(params, cfg, block.token_ids, segment_causal_mask(L, ((0, L),)), dropout_rng)
         hidden = reshape(hidden, (B * L, cfg.embed_dim))
-        ntp_logits = tied_head(params, take_rows(hidden, block.ntp_positions))  # only rows with a next-token target
+        ntp_logits = tied_head(params, gather_rows(hidden, block.ntp_positions))  # only rows with a next-token target
         ntp_terms.append(total_sum(cross_entropy(ntp_logits, block.ntp_targets)))
         if len(block.att_positions) > 0:
-            h_att = take_rows(hidden, block.att_positions)
+            h_att = gather_rows(hidden, block.att_positions)
             td_terms.append(td_loss(params, cfg, h_att, block.year_target, block.month_target, block.day_target))
             tte_terms.append(tte_loss(params, h_att, block.tte_t))
 

@@ -47,7 +47,6 @@ class EncoderConfig:
     n_layers: int = 2
     n_heads: int = 2
     intermediate_dim: int = 32
-    dropout: float = 0.0
     steps: int = 20000
     batch_size: int = 128
     eval_every: int = 100

@@ -63,8 +63,8 @@ def prepare_corpus(
     """Encode records, drop sequences under min_seq_tokens, truncate to the
     context window, and split train/eval with a seeded shuffle.
 
-    The vocabulary is built over every retained sequence unless a frozen one
-    is supplied (fine-tuning on new data).
+    The vocabulary is built over every retained sequence unless one is
+    supplied (fine-tuning on new data).
     """
     if not (0.0 < eval_fraction < 1.0):
         raise ValueError(f"eval_fraction out of range: {eval_fraction}")

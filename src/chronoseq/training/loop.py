@@ -106,6 +106,16 @@ def train(
         bad_evals = int(resume_state.get("bad_evals", 0))
 
     result = TrainResult(steps=opt.step_count, epochs=start_epoch, best_eval_loss=best, stopped_early=False)
+
+    def checkpoint(name, epoch, batch_index):
+        """Write out_dir/name with the optimizer state and the position a resume continues from."""
+        path = out_dir / name
+        save_checkpoint(path, model, optimizer_state=opt.state_dict(),
+                        extra={"epoch": epoch, "batch_index": batch_index,
+                               "best_eval_loss": best, "bad_evals": bad_evals})
+        if path not in result.checkpoints:
+            result.checkpoints.append(path)
+
     stop = False
     for epoch in range(start_epoch, cfg.max_epochs):
         order = np.random.default_rng(np.random.SeedSequence([cfg.seed, epoch])).permutation(len(train_batches))
@@ -137,19 +147,7 @@ def train(
             if log:
                 log(row)
             if out_dir is not None and cfg.checkpoint_every_steps and opt.step_count % cfg.checkpoint_every_steps == 0:
-                path = out_dir / f"step{opt.step_count}.ckpt"
-                save_checkpoint(
-                    path,
-                    model,
-                    optimizer_state=opt.state_dict(),
-                    extra={
-                        "epoch": epoch,
-                        "batch_index": j + 1,
-                        "best_eval_loss": best,
-                        "bad_evals": bad_evals,
-                    },
-                )
-                result.checkpoints.append(path)
+                checkpoint(f"step{opt.step_count}.ckpt", epoch, j + 1)
             if cfg.max_steps and opt.step_count >= cfg.max_steps:
                 stop = True
                 break
@@ -173,12 +171,7 @@ def train(
             best = ev["total"]
             result.best_eval_loss = best
             if out_dir is not None:
-                path = out_dir / "best.ckpt"
-                save_checkpoint(path, model, optimizer_state=opt.state_dict(),
-                                extra={"epoch": epoch + 1, "batch_index": 0,
-                                       "best_eval_loss": best, "bad_evals": bad_evals})
-                if path not in result.checkpoints:
-                    result.checkpoints.append(path)
+                checkpoint("best.ckpt", epoch + 1, 0)
         if rel_improvement < cfg.early_stop_rel_improvement:
             bad_evals += 1
             if bad_evals >= cfg.early_stop_patience:
@@ -193,11 +186,7 @@ def train(
     result.steps = opt.step_count
     result.best_eval_loss = best
     if out_dir is not None:
-        path = out_dir / "final.ckpt"
-        save_checkpoint(path, model, optimizer_state=opt.state_dict(),
-                        extra={"epoch": result.epochs, "batch_index": 0,
-                               "best_eval_loss": best, "bad_evals": bad_evals})
-        result.checkpoints.append(path)
+        checkpoint("final.ckpt", result.epochs, 0)
         write_loss_curves(result.history, out_dir / "loss_curves.csv")
     return result
 

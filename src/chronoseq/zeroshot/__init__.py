@@ -4,4 +4,4 @@ from .tasks import TaskConfig, ConceptAncestry, expand_outcomes, load_task_confi
 from .simulate import (  # noqa: F401
     SimulationEstimate, WindowRule, classify_continuation, simulate_cohort, simulate_probability,
 )
-from .evaluate import TaskMetrics, evaluate_task, write_task_metrics  # noqa: F401
+from .evaluate import TaskMetrics, evaluate_task  # noqa: F401

@@ -1,7 +1,6 @@
 """Score a labeled cohort with simulated probabilities, then AUROC/AUPRC + bootstrap."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,7 +10,7 @@ from ..generation.sampling import SamplingConfig
 from .simulate import SimulationEstimate, simulate_cohort
 from .tasks import TaskConfig, expand_outcomes
 
-__all__ = ["TaskMetrics", "evaluate_task", "write_task_metrics"]
+__all__ = ["TaskMetrics", "evaluate_task"]
 
 
 @dataclass
@@ -68,14 +67,3 @@ def evaluate_task(
         decode_steps=run.decode_steps,
         lane_tokens=run.lane_tokens,
     )
-
-
-def write_task_metrics(path, metrics: TaskMetrics):
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["metric", "value", "sd", "ci_low", "ci_high"])
-        for name, b in (("auroc", metrics.auroc), ("auprc", metrics.auprc)):
-            w.writerow([name, b.point, b.sd, b.ci_low, b.ci_high])
-        w.writerow(["n_examples", metrics.n_examples, "", "", ""])
-        w.writerow(["n_positive_labels", metrics.n_positive_labels, "", "", ""])
-        w.writerow(["n_capped_estimates", metrics.n_capped, "", "", ""])

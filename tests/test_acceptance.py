@@ -69,7 +69,7 @@ def test_c01_handcrafted_router_exact():
 
 
 def test_c02_simulation_study_five_seeds():
-    cfg = EncoderConfig()  # embed 16, 2 layers, intermediate 32, dropout 0, batch 128, 20000 steps
+    cfg = EncoderConfig()  # embed 16, 2 layers, intermediate 32, batch 128, 20000 steps
     converged = 0
     gapped = 0
     tt_final, sum_final = [], []

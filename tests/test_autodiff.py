@@ -29,7 +29,6 @@ from chronoseq.autodiff import (
     softplus,
     square,
     sub,
-    take_rows,
     total_sum,
     transpose,
 )
@@ -99,8 +98,8 @@ def test_backward_requires_scalar_root():
 
 @pytest.mark.parametrize("op_case", [
     "matmul2d", "matmul_batched", "layer_norm", "softmax", "gelu", "softplus",
-    "log", "cross_entropy", "gather", "take_rows", "concat", "transpose_reshape",
-    "index_axis0", "lgamma", "mean",
+    "log", "cross_entropy", "gather", "gather_increasing", "gather_2d", "gather_2d_increasing", "concat",
+    "transpose_reshape", "index_axis0", "lgamma", "mean",
 ])
 def test_each_op_passes_grad_check(op_case):
     rng = np.random.default_rng(hash(op_case) % 2**32)
@@ -145,10 +144,16 @@ def test_each_op_passes_grad_check(op_case):
         idx = np.array([0, 2, 2, 5])  # repeated row exercises scatter-add
         fn = lambda: total_sum(square(gather_rows(table, idx)))
         params = [table]
-    elif op_case == "take_rows":
+    elif op_case == "gather_increasing":
         x = parameter(rng.normal(size=(6, 3)))
-        fn = lambda: total_sum(square(take_rows(x, np.array([1, 1, 4]))))
+        idx = np.array([1, 3, 4])  # strictly increasing: rows are added in place
+        fn = lambda: total_sum(square(gather_rows(x, idx)))
         params = [x]
+    elif op_case in ("gather_2d", "gather_2d_increasing"):
+        table = parameter(rng.normal(size=(5, 3)))
+        idx = np.array([[4, 1], [1, 0]] if op_case == "gather_2d" else [[0, 2], [3, 4]])
+        fn = lambda: total_sum(square(gather_rows(table, idx)))
+        params = [table]
     elif op_case == "concat":
         a, b = parameter(rng.normal(size=(2, 3))), parameter(rng.normal(size=(4, 3)))
         fn = lambda: total_sum(square(concat([a, b], axis=0)))

@@ -95,6 +95,19 @@ def test_vocab_build_and_expand(table_dir, tmp_path):
     assert sha256_file(vocab) == sha256_file(vocab2)  # nothing new to add
 
 
+def test_vocab_expand_malformed_base_exits_1_naming_file_and_line(table_dir, tmp_path, capsys):
+    seq = tmp_path / "seq.txt"
+    main(["encode", *tbl_args(table_dir), "--out", str(seq)])
+    base = tmp_path / "vocab.tsv"
+    assert main(["vocab", "--sequences", str(seq), "--out", str(base)]) == 0
+    _with_lines(base, base, lambda lines: lines[:4] + [lines[4].replace("\t", " ", 1)] + lines[5:])
+    capsys.readouterr()
+    out = tmp_path / "expanded.tsv"
+    assert main(["vocab", "--sequences", str(seq), "--out", str(out), "--expand", str(base)]) == 1
+    assert f"{base}:5: expected 3 tab-separated fields" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_manifest_records_the_default_seed(tmp_path):
     assert main(["gradcheck", "--out", str(tmp_path / "g.csv")]) == 0
     assert json.loads((tmp_path / "g.csv.manifest.json").read_text())["seed"] == 0
@@ -470,6 +483,7 @@ CONFIG_FAULTS = [
     ("privacy --config", "sample_size: lots\n", "sample_size"),
     ("gradcheck --config", "widget: 3\n", "widget"),
     ("gradcheck --config", "embed_dim: 6.5\n", "embed_dim"),
+    ("--experts", "temperature: 0.9\ncount: 2\ncheckpoint_id: ckpt-1\n", "expert 0: unknown field(s): checkpoint_id"),
 ]
 
 
@@ -648,6 +662,18 @@ def test_threads_flag_is_rejected(trained_run, table_dir, tmp_path, capsys):
         assert main([*argv, "--threads", "2"]) == 1
         assert "--threads" in capsys.readouterr().err
     assert not (tmp_path / "syn.txt").exists() and not (tmp_path / "zs.csv").exists()
+
+
+def test_generate_rejects_codec_config(trained_run, table_dir, tmp_path, capsys):
+    experts = tmp_path / "experts.cfg"
+    experts.write_text("count: 1\n")
+    codec = tmp_path / "codec.cfg"
+    codec.write_text("intra_visit_time: false\n")
+    capsys.readouterr()
+    assert main(["generate", "--checkpoint", str(trained_run / "final.ckpt"), "--experts", str(experts),
+                 *tbl_args(table_dir), "--out", str(tmp_path / "syn.txt"), "--codec-config", str(codec)]) == 1
+    assert "--codec-config" in capsys.readouterr().err
+    assert not (tmp_path / "syn.txt").exists()
 
 
 def _with_lines(src, dst, edit):

@@ -75,3 +75,19 @@ def test_load_rejects_corruption(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
         Vocabulary.load(path)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda line: line.rsplit("\t", 1)[0], "expected 3 tab-separated fields (id, token, class), got 2"),
+    (lambda line: "x" + line, "id 'x2' is not an integer"),
+    (lambda line: "2\tnot-a-token\tCONCEPT", "not-a-token"),
+], ids=["two_columns", "non_integer_id", "unknown_token"])
+def test_load_names_file_and_line_of_a_malformed_row(tmp_path, edit, message):
+    path = tmp_path / "vocab.tsv"
+    build_vocabulary(seqs(BASE)).save(path)
+    lines = path.read_text().splitlines()
+    lines[2] = edit(lines[2])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as e:
+        Vocabulary.load(path)
+    assert f"{path}:3: " in str(e.value) and message in str(e.value)

@@ -343,3 +343,39 @@ def test_markov_estimates_do_not_depend_on_batch_composition(monkeypatch):
     # a repetition penalty reads every lane's own context, prefix included
     _composition_cases(model, prefixes, t, sampling=SamplingConfig(repetition_penalty=1.5, max_tokens=10**9,
                                                                    min_tokens=0))
+
+
+def test_demo_checkpoint_readmission_estimates_are_pinned():
+    """Golden values recorded on the shipped demo checkpoint: a model whose futures run for
+    many tokens and whose scores differ between patients, so a change in the simulator shows."""
+    from pathlib import Path
+
+    from chronoseq.codec import CodecConfig
+    from chronoseq.evalharness import cohort_prefixes
+    from chronoseq.model import load_checkpoint
+    from chronoseq.synthworld import INPATIENT, sample_hospital_records
+
+    model, _, _ = load_checkpoint(Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "demo_best.ckpt")
+    t = TaskConfig("readmission", (9201, 262), prediction_window_start=0, prediction_window_end=30,
+                   max_new_tokens=64, n_simulations=20)
+    records = sample_hospital_records(300, seed=21)
+    found = {0: [], 1: []}  # cut after each patient's first inpatient stay that has a later visit
+    for rec in records:
+        k = next((k for k, v in enumerate(rec.visits[:-1]) if v.visit_concept_id == INPATIENT), None)
+        if k is None:
+            continue
+        cut = rec.visits[k].end_date
+        label = int(any(v.visit_concept_id in t.outcome_events and 0 <= (v.start_date - cut).days <= 30
+                        for v in rec.visits[k + 1:]))
+        if len(found[label]) < 5:
+            found[label].append((rec.person_id, cut, label))
+    rows = [row for pair in zip(found[1], found[0]) for row in pair]
+    cohort, skipped = cohort_prefixes(records, rows, CodecConfig(), model.config.context_window)
+    assert skipped == 0 and len(cohort) == 10
+
+    m = evaluate_task(model, cohort, t, seed=7, n_bootstrap=200)
+    assert [(e.n_positive, e.n_completed, e.n_attempts) for e in m.estimates] == [
+        (2, 20, 25), (5, 20, 23), (3, 20, 33), (3, 20, 34), (7, 20, 24),
+        (3, 20, 21), (7, 20, 31), (5, 20, 24), (4, 20, 34), (6, 20, 28)]
+    assert (m.decode_steps, m.lane_tokens) == (52, 1651)
+    assert len(set(m.scores)) > 1
