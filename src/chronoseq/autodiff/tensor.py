@@ -19,14 +19,16 @@ __all__ = [
     "scale",
     "add_const",
     "matmul",
+    "linear",
     "reshape",
     "transpose",
     "concat",
     "index_axis0",
     "gather_rows",
     "layer_norm",
-    "softmax",
+    "attention",
     "cross_entropy",
+    "tied_cross_entropy",
     "gelu",
     "softplus",
     "log",
@@ -267,6 +269,23 @@ def matmul(a, b):
     return out
 
 
+def linear(x, w, b):
+    """x @ w + b as one node, which keeps no copy of x @ w."""
+    y = np.matmul(x.data, w.data)
+    y += b.data
+    out = Tensor(y, parents=(x, w, b), name="linear")
+
+    def bw(g):
+        if x.requires_grad:
+            _accum(x, _unbroadcast(np.matmul(g, np.swapaxes(w.data, -1, -2)), x.data.shape), owned=True)
+        if w.requires_grad:
+            _accum(w, _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w.data.shape), owned=True)
+        _accum_unbroadcast(b, g)
+
+    out.backward_fn = bw if out.requires_grad else None
+    return out
+
+
 # ---------------------------------------------------------------------------
 # shape ops
 
@@ -366,35 +385,90 @@ def layer_norm(x, gain, bias, eps=1e-5):
     return out
 
 
-def softmax(x, axis=-1):
-    m = x.data.max(axis=axis, keepdims=True)
-    e = np.exp(x.data - m)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y, parents=(x,), name="softmax")
+def attention(qkv, mask, scale, rate=0.0, rng=None):
+    """softmax(q k^T * scale + mask) v over stacked projections qkv (3, ..., H, T, dh) -> (..., H, T, dh).
+
+    mask is an additive (T, T) array or None. The attention weights pass
+    through inverted dropout at `rate`, drawn from rng as the dropout op
+    draws. One node: the score steps run in place and only the probabilities
+    (and the dropout keep-mask) stay for backward, which writes dq, dk and dv
+    into one gradient array for qkv.
+    """
+    q, k, v = qkv.data[0], qkv.data[1], qkv.data[2]
+    p = np.matmul(q, np.swapaxes(k, -1, -2))
+    p *= scale
+    if mask is not None:
+        p += mask
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    keep = _keep_mask(p.shape, rate, rng)
+    out = Tensor(np.matmul(_dropped(p, keep, rate), v), parents=(qkv,), name="attention")
 
     def bw(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        _accum(x, y * (g - dot), owned=True)
+        dv = np.matmul(np.swapaxes(_dropped(p, keep, rate), -1, -2), g)
+        ds = _dropped(np.matmul(g, np.swapaxes(v, -1, -2)), keep, rate)
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        gqkv = np.zeros_like(qkv.data)  # qkv's memory layout, so the reductions after it sum in the same order
+        gqkv[0] += np.matmul(ds, k)
+        gqkv[1] += np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), ds), -1, -2)
+        gqkv[2] += dv
+        _accum(qkv, gqkv, owned=True)
 
     out.backward_fn = bw if out.requires_grad else None
     return out
 
 
+def _nll(z, t):
+    """Shift logit rows z (N, C) by their max in place -> (log-sum-exp of the shifted rows, NLL of targets t)."""
+    z -= z.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=-1))
+    return lse, lse - z[np.arange(len(t)), t]
+
+
+def _nll_grad(z, lse, t, g):
+    """Overwrite shifted logits z with the gradient of sum(g * NLL) with respect to them."""
+    z -= lse[:, None]  # the softmax is built only when a gradient is asked for
+    np.exp(z, out=z)
+    z *= g[:, None]
+    z[np.arange(len(t)), t] -= g
+    return z
+
+
 def cross_entropy(logits, targets):
     """Per-example negative log-likelihood; logits (N, C), targets (N,) ints."""
     t = np.asarray(targets, dtype=np.int64)
-    m = logits.data.max(axis=-1, keepdims=True)
-    z = logits.data - m
-    lse = np.log(np.exp(z).sum(axis=-1))
-    picked = z[np.arange(len(t)), t]
-    out = Tensor(lse - picked, parents=(logits,), name="cross_entropy")
+    z = logits.data.copy()
+    lse, nll = _nll(z, t)
+    out = Tensor(nll, parents=(logits,), name="cross_entropy")
 
     def bw(g):
-        gx = z - lse[:, None]  # the softmax is built only when a gradient is asked for
-        np.exp(gx, out=gx)
-        gx *= g[:, None]
-        gx[np.arange(len(t)), t] -= g
-        _accum(logits, gx, owned=True)
+        _accum(logits, _nll_grad(z, lse, t, g), owned=True)
+
+    out.backward_fn = bw if out.requires_grad else None
+    return out
+
+
+def tied_cross_entropy(hidden, emb, targets):
+    """cross_entropy(hidden @ emb^T, targets) as one node: the tied output head.
+
+    hidden (N, d), emb (V, d), targets (N,) ints. Only the shifted logits are
+    kept; backward overwrites them with their gradient, which is safe because
+    backward consumes the graph.
+    """
+    t = np.asarray(targets, dtype=np.int64)
+    z = np.matmul(hidden.data, emb.data.T)
+    lse, nll = _nll(z, t)
+    out = Tensor(nll, parents=(hidden, emb), name="tied_cross_entropy")
+
+    def bw(g):
+        gz = _nll_grad(z, lse, t, g)
+        if hidden.requires_grad:
+            _accum(hidden, np.matmul(gz, emb.data), owned=True)
+        if emb.requires_grad:
+            _accum(emb, np.matmul(hidden.data.T, gz).T)  # a transposed view, as matmul through transpose gave
 
     out.backward_fn = bw if out.requires_grad else None
     return out
@@ -479,15 +553,24 @@ def dropout(x, rate: float, rng: np.random.Generator):
     """Inverted dropout; identity when rate == 0."""
     if rate <= 0.0:
         return x
-    keep = rng.random(x.data.shape) >= rate
-    scale_ = 1.0 / (1.0 - rate)
-    out = Tensor(np.where(keep, x.data * scale_, 0.0), parents=(x,), name="dropout")
+    keep = _keep_mask(x.data.shape, rate, rng)
+    out = Tensor(_dropped(x.data, keep, rate), parents=(x,), name="dropout")
 
     def bw(g):
-        _accum(x, np.where(keep, g * scale_, 0.0), owned=True)
+        _accum(x, _dropped(g, keep, rate), owned=True)
 
     out.backward_fn = bw if out.requires_grad else None
     return out
+
+
+def _keep_mask(shape, rate, rng):
+    """Which entries inverted dropout keeps (None: all of them, and rng is not drawn)."""
+    return rng.random(shape) >= rate if rate > 0.0 else None
+
+
+def _dropped(a, keep, rate):
+    """a scaled by 1 / (1 - rate) where kept and zeroed elsewhere; a itself when keep is None."""
+    return a if keep is None else np.where(keep, a * (1.0 / (1.0 - rate)), 0.0)
 
 
 def total_sum(x):

@@ -68,7 +68,7 @@ class Vocabulary:
     def load(cls, path) -> "Vocabulary":
         """Read the id<TAB>token<TAB>class lines that save writes; a malformed line raises
         ValueError naming the file and the line."""
-        tokens = []
+        tokens, first_line = [], {}
         for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
             if not line.strip():
                 continue
@@ -89,6 +89,9 @@ class Vocabulary:
                 raise ValueError(f"{where}: {e}") from None
             if token_cls.value != cls_name:
                 raise ValueError(f"{where}: class mismatch for {token!r}")
+            if token in first_line:
+                raise ValueError(f"{where}: duplicate token {token!r} (first on line {first_line[token]})")
+            first_line[token] = lineno
             tokens.append(token)
         return cls(tokens)
 

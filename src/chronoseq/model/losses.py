@@ -22,11 +22,13 @@ from ..autodiff import (
     gather_rows,
     gelu,
     index_axis0,
+    linear,
     matmul,
     neg,
     reshape,
     scale,
     softplus,
+    tied_cross_entropy,
     total_sum,
     transpose,
 )
@@ -34,7 +36,7 @@ from ..autodiff.special import gamma_log_pdf
 from .bundle import TimelineModel
 from .config import ModelConfig
 from .params import ModelParams
-from .transformer import hidden_states, segment_causal_mask, tied_head
+from .transformer import hidden_states, segment_causal_mask
 
 __all__ = ["td_loss", "tte_loss", "gamma_heads", "total_loss", "evaluate_loss", "LossBreakdown"]
 
@@ -62,8 +64,8 @@ def td_loss(params: ModelParams, cfg: ModelConfig, hidden_at_att: Tensor, year_t
 
 def gamma_heads(params: ModelParams, hidden_at_att: Tensor) -> tuple[Tensor, Tensor]:
     """(alpha, beta) from the feed-forward head, mapped positive via softplus + 1e-6."""
-    h = gelu(add(matmul(hidden_at_att, params["tte.fc1.w"]), params["tte.fc1.b"]))
-    pre = add(matmul(h, params["tte.fc2.w"]), params["tte.fc2.b"])  # (K, 2)
+    h = gelu(linear(hidden_at_att, params["tte.fc1.w"], params["tte.fc1.b"]))
+    pre = linear(h, params["tte.fc2.w"], params["tte.fc2.b"])  # (K, 2)
     pre_t = transpose(pre, (1, 0))
     alpha = add_const(softplus(index_axis0(pre_t, 0)), _POSITIVE_EPS)
     beta = add_const(softplus(index_axis0(pre_t, 1)), _POSITIVE_EPS)
@@ -98,8 +100,8 @@ def total_loss(params: ModelParams, cfg: ModelConfig, batch, dropout_rng=None):
         B, L = block.token_ids.shape
         hidden = hidden_states(params, cfg, block.token_ids, segment_causal_mask(L, ((0, L),)), dropout_rng)
         hidden = reshape(hidden, (B * L, cfg.embed_dim))
-        ntp_logits = tied_head(params, gather_rows(hidden, block.ntp_positions))  # only rows with a next-token target
-        ntp_terms.append(total_sum(cross_entropy(ntp_logits, block.ntp_targets)))
+        h_ntp = gather_rows(hidden, block.ntp_positions)  # only rows with a next-token target
+        ntp_terms.append(total_sum(tied_cross_entropy(h_ntp, params["tok_emb"], block.ntp_targets)))
         if len(block.att_positions) > 0:
             h_att = gather_rows(hidden, block.att_positions)
             td_terms.append(td_loss(params, cfg, h_att, block.year_target, block.month_target, block.day_target))

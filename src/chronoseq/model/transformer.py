@@ -5,16 +5,14 @@ import numpy as np
 
 from ..autodiff import (
     add,
-    constant,
+    attention,
     dropout,
     gather_rows,
     gelu,
-    index_axis0,
     layer_norm,
+    linear,
     matmul,
     reshape,
-    scale,
-    softmax,
     transpose,
 )
 from .config import ModelConfig
@@ -63,11 +61,9 @@ def hidden_states(params: ModelParams, cfg: ModelConfig, token_ids, attn_mask, d
     rate = cfg.dropout_rate if dropout_rng is not None else 0.0
     H, dh = cfg.n_heads, cfg.head_dim
     scale_qk = 1.0 / np.sqrt(dh)
-    mask_t = constant(attn_mask, name="attn_mask")
     n = len(lead)
     N = ids.size  # the dense layers run on all N tokens as one (N, d) matrix
     qkv_axes = (n + 1, *range(n), n + 2, n, n + 3)  # (..., T, 3, H, dh) -> (3, ..., H, T, dh)
-    key_axes = (*range(n + 1), n + 2, n + 1)  # (..., H, T, dh) -> (..., H, dh, T)
     ctx_axes = (*range(n), n + 1, n, n + 2)  # (..., H, T, dh) -> (..., T, H, dh)
 
     x = gather_rows(params["tok_emb"], ids.reshape(N))
@@ -75,21 +71,15 @@ def hidden_states(params: ModelParams, cfg: ModelConfig, token_ids, attn_mask, d
     for i in range(cfg.n_layers):
         p = f"block{i}."
         a = layer_norm(x, params[p + "ln1.g"], params[p + "ln1.b"])
-        qkv = add(matmul(a, params[p + "qkv.w"]), params[p + "qkv.b"])
+        qkv = linear(a, params[p + "qkv.w"], params[p + "qkv.b"])
         qkv = transpose(reshape(qkv, (*lead, T, 3, H, dh)), qkv_axes)
-        q = index_axis0(qkv, 0)
-        k = index_axis0(qkv, 1)
-        v = index_axis0(qkv, 2)
-        scores = add(scale(matmul(q, transpose(k, key_axes)), scale_qk), mask_t)  # (..., H, T, T) + (T, T)
-        weights = softmax(scores)
-        weights = dropout(weights, rate, dropout_rng)
-        ctx = matmul(weights, v)  # (..., H, T, dh)
+        ctx = attention(qkv, attn_mask, scale_qk, rate, dropout_rng)  # (..., H, T, dh); mask (T, T)
         ctx = reshape(transpose(ctx, ctx_axes), (N, H * dh))
-        attn_out = add(matmul(ctx, params[p + "proj.w"]), params[p + "proj.b"])
+        attn_out = linear(ctx, params[p + "proj.w"], params[p + "proj.b"])
         x = add(x, dropout(attn_out, rate, dropout_rng))
         b = layer_norm(x, params[p + "ln2.g"], params[p + "ln2.b"])
-        h = gelu(add(matmul(b, params[p + "ff1.w"]), params[p + "ff1.b"]))
-        ff_out = add(matmul(h, params[p + "ff2.w"]), params[p + "ff2.b"])
+        h = gelu(linear(b, params[p + "ff1.w"], params[p + "ff1.b"]))
+        ff_out = linear(h, params[p + "ff2.w"], params[p + "ff2.b"])
         x = add(x, dropout(ff_out, rate, dropout_rng))
     out = layer_norm(x, params["final_ln.g"], params["final_ln.b"])
     return reshape(out, (*lead, T, cfg.embed_dim)) if n else out

@@ -15,17 +15,16 @@ import numpy as np
 from ..autodiff import (
     Tensor,
     add,
+    attention,
     concat,
     cross_entropy,
     gather_rows,
     gelu,
     index_axis0,
     layer_norm,
-    matmul,
+    linear,
     mean_all,
     reshape,
-    scale,
-    softmax,
     transpose,
 )
 from ..model.params import ModelParams
@@ -99,18 +98,14 @@ def _encoder_stack(params: ModelParams, cfg: EncoderConfig, x: Tensor) -> Tensor
     H, dh = cfg.n_heads, cfg.head_dim
     for i in range(cfg.n_layers):
         p = f"enc{i}."
-        qkv = add(matmul(x, params[p + "qkv.w"]), params[p + "qkv.b"])
+        qkv = linear(x, params[p + "qkv.w"], params[p + "qkv.b"])
         qkv = transpose(reshape(qkv, (B, L, 3, H, dh)), (2, 0, 3, 1, 4))  # (3, B, H, L, dh)
-        q = index_axis0(qkv, 0)
-        k = index_axis0(qkv, 1)
-        v = index_axis0(qkv, 2)
-        scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-        ctx = matmul(softmax(scores), v)  # (B, H, L, dh)
+        ctx = attention(qkv, None, 1.0 / np.sqrt(dh))  # (B, H, L, dh)
         ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (B, L, d))
-        attn_out = add(matmul(ctx, params[p + "proj.w"]), params[p + "proj.b"])
+        attn_out = linear(ctx, params[p + "proj.w"], params[p + "proj.b"])
         x = layer_norm(add(x, attn_out), params[p + "ln1.g"], params[p + "ln1.b"])
-        h = gelu(add(matmul(x, params[p + "ff1.w"]), params[p + "ff1.b"]))
-        ff_out = add(matmul(h, params[p + "ff2.w"]), params[p + "ff2.b"])
+        h = gelu(linear(x, params[p + "ff1.w"], params[p + "ff1.b"]))
+        ff_out = linear(h, params[p + "ff2.w"], params[p + "ff2.b"])
         x = layer_norm(add(x, ff_out), params[p + "ln2.g"], params[p + "ln2.b"])
     return x
 
@@ -148,7 +143,7 @@ def encode_summation_batch(params: ModelParams, cfg: EncoderConfig, x1, t1, x2, 
 def classifier_logits(params: ModelParams, hidden: Tensor) -> Tensor:
     """Linear read-out at the prepended classification position."""
     cls = index_axis0(transpose(hidden, (1, 0, 2)), 0)  # (B, d)
-    return add(matmul(cls, params["head.w"]), params["head.b"])
+    return linear(cls, params["head.w"], params["head.b"])
 
 
 def batch_loss(params: ModelParams, cfg: EncoderConfig, encode_fn, batch) -> Tensor:

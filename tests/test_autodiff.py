@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import numpy.testing as npt
@@ -6,7 +7,9 @@ import pytest
 
 from chronoseq.autodiff import (
     GradCheckError,
+    Tensor,
     add,
+    attention,
     backward,
     concat,
     constant,
@@ -18,6 +21,7 @@ from chronoseq.autodiff import (
     index_axis0,
     layer_norm,
     lgamma,
+    linear,
     log,
     matmul,
     mean_all,
@@ -25,14 +29,21 @@ from chronoseq.autodiff import (
     neg,
     parameter,
     reshape,
-    softmax,
+    scale,
     softplus,
     square,
     sub,
+    tied_cross_entropy,
     total_sum,
     transpose,
 )
 from chronoseq.autodiff.special import digamma_value, gamma_log_pdf, lgamma_value
+from chronoseq.autodiff.tensor import _accum
+from chronoseq.model.transformer import MASK_NEG
+
+
+def _causal(T):
+    return np.triu(np.full((T, T), MASK_NEG), 1)
 
 
 def test_lgamma_against_stdlib():
@@ -73,13 +84,16 @@ def test_quadratic_grad_check():
     assert err < 1e-8
 
 
-def test_softmax_normalization_property():
+def test_attention_weights_are_a_causal_distribution():
+    # with v the identity (dh == T), the attention output is the weight matrix itself
     rng = np.random.default_rng(0)
     for _ in range(20):
-        shape = tuple(rng.integers(1, 6, size=int(rng.integers(1, 4))))
-        x = constant(rng.normal(scale=5.0, size=shape))
-        y = softmax(x).data
-        assert (y >= 0).all()
+        T = int(rng.integers(1, 6))
+        lead = tuple(int(n) for n in rng.integers(1, 4, size=int(rng.integers(0, 3))))
+        qk = rng.normal(scale=5.0, size=(2, *lead, T, T))
+        v = np.broadcast_to(np.eye(T), (1, *lead, T, T))
+        y = attention(constant(np.concatenate([qk, v])), _causal(T), 1.0).data
+        assert (y >= 0).all() and (y[..., np.triu(np.ones((T, T), dtype=bool), 1)] == 0).all()
         npt.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-9, rtol=0)
 
 
@@ -97,12 +111,12 @@ def test_backward_requires_scalar_root():
 
 
 @pytest.mark.parametrize("op_case", [
-    "matmul2d", "matmul_batched", "layer_norm", "softmax", "gelu", "softplus",
-    "log", "cross_entropy", "gather", "gather_increasing", "gather_2d", "gather_2d_increasing", "concat",
-    "transpose_reshape", "index_axis0", "lgamma", "mean",
+    "matmul2d", "matmul_batched", "linear", "layer_norm", "attention", "attention_causal_dropout", "gelu",
+    "softplus", "log", "cross_entropy", "tied_cross_entropy", "gather", "gather_increasing", "gather_2d",
+    "gather_2d_increasing", "concat", "transpose_reshape", "index_axis0", "lgamma", "mean",
 ])
 def test_each_op_passes_grad_check(op_case):
-    rng = np.random.default_rng(hash(op_case) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(op_case.encode()))  # str hash() is salted per process
 
     if op_case == "matmul2d":
         a, b = parameter(rng.normal(size=(3, 4))), parameter(rng.normal(size=(4, 2)))
@@ -117,11 +131,21 @@ def test_each_op_passes_grad_check(op_case):
                     parameter(rng.normal(size=6)))
         fn = lambda: total_sum(square(layer_norm(x, g, b_)))
         params = [x, g, b_]
-    elif op_case == "softmax":
-        x = parameter(rng.normal(size=(3, 5)))
-        w = constant(rng.normal(size=(3, 5)))
-        fn = lambda: total_sum(mul(softmax(x), w))
-        params = [x]
+    elif op_case == "linear":
+        x, w, b = (parameter(rng.normal(size=(2, 3, 4))), parameter(rng.normal(size=(4, 2))),
+                   parameter(rng.normal(size=2)))
+        fn = lambda: total_sum(square(linear(x, w, b)))
+        params = [x, w, b]
+    elif op_case == "attention":
+        qkv = parameter(rng.normal(size=(3, 2, 4, 3)))
+        w = constant(rng.normal(size=(2, 4, 3)))
+        fn = lambda: total_sum(mul(attention(qkv, None, 0.6), w))
+        params = [qkv]
+    elif op_case == "attention_causal_dropout":
+        qkv = parameter(rng.normal(size=(3, 2, 2, 4, 3)))
+        w = constant(rng.normal(size=(2, 2, 4, 3)))
+        fn = lambda: total_sum(mul(attention(qkv, _causal(4), 0.6, 0.3, np.random.default_rng(1)), w))
+        params = [qkv]
     elif op_case == "gelu":
         x = parameter(rng.normal(size=(4, 3)))
         fn = lambda: total_sum(square(gelu(x)))
@@ -139,6 +163,11 @@ def test_each_op_passes_grad_check(op_case):
         t = rng.integers(0, 4, size=5)
         fn = lambda: total_sum(cross_entropy(x, t))
         params = [x]
+    elif op_case == "tied_cross_entropy":
+        h, emb = parameter(rng.normal(size=(5, 3))), parameter(rng.normal(size=(7, 3)))
+        t = rng.integers(0, 7, size=5)
+        fn = lambda: total_sum(tied_cross_entropy(h, emb, t))
+        params = [h, emb]
     elif op_case == "gather":
         table = parameter(rng.normal(size=(6, 3)))
         idx = np.array([0, 2, 2, 5])  # repeated row exercises scatter-add
@@ -176,6 +205,73 @@ def test_each_op_passes_grad_check(op_case):
         params = [x]
 
     assert grad_check(fn, params) < 1e-6
+
+
+def _softmax(x):
+    """The softmax op that attention replaced, kept here as the reference it must match."""
+    m = x.data.max(axis=-1, keepdims=True)
+    e = np.exp(x.data - m)
+    y = e / e.sum(axis=-1, keepdims=True)
+
+    def bw(g):
+        dot = (g * y).sum(axis=-1, keepdims=True)
+        _accum(x, y * (g - dot), owned=True)
+
+    return Tensor(y, parents=(x,), backward_fn=bw, name="softmax")
+
+
+def _composed_attention(qkv, mask, s, rate, rng):
+    n = qkv.data.ndim - 1
+    q, k, v = (index_axis0(qkv, i) for i in range(3))
+    scores = scale(matmul(q, transpose(k, (*range(n - 2), n - 1, n - 2))), s)
+    if mask is not None:
+        scores = add(scores, constant(mask))
+    return matmul(dropout(_softmax(scores), rate, rng), v)
+
+
+def _outputs_and_grads(op, inputs, out_grad_seed=0):
+    """op(*parameters) -> [forward value, gradient of every input] under a random output weighting."""
+    params = [parameter(a) for a in inputs]
+    out = op(*params)
+    w = constant(np.random.default_rng(out_grad_seed).normal(size=out.data.shape))
+    backward(total_sum(mul(out, w)))
+    return [out.data] + [p.grad for p in params]
+
+
+def _assert_all_equal(reference, fused):
+    assert len(reference) == len(fused)
+    for i, (a, b) in enumerate(zip(reference, fused)):
+        assert a.shape == b.shape and np.array_equal(a, b), i
+
+
+@pytest.mark.parametrize("lead,causal,rate", [
+    ((), False, 0.0), ((), True, 0.0), ((3,), True, 0.0), ((2,), False, 0.25), ((3,), True, 0.25),
+], ids=["no_mask", "causal", "stacked_causal", "dropout", "stacked_causal_dropout"])
+def test_attention_matches_the_ops_it_replaces(lead, causal, rate):
+    H, T, dh = 2, 5, 3
+    qkv = np.random.default_rng(11).normal(size=(3, *lead, H, T, dh))
+    mask = _causal(T) if causal else None
+    rngs = [np.random.default_rng(5), np.random.default_rng(5)]
+    reference = _outputs_and_grads(lambda x: _composed_attention(x, mask, 0.7, rate, rngs[0]), [qkv])
+    fused = _outputs_and_grads(lambda x: attention(x, mask, 0.7, rate, rngs[1]), [qkv])
+    _assert_all_equal(reference, fused)
+    assert rngs[0].random() == rngs[1].random()  # the same draws, so later dropout layers see the same stream
+
+
+@pytest.mark.parametrize("x_shape", [(4, 3), (2, 4, 3)], ids=["2d", "3d"])
+def test_linear_matches_add_of_matmul(x_shape):
+    rng = np.random.default_rng(12)
+    inputs = [rng.normal(size=x_shape), rng.normal(size=(3, 5)), rng.normal(size=5)]
+    _assert_all_equal(_outputs_and_grads(lambda x, w, b: add(matmul(x, w), b), inputs),
+                      _outputs_and_grads(linear, inputs))
+
+
+def test_tied_cross_entropy_matches_the_transposed_head_and_cross_entropy():
+    rng = np.random.default_rng(13)
+    inputs = [rng.normal(size=(6, 4)), rng.normal(size=(9, 4))]
+    t = rng.integers(0, 9, size=6)
+    reference = _outputs_and_grads(lambda h, e: cross_entropy(matmul(h, transpose(e, (1, 0))), t), inputs)
+    _assert_all_equal(reference, _outputs_and_grads(lambda h, e: tied_cross_entropy(h, e, t), inputs))
 
 
 def test_broadcast_add_sub_unbroadcast():

@@ -108,6 +108,20 @@ def test_vocab_expand_malformed_base_exits_1_naming_file_and_line(table_dir, tmp
     assert not out.exists()
 
 
+def test_vocab_expand_base_with_a_duplicate_token_exits_1_naming_file_and_line(table_dir, tmp_path, capsys):
+    seq = tmp_path / "seq.txt"
+    main(["encode", *tbl_args(table_dir), "--out", str(seq)])
+    base = tmp_path / "vocab.tsv"
+    assert main(["vocab", "--sequences", str(seq), "--out", str(base)]) == 0
+    _with_lines(base, base, lambda lines: lines + [f"{len(lines)}\t" + lines[1].split("\t", 1)[1]])
+    n_lines = len(base.read_text().splitlines())
+    capsys.readouterr()
+    out = tmp_path / "expanded.tsv"
+    assert main(["vocab", "--sequences", str(seq), "--out", str(out), "--expand", str(base)]) == 1
+    assert f"{base}:{n_lines}: duplicate token" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_manifest_records_the_default_seed(tmp_path):
     assert main(["gradcheck", "--out", str(tmp_path / "g.csv")]) == 0
     assert json.loads((tmp_path / "g.csv.manifest.json").read_text())["seed"] == 0

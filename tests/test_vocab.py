@@ -91,3 +91,14 @@ def test_load_names_file_and_line_of_a_malformed_row(tmp_path, edit, message):
     with pytest.raises(ValueError) as e:
         Vocabulary.load(path)
     assert f"{path}:3: " in str(e.value) and message in str(e.value)
+
+
+def test_load_names_file_and_line_of_a_duplicate_token(tmp_path):
+    path = tmp_path / "vocab.tsv"
+    build_vocabulary(seqs(BASE)).save(path)
+    lines = path.read_text().splitlines()
+    _, token, cls_name = lines[3].split("\t")
+    path.write_text("\n".join(lines + [f"{len(lines)}\t{token}\t{cls_name}"]) + "\n")  # next dense id
+    with pytest.raises(ValueError) as e:
+        Vocabulary.load(path)
+    assert str(e.value) == f"{path}:{len(lines) + 1}: duplicate token {token!r} (first on line 4)"
