@@ -13,11 +13,8 @@ __all__ = [
     "constant",
     "backward",
     "add",
-    "sub",
     "mul",
-    "neg",
     "scale",
-    "add_const",
     "matmul",
     "linear",
     "reshape",
@@ -30,11 +27,6 @@ __all__ = [
     "cross_entropy",
     "tied_cross_entropy",
     "gelu",
-    "softplus",
-    "log",
-    "exp",
-    "square",
-    "lgamma",
     "dropout",
     "total_sum",
     "mean_all",
@@ -83,8 +75,8 @@ def _accum(t: Tensor, g: np.ndarray, owned=False):
     """Add g into t.grad.
 
     owned=True hands over an array the op has just created, which t keeps as
-    it is. Otherwise g may alias another node's gradient (add, add_const,
-    reshape, transpose and slices pass views on), so t keeps the view and
+    it is. Otherwise g may alias another node's gradient (add, reshape,
+    transpose and slices pass views on), so t keeps the view and
     copies it only when a second contribution has to be written into it.
     """
     if not t.requires_grad:
@@ -202,18 +194,6 @@ def add(a, b):
     return out
 
 
-def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data - b.data, parents=(a, b), name="sub")
-
-    def bw(g):
-        _accum_unbroadcast(a, g)
-        _accum(b, _unbroadcast(-g, b.data.shape), owned=True)
-
-    out.backward_fn = bw if out.requires_grad else None
-    return out
-
-
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data * b.data, parents=(a, b), name="mul")
@@ -226,31 +206,11 @@ def mul(a, b):
     return out
 
 
-def neg(a):
-    out = Tensor(-a.data, parents=(a,), name="neg")
-
-    def bw(g):
-        _accum(a, -g, owned=True)
-
-    out.backward_fn = bw if out.requires_grad else None
-    return out
-
-
 def scale(a, s: float):
     out = Tensor(a.data * s, parents=(a,), name="scale")
 
     def bw(g):
         _accum(a, g * s, owned=True)
-
-    out.backward_fn = bw if out.requires_grad else None
-    return out
-
-
-def add_const(a, c):
-    out = Tensor(a.data + c, parents=(a,), name="add_const")
-
-    def bw(g):
-        _accum(a, g)
 
     out.backward_fn = bw if out.requires_grad else None
     return out
@@ -489,61 +449,6 @@ def gelu(x):
         du = _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
         local = 0.5 * (1.0 + th) + 0.5 * xd * (1.0 - th * th) * du
         _accum(x, g * local, owned=True)
-
-    out.backward_fn = bw if out.requires_grad else None
-    return out
-
-
-def softplus(x):
-    y = np.logaddexp(0.0, x.data)
-    out = Tensor(y, parents=(x,), name="softplus")
-    sig = 1.0 / (1.0 + np.exp(-x.data))
-
-    def bw(g):
-        _accum(x, g * sig, owned=True)
-
-    out.backward_fn = bw if out.requires_grad else None
-    return out
-
-
-def log(x):
-    out = Tensor(np.log(x.data), parents=(x,), name="log")
-
-    def bw(g):
-        _accum(x, g / x.data, owned=True)
-
-    out.backward_fn = bw if out.requires_grad else None
-    return out
-
-
-def exp(x):
-    y = np.exp(x.data)
-    out = Tensor(y, parents=(x,), name="exp")
-
-    def bw(g):
-        _accum(x, g * y, owned=True)
-
-    out.backward_fn = bw if out.requires_grad else None
-    return out
-
-
-def square(x):
-    out = Tensor(x.data**2, parents=(x,), name="square")
-
-    def bw(g):
-        _accum(x, 2.0 * g * x.data, owned=True)
-
-    out.backward_fn = bw if out.requires_grad else None
-    return out
-
-
-def lgamma(x):
-    from .special import lgamma_value, digamma_value
-
-    out = Tensor(lgamma_value(x.data), parents=(x,), name="lgamma")
-
-    def bw(g):
-        _accum(x, g * digamma_value(x.data), owned=True)
 
     out.backward_fn = bw if out.requires_grad else None
     return out

@@ -17,7 +17,6 @@ from .tokens import (  # noqa: F401
     concept_id_of,
     concept_token,
     decompose_interval,
-    is_time_token,
     recompose_interval,
 )
 from .records import (  # noqa: F401

@@ -32,7 +32,6 @@ __all__ = [
     "decompose_interval",
     "recompose_interval",
     "classify_token",
-    "is_time_token",
     "concept_token",
     "concept_id_of",
     "UnknownTokenError",
@@ -159,13 +158,6 @@ def classify_token(text: str) -> TokenClass:
     if sep and head in _PREFIXED and body.lstrip("-").isdigit():
         return _PREFIXED[head]
     raise UnknownTokenError(f"unrecognized token: {text!r}")
-
-
-def is_time_token(text: str) -> bool:
-    try:
-        return classify_token(text) in (TokenClass.ATT_DAY, TokenClass.ATT_LT)
-    except UnknownTokenError:
-        return False
 
 
 def concept_token(domain: str, concept_id: int) -> str:

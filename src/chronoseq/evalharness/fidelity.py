@@ -11,7 +11,7 @@ from ..generation.stats import GENDER_FEMALE
 __all__ = ["PrevalenceRow", "prevalence_report", "write_prevalence_csv", "CohortSpec", "PathwayResult", "pathway_cohort"]
 
 STRATA = ("full", "female", "hospitalized")
-_DEFAULT_INPATIENT = frozenset({9201, 262})
+_INPATIENT = frozenset({9201, 262})
 
 
 @dataclass(frozen=True)
@@ -35,21 +35,16 @@ def _person_concepts(tables: EventTables):
     return out
 
 
-def _strata_members(tables: EventTables, female_concept: int, inpatient_concepts) -> dict[str, set]:
-    hospitalized = {v.person_id for v in tables.visits if v.visit_concept_id in inpatient_concepts}
+def _strata_members(tables: EventTables) -> dict[str, set]:
+    hospitalized = {v.person_id for v in tables.visits if v.visit_concept_id in _INPATIENT}
     return {
         "full": {p.person_id for p in tables.persons},
-        "female": {p.person_id for p in tables.persons if p.gender_concept_id == female_concept},
+        "female": {p.person_id for p in tables.persons if p.gender_concept_id == GENDER_FEMALE},
         "hospitalized": hospitalized,
     }
 
 
-def prevalence_report(
-    real: EventTables,
-    synthetic: EventTables,
-    female_concept: int = GENDER_FEMALE,
-    inpatient_concepts=_DEFAULT_INPATIENT,
-) -> list[PrevalenceRow]:
+def prevalence_report(real: EventTables, synthetic: EventTables) -> list[PrevalenceRow]:
     """Per-concept person-prevalence in both datasets, stratified by domain and
     by sub-population (full / female / hospitalized).
 
@@ -62,8 +57,8 @@ def prevalence_report(
     pc_real = _person_concepts(real)
     pc_syn = _person_concepts(synthetic)
     concepts = sorted({dc for s in pc_real.values() for dc in s} | {dc for s in pc_syn.values() for dc in s})
-    strata_real = _strata_members(real, female_concept, inpatient_concepts)
-    strata_syn = _strata_members(synthetic, female_concept, inpatient_concepts)
+    strata_real = _strata_members(real)
+    strata_syn = _strata_members(synthetic)
     rows = []
     for stratum in STRATA:
         members_r = strata_real[stratum]

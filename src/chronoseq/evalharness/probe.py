@@ -11,6 +11,9 @@ from .metrics import BootstrapResult, auprc, auroc, bootstrap_metric
 
 __all__ = ["ProbeResult", "linear_probe"]
 
+_TEST_FRACTION = 0.5  # share of the labeled sequences held out
+_MAX_ITER = 5000  # logistic-fit iteration cap
+
 
 @dataclass
 class ProbeResult:
@@ -30,9 +33,7 @@ def linear_probe(
     labeled_sequences,
     l2: float = 1e-2,
     seed: int = 0,
-    test_fraction: float = 0.5,
     n_bootstrap: int = 1000,
-    max_iter: int = 5000,
 ) -> ProbeResult:
     """labeled_sequences: iterable of (tokens, label). The model stays frozen;
     only the logistic layer is trained, on a seeded split, and metrics are
@@ -45,11 +46,11 @@ def linear_probe(
     y = np.array([int(lbl) for _, lbl in data])
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9086]))
     order = rng.permutation(len(data))
-    n_test = max(1, int(round(len(data) * test_fraction)))
+    n_test = max(1, int(round(len(data) * _TEST_FRACTION)))
     test_idx, train_idx = order[:n_test], order[n_test:]
     if len(set(y[train_idx])) < 2 or len(set(y[test_idx])) < 2:
-        raise ValueError("split left a single-class side; adjust seed or test_fraction")
-    clf = fit_logistic(X[train_idx], y[train_idx], l2=l2, max_iter=max_iter)
+        raise ValueError("split left a single-class side; adjust seed")
+    clf = fit_logistic(X[train_idx], y[train_idx], l2=l2, max_iter=_MAX_ITER)
     scores = clf.decision(X[test_idx])
     return ProbeResult(
         auroc=bootstrap_metric(scores, y[test_idx], auroc, n_bootstrap, seed),

@@ -39,7 +39,7 @@ class SummaryStats:
         ]
 
 
-def summary_stats(tables: EventTables, cfg: CodecConfig = CodecConfig(), female_concept: int = GENDER_FEMALE) -> SummaryStats:
+def summary_stats(tables: EventTables, cfg: CodecConfig = CodecConfig()) -> SummaryStats:
     """Median age, percent female, and visit/token count quartiles.
 
     Age is taken at the first recorded visit. Token counts re-encode each
@@ -55,7 +55,7 @@ def summary_stats(tables: EventTables, cfg: CodecConfig = CodecConfig(), female_
         ages.append(r.visits[0].start_date.year - r.birth_year)
         visit_counts.append(len(r.visits))
         token_counts.append(len(encode_patient(r, cfg).tokens))
-        if r.gender_concept == female_concept:
+        if r.gender_concept == GENDER_FEMALE:
             female += 1
     vq = np.percentile(visit_counts, [25, 50, 75])
     tq = np.percentile(token_counts, [25, 50, 75])

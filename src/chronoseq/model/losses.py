@@ -11,36 +11,29 @@ gradient.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from ..autodiff import (
     Tensor,
     add,
-    add_const,
     constant,
     cross_entropy,
+    gamma_nll,
     gather_rows,
     gelu,
     index_axis0,
     linear,
     matmul,
-    neg,
     reshape,
     scale,
-    softplus,
     tied_cross_entropy,
     total_sum,
     transpose,
 )
-from ..autodiff.special import gamma_log_pdf
 from .bundle import TimelineModel
 from .config import ModelConfig
 from .params import ModelParams
 from .transformer import hidden_states, segment_causal_mask
 
-__all__ = ["td_loss", "tte_loss", "gamma_heads", "total_loss", "evaluate_loss", "LossBreakdown"]
-
-_POSITIVE_EPS = 1e-6
+__all__ = ["td_loss", "tte_loss", "total_loss", "evaluate_loss", "LossBreakdown"]
 
 
 def td_loss(params: ModelParams, cfg: ModelConfig, hidden_at_att: Tensor, year_t, month_t, day_t) -> Tensor:
@@ -62,20 +55,13 @@ def td_loss(params: ModelParams, cfg: ModelConfig, hidden_at_att: Tensor, year_t
     return add(total_sum(loss_y), add(total_sum(loss_m), total_sum(loss_d)))
 
 
-def gamma_heads(params: ModelParams, hidden_at_att: Tensor) -> tuple[Tensor, Tensor]:
-    """(alpha, beta) from the feed-forward head, mapped positive via softplus + 1e-6."""
-    h = gelu(linear(hidden_at_att, params["tte.fc1.w"], params["tte.fc1.b"]))
-    pre = linear(h, params["tte.fc2.w"], params["tte.fc2.b"])  # (K, 2)
-    pre_t = transpose(pre, (1, 0))
-    alpha = add_const(softplus(index_axis0(pre_t, 0)), _POSITIVE_EPS)
-    beta = add_const(softplus(index_axis0(pre_t, 1)), _POSITIVE_EPS)
-    return alpha, beta
-
-
 def tte_loss(params: ModelParams, hidden_at_att: Tensor, tte_t) -> Tensor:
-    """Sum over ATT positions of -log Gamma(t; alpha, beta); t carries the half-day offset."""
-    alpha, beta = gamma_heads(params, hidden_at_att)
-    return neg(total_sum(gamma_log_pdf(alpha, beta, np.asarray(tte_t, dtype=np.float64))))
+    """Sum over ATT positions of -log Gamma(t; alpha, beta), alpha and beta from the feed-forward head.
+
+    t carries the half-day offset.
+    """
+    h = gelu(linear(hidden_at_att, params["tte.fc1.w"], params["tte.fc1.b"]))
+    return total_sum(gamma_nll(linear(h, params["tte.fc2.w"], params["tte.fc2.b"]), tte_t))
 
 
 class LossBreakdown(dict):

@@ -281,22 +281,17 @@ def run_privacy_suite(
     key_attrs,
     sensitive_attrs,
     quasi_identifiers,
-    membership_targets=None,
-    membership_truth=None,
     seed: int = 0,
     match_tolerance: float = 0.8,
     sample_size: int | None = None,
 ) -> PrivacySuiteResult:
-    """All four attacks; membership targets default to half train, half eval."""
+    """All four attacks; the membership targets are the first k train and the first k eval persons."""
     train = _as_matrix(train, "train")
     eval_ = _as_matrix(eval_, "eval_")
     synthetic = _as_matrix(synthetic, "synthetic")
-    if membership_targets is None:
-        k = min(len(train), len(eval_))
-        membership_targets = np.concatenate([train[:k], eval_[:k]])
-        membership_truth = np.concatenate([np.ones(k, dtype=bool), np.zeros(k, dtype=bool)])
-    else:
-        membership_targets = _as_matrix(membership_targets, "membership_targets")
+    k = min(len(train), len(eval_))
+    membership_targets = np.concatenate([train[:k], eval_[:k]])
+    membership_truth = np.concatenate([np.ones(k, dtype=bool), np.zeros(k, dtype=bool)])
     nnaa = nnaa_risk(train, eval_, synthetic, seed=seed, sample_size=sample_size)
     return PrivacySuiteResult(
         nnaa=nnaa,

@@ -21,6 +21,8 @@ from .logic import LOGIC_DOMAIN, logic_label
 
 __all__ = ["SimDataset", "sample_dataset", "AccuracyCurve", "ComparisonResult", "run_comparison", "write_curves_csv"]
 
+TARGET_ACCURACY = 0.99  # full-train accuracy that counts as converged
+
 
 @dataclass
 class SimDataset:
@@ -124,13 +126,12 @@ def run_comparison(
     n_samples: int = 1000,
     seed: int = 0,
     stop_at_convergence: bool = False,
-    target_accuracy: float = 0.99,
 ) -> ComparisonResult:
     """Train both models on identical data; record full-train accuracy every
     eval_every steps (step 0 included).
 
     With stop_at_convergence, the time-token model halts at its first
-    evaluation >= target_accuracy and the summation model trains only up to
+    evaluation >= TARGET_ACCURACY and the summation model trains only up to
     that step, which is all the convergence comparison needs.
     """
     dataset = sample_dataset(n_samples, seed)
@@ -141,16 +142,16 @@ def run_comparison(
         cfg,
         seed,
         cfg.steps,
-        stop_at=target_accuracy if stop_at_convergence else None,
+        stop_at=TARGET_ACCURACY if stop_at_convergence else None,
     )
-    conv = tt_curve.first_step_reaching(target_accuracy)
+    conv = tt_curve.first_step_reaching(TARGET_ACCURACY)
     sum_steps = cfg.steps if not stop_at_convergence else (conv if conv is not None else cfg.steps)
     sum_curve = _train_one("summation", encode_summation_batch, dataset, cfg, seed, max(sum_steps, 0))
     return ComparisonResult(
         timetoken=tt_curve,
         summation=sum_curve,
         convergence_step=conv,
-        target_accuracy=target_accuracy,
+        target_accuracy=TARGET_ACCURACY,
         seed=seed,
     )
 

@@ -1,6 +1,6 @@
 """Monte-Carlo zero-shot outcome prediction."""
 
-from .tasks import TaskConfig, ConceptAncestry, expand_outcomes, load_task_config  # noqa: F401
+from .tasks import TaskConfig, ConceptAncestry, expand_outcomes  # noqa: F401
 from .simulate import (  # noqa: F401
     SimulationEstimate, WindowRule, classify_continuation, simulate_cohort, simulate_probability,
 )

@@ -106,13 +106,11 @@ class WindowRule:
         return accrued, verdict
 
 
-def classify_continuation(tokens, outcome_ids, window_start: int, window_end: int,
-                          exhausted_budget: bool = True) -> str:
+def classify_continuation(tokens, outcome_ids, window_start: int, window_end: int) -> str:
     """Classify one generated continuation against a prediction window (see WindowRule).
 
-    exhausted_budget tells how to read a continuation that simply stops:
-    True means the token budget ran out (censored, same as [END] inside the
-    window).
+    A continuation that stops with the window still open ran out of token
+    budget: censored, the same as [END] inside the window.
     """
     tokens = tuple(tokens)
     rule = WindowRule(tokens, outcome_ids, window_start, window_end)
@@ -121,7 +119,7 @@ def classify_continuation(tokens, outcome_ids, window_start: int, window_end: in
         accrued, verdict = rule.step(accrued, j)
         if verdict != _OPEN:
             return _NAMES[int(verdict)]
-    return CENSORED if exhausted_budget else NEGATIVE
+    return CENSORED
 
 
 def simulate_probability(
@@ -129,20 +127,16 @@ def simulate_probability(
     prefix_tokens,
     task: TaskConfig,
     rng: np.random.Generator,
-    ancestry=None,
     sampling: SamplingConfig | None = None,
-    outcome_ids=None,
 ) -> SimulationEstimate:
     """Fraction of uncensored simulated futures in which the outcome occurs in-window.
 
     Runs until task.n_simulations uncensored trajectories are collected or
     the attempt cap (4x) is reached; a capped run reports the probability
     over the simulations that did complete, with the censoring counts as the
-    diagnostic. This is simulate_cohort with one patient.
+    diagnostic. This is simulate_cohort with one patient and no concept hierarchy.
     """
-    if outcome_ids is None:
-        outcome_ids = expand_outcomes(task, ancestry)
-    return simulate_cohort(model, [prefix_tokens], [rng], task, outcome_ids, sampling).estimates[0]
+    return simulate_cohort(model, [prefix_tokens], [rng], task, expand_outcomes(task), sampling).estimates[0]
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,8 @@ import csv
 from dataclasses import dataclass
 
 from ..codec import csv_rows
-from ..configfile import read_config
 
-__all__ = ["TaskConfig", "ConceptAncestry", "expand_outcomes", "load_task_config"]
+__all__ = ["TaskConfig", "ConceptAncestry", "expand_outcomes"]
 
 
 @dataclass(frozen=True)
@@ -27,11 +26,6 @@ class TaskConfig:
             raise ValueError("need 0 <= prediction_window_start < prediction_window_end")
         if self.max_new_tokens <= 0 or self.n_simulations <= 0:
             raise ValueError("max_new_tokens and n_simulations must be positive")
-
-
-def load_task_config(path) -> TaskConfig:
-    """Key-value task file; field names match the task-definition examples verbatim."""
-    return read_config(path, TaskConfig)
 
 
 class ConceptAncestry:

@@ -1,10 +1,13 @@
+import inspect
 import math
+import re
 import zlib
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import chronoseq.autodiff as ad
 from chronoseq.autodiff import (
     GradCheckError,
     Tensor,
@@ -15,29 +18,24 @@ from chronoseq.autodiff import (
     constant,
     cross_entropy,
     dropout,
+    gamma_nll,
     gather_rows,
     gelu,
     grad_check,
     index_axis0,
     layer_norm,
-    lgamma,
     linear,
-    log,
     matmul,
     mean_all,
     mul,
-    neg,
     parameter,
     reshape,
     scale,
-    softplus,
-    square,
-    sub,
     tied_cross_entropy,
     total_sum,
     transpose,
 )
-from chronoseq.autodiff.special import digamma_value, gamma_log_pdf, lgamma_value
+from chronoseq.autodiff.special import digamma_value, lgamma_value
 from chronoseq.autodiff.tensor import _accum
 from chronoseq.model.transformer import MASK_NEG
 
@@ -60,27 +58,46 @@ def test_digamma_against_lgamma_derivative():
     npt.assert_allclose(digamma_value(xs), ref, atol=1e-6, rtol=0)
 
 
-def test_gamma_log_pdf_hand_values():
-    a, b = parameter([1.0]), parameter([1.0])
-    assert gamma_log_pdf(a, b, 1.0).data[0] == pytest.approx(-1.0, abs=1e-12)
-    a2 = parameter([2.0])
-    assert gamma_log_pdf(a2, b, 1.0).data[0] == pytest.approx(-1.0, abs=1e-12)
+def _pre(alpha, beta):
+    """Head pre-activations whose softplus + 1e-6 is (alpha, beta), up to rounding."""
+    return [[math.log(math.expm1(alpha - 1e-6)), math.log(math.expm1(beta - 1e-6))]]
+
+
+def test_gamma_nll_hand_values():
+    # Gamma(1, 1) is the unit exponential: NLL = t
+    assert gamma_nll(parameter(_pre(1.0, 1.0)), 0.5).data[0] == pytest.approx(0.5, abs=1e-12)
+    # Gamma(2, 1) at t = 1: -log(1 * e^-1) = 1
+    assert gamma_nll(parameter(_pre(2.0, 1.0)), 1.0).data[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gamma_nll_beta_gradient_zero_at_stationary_point():
-    a, b = parameter([1.0]), parameter([1.0])
-    backward(neg(total_sum(gamma_log_pdf(a, b, 1.0))))
-    assert b.grad[0] == pytest.approx(0.0, abs=1e-12)  # t - alpha/beta at (1,1,1)
+    pre = parameter(_pre(1.0, 1.0))
+    backward(total_sum(gamma_nll(pre, 1.0)))
+    assert pre.grad[0, 1] == pytest.approx(0.0, abs=1e-12)  # (t - alpha/beta) sigmoid(pre) at (1,1,1)
+    assert pre.grad[0, 0] != pytest.approx(0.0, abs=1e-3)
 
 
-def test_gamma_log_pdf_rejects_nonpositive_t():
-    with pytest.raises(ValueError):
-        gamma_log_pdf(parameter([1.0]), parameter([1.0]), 0.0)
+def test_gamma_nll_rejects_nonpositive_t():
+    pre = parameter(_pre(1.0, 1.0) * 2)
+    for t in (0.0, [0.5, -1.0]):
+        with pytest.raises(ValueError):
+            gamma_nll(pre, t)
+
+
+def test_gamma_nll_matches_the_stdlib_density():
+    rng = np.random.default_rng(9)
+    pre = rng.normal(scale=2.0, size=(50, 2))
+    t = rng.uniform(0.5, 400.0, size=50)
+    want = []
+    for (pa, pb), ti in zip(pre, t):
+        alpha, beta = math.log1p(math.exp(pa)) + 1e-6, math.log1p(math.exp(pb)) + 1e-6
+        want.append(-(alpha * math.log(beta) - math.lgamma(alpha) + (alpha - 1) * math.log(ti) - beta * ti))
+    npt.assert_allclose(gamma_nll(constant(pre), t).data, want, rtol=1e-12, atol=1e-12)
 
 
 def test_quadratic_grad_check():
     x = parameter([3.0], name="x")
-    err = grad_check(lambda: total_sum(square(x)), [x])
+    err = grad_check(lambda: total_sum(mul(x, x)), [x])
     assert err < 1e-8
 
 
@@ -110,101 +127,131 @@ def test_backward_requires_scalar_root():
         backward(mul(x, x))
 
 
-@pytest.mark.parametrize("op_case", [
-    "matmul2d", "matmul_batched", "linear", "layer_norm", "attention", "attention_causal_dropout", "gelu",
-    "softplus", "log", "cross_entropy", "tied_cross_entropy", "gather", "gather_increasing", "gather_2d",
-    "gather_2d_increasing", "concat", "transpose_reshape", "index_axis0", "lgamma", "mean",
-])
-def test_each_op_passes_grad_check(op_case):
+def _sum_sq(y):
+    return total_sum(mul(y, y))
+
+
+OP_CASES = [
+    "add", "mul", "scale", "matmul2d", "matmul_batched", "linear", "layer_norm", "attention",
+    "attention_causal_dropout", "gelu", "gamma_nll", "softplus", "log", "lgamma", "cross_entropy", "tied_cross_entropy", "gather",
+    "gather_increasing", "gather_2d", "gather_2d_increasing", "concat", "transpose_reshape", "index_axis0",
+    "dropout", "mean",
+]
+
+
+def _op_case(op_case):
+    """(loss builder, parameters) of one grad-check case."""
     rng = np.random.default_rng(zlib.crc32(op_case.encode()))  # str hash() is salted per process
 
+    if op_case == "add":
+        a, b = parameter(rng.normal(size=(3, 4))), parameter(rng.normal(size=4))  # broadcast bias: _unbroadcast
+        return lambda: _sum_sq(add(a, b)), [a, b]
+    if op_case == "mul":
+        a, b = parameter(rng.normal(size=(3, 4))), parameter(rng.normal(size=(3, 1)))
+        return lambda: _sum_sq(mul(a, b)), [a, b]
+    if op_case == "scale":
+        x = parameter(rng.normal(size=(2, 3)))
+        return lambda: _sum_sq(scale(x, -0.7)), [x]
     if op_case == "matmul2d":
         a, b = parameter(rng.normal(size=(3, 4))), parameter(rng.normal(size=(4, 2)))
-        fn = lambda: total_sum(square(matmul(a, b)))
-        params = [a, b]
-    elif op_case == "matmul_batched":
+        return lambda: _sum_sq(matmul(a, b)), [a, b]
+    if op_case == "matmul_batched":
         a, b = parameter(rng.normal(size=(2, 3, 3, 4))), parameter(rng.normal(size=(4, 2)))
-        fn = lambda: total_sum(square(matmul(a, b)))
-        params = [a, b]
-    elif op_case == "layer_norm":
+        return lambda: _sum_sq(matmul(a, b)), [a, b]
+    if op_case == "layer_norm":
         x, g, b_ = (parameter(rng.normal(size=(4, 6))), parameter(rng.normal(size=6) + 1),
                     parameter(rng.normal(size=6)))
-        fn = lambda: total_sum(square(layer_norm(x, g, b_)))
-        params = [x, g, b_]
-    elif op_case == "linear":
+        return lambda: _sum_sq(layer_norm(x, g, b_)), [x, g, b_]
+    if op_case == "linear":
         x, w, b = (parameter(rng.normal(size=(2, 3, 4))), parameter(rng.normal(size=(4, 2))),
                    parameter(rng.normal(size=2)))
-        fn = lambda: total_sum(square(linear(x, w, b)))
-        params = [x, w, b]
-    elif op_case == "attention":
+        return lambda: _sum_sq(linear(x, w, b)), [x, w, b]
+    if op_case == "attention":
         qkv = parameter(rng.normal(size=(3, 2, 4, 3)))
         w = constant(rng.normal(size=(2, 4, 3)))
-        fn = lambda: total_sum(mul(attention(qkv, None, 0.6), w))
-        params = [qkv]
-    elif op_case == "attention_causal_dropout":
+        return lambda: total_sum(mul(attention(qkv, None, 0.6), w)), [qkv]
+    if op_case == "attention_causal_dropout":
         qkv = parameter(rng.normal(size=(3, 2, 2, 4, 3)))
         w = constant(rng.normal(size=(2, 2, 4, 3)))
-        fn = lambda: total_sum(mul(attention(qkv, _causal(4), 0.6, 0.3, np.random.default_rng(1)), w))
-        params = [qkv]
-    elif op_case == "gelu":
+        return lambda: total_sum(mul(attention(qkv, _causal(4), 0.6, 0.3, np.random.default_rng(1)), w)), [qkv]
+    if op_case == "gelu":
         x = parameter(rng.normal(size=(4, 3)))
-        fn = lambda: total_sum(square(gelu(x)))
-        params = [x]
-    elif op_case == "softplus":
-        x = parameter(rng.normal(size=(4,)))
-        fn = lambda: total_sum(square(softplus(x)))
-        params = [x]
-    elif op_case == "log":
-        x = parameter(np.abs(rng.normal(size=(4,))) + 0.5)
-        fn = lambda: total_sum(log(x))
-        params = [x]
-    elif op_case == "cross_entropy":
+        return lambda: _sum_sq(gelu(x)), [x]
+    if op_case == "gamma_nll":
+        pre = parameter(rng.normal(size=(5, 2)))
+        t = np.abs(rng.normal(size=5)) + 0.5
+        return lambda: total_sum(gamma_nll(pre, t)), [pre]
+    # softplus, log and lgamma are fused into gamma_nll; each case drives one of them across its range
+    if op_case == "softplus":
+        pre = parameter(np.stack([rng.uniform(-3.0, 4.0, size=6), rng.uniform(-4.0, 3.0, size=6)], axis=1))
+        return lambda: total_sum(gamma_nll(pre, np.full(6, 1.5))), [pre]
+    if op_case == "log":
+        pre = parameter(np.stack([rng.normal(size=6), np.linspace(-3.0, 3.0, 6)], axis=1))  # log(beta)
+        t = np.logspace(-2.0, 3.0, 6)  # log(t) over five decades
+        return lambda: total_sum(gamma_nll(pre, t)), [pre]
+    if op_case == "lgamma":
+        pre = parameter(np.stack([np.linspace(-1.0, 12.0, 6), rng.normal(size=6)], axis=1))  # alpha 0.3 .. 12
+        return lambda: total_sum(gamma_nll(pre, np.full(6, 2.0))), [pre]
+    if op_case == "cross_entropy":
         x = parameter(rng.normal(size=(5, 4)))
         t = rng.integers(0, 4, size=5)
-        fn = lambda: total_sum(cross_entropy(x, t))
-        params = [x]
-    elif op_case == "tied_cross_entropy":
+        return lambda: total_sum(cross_entropy(x, t)), [x]
+    if op_case == "tied_cross_entropy":
         h, emb = parameter(rng.normal(size=(5, 3))), parameter(rng.normal(size=(7, 3)))
         t = rng.integers(0, 7, size=5)
-        fn = lambda: total_sum(tied_cross_entropy(h, emb, t))
-        params = [h, emb]
-    elif op_case == "gather":
+        return lambda: total_sum(tied_cross_entropy(h, emb, t)), [h, emb]
+    if op_case == "gather":
         table = parameter(rng.normal(size=(6, 3)))
         idx = np.array([0, 2, 2, 5])  # repeated row exercises scatter-add
-        fn = lambda: total_sum(square(gather_rows(table, idx)))
-        params = [table]
-    elif op_case == "gather_increasing":
+        return lambda: _sum_sq(gather_rows(table, idx)), [table]
+    if op_case == "gather_increasing":
         x = parameter(rng.normal(size=(6, 3)))
         idx = np.array([1, 3, 4])  # strictly increasing: rows are added in place
-        fn = lambda: total_sum(square(gather_rows(x, idx)))
-        params = [x]
-    elif op_case in ("gather_2d", "gather_2d_increasing"):
+        return lambda: _sum_sq(gather_rows(x, idx)), [x]
+    if op_case in ("gather_2d", "gather_2d_increasing"):
         table = parameter(rng.normal(size=(5, 3)))
         idx = np.array([[4, 1], [1, 0]] if op_case == "gather_2d" else [[0, 2], [3, 4]])
-        fn = lambda: total_sum(square(gather_rows(table, idx)))
-        params = [table]
-    elif op_case == "concat":
+        return lambda: _sum_sq(gather_rows(table, idx)), [table]
+    if op_case == "concat":
         a, b = parameter(rng.normal(size=(2, 3))), parameter(rng.normal(size=(4, 3)))
-        fn = lambda: total_sum(square(concat([a, b], axis=0)))
-        params = [a, b]
-    elif op_case == "transpose_reshape":
+        return lambda: _sum_sq(concat([a, b], axis=0)), [a, b]
+    if op_case == "transpose_reshape":
         x = parameter(rng.normal(size=(2, 3, 4)))
-        fn = lambda: total_sum(square(reshape(transpose(x, (1, 0, 2)), (3, 8))))
-        params = [x]
-    elif op_case == "index_axis0":
+        return lambda: _sum_sq(reshape(transpose(x, (1, 0, 2)), (3, 8))), [x]
+    if op_case == "index_axis0":
         x = parameter(rng.normal(size=(3, 2, 4)))
-        fn = lambda: total_sum(square(index_axis0(x, 1)))
-        params = [x]
-    elif op_case == "lgamma":
-        x = parameter(np.abs(rng.normal(size=(4,))) + 0.7)
-        fn = lambda: total_sum(lgamma(x))
-        params = [x]
-    else:  # mean
-        x = parameter(rng.normal(size=(3, 4)))
-        fn = lambda: square(mean_all(x))
-        params = [x]
+        return lambda: _sum_sq(index_axis0(x, 1)), [x]
+    if op_case == "dropout":
+        x = parameter(rng.normal(size=(4, 5)))
+        return lambda: _sum_sq(dropout(x, 0.4, np.random.default_rng(2))), [x]  # the same keep-mask every call
+    assert op_case == "mean"
+    x = parameter(rng.normal(size=(3, 4)))
+    return lambda: _sum_sq(mean_all(x)), [x]
 
+
+@pytest.mark.parametrize("op_case", OP_CASES)
+def test_each_op_passes_grad_check(op_case):
+    fn, params = _op_case(op_case)
     assert grad_check(fn, params) < 1e-6
+
+
+def test_every_exported_op_has_a_grad_check_case():
+    # a node-building op is an exported function that names the interior nodes it creates
+    ops = {}
+    for name, obj in vars(ad).items():
+        if inspect.isfunction(obj) and not name.startswith("_"):
+            m = re.search(r'name="(\w+)"', inspect.getsource(obj))
+            if m:
+                ops[name] = m.group(1)
+    assert {"add", "attention", "gamma_nll", "total_sum", "dropout"} <= set(ops)
+    checked = set()
+    for case in OP_CASES:
+        stack = [_op_case(case)[0]()]
+        while stack:
+            node = stack.pop()
+            checked.add(node.name)
+            stack.extend(node.parents)
+    assert sorted(name for name, node_name in ops.items() if node_name not in checked) == []
 
 
 def _softmax(x):
@@ -274,13 +321,6 @@ def test_tied_cross_entropy_matches_the_transposed_head_and_cross_entropy():
     _assert_all_equal(reference, _outputs_and_grads(lambda h, e: tied_cross_entropy(h, e, t), inputs))
 
 
-def test_broadcast_add_sub_unbroadcast():
-    a = parameter(np.random.default_rng(1).normal(size=(3, 4)))
-    b = parameter(np.random.default_rng(2).normal(size=(4,)))
-    assert grad_check(lambda: total_sum(square(add(a, b))), [a, b]) < 1e-7
-    assert grad_check(lambda: total_sum(square(sub(a, b))), [a, b]) < 1e-7
-
-
 def test_dropout_zero_rate_is_identity():
     x = parameter(np.ones((3, 3)))
     rng = np.random.default_rng(0)
@@ -298,22 +338,22 @@ def test_dropout_scales_kept_values():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_gradcheck_reports_nonfinite():
-    x = parameter([-1.0])
-    with pytest.raises(GradCheckError):
-        grad_check(lambda: total_sum(log(x)), [x])
+    x = parameter([1e200])  # x * x overflows to inf
+    with pytest.raises(GradCheckError, match="'mul'"):
+        grad_check(lambda: total_sum(mul(x, x)), [x])
 
 
 @pytest.mark.parametrize("square_first", [False, True])
 def test_fan_out_gradient_is_copied_before_a_second_contribution(square_first):
     # add hands its own gradient array to both a and b; a later (or earlier) gets a
-    # second contribution from square(a), which must not leak into b's gradient
+    # second contribution from a * a, which must not leak into b's gradient
     rng = np.random.default_rng(7)
     a, b = parameter(rng.normal(size=(2, 3))), parameter(rng.normal(size=(2, 3)))
     w = constant(rng.normal(size=(2, 3)))
 
     def loss():
         fan = total_sum(mul(add(a, b), w))
-        own = total_sum(square(a))
+        own = total_sum(mul(a, a))
         return add(own, fan) if square_first else add(fan, own)
 
     assert grad_check(loss, [a, b]) < 1e-8
@@ -329,7 +369,7 @@ def test_backward_consumes_the_graph():
     rng = np.random.default_rng(3)
     x, wt = parameter(rng.normal(size=(4, 3))), parameter(rng.normal(size=(3, 2)))
     h = gelu(matmul(x, wt))
-    root = total_sum(square(reshape(transpose(h, (1, 0)), (8,))))
+    root = total_sum(mul(reshape(transpose(h, (1, 0)), (8,)), constant(rng.normal(size=8))))
     interior, stack = [], [root]
     while stack:
         node = stack.pop()

@@ -533,7 +533,7 @@ def test_readme_config_files_load_to_expected_objects(tmp_path):
     from chronoseq.configfile import read_config
     from chronoseq.model import ModelConfig
     from chronoseq.training import TrainConfig
-    from chronoseq.zeroshot import TaskConfig, load_task_config
+    from chronoseq.zeroshot import TaskConfig
 
     texts = _readme_files()
     assert set(texts) >= {"train.cfg", "model.cfg", "experts.cfg", "readmission.yml"}
@@ -550,7 +550,7 @@ def test_readme_config_files_load_to_expected_objects(tmp_path):
         _ExpertBlock(temperature=0.75, top_k=60, max_tokens=200, min_tokens=20, seed=2, count=500),
     ]
     assert len(experts) == 2 and all(_same(a, b) for a, b in zip(experts, expected))
-    assert _same(load_task_config(tmp_path / "readmission.yml"),
+    assert _same(read_config(tmp_path / "readmission.yml", TaskConfig),
                  TaskConfig(task_name="30_day_readmission_prediction", outcome_events=(9201, 262),
                             include_descendants=False, prediction_window_start=0, prediction_window_end=30,
                             max_new_tokens=128))

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from chronoseq.autodiff import backward, constant, parameter
-from chronoseq.model import ModelConfig, TimelineModel, gamma_heads, td_loss, total_loss, tte_loss
+from chronoseq.autodiff import backward, constant, gamma_nll
+from chronoseq.model import ModelConfig, TimelineModel, td_loss, total_loss, tte_loss
 from chronoseq.model.config import TD_DAY_CLASSES, TD_MONTH_CLASSES
 from chronoseq.model.diagnostics import toy_batch, toy_grad_check
 from chronoseq.model.supervision import AttSupervision, build_att_supervision
@@ -62,12 +62,10 @@ def test_tte_forced_unit_gamma(setup):
     x = math.log(math.expm1(1.0 - 1e-6))
     model.params["tte.fc2.b"].data[...] = x
     h = constant(np.random.default_rng(1).normal(size=(1, cfg.embed_dim)))
-    alpha, beta = gamma_heads(model.params, h)
-    assert alpha.data[0] == pytest.approx(1.0, abs=1e-12)
-    assert beta.data[0] == pytest.approx(1.0, abs=1e-12)
-    # delta-t = 0 -> t = 0.5 -> NLL = 0.5 under Gamma(1,1)
-    loss = tte_loss(model.params, h, np.array([0.5]))
-    assert float(loss.data) == pytest.approx(0.5, abs=1e-12)
+    # delta-t = 0 -> t = 0.5 -> NLL = 0.5 under Gamma(1,1); NLL = t at every t only when alpha = beta = 1
+    for t in (0.5, 2.0, 30.5):
+        loss = tte_loss(model.params, h, np.array([t]))
+        assert float(loss.data) == pytest.approx(t, abs=1e-12)
     for n, v in saved.items():
         model.params[n].data[...] = v
 
@@ -75,10 +73,9 @@ def test_tte_forced_unit_gamma(setup):
 def test_tte_minimizer_is_rate_one_over_t():
     # with alpha fixed at 1, NLL is minimized at beta = 1/t (first-order condition)
     t = 3.5
-    from chronoseq.autodiff.special import gamma_log_pdf
-
     betas = np.linspace(0.05, 2.0, 400)
-    nll = [-float(gamma_log_pdf(parameter([1.0]), parameter([b]), t).data[0]) for b in betas]
+    pre = np.log(np.expm1(np.stack([np.full_like(betas, 1.0), betas], axis=1) - 1e-6))  # softplus^-1(x - 1e-6)
+    nll = gamma_nll(constant(pre), t).data
     assert betas[int(np.argmin(nll))] == pytest.approx(1.0 / t, abs=0.01)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chronoseq.codec.vocab import Vocabulary
+from chronoseq.configfile import read_config
 from chronoseq.generation import SamplingConfig
 from chronoseq.model import ModelConfig, TimelineModel
 from chronoseq.zeroshot import (
@@ -11,7 +12,6 @@ from chronoseq.zeroshot import (
     classify_continuation,
     evaluate_task,
     expand_outcomes,
-    load_task_config,
     simulate_cohort,
     simulate_probability,
 )
@@ -40,7 +40,7 @@ def test_load_task_config_readmission_listing(tmp_path):
         "prediction_window_end: 30\n"
         "max_new_tokens: 128\n"
     )
-    t = load_task_config(p)
+    t = read_config(p, TaskConfig)
     assert t.task_name == "30_day_readmission_prediction"
     assert t.outcome_events == (9201, 262, 8971, 8920)
     assert not t.include_descendants
@@ -63,7 +63,7 @@ def test_load_task_config_multiline_list(tmp_path):
         "max_new_tokens: 1024\n"
         "include_descendants: true\n"
     )
-    t = load_task_config(p)
+    t = read_config(p, TaskConfig)
     assert t.outcome_events == (43528001, 43528003, 4305852)
     assert t.include_descendants
 
@@ -72,7 +72,7 @@ def test_load_task_config_rejects_unknown_fields(tmp_path):
     p = tmp_path / "task.yml"
     p.write_text('task_name: "x"\noutcome_events: ["1"]\nwindow: 3\n')
     with pytest.raises(ValueError):
-        load_task_config(p)
+        read_config(p, TaskConfig)
 
 
 def test_task_validation():
