@@ -9,7 +9,6 @@ resolved configuration, the seed, and the hashes of all inputs and outputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -26,6 +25,7 @@ from .codec import (
     read_tables,
     records_to_tables,
     tables_to_records,
+    write_csv,
     write_sequences,
     write_tables,
 )
@@ -171,13 +171,9 @@ def _cmd_decode(args):
     out_dir = Path(args.out_dir)
     paths = write_tables(records_to_tables(records), out_dir)
     report_path = out_dir / "decode_report.csv"
-    with open(report_path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["outcome", "count"])
-        w.writerow(["attempted", len(sequences)])
-        w.writerow(["succeeded", len(records)])
-        for reason, n in sorted(failures.items()):
-            w.writerow([f"failed:{reason}", n])
+    rows = [["attempted", len(sequences)], ["succeeded", len(records)]]
+    rows += [[f"failed:{reason}", n] for reason, n in sorted(failures.items())]
+    write_csv(report_path, ["outcome", "count"], rows)
     for name, p in paths.items():
         mani.add_output(name, p)
     mani.add_output("decode_report", report_path)
@@ -304,11 +300,9 @@ def _cmd_generate(args):
     write_sequences(corpus.sequences, args.out)
     mani.add_output("sequences", args.out)
     report_path = Path(str(args.out) + ".experts.csv")
-    with open(report_path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["expert", "requested", "generated", "kept", "dropped_short", "hit_max_tokens"])
-        for r in corpus.per_expert:
-            w.writerow([r.expert, r.requested, r.generated, r.kept, r.dropped_short, r.hit_max_tokens])
+    write_csv(report_path, ["expert", "requested", "generated", "kept", "dropped_short", "hit_max_tokens"],
+              ([r.expert, r.requested, r.generated, r.kept, r.dropped_short, r.hit_max_tokens]
+               for r in corpus.per_expert))
     mani.add_output("expert_report", report_path)
     counts = dict(dropped_short=sum(r.dropped_short for r in corpus.per_expert),
                   hit_max_tokens=sum(r.hit_max_tokens for r in corpus.per_expert))
@@ -417,13 +411,9 @@ def _cmd_prevalence(args):
 def _cmd_pathway(args):
     mani = ManifestWriter("pathway", args.seed, {"cohort_spec": args.cohort_spec})
     spec = _config_input(mani, "cohort_spec", args.cohort_spec, "--cohort-spec", CohortSpec,
-                         exclude=("outcome_concepts", "outcome_window"), defaults={"name": "pathway"})
+                         defaults={"name": "pathway"})
     result = pathway_cohort(_tables(mani, args), spec)
-    with open(args.out, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["person_id"])
-        for pid in result.cohort:
-            w.writerow([pid])
+    write_csv(args.out, ["person_id"], ([pid] for pid in result.cohort))
     mani.add_output("cohort", args.out)
     mani.write(_manifest_path(args, args.out))
     print(f"{spec.name}: {len(result.cohort)}/{result.n_persons} persons ({result.prevalence:.4%})")
@@ -483,10 +473,8 @@ def _cmd_gradcheck(args):
     err = toy_grad_check(embed_dim=config["embed_dim"], n_layers=config["n_layers"], n_heads=config["n_heads"],
                          seed=mani.seed, epsilon=config["epsilon"])
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(["max_relative_error", "tolerance", "verdict"])
-            w.writerow([err, tol, "PASS" if err < tol else "FAIL"])
+        write_csv(args.out, ["max_relative_error", "tolerance", "verdict"],
+                  [[err, tol, "PASS" if err < tol else "FAIL"]])
         mani.add_output("report", args.out)
         mani.write(_manifest_path(args, args.out))
     print(f"max relative gradient error {err:.3e} (tolerance {tol:g})")

@@ -37,6 +37,7 @@ from .records import (  # noqa: F401
     sorted_events,
     tables_to_records,
     validate_record,
+    write_csv,
     write_tables,
 )
 from .codec import (  # noqa: F401

@@ -23,6 +23,7 @@ __all__ = [
     "tables_to_records",
     "csv_rows",
     "read_csv_table",
+    "write_csv",
     "read_tables",
     "write_tables",
 ]
@@ -64,7 +65,7 @@ def sorted_events(events) -> tuple[ClinicalEvent, ...]:
     return tuple(sorted(events, key=lambda e: (e.date, DOMAIN_RANK[e.domain], e.concept_id)))
 
 
-def validate_record(record: PatientRecord, inpatient_concepts=frozenset({9201, 262})):
+def validate_record(record: PatientRecord, inpatient_concepts: frozenset[int]):
     """Raise RecordValidationError on any invariant violation."""
     if not record.visits:
         raise RecordValidationError(f"person {record.person_id}: no visits")
@@ -248,6 +249,14 @@ def read_csv_table(path, columns, parse, error=RecordValidationError) -> list:
         return out
 
 
+def write_csv(path, header, rows) -> None:
+    """Write the header row, then each row of the iterable rows, to a UTF-8 CSV file at path."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def _visit_row(row) -> VisitRow:
     discharge = int(row[5]) if row[5] not in ("", "NA") else None
     return VisitRow(row[0], row[1], int(row[2]), dt.date.fromisoformat(row[3]), dt.date.fromisoformat(row[4]),
@@ -272,28 +281,11 @@ def write_tables(tables: EventTables, out_dir) -> dict[str, Path]:
         "visits": out_dir / "visits.csv",
         "events": out_dir / "events.csv",
     }
-    with open(paths["persons"], "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(PERSON_COLUMNS)
-        for p in tables.persons:
-            w.writerow([p.person_id, p.birth_year, p.gender_concept_id, p.race_concept_id])
-    with open(paths["visits"], "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(VISIT_COLUMNS)
-        for v in tables.visits:
-            w.writerow(
-                [
-                    v.visit_id,
-                    v.person_id,
-                    v.visit_concept_id,
-                    v.start_date.isoformat(),
-                    v.end_date.isoformat(),
-                    "" if v.discharge_concept_id is None else v.discharge_concept_id,
-                ]
-            )
-    with open(paths["events"], "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(EVENT_COLUMNS)
-        for e in tables.events:
-            w.writerow([e.person_id, e.visit_id, e.domain, e.concept_id, e.date.isoformat()])
+    write_csv(paths["persons"], PERSON_COLUMNS,
+              ([p.person_id, p.birth_year, p.gender_concept_id, p.race_concept_id] for p in tables.persons))
+    write_csv(paths["visits"], VISIT_COLUMNS,
+              ([v.visit_id, v.person_id, v.visit_concept_id, v.start_date.isoformat(), v.end_date.isoformat(),
+                "" if v.discharge_concept_id is None else v.discharge_concept_id] for v in tables.visits))
+    write_csv(paths["events"], EVENT_COLUMNS,
+              ([e.person_id, e.visit_id, e.domain, e.concept_id, e.date.isoformat()] for e in tables.events))
     return paths

@@ -182,21 +182,20 @@ def _convert(value, tp, where: str, name: str):
         raise ConfigParseError(f"{where}: {name}: expected {what}, got {value!r}") from None
 
 
-def load_config(kv: dict, schema, where: str, *, exclude=(), defaults=None, **fixed):
+def load_config(kv: dict, schema, where: str, *, defaults=None, **fixed):
     """Check a parsed key-value mapping against a field table and convert it.
 
     `schema` is a dataclass, whose field table comes from its annotations, or
     a name -> type map. Types are int, float, bool, str, and tuple[int, ...]
     or frozenset[int] (from a scalar or a list). An int field takes an
     integral number only, and a bool field takes true/false/yes/no only.
-    Fields named in `exclude` or given in `fixed` (values the program
-    supplies) are not part of the file's table; `defaults` holds values for
-    fields the file leaves out. A dataclass's fields without a default are
-    required, and the result is `schema(**fixed, **values)`;
-    a map's fields are optional, and the result is the dict of converted
-    values. Every fault, including a ValueError from the dataclass's own
-    checks, raises ConfigParseError naming `where` (the file, and the block
-    within it) and the field.
+    Fields given in `fixed` (values the program supplies) are not part of
+    the file's table; `defaults` holds values for fields the file leaves
+    out. A dataclass's fields without a default are required, and the
+    result is `schema(**fixed, **values)`; a map's fields are optional, and
+    the result is the dict of converted values. Every fault, including a
+    ValueError from the dataclass's own checks, raises ConfigParseError
+    naming `where` (the file, and the block within it) and the field.
     """
     if dataclasses.is_dataclass(schema):
         hints = typing.get_type_hints(schema)
@@ -205,7 +204,7 @@ def load_config(kv: dict, schema, where: str, *, exclude=(), defaults=None, **fi
                     if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
     else:
         table, required = dict(schema), []
-    for name in (*exclude, *fixed):
+    for name in fixed:
         table.pop(name)
     kv = {**(defaults or {}), **kv}
     unknown = sorted(set(kv) - set(table))

@@ -12,4 +12,4 @@ from .fidelity import (  # noqa: F401
     prevalence_report,
     write_prevalence_csv,
 )
-from .cohorts import truncate_record, load_cohort_csv, cohort_prefixes, build_labeled_cohort  # noqa: F401
+from .cohorts import truncate_record, load_cohort_csv, cohort_prefixes  # noqa: F401

@@ -1,12 +1,11 @@
-"""Cohort construction: record truncation at a prediction time, labeled examples."""
+"""Cohort construction: cohort CSVs and record truncation at a prediction time."""
 from __future__ import annotations
 
 import datetime as dt
 
-from ..codec import CodecConfig, PatientRecord, encode_prefix, read_csv_table, tables_to_records
-from .fidelity import CohortSpec
+from ..codec import CodecConfig, PatientRecord, encode_prefix, read_csv_table
 
-__all__ = ["truncate_record", "load_cohort_csv", "cohort_prefixes", "build_labeled_cohort"]
+__all__ = ["truncate_record", "load_cohort_csv", "cohort_prefixes"]
 
 
 def truncate_record(record: PatientRecord, cutoff: dt.date) -> PatientRecord | None:
@@ -44,33 +43,3 @@ def cohort_prefixes(records, cohort_rows, cfg: CodecConfig, context_window: int 
             continue
         out.append((tokens, label))
     return out, skipped
-
-
-def build_labeled_cohort(tables, spec: CohortSpec):
-    """Prediction examples from tables: index at the first index-concept event,
-    lookback from the person's first record, outcome inside the window after index.
-
-    Returns (person_id, cutoff_date, label) rows usable as a cohort CSV.
-    """
-    if not spec.outcome_concepts:
-        raise ValueError("cohort spec has no outcome concepts")
-    records, _ = tables_to_records(tables)
-    rows = []
-    lo, hi = spec.outcome_window
-    for rec in records:
-        events = [e for v in rec.visits for e in v.events]
-        index_dates = [e.date for e in events if e.concept_id in spec.index_concepts]
-        if not index_dates:
-            continue
-        index = min(index_dates)
-        first = min(min(e.date for e in events), rec.visits[0].start_date) if events else rec.visits[0].start_date
-        if (index - first).days < spec.lookback_days:
-            continue
-        label = 0
-        for e in events:
-            off = (e.date - index).days
-            if e.concept_id in spec.outcome_concepts and lo <= off <= hi:
-                label = 1
-                break
-        rows.append((rec.person_id, index, label))
-    return rows

@@ -1,17 +1,16 @@
 """Fidelity checks: concept prevalence comparison and treatment-pathway cohorts."""
 from __future__ import annotations
 
-import csv
 import datetime as dt
 from dataclasses import dataclass
 
-from ..codec import EventTables
+from ..codec import CodecConfig, EventTables, write_csv
 from ..generation.stats import GENDER_FEMALE
 
 __all__ = ["PrevalenceRow", "prevalence_report", "write_prevalence_csv", "CohortSpec", "PathwayResult", "pathway_cohort"]
 
 STRATA = ("full", "female", "hospitalized")
-_INPATIENT = frozenset({9201, 262})
+_INPATIENT = CodecConfig().inpatient_concepts
 
 
 @dataclass(frozen=True)
@@ -85,11 +84,8 @@ def prevalence_report(real: EventTables, synthetic: EventTables) -> list[Prevale
 
 
 def write_prevalence_csv(path, rows):
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["stratum", "domain", "concept_id", "real_prevalence", "synthetic_prevalence"])
-        for r in rows:
-            w.writerow([r.stratum, r.domain, r.concept_id, r.real_prevalence, r.synthetic_prevalence])
+    write_csv(path, ["stratum", "domain", "concept_id", "real_prevalence", "synthetic_prevalence"],
+              ([r.stratum, r.domain, r.concept_id, r.real_prevalence, r.synthetic_prevalence] for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +94,9 @@ def write_prevalence_csv(path, rows):
 
 @dataclass(frozen=True)
 class CohortSpec:
-    """Longitudinal cohort definition.
-
-    The pathway fields (lookback at the first index exposure, then >= 1
-    qualifying exposure in each of n_intervals consecutive interval_days
-    windows) drive pathway_cohort; the outcome fields additionally let
-    build_labeled_cohort produce binary prediction examples.
-    """
+    """Treatment-pathway cohort definition for pathway_cohort: lookback at the
+    first index exposure, then >= 1 qualifying exposure in each of n_intervals
+    consecutive interval_days windows."""
 
     name: str
     index_concepts: frozenset[int]
@@ -112,16 +104,12 @@ class CohortSpec:
     interval_days: int = 120
     n_intervals: int = 9
     domain: str = "drug"
-    outcome_concepts: frozenset[int] = frozenset()
-    outcome_window: tuple[int, int] = (1, 365)  # days after the index date, inclusive
 
     def __post_init__(self):
         if self.lookback_days <= 0 or self.interval_days <= 0 or self.n_intervals <= 0:
             raise ValueError("cohort windows must be positive")
         if not self.index_concepts:
             raise ValueError("index concept set must be nonempty")
-        if self.outcome_window[0] > self.outcome_window[1]:
-            raise ValueError("outcome window start exceeds end")
 
 
 @dataclass

@@ -6,10 +6,11 @@ brute-force oracles in the test suite.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..codec import write_csv
 
 __all__ = ["auroc", "auprc", "BootstrapResult", "bootstrap_metric", "write_metrics_csv"]
 
@@ -115,10 +116,6 @@ def bootstrap_metric(scores, labels, metric_fn, n_resamples: int = 1000, seed: i
 def write_metrics_csv(path, roc: BootstrapResult, prc: BootstrapResult, **values) -> None:
     """metric,value,sd,ci_low,ci_high rows: bootstrapped AUROC and AUPRC, then each
     plain value (in keyword order) with empty spread columns."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["metric", "value", "sd", "ci_low", "ci_high"])
-        for name, b in (("auroc", roc), ("auprc", prc)):
-            w.writerow([name, b.point, b.sd, b.ci_low, b.ci_high])
-        for name, value in values.items():
-            w.writerow([name, value, "", "", ""])
+    rows = [[name, b.point, b.sd, b.ci_low, b.ci_high] for name, b in (("auroc", roc), ("auprc", prc))]
+    rows += [[name, value, "", "", ""] for name, value in values.items()]
+    write_csv(path, ["metric", "value", "sd", "ci_low", "ci_high"], rows)

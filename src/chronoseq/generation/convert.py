@@ -1,10 +1,9 @@
 """Synthetic sequences back to event tables, with an honest conversion report."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
-from ..codec import CodecConfig, DecodeError, EventTables, decode_sequence, records_to_tables
+from ..codec import CodecConfig, DecodeError, EventTables, decode_sequence, records_to_tables, write_csv
 
 __all__ = ["ConversionReport", "convert_to_tables"]
 
@@ -29,13 +28,10 @@ class ConversionReport:
         return out
 
     def write_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(["outcome", "count", "fraction"])
-            w.writerow(["attempted", self.attempted, 1.0 if self.attempted else 0.0])
-            w.writerow(["succeeded", self.succeeded, self.fractions()["succeeded"]])
-            for reason, n in sorted(self.failures.items()):
-                w.writerow([f"failed:{reason}", n, n / self.attempted])
+        rows = [["attempted", self.attempted, 1.0 if self.attempted else 0.0],
+                ["succeeded", self.succeeded, self.fractions()["succeeded"]]]
+        rows += [[f"failed:{reason}", n, n / self.attempted] for reason, n in sorted(self.failures.items())]
+        write_csv(path, ["outcome", "count", "fraction"], rows)
 
 
 def convert_to_tables(corpus, cfg: CodecConfig = CodecConfig()) -> tuple[EventTables, ConversionReport]:

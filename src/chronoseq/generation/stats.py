@@ -1,12 +1,11 @@
 """Side-by-side summary statistics for real vs synthetic event tables."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..codec import CodecConfig, EventTables, encode_patient, tables_to_records
+from ..codec import CodecConfig, EventTables, encode_patient, tables_to_records, write_csv
 
 __all__ = ["SummaryStats", "summary_stats", "write_stats_csv", "GENDER_FEMALE"]
 
@@ -74,10 +73,7 @@ def summary_stats(tables: EventTables, cfg: CodecConfig = CodecConfig()) -> Summ
 
 def write_stats_csv(path, named_stats: dict[str, SummaryStats]):
     """One column per dataset, metrics as rows."""
-    names = list(named_stats.keys())
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["metric"] + names)
-        metric_names = [m for m, _ in named_stats[names[0]].rows()]
-        for i, metric in enumerate(metric_names):
-            w.writerow([metric] + [named_stats[n].rows()[i][1] for n in names])
+    names = list(named_stats)
+    metrics = [m for m, _ in named_stats[names[0]].rows()]
+    values = [dict(s.rows()) for s in named_stats.values()]
+    write_csv(path, ["metric", *names], ([m, *(v[m] for v in values)] for m in metrics))

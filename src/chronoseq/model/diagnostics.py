@@ -8,16 +8,14 @@ central differences.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from ..autodiff.gradcheck import grad_check
 from ..codec import TokenSequence
 from ..codec.vocab import Vocabulary
-from ..training.packing import EncodedExample, pack
+from ..training.corpus import encode_examples
+from ..training.packing import pack
 from .bundle import TimelineModel
 from .config import ModelConfig
 from .losses import total_loss
-from .supervision import build_att_supervision
 
 __all__ = ["toy_batch", "toy_grad_check"]
 
@@ -38,7 +36,7 @@ _TOKENS_C = (  # no time token: no ATT position; pads out B's length block
 )
 
 
-def toy_batch(max_year_class: int = 10):
+def toy_batch():
     """(vocabulary, packed batch) covering NTP, TD, TTE, [LT], D0 and no-ATT cases.
 
     The 20-token sequence fills one length block; the 14- and 12-token ones
@@ -52,12 +50,7 @@ def toy_batch(max_year_class: int = 10):
     used = sorted({t for s in seqs for t in s.tokens})
     specials = ["[PAD]", "[VS]", "[VE]", "[LT]", "[END]"]
     vocab = Vocabulary(specials + [t for t in used if t not in specials])
-    examples = [
-        EncodedExample(s.person_id, np.array(vocab.encode(s.tokens), dtype=np.int64),
-                       build_att_supervision(s, max_year_class))
-        for s in seqs
-    ]
-    return vocab, pack(examples, tokens_per_batch=64)[0]
+    return vocab, pack(encode_examples(seqs, vocab, max_year_class=10), tokens_per_batch=64)[0]
 
 
 def toy_grad_check(embed_dim: int = 6, n_layers: int = 2, n_heads: int = 2, seed: int = 0,

@@ -7,11 +7,9 @@ holds); the rarer half are the sensitive bits under inference.
 """
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
-from ..codec import EventTables
+from ..codec import EventTables, write_csv
 from .attacks import PrivacySuiteResult, run_privacy_suite
 from .profiles import ProfileSpec, build_profiles
 
@@ -65,9 +63,7 @@ def audit_tables(
 
 
 def write_privacy_csv(path, result: PrivacySuiteResult):
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["attack", "score", "threshold", "verdict"])
-        for name, score in result.rows():
-            w.writerow([name, score, result.threshold, "PASS" if score < result.threshold else "FAIL"])
-        w.writerow(["overall", "", result.threshold, "PASS" if result.passed else "FAIL"])
+    rows = [[name, score, result.threshold, "PASS" if score < result.threshold else "FAIL"]
+            for name, score in result.rows()]
+    rows.append(["overall", "", result.threshold, "PASS" if result.passed else "FAIL"])
+    write_csv(path, ["attack", "score", "threshold", "verdict"], rows)

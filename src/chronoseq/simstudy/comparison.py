@@ -1,13 +1,13 @@
 """Train the time-token and summation encoders on one dataset; emit accuracy curves."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..autodiff import backward
 from ..autodiff.tensor import first_nonfinite
+from ..codec import write_csv
 from ..training.optimizer import AdamW
 from .encoder import (
     EncoderConfig,
@@ -159,9 +159,5 @@ def run_comparison(
 def write_curves_csv(path, result: ComparisonResult):
     tt = dict(result.timetoken.points)
     sm = dict(result.summation.points)
-    steps = sorted(set(tt) | set(sm))
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["step", "acc_timetoken", "acc_sum"])
-        for s in steps:
-            w.writerow([s, tt.get(s, ""), sm.get(s, "")])
+    write_csv(path, ["step", "acc_timetoken", "acc_sum"],
+              ([s, tt.get(s, ""), sm.get(s, "")] for s in sorted(set(tt) | set(sm))))

@@ -1,7 +1,6 @@
 """The optimization loop: warmup, per-epoch evaluation, early stopping, checkpoints."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -9,6 +8,7 @@ import numpy as np
 
 from ..autodiff import backward
 from ..autodiff.tensor import first_nonfinite
+from ..codec import write_csv
 from ..model import TimelineModel, evaluate_loss, save_checkpoint, total_loss
 from .optimizer import AdamW
 from .packing import pack
@@ -192,8 +192,5 @@ def train(
 
 
 def write_loss_curves(history, path):
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.DictWriter(f, fieldnames=["step", "epoch", "train_loss", "eval_loss", "ntp", "td", "tte"])
-        w.writeheader()
-        for row in history:
-            w.writerow(row)
+    columns = ["step", "epoch", "train_loss", "eval_loss", "ntp", "td", "tte"]
+    write_csv(path, columns, ([row[c] for c in columns] for row in history))

@@ -19,6 +19,17 @@ def table_dir(tmp_path_factory):
     return d
 
 
+TABLE_HEADERS = {
+    "persons.csv": "person_id,birth_year,gender_concept_id,race_concept_id",
+    "visits.csv": "visit_id,person_id,visit_concept_id,start_date,end_date,discharge_concept_id",
+    "events.csv": "person_id,visit_id,domain,concept_id,date",
+}
+
+
+def header(path):
+    return path.read_text().splitlines()[0]
+
+
 def tbl_args(d):
     return ["--persons", str(d / "persons.csv"), "--visits", str(d / "visits.csv"),
             "--events", str(d / "events.csv")]
@@ -34,10 +45,10 @@ def test_unknown_subcommand_is_validation_error():
 
 
 def test_version_subprocess():
-    out = subprocess.run([sys.executable, "-m", "chronoseq.cli", "--version"],
-                         capture_output=True, text=True)
-    assert out.returncode == 0
-    assert "chronoseq" in out.stdout
+    for module in ("chronoseq.cli", "chronoseq"):
+        out = subprocess.run([sys.executable, "-m", module, "--version"], capture_output=True, text=True)
+        assert out.returncode == 0, (module, out.stderr)
+        assert "chronoseq" in out.stdout
 
 
 def test_encode_decode_roundtrip_with_manifests(table_dir, tmp_path):
@@ -51,8 +62,9 @@ def test_encode_decode_roundtrip_with_manifests(table_dir, tmp_path):
 
     out_dir = tmp_path / "decoded"
     assert main(["decode", "--sequences", str(seq), "--out-dir", str(out_dir)]) == 0
-    assert (out_dir / "persons.csv").exists()
+    assert {name: header(out_dir / name) for name in TABLE_HEADERS} == TABLE_HEADERS
     report = (out_dir / "decode_report.csv").read_text().splitlines()
+    assert report[0] == "outcome,count"
     assert "attempted,30" in report[1]
     assert "succeeded,30" in report[2]
 
@@ -129,6 +141,7 @@ def test_manifest_records_the_default_seed(tmp_path):
 
 def test_gradcheck_pass_and_fail(tmp_path):
     assert main(["gradcheck", "--out", str(tmp_path / "g.csv"), "--seed", "0"]) == 0
+    assert header(tmp_path / "g.csv") == "max_relative_error,tolerance,verdict"
     bad = tmp_path / "bad.cfg"
     bad.write_text("tolerance: 1e-12\n")
     assert main(["gradcheck", "--config", str(bad)]) == 2  # unattainable tolerance -> runtime failure
@@ -142,10 +155,11 @@ def test_pathway_cli(table_dir, tmp_path):
     spec.write_text("name: demo\nindex_concepts: [1125315]\nlookback_days: 365\n")
     out = tmp_path / "cohort.csv"
     assert main(["pathway", *tbl_args(table_dir), "--cohort-spec", str(spec), "--out", str(out)]) == 0
-    assert out.read_text().splitlines()[0] == "person_id"
+    assert header(out) == "person_id"
     bad = tmp_path / "bad.cfg"
-    bad.write_text("index_concepts: [1]\nwhat: 2\n")
-    assert main(["pathway", *tbl_args(table_dir), "--cohort-spec", str(bad), "--out", str(out)]) == 1
+    for text in ("what: 2", "outcome_concepts: [2]", "outcome_window: [1, 30]"):
+        bad.write_text(f"index_concepts: [1]\n{text}\n")
+        assert main(["pathway", *tbl_args(table_dir), "--cohort-spec", str(bad), "--out", str(out)]) == 1
 
 
 def test_prevalence_cli(table_dir, tmp_path):
@@ -169,6 +183,7 @@ def test_privacy_cli(tmp_path):
                "--synthetic-dir", str(dirs["synth"]), "--out", str(out), "--seed", "0"])
     assert rc == 0
     content = out.read_text()
+    assert content.splitlines()[0] == "attack,score,threshold,verdict"
     assert "nnaa_risk" in content and "overall" in content
 
 
@@ -176,7 +191,7 @@ def test_simstudy_cli(tmp_path):
     out = tmp_path / "curves.csv"
     rc = main(["simstudy", "--out", str(out), "--seed", "0", "--steps", "200", "--samples", "100"])
     assert rc == 0
-    assert out.read_text().splitlines()[0] == "step,acc_timetoken,acc_sum"
+    assert header(out) == "step,acc_timetoken,acc_sum"
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +214,7 @@ def trained_run(table_dir, tmp_path_factory):
 def test_train_outputs(trained_run):
     assert (trained_run / "final.ckpt").exists()
     assert (trained_run / "best.ckpt").exists()
-    assert (trained_run / "loss_curves.csv").exists()
+    assert header(trained_run / "loss_curves.csv") == "step,epoch,train_loss,eval_loss,ntp,td,tte"
     assert (trained_run / "vocabulary.tsv").exists()
     mani = json.loads((trained_run / "run.manifest.json").read_text())
     assert mani["subcommand"] == "train"
@@ -226,12 +241,13 @@ def test_generate_and_convert_cli(trained_run, table_dir, tmp_path):
     rc = main(["generate", "--checkpoint", str(trained_run / "final.ckpt"), "--experts", str(experts),
                *tbl_args(table_dir), "--out", str(seq), "--seed", "5"])
     assert rc == 0
-    assert (tmp_path / "synthetic.txt.experts.csv").exists()
+    assert header(tmp_path / "synthetic.txt.experts.csv") == \
+        "expert,requested,generated,kept,dropped_short,hit_max_tokens"
     out_dir = tmp_path / "synth_tables"
     rc = main(["convert", "--sequences", str(seq), "--out-dir", str(out_dir)])
     assert rc == 0
-    report = (out_dir / "conversion_report.csv").read_text()
-    assert report.splitlines()[0] == "outcome,count,fraction"
+    assert header(out_dir / "conversion_report.csv") == "outcome,count,fraction"
+    assert {name: header(out_dir / name) for name in TABLE_HEADERS} == TABLE_HEADERS
 
 
 def test_zeroshot_and_probe_cli(trained_run, table_dir, tmp_path):
@@ -258,12 +274,14 @@ def test_zeroshot_and_probe_cli(trained_run, table_dir, tmp_path):
                "--cohort", str(cohort), *tbl_args(table_dir), "--out", str(out),
                "--n-bootstrap", "20", "--seed", "3"])
     assert rc == 0
+    assert header(out) == "metric,value,sd,ci_low,ci_high"
     assert "auroc" in out.read_text()
 
     probe_out = tmp_path / "probe.csv"
     rc = main(["probe", "--checkpoint", str(trained_run / "final.ckpt"), "--cohort", str(cohort),
                *tbl_args(table_dir), "--out", str(probe_out), "--n-bootstrap", "20", "--seed", "3"])
     assert rc == 0
+    assert header(probe_out) == "metric,value,sd,ci_low,ci_high"
     assert "auroc" in probe_out.read_text()
     assert "converged,1" in probe_out.read_text()
 

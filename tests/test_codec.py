@@ -15,10 +15,12 @@ from chronoseq.codec import (
     decode_sequence,
     encode_patient,
     encode_prefix,
+    read_csv_table,
     read_tables,
     records_to_tables,
     tables_to_records,
     validate_sequence,
+    write_csv,
     write_tables,
 )
 from conftest import random_record
@@ -196,6 +198,12 @@ def test_tables_roundtrip(tmp_path):
     records2, report = tables_to_records(back)
     assert records2 == records
     assert report.n_unknown_concept_events_dropped == 0
+
+    rows = [("a", 1.5), ('say "hi", then go', "")]
+    write_csv(tmp_path / "quoted.csv", ["text", "value"], (list(r) for r in rows))
+    assert (tmp_path / "quoted.csv").read_bytes() == b'text,value\r\na,1.5\r\n"say ""hi"", then go",\r\n'
+    back_rows = read_csv_table(tmp_path / "quoted.csv", ("text", "value"), tuple)
+    assert back_rows == [("a", "1.5"), ('say "hi", then go', "")]
 
 
 def test_tables_drop_unknown_concepts():

@@ -14,7 +14,6 @@ from chronoseq.codec import (
 from chronoseq.evalharness import (
     CohortSpec,
     bow_features,
-    build_labeled_cohort,
     cohort_prefixes,
     concept_vocabulary,
     fit_logistic,
@@ -263,24 +262,3 @@ def test_cohort_prefixes_skip_prompts_that_fill_the_window():
     assert skipped == 1
     kept, skipped = cohort_prefixes([long_rec], rows[-1:], CodecConfig(), n_long + 1)
     assert skipped == 0 and len(kept) == 1
-
-
-def test_build_labeled_cohort():
-    anchor = dt.date(2000, 1, 1)
-    idx_day = anchor + dt.timedelta(days=400)
-
-    def person(pid, with_outcome):
-        visits = [
-            outpatient(anchor, [ClinicalEvent(anchor, "condition", 1)]),
-            outpatient(idx_day, [ClinicalEvent(idx_day, "condition", 777)]),
-        ]
-        if with_outcome:
-            d = idx_day + dt.timedelta(days=30)
-            visits.append(outpatient(d, [ClinicalEvent(d, "condition", 888)]))
-        return PatientRecord(pid, 1950, 8532, 8527, tuple(visits))
-
-    spec = CohortSpec(name="c", index_concepts=frozenset({777}), outcome_concepts=frozenset({888}),
-                      outcome_window=(1, 365))
-    tables = records_to_tables([person("a", True), person("b", False)])
-    rows = build_labeled_cohort(tables, spec)
-    assert rows == [("a", idx_day, 1), ("b", idx_day, 0)]
