@@ -13,7 +13,6 @@ __all__ = [
     "constant",
     "backward",
     "add",
-    "mul",
     "scale",
     "matmul",
     "linear",
@@ -189,18 +188,6 @@ def add(a, b):
     def bw(g):
         _accum_unbroadcast(a, g)
         _accum_unbroadcast(b, g)
-
-    out.backward_fn = bw if out.requires_grad else None
-    return out
-
-
-def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data * b.data, parents=(a, b), name="mul")
-
-    def bw(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
-        _accum(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
 
     out.backward_fn = bw if out.requires_grad else None
     return out

@@ -47,6 +47,7 @@ from .codec import (  # noqa: F401
     decode_sequence,
     encode_patient,
     encode_prefix,
+    parse_prefix,
     validate_sequence,
 )
 from .vocab import Vocabulary, ExpandReport, build_vocabulary, expand_vocabulary  # noqa: F401

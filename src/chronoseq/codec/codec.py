@@ -29,6 +29,7 @@ from .tokens import (
     END,
     TokenClass,
     UnknownTokenError,
+    att_days_of,
     att_token,
     classify_token,
     concept_id_of,
@@ -38,7 +39,8 @@ from .tokens import (
     VS,
 )
 
-__all__ = ["CodecConfig", "TokenSequence", "DecodeError", "encode_patient", "encode_prefix", "decode_sequence", "validate_sequence"]
+__all__ = ["CodecConfig", "TokenSequence", "DecodeError", "encode_patient", "encode_prefix", "decode_sequence",
+           "parse_prefix", "validate_sequence"]
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,6 @@ class CodecConfig:
 
     inpatient_concepts: frozenset[int] = frozenset({9201, 262})
     intra_visit_time: bool = True
-    long_gap_days: int = 1081  # decode value assigned to [LT]
 
     def is_inpatient(self, visit_concept_id: int) -> bool:
         return visit_concept_id in self.inpatient_concepts
@@ -150,18 +151,22 @@ def _classify(tokens, i):
         raise DecodeError(i, "unknown_token", str(e)) from None
 
 
-def _parse(tokens, cfg: CodecConfig):
-    """Grammar pass: returns (prefix ints, visit blocks, inter-visit gaps)."""
-    n = len(tokens)
-    if n < 4:
+def parse_prefix(tokens) -> tuple[int, int, int, int]:
+    """(year, age, gender, race) of the 4-token demographic prefix that opens every sequence and prompt."""
+    if len(tokens) < 4:
         raise DecodeError(0, "missing_prefix", "sequence shorter than the 4-token demographic prefix")
-    expected_prefix = (TokenClass.YEAR, TokenClass.AGE, TokenClass.GENDER, TokenClass.RACE)
     prefix = []
-    for i, want in enumerate(expected_prefix):
+    for i, want in enumerate((TokenClass.YEAR, TokenClass.AGE, TokenClass.GENDER, TokenClass.RACE)):
         if _classify(tokens, i) is not want:
             raise DecodeError(i, "bad_prefix", f"expected {want.value} token, got {tokens[i]!r}")
         prefix.append(concept_id_of(tokens[i]))
-    year, age, gender, race = prefix
+    return tuple(prefix)
+
+
+def _parse(tokens, cfg: CodecConfig):
+    """Grammar pass: returns (prefix ints, visit blocks, inter-visit gaps)."""
+    n = len(tokens)
+    year, age, gender, race = parse_prefix(tokens)
 
     visits: list[_VisitBlock] = []
     gaps: list[int] = []  # inter-visit gaps, len == len(visits) - 1
@@ -193,7 +198,7 @@ def _parse(tokens, cfg: CodecConfig):
                     raise DecodeError(i, "intra_visit_time_not_allowed", f"{tokens[i]!r} outside an inpatient visit")
                 if block.has_discharge:
                     raise DecodeError(i, "event_after_discharge", "time token after discharge type")
-                block.items.append(("gap", int(tokens[i][3:])))
+                block.items.append(("gap", att_days_of(tokens[i])))
             elif cls is TokenClass.DISCHARGE:
                 if not inpatient:
                     raise DecodeError(i, "unexpected_discharge", "discharge type in non-inpatient visit")
@@ -216,11 +221,8 @@ def _parse(tokens, cfg: CodecConfig):
                 if i != n - 1:
                     raise DecodeError(i + 1, "trailing_tokens", "tokens after [END]")
                 return (year, age, gender, race), visits, gaps
-            if cls is TokenClass.ATT_LT:
-                gaps.append(cfg.long_gap_days)
-                state = "expect_vs_after_gap"
-            elif cls is TokenClass.ATT_DAY and not tokens[i].startswith("i-D"):
-                gaps.append(int(tokens[i][1:]))
+            if cls is TokenClass.ATT_LT or (cls is TokenClass.ATT_DAY and not tokens[i].startswith("i-D")):
+                gaps.append(att_days_of(tokens[i]))
                 state = "expect_vs_after_gap"
             else:
                 raise DecodeError(i, "expected_gap_or_end", f"expected time gap or [END] after [VE], got {tokens[i]!r}")
@@ -258,7 +260,8 @@ def decode_sequence(
     anchors the first visit somewhere: at ``anchor`` when given, otherwise at
     January 1 of the year token. Every other date follows from accumulated
     time tokens, so all intervals are preserved exactly for gaps <= 1080
-    days. With lenient_tail, a sequence cut off by a generation budget is
+    days; an [LT] gap decodes as LONG_GAP_DAYS, the day count the time
+    targets use. With lenient_tail, a sequence cut off by a generation budget is
     truncated back to its last complete visit block.
     """
     tokens = tuple(seq.tokens) if isinstance(seq, TokenSequence) else tuple(seq)

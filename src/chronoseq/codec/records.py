@@ -139,9 +139,6 @@ class EventTables:
     visits: list[VisitRow] = field(default_factory=list)
     events: list[EventRow] = field(default_factory=list)
 
-    def n_persons(self) -> int:
-        return len(self.persons)
-
 
 @dataclass
 class IngestReport:

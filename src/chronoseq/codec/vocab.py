@@ -6,11 +6,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .codec import TokenSequence
-from .tokens import END, LT, MAX_ATT_DAYS, PAD, VE, VS, UnknownTokenError, classify_token
+from .tokens import END, MAX_ATT_DAYS, PAD, SPECIAL_TOKENS, UnknownTokenError, classify_token
 
 __all__ = ["Vocabulary", "ExpandReport", "build_vocabulary", "expand_vocabulary"]
 
-SPECIALS = (PAD, VS, VE, LT, END)
 _ATT_RANGE = tuple(f"D{n}" for n in range(MAX_ATT_DAYS + 1))
 
 
@@ -24,7 +23,7 @@ class Vocabulary:
         self._index = {t: i for i, t in enumerate(self.tokens)}
         if len(self._index) != len(self.tokens):
             raise ValueError("duplicate tokens in vocabulary")
-        for s in SPECIALS:
+        for s in SPECIAL_TOKENS:
             if s not in self._index:
                 raise ValueError(f"special token {s} missing from vocabulary")
 
@@ -42,9 +41,6 @@ class Vocabulary:
 
     def encode(self, tokens) -> list[int]:
         return [self._index[t] for t in tokens]
-
-    def decode(self, ids) -> list[str]:
-        return [self.tokens[i] for i in ids]
 
     @property
     def pad_id(self) -> int:
@@ -116,7 +112,7 @@ def build_vocabulary(corpus) -> Vocabulary:
         observed.update(tokens)
     if n_seq == 0:
         raise ValueError("cannot build a vocabulary from an empty corpus")
-    base = list(SPECIALS) + list(_ATT_RANGE)
+    base = list(SPECIAL_TOKENS) + list(_ATT_RANGE)
     fixed = set(base)
     rest = sorted(t for t in observed if t not in fixed)
     for t in rest:

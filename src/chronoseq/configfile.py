@@ -12,7 +12,7 @@ import dataclasses
 import typing
 from pathlib import Path
 
-__all__ = ["ConfigParseError", "parse_kv_text", "parse_kv_blocks", "format_kv", "load_config", "read_config"]
+__all__ = ["ConfigParseError", "parse_kv_text", "parse_kv_blocks", "load_config", "read_config"]
 
 
 class ConfigParseError(ValueError):
@@ -125,21 +125,6 @@ def parse_kv_blocks(text: str) -> list[dict]:
                 blocks.append(block)
             current = []
     return blocks
-
-
-def format_kv(d: dict) -> str:
-    lines = []
-    for k, v in d.items():
-        if isinstance(v, (list, tuple)):
-            inner = ", ".join(f'"{x}"' if isinstance(x, str) else str(x) for x in v)
-            lines.append(f"{k}: [{inner}]")
-        elif isinstance(v, bool):
-            lines.append(f"{k}: {'true' if v else 'false'}")
-        elif isinstance(v, str):
-            lines.append(f'{k}: "{v}"')
-        else:
-            lines.append(f"{k}: {v}")
-    return "\n".join(lines) + "\n"
 
 
 def _as_int(v):

@@ -2,7 +2,6 @@
 
 from .metrics import auroc, auprc, BootstrapResult, bootstrap_metric, write_metrics_csv  # noqa: F401
 from .logistic import LogisticModel, fit_logistic  # noqa: F401
-from .bow import bow_features, concept_vocabulary  # noqa: F401
 from .probe import ProbeResult, linear_probe  # noqa: F401
 from .fidelity import (  # noqa: F401
     CohortSpec,

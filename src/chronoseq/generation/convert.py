@@ -14,10 +14,6 @@ class ConversionReport:
     succeeded: int = 0
     failures: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def failed(self) -> int:
-        return self.attempted - self.succeeded
-
     def fractions(self) -> dict[str, float]:
         """'succeeded' plus one entry per failure reason; sums to 1 over attempts."""
         if self.attempted == 0:

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..codec import TokenSequence
-from ..codec.tokens import TokenClass, classify_token
+from ..codec import TokenSequence, parse_prefix
 from ..model import InferenceSession, TimelineModel
 
 __all__ = ["SamplingConfig", "apply_decoding_controls", "sample_token_id", "sample_sequence"]
@@ -114,15 +113,6 @@ def sample_token_id(probs: np.ndarray, rng):
     return (csum <= target[:, None]).sum(axis=1)  # searchsorted(side="right") per row
 
 
-def _check_prompt(tokens):
-    if len(tokens) < 4:
-        raise ValueError("prompt must start with the 4-token demographic prefix")
-    want = (TokenClass.YEAR, TokenClass.AGE, TokenClass.GENDER, TokenClass.RACE)
-    for i, cls in enumerate(want):
-        if classify_token(tokens[i]) is not cls:
-            raise ValueError(f"prompt token {i} ({tokens[i]!r}) is not a {cls.value} token")
-
-
 def sample_sequence(
     model: TimelineModel,
     prompt_tokens,
@@ -132,7 +122,7 @@ def sample_sequence(
 ) -> TokenSequence:
     """Generate until [END] or the length cap; a capped sequence is flagged, not dropped."""
     prompt = tuple(prompt_tokens)
-    _check_prompt(prompt)
+    parse_prefix(prompt)
     limit = min(cfg.max_tokens, model.config.context_window)
     if len(prompt) >= limit:
         raise ValueError(f"prompt of {len(prompt)} tokens leaves no room under the {limit}-token cap")

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 from ..codec.vocab import Vocabulary
 from .config import ModelConfig
-from .params import ModelParams, init_params, params_sha256
+from .params import ModelParams, init_params, param_shapes, params_sha256
 
 __all__ = ["TimelineModel"]
 
@@ -20,7 +20,7 @@ class TimelineModel:
     def initialize(cls, config: ModelConfig, vocab: Vocabulary, seed: int) -> "TimelineModel":
         if config.vocab_size != len(vocab):
             raise ValueError(f"config.vocab_size {config.vocab_size} != |vocab| {len(vocab)}")
-        return cls(config=config, params=init_params(config, seed), vocab=vocab)
+        return cls(config=config, params=init_params(param_shapes(config), seed), vocab=vocab)
 
     def params_hash(self) -> str:
         return params_sha256(self.params)

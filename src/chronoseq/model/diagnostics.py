@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from ..autodiff.gradcheck import grad_check
 from ..codec import TokenSequence
+from ..codec.tokens import SPECIAL_TOKENS
 from ..codec.vocab import Vocabulary
 from ..training.corpus import encode_examples
 from ..training.packing import pack
@@ -48,8 +49,7 @@ def toy_batch():
         TokenSequence(_TOKENS_C, person_id="c"),
     ]
     used = sorted({t for s in seqs for t in s.tokens})
-    specials = ["[PAD]", "[VS]", "[VE]", "[LT]", "[END]"]
-    vocab = Vocabulary(specials + [t for t in used if t not in specials])
+    vocab = Vocabulary(SPECIAL_TOKENS + tuple(t for t in used if t not in SPECIAL_TOKENS))
     return vocab, pack(encode_examples(seqs, vocab, max_year_class=10), tokens_per_batch=64)[0]
 
 

@@ -43,9 +43,6 @@ class ModelParams:
         for t in self.tensors.values():
             t.zero_grad()
 
-    def n_parameters(self) -> int:
-        return sum(t.data.size for t in self.tensors.values())
-
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter, in checkpoint layout order."""
@@ -72,11 +69,12 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
-    """Gains start at one, biases at zero, weight matrices at N(0, 0.02^2), drawn in layout order."""
+def init_params(shapes: dict[str, tuple[int, ...]], seed: int) -> ModelParams:
+    """Parameters of a name -> shape table: gains (".g") start at one, biases (".b") at zero,
+    everything else at N(0, 0.02^2), drawn in table order."""
     rng = np.random.default_rng(seed)
     tensors: dict[str, Tensor] = {}
-    for name, shape in param_shapes(cfg).items():
+    for name, shape in shapes.items():
         if name.endswith(".g"):
             data = np.ones(shape)
         elif name.endswith(".b"):

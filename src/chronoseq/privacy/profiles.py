@@ -28,13 +28,6 @@ class ProfileSpec:
     def dimension(self) -> int:
         return len(self.gender_concepts) + len(self.race_concepts) + _AGE_DECADES + len(self.concepts)
 
-    def attribute_names(self) -> list[str]:
-        names = [f"gender:{g}" for g in self.gender_concepts]
-        names += [f"race:{r}" for r in self.race_concepts]
-        names += [f"age_decade:{k}" for k in range(_AGE_DECADES)]
-        names += [f"{d}:{c}" for d, c in self.concepts]
-        return names
-
     @classmethod
     def from_tables(cls, tables: EventTables, top_k_concepts: int = 64) -> "ProfileSpec":
         """Deterministic spec from a reference dataset: the top-k concepts by

@@ -27,7 +27,7 @@ from ..autodiff import (
     reshape,
     transpose,
 )
-from ..model.params import ModelParams
+from ..model.params import ModelParams, init_params
 from .logic import LOGIC_DOMAIN
 
 __all__ = ["EncoderConfig", "CLS_ID", "X_BASE", "T_BASE", "VOCAB_SIZE", "init_encoder_params",
@@ -59,37 +59,20 @@ class EncoderConfig:
 
 
 def init_encoder_params(cfg: EncoderConfig, seed: int) -> ModelParams:
-    rng = np.random.default_rng(seed)
-    d = cfg.embed_dim
-
-    def w(shape):
-        return rng.normal(0.0, 0.02, size=shape)
-
-    tensors = {}
-    from ..autodiff import parameter
-
-    def addp(name, data):
-        tensors[name] = parameter(data, name=name)
-
-    addp("tok_emb", w((VOCAB_SIZE, d)))
-    addp("pos_emb", w((_MAX_LEN, d)))
+    d, f = cfg.embed_dim, cfg.intermediate_dim
+    shapes = {"tok_emb": (VOCAB_SIZE, d), "pos_emb": (_MAX_LEN, d)}
     for i in range(cfg.n_layers):
         p = f"enc{i}."
-        addp(p + "qkv.w", w((d, 3 * d)))
-        addp(p + "qkv.b", np.zeros(3 * d))
-        addp(p + "proj.w", w((d, d)))
-        addp(p + "proj.b", np.zeros(d))
-        addp(p + "ln1.g", np.ones(d))
-        addp(p + "ln1.b", np.zeros(d))
-        addp(p + "ff1.w", w((d, cfg.intermediate_dim)))
-        addp(p + "ff1.b", np.zeros(cfg.intermediate_dim))
-        addp(p + "ff2.w", w((cfg.intermediate_dim, d)))
-        addp(p + "ff2.b", np.zeros(d))
-        addp(p + "ln2.g", np.ones(d))
-        addp(p + "ln2.b", np.zeros(d))
-    addp("head.w", w((d, 2)))
-    addp("head.b", np.zeros(2))
-    return ModelParams(tensors)
+        shapes.update({
+            p + "qkv.w": (d, 3 * d), p + "qkv.b": (3 * d,),
+            p + "proj.w": (d, d), p + "proj.b": (d,),
+            p + "ln1.g": (d,), p + "ln1.b": (d,),
+            p + "ff1.w": (d, f), p + "ff1.b": (f,),
+            p + "ff2.w": (f, d), p + "ff2.b": (d,),
+            p + "ln2.g": (d,), p + "ln2.b": (d,),
+        })
+    shapes.update({"head.w": (d, 2), "head.b": (2,)})
+    return init_params(shapes, seed)
 
 
 def _encoder_stack(params: ModelParams, cfg: EncoderConfig, x: Tensor) -> Tensor:

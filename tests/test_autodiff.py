@@ -27,7 +27,6 @@ from chronoseq.autodiff import (
     linear,
     matmul,
     mean_all,
-    mul,
     parameter,
     reshape,
     scale,
@@ -95,9 +94,14 @@ def test_gamma_nll_matches_the_stdlib_density():
     npt.assert_allclose(gamma_nll(constant(pre), t).data, want, rtol=1e-12, atol=1e-12)
 
 
+def _dot(a, b):
+    """Sum over the elementwise product of a and b, as one (1, n) @ (n, 1) product."""
+    return total_sum(matmul(reshape(a, (1, -1)), reshape(b, (-1, 1))))
+
+
 def test_quadratic_grad_check():
     x = parameter([3.0], name="x")
-    err = grad_check(lambda: total_sum(mul(x, x)), [x])
+    err = grad_check(lambda: _dot(x, x), [x])
     assert err < 1e-8
 
 
@@ -116,7 +120,7 @@ def test_attention_weights_are_a_causal_distribution():
 
 def test_shared_subexpression_accumulates():
     x = parameter([2.0])
-    y = add(mul(x, x), mul(x, constant([3.0])))  # x^2 + 3x
+    y = add(_dot(x, x), _dot(x, constant([3.0])))  # x^2 + 3x
     backward(total_sum(y))
     assert x.grad[0] == pytest.approx(2 * 2.0 + 3.0)
 
@@ -124,15 +128,15 @@ def test_shared_subexpression_accumulates():
 def test_backward_requires_scalar_root():
     x = parameter([1.0, 2.0])
     with pytest.raises(ValueError):
-        backward(mul(x, x))
+        backward(add(x, x))
 
 
 def _sum_sq(y):
-    return total_sum(mul(y, y))
+    return _dot(y, y)
 
 
 OP_CASES = [
-    "add", "mul", "scale", "matmul2d", "matmul_batched", "linear", "layer_norm", "attention",
+    "add", "scale", "matmul2d", "matmul_batched", "linear", "layer_norm", "attention",
     "attention_causal_dropout", "gelu", "gamma_nll", "softplus", "log", "lgamma", "cross_entropy", "tied_cross_entropy", "gather",
     "gather_increasing", "gather_2d", "gather_2d_increasing", "concat", "transpose_reshape", "index_axis0",
     "dropout", "mean",
@@ -146,9 +150,6 @@ def _op_case(op_case):
     if op_case == "add":
         a, b = parameter(rng.normal(size=(3, 4))), parameter(rng.normal(size=4))  # broadcast bias: _unbroadcast
         return lambda: _sum_sq(add(a, b)), [a, b]
-    if op_case == "mul":
-        a, b = parameter(rng.normal(size=(3, 4))), parameter(rng.normal(size=(3, 1)))
-        return lambda: _sum_sq(mul(a, b)), [a, b]
     if op_case == "scale":
         x = parameter(rng.normal(size=(2, 3)))
         return lambda: _sum_sq(scale(x, -0.7)), [x]
@@ -169,11 +170,11 @@ def _op_case(op_case):
     if op_case == "attention":
         qkv = parameter(rng.normal(size=(3, 2, 4, 3)))
         w = constant(rng.normal(size=(2, 4, 3)))
-        return lambda: total_sum(mul(attention(qkv, None, 0.6), w)), [qkv]
+        return lambda: _dot(attention(qkv, None, 0.6), w), [qkv]
     if op_case == "attention_causal_dropout":
         qkv = parameter(rng.normal(size=(3, 2, 2, 4, 3)))
         w = constant(rng.normal(size=(2, 2, 4, 3)))
-        return lambda: total_sum(mul(attention(qkv, _causal(4), 0.6, 0.3, np.random.default_rng(1)), w)), [qkv]
+        return lambda: _dot(attention(qkv, _causal(4), 0.6, 0.3, np.random.default_rng(1)), w), [qkv]
     if op_case == "gelu":
         x = parameter(rng.normal(size=(4, 3)))
         return lambda: _sum_sq(gelu(x)), [x]
@@ -281,7 +282,7 @@ def _outputs_and_grads(op, inputs, out_grad_seed=0):
     params = [parameter(a) for a in inputs]
     out = op(*params)
     w = constant(np.random.default_rng(out_grad_seed).normal(size=out.data.shape))
-    backward(total_sum(mul(out, w)))
+    backward(_dot(out, w))
     return [out.data] + [p.grad for p in params]
 
 
@@ -339,21 +340,21 @@ def test_dropout_scales_kept_values():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_gradcheck_reports_nonfinite():
     x = parameter([1e200])  # x * x overflows to inf
-    with pytest.raises(GradCheckError, match="'mul'"):
-        grad_check(lambda: total_sum(mul(x, x)), [x])
+    with pytest.raises(GradCheckError, match="'matmul'"):
+        grad_check(lambda: _dot(x, x), [x])
 
 
 @pytest.mark.parametrize("square_first", [False, True])
 def test_fan_out_gradient_is_copied_before_a_second_contribution(square_first):
     # add hands its own gradient array to both a and b; a later (or earlier) gets a
-    # second contribution from a * a, which must not leak into b's gradient
+    # second contribution from a . a, which must not leak into b's gradient
     rng = np.random.default_rng(7)
     a, b = parameter(rng.normal(size=(2, 3))), parameter(rng.normal(size=(2, 3)))
     w = constant(rng.normal(size=(2, 3)))
 
     def loss():
-        fan = total_sum(mul(add(a, b), w))
-        own = total_sum(mul(a, a))
+        fan = _dot(add(a, b), w)
+        own = _dot(a, a)
         return add(own, fan) if square_first else add(fan, own)
 
     assert grad_check(loss, [a, b]) < 1e-8
@@ -369,7 +370,7 @@ def test_backward_consumes_the_graph():
     rng = np.random.default_rng(3)
     x, wt = parameter(rng.normal(size=(4, 3))), parameter(rng.normal(size=(3, 2)))
     h = gelu(matmul(x, wt))
-    root = total_sum(mul(reshape(transpose(h, (1, 0)), (8,)), constant(rng.normal(size=8))))
+    root = total_sum(matmul(reshape(transpose(h, (1, 0)), (1, 8)), constant(rng.normal(size=(8, 1)))))
     interior, stack = [], [root]
     while stack:
         node = stack.pop()

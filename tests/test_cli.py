@@ -516,6 +516,7 @@ CONFIG_FAULTS = [
     ("gradcheck --config", "widget: 3\n", "widget"),
     ("gradcheck --config", "embed_dim: 6.5\n", "embed_dim"),
     ("--experts", "temperature: 0.9\ncount: 2\ncheckpoint_id: ckpt-1\n", "expert 0: unknown field(s): checkpoint_id"),
+    ("--codec-config", "long_gap_days: 2000\n", "long_gap_days"),
 ]
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from chronoseq.codec import (
     ClinicalEvent,
     CodecConfig,
+    LONG_GAP_DAYS,
     DecodeError,
     PatientRecord,
     RecordValidationError,
@@ -186,7 +187,7 @@ def test_long_gap_roundtrip_is_lossy_but_consistent():
     )
     back = decode_sequence(encode_patient(rec), anchor=d0)
     gap = (back.visits[1].start_date - back.visits[0].end_date).days
-    assert gap == 1081  # [LT] decodes to the configured long-gap stand-in
+    assert gap == LONG_GAP_DAYS  # [LT] decodes to the day count the time targets use
 
 
 def test_tables_roundtrip(tmp_path):

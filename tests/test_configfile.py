@@ -1,7 +1,7 @@
 import pytest
 
 from chronoseq.codec import TokenSequence, read_sequences, write_sequences
-from chronoseq.configfile import ConfigParseError, format_kv, load_config, parse_kv_blocks, parse_kv_text, read_config
+from chronoseq.configfile import ConfigParseError, load_config, parse_kv_blocks, parse_kv_text, read_config
 
 
 def test_scalars_and_types():
@@ -65,8 +65,8 @@ def test_comment_only_paragraphs_are_not_blocks():
 
 
 def test_format_roundtrip():
-    d = {"s": "text", "n": 5, "f": True, "xs": ["a", "b"]}
-    assert parse_kv_text(format_kv(d)) == d
+    text = 's: "text"\nn: 5\nf: true\nxs: ["a", "b"]\n'
+    assert parse_kv_text(text) == {"s": "text", "n": 5, "f": True, "xs": ["a", "b"]}
 
 
 def test_sequence_file_flags_roundtrip(tmp_path):

@@ -13,9 +13,7 @@ from chronoseq.codec import (
 )
 from chronoseq.evalharness import (
     CohortSpec,
-    bow_features,
     cohort_prefixes,
-    concept_vocabulary,
     fit_logistic,
     linear_probe,
     pathway_cohort,
@@ -25,45 +23,6 @@ from chronoseq.evalharness import (
 from chronoseq.evalharness.fidelity import STRATA
 from chronoseq.model import ModelConfig, TimelineModel
 from chronoseq.synthworld import WorldConfig, sample_hospital_records
-
-
-# ---------------------------------------------------------------------------
-# bag of words
-
-
-def outpatient(day, events):
-    return Visit(9202, day, day, None, tuple(events))
-
-
-def test_bow_counts_and_window():
-    d0 = dt.date(2000, 1, 1)
-    rec = PatientRecord(
-        "p", 1950, 8532, 8527,
-        (
-            outpatient(d0, [ClinicalEvent(d0, "condition", 1)]),
-            outpatient(d0 + dt.timedelta(days=10),
-                       [ClinicalEvent(d0 + dt.timedelta(days=10), "condition", 1),
-                        ClinicalEvent(d0 + dt.timedelta(days=10), "drug", 2)]),
-            outpatient(d0 + dt.timedelta(days=400),
-                       [ClinicalEvent(d0 + dt.timedelta(days=400), "condition", 1)]),
-        ),
-    )
-    concepts = [1, 2, 3]
-    index = d0 + dt.timedelta(days=20)
-    counts = bow_features(rec, index, (-30, 0), concepts)
-    assert counts.tolist() == [2, 1, 0]
-    # empty window -> zero vector
-    assert bow_features(rec, index, (-5, -1), concepts).tolist() == [0, 0, 0]
-    # shrinking the window never increases any count
-    wide = bow_features(rec, index, (-400, 400), concepts)
-    narrow = bow_features(rec, index, (-100, 100), concepts)
-    assert (narrow <= wide).all()
-
-
-def test_concept_vocabulary_sorted():
-    records = sample_hospital_records(10, seed=0)
-    vocab = concept_vocabulary(records)
-    assert vocab == sorted(set(vocab))
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +132,10 @@ def test_prevalence_rejects_empty():
 
 # ---------------------------------------------------------------------------
 # treatment pathway
+
+
+def outpatient(day, events):
+    return Visit(9202, day, day, None, tuple(events))
 
 
 def drug_event(day):

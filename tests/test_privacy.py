@@ -44,7 +44,6 @@ def test_profiles_from_tables_fixed_dimension_and_determinism():
     assert m1.shape == (50, spec.dimension)
     np.testing.assert_array_equal(m1, m2)
     assert set(np.unique(m1)) <= {0, 1}
-    assert len(spec.attribute_names()) == spec.dimension
 
 
 def test_nnaa_independent_near_zero(independent_sets):
