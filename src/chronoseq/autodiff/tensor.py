@@ -22,6 +22,7 @@ __all__ = [
     "index_axis0",
     "gather_rows",
     "layer_norm",
+    "LAYER_NORM_EPS",
     "attention",
     "cross_entropy",
     "tied_cross_entropy",
@@ -310,10 +311,13 @@ def gather_rows(table, idx):
 # neural-net ops
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
+LAYER_NORM_EPS = 1e-5  # shared with the graph-free decoder in model/inference.py
+
+
+def layer_norm(x, gain, bias):
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (x.data - mu) * inv
     out = Tensor(gain.data * xhat + bias.data, parents=(x, gain, bias), name="layer_norm")
 

@@ -124,6 +124,11 @@ def _cohort(mani, args, model, codec_cfg):
                                         model.config.context_window)
     if skipped:
         print(f"warning: skipped {skipped} cohort rows without usable history or room to simulate", file=sys.stderr)
+    unseen = [p for p, _ in prefixes if any(t not in model.vocab for t in p)]
+    if unseen:
+        first = next(t for t in unseen[0] if t not in model.vocab)
+        raise ValidationFailure(f"--cohort: {len(unseen)} of {len(prefixes)} prompts hold tokens missing from the "
+                                f"checkpoint's vocabulary, first {first!r}")
     return prefixes
 
 

@@ -44,38 +44,28 @@ _NUCLEUS_CANDIDATES = 64  # tokens sorted before falling back to a full-vocabula
 
 
 def apply_decoding_controls(logits, context_ids, cfg: SamplingConfig) -> np.ndarray:
-    """Raw next-token logits -> normalized sampling distribution.
-
-    logits is one (V,) row with its context ids, or a (B, V) batch with one
-    context per row; each row of a batch comes out bit-identical to the call
-    on that row alone.
-    """
+    """Raw (V,) next-token logits and the ids read so far -> normalized sampling distribution."""
     z = np.array(logits, dtype=np.float64)
-    rows = z.reshape(-1, z.shape[-1])  # a view: edits below land in z
-    contexts = [context_ids] if z.ndim == 1 else context_ids
-    if cfg.repetition_penalty != 1.0:
-        for row, context in zip(rows, contexts):
-            if len(context) > 0:
-                seen = np.unique(np.asarray(context, dtype=np.int64))
-                vals = row[seen]
-                row[seen] = np.where(vals > 0, vals / cfg.repetition_penalty, vals * cfg.repetition_penalty)
+    if cfg.repetition_penalty != 1.0 and len(context_ids) > 0:
+        seen = np.unique(np.asarray(context_ids, dtype=np.int64))
+        vals = z[seen]
+        z[seen] = np.where(vals > 0, vals / cfg.repetition_penalty, vals * cfg.repetition_penalty)
     if cfg.temperature != 1.0:  # dividing by 1 changes nothing
         z /= cfg.temperature
     if cfg.top_k and cfg.top_k < z.shape[-1]:
-        cutoff = np.partition(z, -cfg.top_k, axis=-1)[..., -cfg.top_k, None]
+        cutoff = np.partition(z, -cfg.top_k)[-cfg.top_k]
         z[z < cutoff] = -np.inf
-    top = z.max(axis=-1, keepdims=True)
-    if not np.isfinite(top).all():  # a row holding +inf or nan: subtract its largest finite logit
-        top = np.where(np.isfinite(z), z, -np.inf).max(axis=-1, keepdims=True)
+    top = z.max()
+    if not np.isfinite(top):  # +inf or nan among the logits: subtract the largest finite one
+        top = np.where(np.isfinite(z), z, -np.inf).max()
     z -= top
     probs = np.exp(z, out=z)  # exp(-inf) underflows to an exact zero
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs /= probs.sum()
     if cfg.top_p < 1.0:
-        for row in probs.reshape(-1, probs.shape[-1]):
-            mask = np.zeros(row.shape, dtype=bool)
-            mask[_nucleus(row, cfg.top_p)] = True
-            row[~mask] = 0.0
-            row /= row.sum()
+        mask = np.zeros(probs.shape, dtype=bool)
+        mask[_nucleus(probs, cfg.top_p)] = True
+        probs[~mask] = 0.0
+        probs /= probs.sum()
     return probs
 
 
@@ -99,17 +89,14 @@ def _nucleus(p: np.ndarray, top_p: float) -> np.ndarray:
 
 
 def sample_token_id(probs: np.ndarray, rng):
-    """One draw from a (V,) distribution, or one per row of a (B, V) batch.
-
-    rng is a Generator, or for a batch the (B,) uniforms already drawn; a
-    batch with a Generator draws rng.random(B). Row i draws what the (V,)
-    call would with the i-th uniform.
+    """One draw from a (V,) distribution with a Generator, or one per row of a
+    (B, V) batch with the (B,) uniforms already drawn. Row i draws what the
+    (V,) call would from a Generator whose next uniform is the i-th.
     """
     csum = np.cumsum(probs, axis=-1)
     if csum.ndim == 1:
         return int(np.searchsorted(csum, rng.random() * csum[-1], side="right"))
-    uniforms = rng.random(csum.shape[0]) if isinstance(rng, np.random.Generator) else np.asarray(rng)
-    target = uniforms * csum[:, -1]
+    target = np.asarray(rng) * csum[:, -1]
     return (csum <= target[:, None]).sum(axis=1)  # searchsorted(side="right") per row
 
 
@@ -126,13 +113,14 @@ def sample_sequence(
     limit = min(cfg.max_tokens, model.config.context_window)
     if len(prompt) >= limit:
         raise ValueError(f"prompt of {len(prompt)} tokens leaves no room under the {limit}-token cap")
+    ids = [model.vocab.id_of(t) for t in prompt]
     session = InferenceSession(model)
-    session.prefill([model.vocab.id_of(t) for t in prompt])
+    session.prefill(ids)
     tokens = list(prompt)
     end_id = model.vocab.end_id
     hit_max = False
     while True:
-        probs = apply_decoding_controls(session.next_logits(), session.context_ids, cfg)
+        probs = apply_decoding_controls(session.next_logits(), ids, cfg)
         tid = sample_token_id(probs, rng)
         tokens.append(model.vocab.token_of(tid))
         if tid == end_id:
@@ -141,4 +129,5 @@ def sample_sequence(
             hit_max = True
             break
         session.append(tid)
+        ids.append(tid)
     return TokenSequence(tuple(tokens), person_id=person_id, hit_max_tokens=hit_max)

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 from ..codec.vocab import Vocabulary
 from .config import ModelConfig
+from .inference import InferenceSession
 from .params import ModelParams, init_params, param_shapes, params_sha256
 
 __all__ = ["TimelineModel"]
@@ -21,6 +22,10 @@ class TimelineModel:
         if config.vocab_size != len(vocab):
             raise ValueError(f"config.vocab_size {config.vocab_size} != |vocab| {len(vocab)}")
         return cls(config=config, params=init_params(param_shapes(config), seed), vocab=vocab)
+
+    def open_session(self) -> InferenceSession:
+        """A fresh decoding session over these parameters."""
+        return InferenceSession(self)
 
     def params_hash(self) -> str:
         return params_sha256(self.params)

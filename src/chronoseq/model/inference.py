@@ -15,10 +15,14 @@ prefix cache, and lanes of different prompts share each step's dense work.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bundle import TimelineModel
+from ..autodiff import LAYER_NORM_EPS
+
+if TYPE_CHECKING:
+    from .bundle import TimelineModel
 
 __all__ = ["InferenceSession", "LaneBatch", "extract_representation"]
 
@@ -30,17 +34,18 @@ def _gelu(x):
     return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x * x * x)))
 
 
-def _layer_norm(x, g, b, eps=1e-5):
+def _layer_norm(x, g, b):
     n = x.shape[-1]  # sum / n is what mean computes, without its Python overhead
     xc = x - x.sum(axis=-1, keepdims=True) / n
     var = (xc * xc).sum(axis=-1, keepdims=True) / n
-    return g * xc / np.sqrt(var + eps) + b
+    return g * xc / np.sqrt(var + LAYER_NORM_EPS) + b
 
 
 def _softmax(x):
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)  # in place: one (..., V) temporary, not three
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 @lru_cache(maxsize=8)
@@ -104,16 +109,11 @@ class InferenceSession:
         self._k = [np.empty(shape) for _ in range(cfg.n_layers)]
         self._v = [np.empty(shape) for _ in range(cfg.n_layers)]
         self._len = 0
-        self._ids: list[int] = []
         self._last_hidden: np.ndarray | None = None
 
     @property
     def length(self) -> int:
         return self._len
-
-    @property
-    def context_ids(self) -> list[int]:
-        return self._ids
 
     def prefill(self, token_ids) -> None:
         """Process a prompt, or the next chunk of one, in one pass."""
@@ -154,7 +154,6 @@ class InferenceSession:
 
         self._last_hidden = _blocks(self._w, cfg, self._w["tok_emb"][ids], attend)
         self._len = base + T
-        self._ids.extend(int(t) for t in ids)
 
     def next_logits(self) -> np.ndarray:
         """(V,) next-token logits, computed on each call from the last hidden state."""
@@ -180,28 +179,21 @@ class _LaneGroup:
         shape = (n, cfg.n_heads, cap, cfg.head_dim)
         self.k = [np.empty(shape) for _ in range(cfg.n_layers)]
         self.v = [np.empty(shape) for _ in range(cfg.n_layers)]
-        self.ids = np.empty((n, cap), dtype=np.int64)
 
     @property
     def n_lanes(self) -> int:
-        return self.ids.shape[0]
-
-    def context_ids(self) -> list[np.ndarray]:
-        prefix = np.asarray(self.session.context_ids[: self.prefix_len], dtype=np.int64)
-        return [np.concatenate([prefix, row[: self.len]]) for row in self.ids]
+        return self.k[0].shape[0]
 
     def keep(self, idx) -> None:
         if idx.size == self.n_lanes and (idx == np.arange(idx.size)).all():
             return
         self.k = [k[idx] for k in self.k]
         self.v = [v[idx] for v in self.v]
-        self.ids = self.ids[idx]
 
     def grow(self, window: int) -> None:
-        cap = min(2 * self.ids.shape[1], window - self.prefix_len)
+        cap = min(2 * self.k[0].shape[2], window - self.prefix_len)
         self.k = [_grown(k, 2, cap) for k in self.k]
         self.v = [_grown(v, 2, cap) for v in self.v]
-        self.ids = _grown(self.ids, 1, cap)
 
     def attend(self, i, q, k, v):
         """One score block over the prefix and this group's suffix; q is (B, H, dh), pre-scaled."""
@@ -241,11 +233,6 @@ class LaneBatch:
     def length(self) -> int:
         """Tokens of the longest lane, prefix included."""
         return max((g.prefix_len + g.len for g in self._groups), default=0)
-
-    @property
-    def context_ids(self) -> list[np.ndarray]:
-        """Token ids of every lane, prefix included, in row order."""
-        return [row for g in self._groups for row in g.context_ids()]
 
     def join(self, session: InferenceSession, n: int) -> None:
         """Add n lanes after session's tokens, as the last rows of the batch.
@@ -292,7 +279,7 @@ class LaneBatch:
         cfg, w, groups = self._cfg, self._w, self._groups
         _check_room(self.length, 1, cfg.context_window)
         for g in groups:
-            if g.len == g.ids.shape[1]:
+            if g.len == g.k[0].shape[2]:
                 g.grow(cfg.context_window)
         bounds = np.cumsum([0] + [g.n_lanes for g in groups])
         scale = 1.0 / np.sqrt(cfg.head_dim)
@@ -305,8 +292,7 @@ class LaneBatch:
             return ctx
 
         self._hidden = _blocks(w, cfg, w["tok_emb"][ids][:, None], attend)
-        for g, lo, hi in zip(groups, bounds, bounds[1:]):
-            g.ids[:, g.len] = ids[lo:hi]
+        for g in groups:
             g.len += 1
 
 

@@ -33,9 +33,9 @@ def segment_causal_mask(n_tokens: int, segment_bounds) -> np.ndarray:
     return mask
 
 
-def forward(params: ModelParams, cfg: ModelConfig, token_ids, attn_mask, dropout_rng=None):
-    """Token ids (T,) + additive mask (T,T) -> (logits (T,V), final hidden (T,d))."""
-    hidden = hidden_states(params, cfg, token_ids, attn_mask, dropout_rng)
+def forward(params: ModelParams, cfg: ModelConfig, token_ids, attn_mask):
+    """Token ids (T,) + additive mask (T,T) -> (logits (T,V), final hidden (T,d)), dropout off."""
+    hidden = hidden_states(params, cfg, token_ids, attn_mask)
     return tied_head(params, hidden), hidden
 
 

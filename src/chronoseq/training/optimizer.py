@@ -7,6 +7,8 @@ from ..model.params import ModelParams
 
 __all__ = ["AdamW"]
 
+_EPS = 1e-8  # keeps the update finite where the second moment is zero
+
 
 class AdamW:
     """Decoupled-weight-decay Adam over a named parameter set.
@@ -17,14 +19,12 @@ class AdamW:
     outside the moment update).
     """
 
-    def __init__(self, params: ModelParams, lr=1e-3, weight_decay=0.01, beta1=0.9, beta2=0.999,
-                 eps=1e-8, warmup_steps=0):
+    def __init__(self, params: ModelParams, lr=1e-3, weight_decay=0.01, beta1=0.9, beta2=0.999, warmup_steps=0):
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
         self.beta1 = beta1
         self.beta2 = beta2
-        self.eps = eps
         self.warmup_steps = warmup_steps
         self.step_count = 0
         self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
@@ -51,7 +51,7 @@ class AdamW:
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
-            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
+            update = (m / c1) / (np.sqrt(v / c2) + _EPS)
             if self.weight_decay:
                 update = update + self.weight_decay * p.data
             p.data -= lr_t * update

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..evalharness.metrics import BootstrapResult, auprc, auroc, bootstrap_metric
-from ..generation.sampling import SamplingConfig
 from .simulate import SimulationEstimate, simulate_cohort
 from .tasks import TaskConfig, expand_outcomes
 
@@ -35,7 +34,6 @@ def evaluate_task(
     seed: int = 0,
     n_bootstrap: int = 1000,
     ancestry=None,
-    sampling: SamplingConfig | None = None,
     n_threads: int = 1,
 ) -> TaskMetrics:
     """cohort: iterable of (prefix_tokens, label). The patients' futures run
@@ -51,7 +49,7 @@ def evaluate_task(
         raise ValueError("cohort must contain both classes")
     outcome_ids = expand_outcomes(task, ancestry)
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(len(cohort))]
-    run = simulate_cohort(model, [prefix for prefix, _ in cohort], rngs, task, outcome_ids, sampling)
+    run = simulate_cohort(model, [prefix for prefix, _ in cohort], rngs, task, outcome_ids)
     estimates = run.estimates
     scores = [e.probability for e in estimates]
     return TaskMetrics(

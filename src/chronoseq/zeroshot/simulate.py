@@ -15,7 +15,9 @@ floored at 1/RESAMPLE_CAP_FACTOR), at most MAX_LANES and never past the
 attempt cap. Lanes count as attempts in lane order, up to the future that
 completes the estimate; later lanes are discarded uncounted, so the
 stopping rule and the estimate's distribution are those of running the
-futures one after another. Each step draws one uniform per live lane from
+futures one after another. Each step draws every live lane's next token
+from the model's own next-token distribution (the softmax of its logits, no
+temperature, top-k, top-p or penalty), with one uniform per live lane from
 the patient's own stream.
 
 The waves of a whole cohort share one lane batch (simulate_cohort):
@@ -32,7 +34,8 @@ from functools import lru_cache
 import numpy as np
 
 from ..codec.tokens import TokenClass, att_days_of, classify_token, concept_id_of
-from ..generation.sampling import SamplingConfig, apply_decoding_controls, sample_token_id
+from ..generation.sampling import sample_token_id
+from ..model.inference import _softmax
 from .tasks import TaskConfig, expand_outcomes
 
 __all__ = ["SimulationEstimate", "CohortRun", "WindowRule", "classify_continuation", "simulate_probability",
@@ -48,8 +51,6 @@ CENSORED = "censored"
 _OPEN, _POSITIVE, _NEGATIVE, _CENSORED = 0, 1, 2, 3  # verdict codes of WindowRule.step
 _NAMES = {_POSITIVE: POSITIVE, _NEGATIVE: NEGATIVE, _CENSORED: CENSORED}
 _COMPLETES = np.array([0, 1, 1, 0])  # per verdict code: does the future complete?
-
-_NEUTRAL = SamplingConfig(max_tokens=10**9, min_tokens=0)
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,6 @@ def simulate_probability(
     prefix_tokens,
     task: TaskConfig,
     rng: np.random.Generator,
-    sampling: SamplingConfig | None = None,
 ) -> SimulationEstimate:
     """Fraction of uncensored simulated futures in which the outcome occurs in-window.
 
@@ -136,7 +136,7 @@ def simulate_probability(
     over the simulations that did complete, with the censoring counts as the
     diagnostic. This is simulate_cohort with one patient and no concept hierarchy.
     """
-    return simulate_cohort(model, [prefix_tokens], [rng], task, expand_outcomes(task), sampling).estimates[0]
+    return simulate_cohort(model, [prefix_tokens], [rng], task, expand_outcomes(task)).estimates[0]
 
 
 @dataclass(frozen=True)
@@ -146,8 +146,7 @@ class CohortRun:
     lane_tokens: int  # tokens sampled, summed over the lanes of every step
 
 
-def simulate_cohort(model, prefixes, rngs, task: TaskConfig, outcome_ids,
-                    sampling: SamplingConfig | None = None) -> CohortRun:
+def simulate_cohort(model, prefixes, rngs, task: TaskConfig, outcome_ids) -> CohortRun:
     """One estimate per prefix, all patients' futures decoded in one shared lane batch.
 
     Patient i draws only from rngs[i]. A wave joins the batch when the batch
@@ -162,10 +161,8 @@ def simulate_cohort(model, prefixes, rngs, task: TaskConfig, outcome_ids,
     rng.random(its live lanes), so a patient's estimate does not depend on
     which patients share the batch.
     """
-    sampling = sampling or _NEUTRAL
     vocab = model.vocab
     rule = WindowRule(vocab.tokens, outcome_ids, task.prediction_window_start, task.prediction_window_end)
-    with_context = sampling.repetition_penalty != 1.0
     estimates: list[SimulationEstimate | None] = [None] * len(prefixes)
     queue = iter(range(len(prefixes)))
     batch = None
@@ -193,8 +190,8 @@ def simulate_cohort(model, prefixes, rngs, task: TaskConfig, outcome_ids,
                 active.append(p)
         if not active:
             return CohortRun(estimates, steps, lane_tokens)
-        probs = apply_decoding_controls(batch.next_logits(), batch.context_ids if with_context else None, sampling)
-        ids = sample_token_id(probs, np.concatenate([p.rng.random(p.n_live) for p in active]))
+        uniforms = np.concatenate([p.rng.random(p.n_live) for p in active])
+        ids = sample_token_id(_softmax(batch.next_logits()), uniforms)
         steps += 1
         lane_tokens += ids.size
         kept, stepping, lo = [], [], 0
@@ -228,11 +225,7 @@ class _Patient:
     """
 
     def __init__(self, index, model, prefix_tokens, rule, task, rng):
-        session = model.open_session() if hasattr(model, "open_session") else None
-        if session is None:
-            from ..model.inference import InferenceSession
-
-            session = InferenceSession(model)
+        session = model.open_session()
         session.prefill([model.vocab.id_of(t) for t in prefix_tokens])
         self.index, self.session, self.rule, self.rng = index, session, rule, rng
         self.budget = min(task.max_new_tokens, model.config.context_window - session.length)

@@ -18,10 +18,6 @@ class MarkovSession:
         self._ids = list(ids or [])
 
     @property
-    def context_ids(self):
-        return self._ids
-
-    @property
     def length(self):
         return len(self._ids)
 
@@ -52,12 +48,8 @@ class MarkovLanes:
     def n_lanes(self):
         return sum(len(suffixes) for _, suffixes in self._groups)
 
-    @property
-    def context_ids(self):
-        return [prefix + s for prefix, suffixes in self._groups for s in suffixes]
-
     def join(self, session, n):
-        self._groups.append([list(session.context_ids), [[] for _ in range(n)]])
+        self._groups.append([list(session._ids), [[] for _ in range(n)]])
 
     def next_logits(self):
         return np.stack([self.model.logits_after((s or prefix)[-1])

@@ -761,6 +761,31 @@ def test_cohort_rows_blank_skipped_short_rejected_naming_file_and_line(trained_r
     assert f"{short}, line 3: expected 3 fields, got 2" in err, err
 
 
+def test_cohort_prompt_with_a_concept_the_checkpoint_lacks_exits_1(trained_run, table_dir, tmp_path, capsys):
+    d = tmp_path / "tables"
+    d.mkdir()
+    for name in ("persons.csv", "visits.csv"):
+        (d / name).write_bytes((table_dir / name).read_bytes())
+
+    def rename_first_event(lines):
+        fields = lines[1].split(",")
+        fields[3] = "987654"  # concept_id
+        return [lines[0], ",".join(fields), *lines[2:]]
+
+    _with_lines(table_dir / "events.csv", d / "events.csv", rename_first_event)
+    task = tmp_path / "task.yml"
+    task.write_text(TASK_CFG + "max_new_tokens: 8\nn_simulations: 3\n")
+    cohort = _cohort_csv(table_dir, tmp_path / "cohort.csv", n=6)
+    common = ["--checkpoint", str(trained_run / "final.ckpt"), "--cohort", str(cohort), *tbl_args(d),
+              "--n-bootstrap", "5"]
+    for argv in (["zeroshot", "--task", str(task), *common, "--out", str(tmp_path / "zs.csv")],
+                 ["probe", *common, "--out", str(tmp_path / "probe.csv")]):
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "1 of 6 prompts" in err and "'c:987654'" in err, err
+
+
 def test_ancestry_rows_blank_skipped_short_rejected_naming_file_and_line(trained_run, table_dir, tmp_path, capsys):
     task = tmp_path / "task.yml"
     task.write_text(TASK_CFG + "include_descendants: true\nmax_new_tokens: 8\nn_simulations: 3\n")

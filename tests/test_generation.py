@@ -9,6 +9,7 @@ from chronoseq.generation import (
     sample_sequence,
     summary_stats,
 )
+from chronoseq.generation import sampling
 from chronoseq.model import ModelConfig, TimelineModel
 from chronoseq.synthworld import WorldConfig, demographics_of, sample_hospital_records
 from chronoseq.training import TrainConfig, prepare_corpus, train
@@ -27,7 +28,7 @@ def tiny_trained_model():
     return model, records
 
 
-def test_sample_sequence_stops_and_flags(tiny_trained_model):
+def test_sample_sequence_stops_and_flags(tiny_trained_model, monkeypatch):
     model, records = tiny_trained_model
     prompt = next(
         encode_patient(r).tokens[:4]
@@ -35,10 +36,16 @@ def test_sample_sequence_stops_and_flags(tiny_trained_model):
         if all(t in model.vocab for t in encode_patient(r).tokens[:4])
     )
     cfg = SamplingConfig(max_tokens=30, min_tokens=0, seed=0)
+    contexts = []
+    controls = sampling.apply_decoding_controls
+    monkeypatch.setattr(sampling, "apply_decoding_controls",
+                        lambda logits, ids, c: contexts.append(list(ids)) or controls(logits, ids, c))
     seq = sample_sequence(model, prompt, cfg, np.random.default_rng(0))
     assert seq.tokens[:4] == prompt
     assert (seq.tokens[-1] == "[END]") != seq.hit_max_tokens
     assert len(seq.tokens) <= 30
+    ids = [model.vocab.id_of(t) for t in seq.tokens]
+    assert contexts == [ids[:n] for n in range(4, len(ids))]  # each step's controls read every id before it
 
 
 def test_sample_sequence_validates_prompt(tiny_trained_model):

@@ -134,7 +134,6 @@ def test_inference_session_matches_forward(toy):
         s4.append(int(t))
     npt.assert_allclose(s4.next_logits(), ref_logits.data[-1], atol=1e-12)
     npt.assert_allclose(s4.last_hidden(), ref_hidden.data[-1], atol=1e-12)
-    assert s4.context_ids == [int(t) for t in ids]
 
 
 def test_inference_session_rejects_overflow_at_window_edge(toy):
@@ -178,7 +177,6 @@ def test_lane_batch_matches_sessions_across_keep_and_growth(toy):
         assert logits.shape == (len(alive), V)
         for row, lane in zip(logits, alive):
             npt.assert_allclose(row, refs[lane].next_logits(), atol=1e-12, rtol=0)
-        npt.assert_array_equal(lanes.context_ids, [refs[lane].context_ids for lane in alive])
         ids = streams[alive, step]
         lanes.append(ids)
         for lane, t in zip(alive, ids):
@@ -226,8 +224,6 @@ def test_lane_batch_mixes_prefix_groups_across_keep_and_growth(toy):
         assert logits.shape == (len(refs), V)
         for row, ref in zip(logits, refs):
             npt.assert_allclose(row, ref.next_logits(), atol=1e-12, rtol=0)
-        for ctx, ref in zip(batch.context_ids, refs):
-            npt.assert_array_equal(ctx, ref.context_ids)
         ids = rng.integers(0, V, size=len(refs))
         batch.append(ids)
         for ref, t in zip(refs, ids):

@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from chronoseq.generation import SamplingConfig, apply_decoding_controls, sample_token_id
+from chronoseq.model.inference import _softmax
 from helpers import MarkovModel, chi2_sf_even
 
 
@@ -159,14 +160,29 @@ def test_nucleus_matches_full_sort_bit_for_bit(tied, top_k):
 
 
 def test_batched_rows_match_single_row_calls_bit_for_bit():
+    """Row i of a batch draw with uniforms u is the one-row draw whose Generator yields u[i]."""
     rng = np.random.default_rng(23)
     for cfg in (SamplingConfig(), SamplingConfig(temperature=0.7, top_k=30, top_p=0.9, repetition_penalty=1.3),
-                SamplingConfig(top_p=0.95), SamplingConfig(repetition_penalty=2.0)):
+                SamplingConfig(top_p=0.95)):
         logits = rng.normal(scale=3.0, size=(7, 200))
-        contexts = [rng.integers(0, 200, size=int(rng.integers(0, 12))) for _ in range(7)]
-        probs = apply_decoding_controls(logits, contexts, cfg)
-        for row, lg, ctx in zip(probs, logits, contexts):
-            npt.assert_array_equal(row, apply_decoding_controls(lg, list(ctx), cfg))
-        draws = sample_token_id(probs, np.random.default_rng(5))
+        probs = np.stack([apply_decoding_controls(lg, rng.integers(0, 200, size=5), cfg) for lg in logits])
+        draws = sample_token_id(probs, np.random.default_rng(5).random(7))
         one_by_one = np.random.default_rng(5)
         assert draws.tolist() == [sample_token_id(row, one_by_one) for row in probs]
+
+
+def test_zero_shot_draws_what_neutral_generation_draws():
+    """Zero-shot lanes sample the softmax of their logits; one neutral generation step
+    samples apply_decoding_controls with default controls: the same distribution, bit for bit."""
+    rng = np.random.default_rng(29)
+    for scale in (0.3, 3.0, 30.0):
+        logits = rng.normal(scale=scale, size=(9, 300))
+        logits[:, :4] = -1e30  # impossible tokens, as the Markov test models write them
+        u = np.random.default_rng(7).random(9)
+        probs = _softmax(logits)
+        draws = sample_token_id(probs, u)
+        g = np.random.default_rng(7)
+        for i, row in enumerate(logits):
+            neutral = apply_decoding_controls(row, [], SamplingConfig())
+            npt.assert_array_equal(probs[i], neutral)
+            assert draws[i] == sample_token_id(neutral, g)

@@ -3,7 +3,6 @@ import pytest
 
 from chronoseq.codec.vocab import Vocabulary
 from chronoseq.configfile import read_config
-from chronoseq.generation import SamplingConfig
 from chronoseq.model import ModelConfig, TimelineModel
 from chronoseq.zeroshot import (
     ConceptAncestry,
@@ -297,21 +296,20 @@ def test_evaluate_task_rejects_more_than_one_thread():
         evaluate_task(rigged_model(), [(PREFIX, 1), (PREFIX, 0)], task(), n_threads=2)
 
 
-def _composition_cases(model, prefixes, t, seed=5, sampling=None):
+def _composition_cases(model, prefixes, t, seed=5):
     """A patient's estimate alone, inside the cohort, in the reversed cohort and through evaluate_task."""
     def rngs():
         return [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(len(prefixes))]
 
     outcome_ids = expand_outcomes(t)
-    alone = [simulate_probability(model, p, t, rng, sampling=sampling) for p, rng in zip(prefixes, rngs())]
-    together = simulate_cohort(model, prefixes, rngs(), t, outcome_ids, sampling)
-    reversed_ = simulate_cohort(model, prefixes[::-1], rngs()[::-1], t, outcome_ids, sampling)
+    alone = [simulate_probability(model, p, t, rng) for p, rng in zip(prefixes, rngs())]
+    together = simulate_cohort(model, prefixes, rngs(), t, outcome_ids)
+    reversed_ = simulate_cohort(model, prefixes[::-1], rngs()[::-1], t, outcome_ids)
     assert together.estimates == alone
     assert reversed_.estimates[::-1] == alone
-    m = evaluate_task(model, [(p, i % 2) for i, p in enumerate(prefixes)], t, seed=seed, n_bootstrap=10,
-                      sampling=sampling)
+    m = evaluate_task(model, [(p, i % 2) for i, p in enumerate(prefixes)], t, seed=seed, n_bootstrap=10)
     assert m.estimates == alone
-    one_by_one = [simulate_cohort(model, [p], [rng], t, outcome_ids, sampling) for p, rng in zip(prefixes, rngs())]
+    one_by_one = [simulate_cohort(model, [p], [rng], t, outcome_ids) for p, rng in zip(prefixes, rngs())]
     assert together.lane_tokens == sum(r.lane_tokens for r in one_by_one)  # the same futures, token for token
     assert together.decode_steps < sum(r.decode_steps for r in one_by_one)  # in fewer, wider steps
     return alone
@@ -340,9 +338,6 @@ def test_markov_estimates_do_not_depend_on_batch_composition(monkeypatch):
     _composition_cases(model, prefixes, t)
     assert max(widths) <= MAX_LANES  # a wave joins only when the batch has room for it
     assert max(widths) > 20  # and steps carry lanes of several patients
-    # a repetition penalty reads every lane's own context, prefix included
-    _composition_cases(model, prefixes, t, sampling=SamplingConfig(repetition_penalty=1.5, max_tokens=10**9,
-                                                                   min_tokens=0))
 
 
 def test_demo_checkpoint_readmission_estimates_are_pinned():
