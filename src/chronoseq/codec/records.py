@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
+import gc
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,6 +20,7 @@ __all__ = [
     "EventTables",
     "IngestReport",
     "RecordValidationError",
+    "gc_paused",
     "validate_record",
     "records_to_tables",
     "tables_to_records",
@@ -133,6 +136,31 @@ class EventRow:
     date: dt.date
 
 
+def gc_paused(fn):
+    """Run fn with the cyclic garbage collector disabled, then restore the caller's setting.
+
+    Decorates the functions that build or walk whole event tables. Their rows,
+    records and per-person indexes are frozen dataclasses, tuples, sets and
+    dicts of ints, strings and dates, which form no reference cycles, so
+    reference counting frees them all, and a collection during such a pass
+    only rescans every live row. The collector is enabled again on return and
+    on exception; a call made with it already disabled (a nested call) leaves
+    it alone. The pipeline is single-threaded, so no other thread allocates
+    during a pause.
+    """
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
+
+
 @dataclass
 class EventTables:
     persons: list[PersonRow] = field(default_factory=list)
@@ -149,6 +177,7 @@ class IngestReport:
     n_orphan_events_dropped: int = 0
 
 
+@gc_paused
 def records_to_tables(records) -> EventTables:
     tables = EventTables()
     visit_seq = 0
@@ -165,22 +194,38 @@ def records_to_tables(records) -> EventTables:
     return tables
 
 
+def _first_repeat(ids):
+    seen = set()
+    for i in ids:
+        if i in seen:
+            return i
+        seen.add(i)
+    return None
+
+
+@gc_paused
 def tables_to_records(tables: EventTables):
     """Group the flat tables into PatientRecords (events sorted, visits by start date).
 
-    Events with concept_id 0 and events referencing a missing visit are
-    dropped and counted.
+    A person_id repeated in the persons table, or a visit_id repeated in the
+    visits table, raises RecordValidationError. Events with concept_id 0, and
+    events whose visit is missing or belongs to another person, are dropped
+    and counted.
     """
+    for table, column, rows in (("persons", "person_id", tables.persons), ("visits", "visit_id", tables.visits)):
+        repeat = _first_repeat(getattr(r, column) for r in rows)
+        if repeat is not None:
+            raise RecordValidationError(f"{table} table: {column} {repeat!r} appears more than once")
     report = IngestReport(
         n_persons=len(tables.persons), n_visits=len(tables.visits), n_events=len(tables.events)
     )
     by_visit: dict[str, list[ClinicalEvent]] = {}
-    visit_ids = {v.visit_id for v in tables.visits}
+    visit_person = {v.visit_id: v.person_id for v in tables.visits}
     for e in tables.events:
         if e.concept_id == 0:
             report.n_unknown_concept_events_dropped += 1
             continue
-        if e.visit_id not in visit_ids:
+        if visit_person.get(e.visit_id) != e.person_id:
             report.n_orphan_events_dropped += 1
             continue
         by_visit.setdefault(e.visit_id, []).append(ClinicalEvent(e.date, e.domain, e.concept_id))
@@ -260,6 +305,7 @@ def _visit_row(row) -> VisitRow:
                     discharge)
 
 
+@gc_paused
 def read_tables(persons_path, visits_path, events_path) -> EventTables:
     return EventTables(
         persons=read_csv_table(persons_path, PERSON_COLUMNS,

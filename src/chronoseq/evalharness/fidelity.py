@@ -4,7 +4,7 @@ from __future__ import annotations
 import datetime as dt
 from dataclasses import dataclass
 
-from ..codec import CodecConfig, EventTables, write_csv
+from ..codec import CodecConfig, EventTables, gc_paused, write_csv
 from ..generation.stats import GENDER_FEMALE
 
 __all__ = ["PrevalenceRow", "prevalence_report", "write_prevalence_csv", "CohortSpec", "PathwayResult", "pathway_cohort"]
@@ -43,6 +43,7 @@ def _strata_members(tables: EventTables) -> dict[str, set]:
     }
 
 
+@gc_paused
 def prevalence_report(real: EventTables, synthetic: EventTables) -> list[PrevalenceRow]:
     """Per-concept person-prevalence in both datasets, stratified by domain and
     by sub-population (full / female / hospitalized).

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..codec import EventTables, write_csv
+from ..codec import EventTables, gc_paused, write_csv
 from .attacks import PrivacySuiteResult, run_privacy_suite
 from .profiles import ProfileSpec, build_profiles
 
@@ -29,6 +29,7 @@ def default_attribute_split(spec: ProfileSpec):
     return keys, sensitive, quasi
 
 
+@gc_paused
 def audit_tables(
     train: EventTables,
     eval_: EventTables,

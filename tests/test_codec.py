@@ -1,4 +1,5 @@
 import datetime as dt
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -218,3 +219,32 @@ def test_tables_drop_unknown_concepts():
     records, report = tables_to_records(tables)
     assert report.n_unknown_concept_events_dropped == 1
     assert len(records[0].visits[0].events) == 1
+
+
+def _two_person_tables():
+    d0 = dt.date(2000, 1, 1)
+    return records_to_tables([
+        PatientRecord(pid, 1950, 8532, 8527, (Visit(9202, d0, d0, None, (ClinicalEvent(d0, "condition", c),)),))
+        for pid, c in (("a", 5), ("b", 6))
+    ])
+
+
+@pytest.mark.parametrize("table, column", [("persons", "person_id"), ("visits", "visit_id")])
+def test_tables_reject_a_repeated_id(table, column):
+    tables = _two_person_tables()
+    rows = getattr(tables, table)
+    repeated = getattr(rows[0], column)
+    rows[1] = replace(rows[1], **{column: repeated})
+    with pytest.raises(RecordValidationError, match=f"{table} table: {column} '{repeated}' appears more than once"):
+        tables_to_records(tables)
+
+
+def test_tables_drop_an_event_filed_under_another_persons_visit():
+    from chronoseq.codec import EventRow
+
+    tables = _two_person_tables()
+    a_visit = tables.visits[0]
+    tables.events.append(EventRow("b", a_visit.visit_id, "drug", 7, a_visit.start_date))
+    records, report = tables_to_records(tables)
+    assert report.n_orphan_events_dropped == 1
+    assert [[e.concept_id for e in r.visits[0].events] for r in records] == [[5], [6]]

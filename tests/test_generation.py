@@ -144,6 +144,15 @@ def test_summary_stats_single_person_quartiles():
     assert stats.visit_q1 == stats.visit_q2 == stats.visit_q3 == 3.0
 
 
+def test_summary_stats_names_a_person_without_visits():
+    from chronoseq.codec import PersonRow, RecordValidationError
+
+    tables = records_to_tables(sample_hospital_records(3, seed=4))
+    tables.persons.append(PersonRow("lonely", 1950, 8532, 8527))
+    with pytest.raises(RecordValidationError, match="person lonely: no visits"):
+        summary_stats(tables)
+
+
 def test_summary_stats_gender_fraction():
     from chronoseq.codec import PatientRecord, Visit
     import datetime as dt
