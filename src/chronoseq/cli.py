@@ -15,7 +15,6 @@ from pathlib import Path
 
 from . import __version__
 from .codec import (
-    CodecConfig,
     DecodeError,
     RecordValidationError,
     build_vocabulary,
@@ -96,12 +95,6 @@ def _config_input(mani, name, path, flag, schema, **kw):
     return read_config(path, schema, **kw)
 
 
-def _codec_config(mani, args) -> CodecConfig:
-    if args.codec_config is None:
-        return CodecConfig()
-    return _config_input(mani, "codec_config", args.codec_config, "--codec-config", CodecConfig)
-
-
 def _tables(mani, args, dir_flag=None):
     """Event tables from the --persons/--visits/--events triple, or from the directory behind dir_flag
     (e.g. "--real-dir", whose files enter the manifest as real_persons.csv, ...)."""
@@ -116,12 +109,22 @@ def _tables(mani, args, dir_flag=None):
     return read_tables(*(path for _, path, _ in files))
 
 
-def _cohort(mani, args, model, codec_cfg):
+def _records(mani, args):
+    """(records, IngestReport) of the --persons/--visits/--events tables; the rows dropped on the way
+    enter the manifest's counters."""
+    records, report = tables_to_records(_tables(mani, args))
+    mani.add_counters(unknown_concept_events_dropped=report.n_unknown_concept_events_dropped,
+                      orphan_events_dropped=report.n_orphan_events_dropped,
+                      orphan_visits_dropped=report.n_orphan_visits_dropped)
+    return records, report
+
+
+def _cohort(mani, args, model):
     """Simulation prompts and labels of the --cohort rows, cut from the table records."""
     mani.add_input("cohort", _require_file(args.cohort, "--cohort"))
-    records, _ = tables_to_records(_tables(mani, args))
-    prefixes, skipped = cohort_prefixes(records, load_cohort_csv(args.cohort), codec_cfg,
-                                        model.config.context_window)
+    records, _ = _records(mani, args)
+    prefixes, skipped = cohort_prefixes(records, load_cohort_csv(args.cohort),
+                                        context_window=model.config.context_window)
     if skipped:
         print(f"warning: skipped {skipped} cohort rows without usable history or room to simulate", file=sys.stderr)
     unseen = [p for p, _ in prefixes if any(t not in model.vocab for t in p)]
@@ -143,10 +146,9 @@ def _manifest_path(args, default_anchor) -> Path:
 
 
 def _cmd_encode(args):
-    mani = ManifestWriter("encode", args.seed, {"codec_config": args.codec_config})
-    cfg = _codec_config(mani, args)
-    records, report = tables_to_records(_tables(mani, args))
-    sequences = [encode_patient(r, cfg) for r in records]
+    mani = ManifestWriter("encode", args.seed, {})
+    records, report = _records(mani, args)
+    sequences = [encode_patient(r) for r in records]
     write_sequences(sequences, args.out)
     mani.add_output("sequences", args.out)
     if args.vocab_out:
@@ -155,21 +157,21 @@ def _cmd_encode(args):
     mani.write(_manifest_path(args, args.out))
     print(
         f"encoded {len(sequences)} sequences "
-        f"(dropped {report.n_unknown_concept_events_dropped} unknown-concept events)"
+        f"(dropped {report.n_unknown_concept_events_dropped} unknown-concept events, "
+        f"{report.n_orphan_events_dropped} orphan events and {report.n_orphan_visits_dropped} orphan visits)"
     )
     return 0
 
 
 def _cmd_decode(args):
-    mani = ManifestWriter("decode", args.seed, {"codec_config": args.codec_config})
+    mani = ManifestWriter("decode", args.seed, {})
     mani.add_input("sequences", _require_file(args.sequences, "--sequences"))
-    cfg = _codec_config(mani, args)
     sequences = read_sequences(args.sequences)
     records = []
     failures: dict[str, int] = {}
     for i, seq in enumerate(sequences):
         try:
-            records.append(decode_sequence(seq, cfg, person_id=seq.person_id or f"s{i + 1}",
+            records.append(decode_sequence(seq, person_id=seq.person_id or f"s{i + 1}",
                                            lenient_tail=seq.hit_max_tokens))
         except DecodeError as e:
             failures[e.reason] = failures.get(e.reason, 0) + 1
@@ -207,21 +209,15 @@ def _cmd_vocab(args):
 
 
 def _cmd_train(args):
-    mani = ManifestWriter(
-        "train",
-        args.seed,
-        {"train_config": args.train_config, "model_config": args.model_config, "codec_config": args.codec_config},
-    )
+    mani = ManifestWriter("train", args.seed, {"train_config": args.train_config, "model_config": args.model_config})
     tcfg = _config_input(mani, "train_config", args.train_config, "--train-config", TrainConfig)
     if args.seed is not None:
         tcfg = replace(tcfg, seed=args.seed)
     # vocab_size is known only once the corpus is encoded, which needs the context window first
     mcfg = _config_input(mani, "model_config", args.model_config, "--model-config", ModelConfig, vocab_size=1)
-    codec_cfg = _codec_config(mani, args)
-    records, _ = tables_to_records(_tables(mani, args))
+    records, _ = _records(mani, args)
     corpus = prepare_corpus(
         records,
-        codec_cfg,
         context_window=mcfg.context_window,
         min_seq_tokens=tcfg.min_seq_tokens,
         eval_fraction=tcfg.eval_fraction,
@@ -296,7 +292,7 @@ def _cmd_generate(args):
         experts = [replace(e, seed=e.seed + args.seed) for e in experts]
     mani.add_input("checkpoint", _require_file(args.checkpoint, "--checkpoint"))
     model, _, _ = load_checkpoint(args.checkpoint)
-    records, _ = tables_to_records(_tables(mani, args))
+    records, _ = _records(mani, args)
     pool = [
         (f"year:{y}", f"age:{a}", f"gender:{g}", f"race:{r}")
         for y, a, g, r in demographics_of(records)
@@ -320,18 +316,17 @@ def _cmd_generate(args):
 
 
 def _cmd_convert(args):
-    mani = ManifestWriter("convert", args.seed, {"codec_config": args.codec_config})
+    mani = ManifestWriter("convert", args.seed, {})
     mani.add_input("sequences", _require_file(args.sequences, "--sequences"))
-    cfg = _codec_config(mani, args)
     sequences = read_sequences(args.sequences)
-    tables, report = convert_to_tables(sequences, cfg)
+    tables, report = convert_to_tables(sequences)
     out_dir = Path(args.out_dir)
     paths = write_tables(tables, out_dir)
     report_path = out_dir / "conversion_report.csv"
     report.write_csv(report_path)
     stats_path = out_dir / "summary_stats.csv"
     if tables.persons:
-        write_stats_csv(stats_path, {"synthetic": summary_stats(tables, cfg)})
+        write_stats_csv(stats_path, {"synthetic": summary_stats(tables)})
         mani.add_output("summary_stats", stats_path)
     for name, p in paths.items():
         mani.add_output(name, p)
@@ -344,7 +339,6 @@ def _cmd_convert(args):
 def _cmd_zeroshot(args):
     mani = ManifestWriter("zeroshot", args.seed or 0, {"task": args.task, "n_bootstrap": args.n_bootstrap})
     task = _config_input(mani, "task", args.task, "--task", TaskConfig)
-    codec_cfg = _codec_config(mani, args)
     ancestry = None
     if args.ancestry:
         mani.add_input("ancestry", _require_file(args.ancestry, "--ancestry"))
@@ -353,7 +347,7 @@ def _cmd_zeroshot(args):
         raise ValidationFailure("--ancestry: task sets include_descendants but no ancestry file was given")
     mani.add_input("checkpoint", _require_file(args.checkpoint, "--checkpoint"))
     model, _, _ = load_checkpoint(args.checkpoint)
-    prefixes = _cohort(mani, args, model, codec_cfg)
+    prefixes = _cohort(mani, args, model)
     metrics = evaluate_task(model, prefixes, task, seed=mani.seed, n_bootstrap=args.n_bootstrap, ancestry=ancestry)
     write_metrics_csv(args.out, metrics.auroc, metrics.auprc, n_examples=metrics.n_examples,
                       n_positive_labels=metrics.n_positive_labels, n_capped_estimates=metrics.n_capped)
@@ -385,10 +379,9 @@ def _cmd_zeroshot(args):
 
 def _cmd_probe(args):
     mani = ManifestWriter("probe", args.seed or 0, {"l2": args.l2, "n_bootstrap": args.n_bootstrap})
-    codec_cfg = _codec_config(mani, args)
     mani.add_input("checkpoint", _require_file(args.checkpoint, "--checkpoint"))
     model, _, _ = load_checkpoint(args.checkpoint)
-    data = _cohort(mani, args, model, codec_cfg)
+    data = _cohort(mani, args, model)
     result = linear_probe(model, data, l2=args.l2, seed=mani.seed, n_bootstrap=args.n_bootstrap)
     if result.params_hash_before != result.params_hash_after:
         raise RuntimeError("model weights changed during probing")
@@ -513,14 +506,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="event tables -> token sequences")
     tables_args(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--codec-config", default=None)
     p.add_argument("--vocab-out", default=None)
     common(p)
 
     p = sub.add_parser("decode", help="token sequences -> event tables")
     p.add_argument("--sequences", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--codec-config", default=None)
     common(p)
 
     p = sub.add_parser("vocab", help="build or expand a vocabulary from sequences")
@@ -533,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     tables_args(p)
     p.add_argument("--train-config", required=True)
     p.add_argument("--model-config", required=True)
-    p.add_argument("--codec-config", default=None)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--resume", default=None, metavar="CKPT",
                    help="continue from a checkpoint this command wrote (e.g. out-dir/step200.ckpt)")
@@ -549,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convert", help="synthetic sequences -> event tables + report")
     p.add_argument("--sequences", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--codec-config", default=None)
     common(p)
 
     p = sub.add_parser("zeroshot", help="Monte-Carlo outcome prediction over a cohort")
@@ -558,7 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cohort", required=True, help="CSV person_id,cutoff_date,label")
     tables_args(p)
     p.add_argument("--ancestry", default=None)
-    p.add_argument("--codec-config", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--n-bootstrap", type=int, default=1000)
     common(p)
@@ -567,7 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--cohort", required=True)
     tables_args(p)
-    p.add_argument("--codec-config", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--l2", type=float, default=1e-2)
     p.add_argument("--n-bootstrap", type=int, default=1000)

@@ -6,12 +6,14 @@ The sequence grammar:
     ( [VS] v:ID body [VE] gap )* [VS] v:ID body [VE] [END]
 
 where ``gap`` is D0..D1080 or [LT] (next visit start minus previous visit
-end, floored at zero) and ``body`` is the visit's events. Inside inpatient
-visits, when intra-visit timing is enabled, ``i-D{n}`` tokens advance a day
-cursor between dated positions (visit start, each event, the discharge
-token) so stay durations survive the round trip at day granularity.
-Non-inpatient visits are represented as single-day encounters: their events
-collapse onto the start date on decode.
+end, floored at zero) and ``body`` is the visit's events. Inpatient visits
+(visit types ``INPATIENT_CONCEPTS``) close their body with a ``dis:`` discharge
+token, and inside them ``i-D{n}`` tokens advance a day cursor between dated
+positions (visit start, each event, the discharge token) so stay durations
+survive the round trip at day granularity. Non-inpatient visits are
+represented as single-day encounters: their events collapse onto the start
+date on decode. The grammar is fixed: a checkpoint means something only
+under the grammar it was trained on.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import datetime as dt
 from dataclasses import dataclass, field, replace
 
 from .records import (
+    INPATIENT_CONCEPTS,
     ClinicalEvent,
     PatientRecord,
     Visit,
@@ -43,15 +46,9 @@ __all__ = ["CodecConfig", "TokenSequence", "DecodeError", "encode_patient", "enc
            "parse_prefix", "validate_sequence"]
 
 
-@dataclass(frozen=True)
 class CodecConfig:
-    """Knobs of the timeline grammar shared by every consumer of sequences."""
-
-    inpatient_concepts: frozenset[int] = frozenset({9201, 262})
-    intra_visit_time: bool = True
-
-    def is_inpatient(self, visit_concept_id: int) -> bool:
-        return visit_concept_id in self.inpatient_concepts
+    """No fields: the timeline grammar is fixed. Kept only for the calls in
+    perfbench/ that still pass one to prepare_corpus and cohort_prefixes."""
 
 
 @dataclass(frozen=True)
@@ -85,9 +82,9 @@ class DecodeError(ValueError):
         self.reason = reason
 
 
-def encode_patient(record: PatientRecord, cfg: CodecConfig = CodecConfig()) -> TokenSequence:
+def encode_patient(record: PatientRecord) -> TokenSequence:
     """Encode a validated record into its token sequence."""
-    validate_record(record, cfg.inpatient_concepts)
+    validate_record(record)
     tokens: list[str] = []
     att_days: list[tuple[int, int]] = []
     first = record.visits[0]
@@ -99,11 +96,10 @@ def encode_patient(record: PatientRecord, cfg: CodecConfig = CodecConfig()) -> T
     for k, visit in enumerate(record.visits):
         tokens.append(VS)
         tokens.append(f"v:{visit.visit_concept_id}")
-        inpatient = cfg.is_inpatient(visit.visit_concept_id)
-        track_days = inpatient and cfg.intra_visit_time
+        inpatient = visit.visit_concept_id in INPATIENT_CONCEPTS
         cursor = visit.start_date
         for e in visit.events:
-            if track_days:
+            if inpatient:
                 gap = (e.date - cursor).days
                 if gap > 0:
                     att_days.append((len(tokens), gap))
@@ -111,11 +107,10 @@ def encode_patient(record: PatientRecord, cfg: CodecConfig = CodecConfig()) -> T
                     cursor = e.date
             tokens.append(concept_token(e.domain, e.concept_id))
         if inpatient:
-            if track_days:
-                gap = (visit.end_date - cursor).days
-                if gap > 0:
-                    att_days.append((len(tokens), gap))
-                    tokens.append(f"i-D{gap}")
+            gap = (visit.end_date - cursor).days
+            if gap > 0:
+                att_days.append((len(tokens), gap))
+                tokens.append(f"i-D{gap}")
             tokens.append(f"dis:{visit.discharge_concept_id}")
         tokens.append(VE)
         if k + 1 < len(record.visits):
@@ -126,9 +121,9 @@ def encode_patient(record: PatientRecord, cfg: CodecConfig = CodecConfig()) -> T
     return TokenSequence(tuple(tokens), person_id=record.person_id, att_days=tuple(att_days))
 
 
-def encode_prefix(record: PatientRecord, cfg: CodecConfig = CodecConfig()) -> TokenSequence:
+def encode_prefix(record: PatientRecord) -> TokenSequence:
     """Encode a record as a generation prompt: same sequence without the [END]."""
-    seq = encode_patient(record, cfg)
+    seq = encode_patient(record)
     return replace(seq, tokens=seq.tokens[:-1])
 
 
@@ -163,7 +158,7 @@ def parse_prefix(tokens) -> tuple[int, int, int, int]:
     return tuple(prefix)
 
 
-def _parse(tokens, cfg: CodecConfig):
+def _parse(tokens):
     """Grammar pass: returns (prefix ints, visit blocks, inter-visit gaps)."""
     n = len(tokens)
     year, age, gender, race = parse_prefix(tokens)
@@ -188,13 +183,13 @@ def _parse(tokens, cfg: CodecConfig):
             block.visit_concept_id = concept_id_of(tokens[i])
             state = "body"
         elif state == "body":
-            inpatient = cfg.is_inpatient(block.visit_concept_id)
+            inpatient = block.visit_concept_id in INPATIENT_CONCEPTS
             if cls is TokenClass.CONCEPT:
                 if block.has_discharge:
                     raise DecodeError(i, "event_after_discharge", "event token after discharge type")
                 block.items.append(("event", domain_of_concept_token(tokens[i]), concept_id_of(tokens[i])))
             elif cls is TokenClass.ATT_DAY and tokens[i].startswith("i-D"):
-                if not (inpatient and cfg.intra_visit_time):
+                if not inpatient:
                     raise DecodeError(i, "intra_visit_time_not_allowed", f"{tokens[i]!r} outside an inpatient visit")
                 if block.has_discharge:
                     raise DecodeError(i, "event_after_discharge", "time token after discharge type")
@@ -207,7 +202,7 @@ def _parse(tokens, cfg: CodecConfig):
                 block.items.append(("discharge", concept_id_of(tokens[i])))
                 block.has_discharge = True
             elif cls is TokenClass.VE:
-                if cfg.is_inpatient(block.visit_concept_id) and not block.has_discharge:
+                if inpatient and not block.has_discharge:
                     raise DecodeError(i, "missing_discharge", "inpatient visit closed without discharge type")
                 visits.append(block)
                 block = None
@@ -234,9 +229,9 @@ def _parse(tokens, cfg: CodecConfig):
         i += 1
 
 
-def validate_sequence(tokens, cfg: CodecConfig = CodecConfig()):
+def validate_sequence(tokens):
     """Grammar check only; raises DecodeError on the first offending position."""
-    _parse(tuple(tokens), cfg)
+    _parse(tuple(tokens))
 
 
 def _truncate_to_last_visit(tokens):
@@ -249,7 +244,6 @@ def _truncate_to_last_visit(tokens):
 
 def decode_sequence(
     seq,
-    cfg: CodecConfig = CodecConfig(),
     anchor: dt.date | None = None,
     person_id: str | None = None,
     lenient_tail: bool = False,
@@ -268,7 +262,7 @@ def decode_sequence(
     pid = person_id or (seq.person_id if isinstance(seq, TokenSequence) else None) or "decoded"
     if lenient_tail and (not tokens or tokens[-1] != END):
         tokens = _truncate_to_last_visit(tokens)
-    (year, age, gender, race), blocks, gaps = _parse(tokens, cfg)
+    (year, age, gender, race), blocks, gaps = _parse(tokens)
 
     try:
         cursor = anchor if anchor is not None else dt.date(year, 1, 1)
@@ -289,13 +283,12 @@ def decode_sequence(
                     events.append(ClinicalEvent(day, item[1], item[2]))
                 else:
                     discharge = item[1]
-            inpatient = cfg.is_inpatient(block.visit_concept_id)
-            end = day if inpatient else start
+            end = day if block.visit_concept_id in INPATIENT_CONCEPTS else start
             visits.append(Visit(block.visit_concept_id, start, end, discharge, sorted_events(events)))
             if k < len(gaps):
                 cursor = end + dt.timedelta(days=gaps[k])
     except OverflowError:
         raise DecodeError(len(tokens) - 1, "date_range", "accumulated intervals left the calendar range") from None
     record = PatientRecord(pid, birth_year, gender, race, tuple(visits))
-    validate_record(record, cfg.inpatient_concepts)
+    validate_record(record)
     return record

@@ -11,6 +11,7 @@ from pathlib import Path
 __all__ = [
     "DOMAINS",
     "DOMAIN_RANK",
+    "INPATIENT_CONCEPTS",
     "ClinicalEvent",
     "Visit",
     "PatientRecord",
@@ -33,6 +34,8 @@ __all__ = [
 
 DOMAINS = ("condition", "drug", "procedure")
 DOMAIN_RANK = {d: i for i, d in enumerate(DOMAINS)}
+# visit types of the timeline grammar's inpatient visits: they carry a discharge type and i-D day tokens
+INPATIENT_CONCEPTS = frozenset({9201, 262})
 
 
 class RecordValidationError(ValueError):
@@ -68,7 +71,7 @@ def sorted_events(events) -> tuple[ClinicalEvent, ...]:
     return tuple(sorted(events, key=lambda e: (e.date, DOMAIN_RANK[e.domain], e.concept_id)))
 
 
-def validate_record(record: PatientRecord, inpatient_concepts: frozenset[int]):
+def validate_record(record: PatientRecord):
     """Raise RecordValidationError on any invariant violation."""
     if not record.visits:
         raise RecordValidationError(f"person {record.person_id}: no visits")
@@ -84,7 +87,7 @@ def validate_record(record: PatientRecord, inpatient_concepts: frozenset[int]):
         prev_start = v.start_date
         if v.end_date < v.start_date:
             raise RecordValidationError(f"person {record.person_id}: visit {k} ends before it starts")
-        inpatient = v.visit_concept_id in inpatient_concepts
+        inpatient = v.visit_concept_id in INPATIENT_CONCEPTS
         if inpatient and v.discharge_concept_id is None:
             raise RecordValidationError(f"person {record.person_id}: inpatient visit {k} lacks discharge type")
         if not inpatient and v.discharge_concept_id is not None:
@@ -175,6 +178,7 @@ class IngestReport:
     n_events: int = 0
     n_unknown_concept_events_dropped: int = 0
     n_orphan_events_dropped: int = 0
+    n_orphan_visits_dropped: int = 0
 
 
 @gc_paused
@@ -208,9 +212,10 @@ def tables_to_records(tables: EventTables):
     """Group the flat tables into PatientRecords (events sorted, visits by start date).
 
     A person_id repeated in the persons table, or a visit_id repeated in the
-    visits table, raises RecordValidationError. Events with concept_id 0, and
-    events whose visit is missing or belongs to another person, are dropped
-    and counted.
+    visits table, raises RecordValidationError. Events with concept_id 0,
+    events whose visit is missing or belongs to another person, and visits
+    of a person missing from the persons table with their events, are
+    dropped and counted.
     """
     for table, column, rows in (("persons", "person_id", tables.persons), ("visits", "visit_id", tables.visits)):
         repeat = _first_repeat(getattr(r, column) for r in rows)
@@ -219,8 +224,15 @@ def tables_to_records(tables: EventTables):
     report = IngestReport(
         n_persons=len(tables.persons), n_visits=len(tables.visits), n_events=len(tables.events)
     )
+    visits_by_person: dict[str, list[VisitRow]] = {p.person_id: [] for p in tables.persons}
+    visit_person = {}
+    for v in tables.visits:
+        if v.person_id not in visits_by_person:
+            report.n_orphan_visits_dropped += 1
+            continue
+        visits_by_person[v.person_id].append(v)
+        visit_person[v.visit_id] = v.person_id
     by_visit: dict[str, list[ClinicalEvent]] = {}
-    visit_person = {v.visit_id: v.person_id for v in tables.visits}
     for e in tables.events:
         if e.concept_id == 0:
             report.n_unknown_concept_events_dropped += 1
@@ -229,12 +241,9 @@ def tables_to_records(tables: EventTables):
             report.n_orphan_events_dropped += 1
             continue
         by_visit.setdefault(e.visit_id, []).append(ClinicalEvent(e.date, e.domain, e.concept_id))
-    visits_by_person: dict[str, list[VisitRow]] = {}
-    for v in tables.visits:
-        visits_by_person.setdefault(v.person_id, []).append(v)
     records = []
     for p in tables.persons:
-        rows = sorted(visits_by_person.get(p.person_id, []), key=lambda v: (v.start_date, v.visit_id))
+        rows = sorted(visits_by_person[p.person_id], key=lambda v: (v.start_date, v.visit_id))
         visits = tuple(
             Visit(
                 v.visit_concept_id,

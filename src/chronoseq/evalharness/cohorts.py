@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import datetime as dt
 
-from ..codec import CodecConfig, PatientRecord, encode_prefix, read_csv_table
+from ..codec import PatientRecord, encode_prefix, read_csv_table
 
 __all__ = ["truncate_record", "load_cohort_csv", "cohort_prefixes"]
 
@@ -22,11 +22,13 @@ def load_cohort_csv(path) -> list[tuple[str, dt.date, int]]:
                           lambda r: (r[0], dt.date.fromisoformat(r[1]), int(r[2])), ValueError)
 
 
-def cohort_prefixes(records, cohort_rows, cfg: CodecConfig, context_window: int | None = None):
+def cohort_prefixes(records, cohort_rows, cfg=None, context_window: int | None = None):
     """(prefix_tokens, label) pairs; persons missing or empty at cutoff are skipped (counted).
 
     With a context_window, a prefix of that many tokens or more is skipped
-    (counted) too: it leaves the model no room for a simulated token.
+    (counted) too: it leaves the model no room for a simulated token. cfg
+    is unused, since the timeline grammar is fixed; it is kept only for the
+    calls in perfbench/, which still pass a CodecConfig().
     """
     by_id = {r.person_id: r for r in records}
     out = []
@@ -37,7 +39,7 @@ def cohort_prefixes(records, cohort_rows, cfg: CodecConfig, context_window: int 
         if trunc is None:
             skipped += 1
             continue
-        tokens = encode_prefix(trunc, cfg).tokens
+        tokens = encode_prefix(trunc).tokens
         if context_window is not None and len(tokens) >= context_window:
             skipped += 1
             continue

@@ -4,13 +4,12 @@ from __future__ import annotations
 import datetime as dt
 from dataclasses import dataclass
 
-from ..codec import CodecConfig, EventTables, gc_paused, write_csv
+from ..codec import INPATIENT_CONCEPTS, EventTables, gc_paused, write_csv
 from ..generation.stats import GENDER_FEMALE
 
 __all__ = ["PrevalenceRow", "prevalence_report", "write_prevalence_csv", "CohortSpec", "PathwayResult", "pathway_cohort"]
 
 STRATA = ("full", "female", "hospitalized")
-_INPATIENT = CodecConfig().inpatient_concepts
 
 
 @dataclass(frozen=True)
@@ -35,11 +34,12 @@ def _person_concepts(tables: EventTables):
 
 
 def _strata_members(tables: EventTables) -> dict[str, set]:
-    hospitalized = {v.person_id for v in tables.visits if v.visit_concept_id in _INPATIENT}
+    """Person ids of each stratum; only persons of the persons table are members."""
+    full = {p.person_id for p in tables.persons}
     return {
-        "full": {p.person_id for p in tables.persons},
+        "full": full,
         "female": {p.person_id for p in tables.persons if p.gender_concept_id == GENDER_FEMALE},
-        "hospitalized": hospitalized,
+        "hospitalized": {v.person_id for v in tables.visits if v.visit_concept_id in INPATIENT_CONCEPTS} & full,
     }
 
 

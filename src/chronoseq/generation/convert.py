@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..codec import CodecConfig, DecodeError, EventTables, decode_sequence, records_to_tables, write_csv
+from ..codec import DecodeError, EventTables, decode_sequence, records_to_tables, write_csv
 
 __all__ = ["ConversionReport", "convert_to_tables"]
 
@@ -30,7 +30,7 @@ class ConversionReport:
         write_csv(path, ["outcome", "count", "fraction"], rows)
 
 
-def convert_to_tables(corpus, cfg: CodecConfig = CodecConfig()) -> tuple[EventTables, ConversionReport]:
+def convert_to_tables(corpus) -> tuple[EventTables, ConversionReport]:
     """Decode every sequence; failures become report rows, never exceptions.
 
     Sequences flagged as having hit the generation cap are decoded leniently
@@ -44,7 +44,7 @@ def convert_to_tables(corpus, cfg: CodecConfig = CodecConfig()) -> tuple[EventTa
         report.attempted += 1
         lenient = bool(getattr(seq, "hit_max_tokens", False))
         try:
-            rec = decode_sequence(seq, cfg, person_id=f"s{report.succeeded + 1}", lenient_tail=lenient)
+            rec = decode_sequence(seq, person_id=f"s{report.succeeded + 1}", lenient_tail=lenient)
         except DecodeError as e:
             report.failures[e.reason] = report.failures.get(e.reason, 0) + 1
             continue

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..codec import CodecConfig, EventTables, encode_patient, gc_paused, tables_to_records, write_csv
+from ..codec import EventTables, encode_patient, gc_paused, tables_to_records, write_csv
 
 __all__ = ["SummaryStats", "summary_stats", "write_stats_csv", "GENDER_FEMALE"]
 
@@ -39,7 +39,7 @@ class SummaryStats:
 
 
 @gc_paused
-def summary_stats(tables: EventTables, cfg: CodecConfig = CodecConfig()) -> SummaryStats:
+def summary_stats(tables: EventTables) -> SummaryStats:
     """Median age, percent female, and visit/token count quartiles.
 
     Age is taken at the first recorded visit. Token counts re-encode each
@@ -53,7 +53,7 @@ def summary_stats(tables: EventTables, cfg: CodecConfig = CodecConfig()) -> Summ
     ages, visit_counts, token_counts, female = [], [], [], 0
     for r in records:
         # encode_patient validates first: a person with no visit row raises RecordValidationError naming them
-        token_counts.append(len(encode_patient(r, cfg).tokens))
+        token_counts.append(len(encode_patient(r).tokens))
         ages.append(r.visits[0].start_date.year - r.birth_year)
         visit_counts.append(len(r.visits))
         if r.gender_concept == GENDER_FEMALE:

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..codec import CodecConfig, TokenSequence, build_vocabulary, encode_patient
+from ..codec import TokenSequence, build_vocabulary, encode_patient
 from ..codec.vocab import Vocabulary
 from ..model.supervision import build_att_supervision
 from .packing import EncodedExample
@@ -51,7 +51,7 @@ def encode_examples(sequences, vocab: Vocabulary, max_year_class: int) -> list[E
 
 def prepare_corpus(
     records,
-    codec_cfg: CodecConfig,
+    codec_cfg=None,
     *,
     context_window: int,
     min_seq_tokens: int = 20,
@@ -64,7 +64,9 @@ def prepare_corpus(
     context window, and split train/eval with a seeded shuffle.
 
     The vocabulary is built over every retained sequence unless one is
-    supplied (fine-tuning on new data).
+    supplied (fine-tuning on new data). codec_cfg is unused, since the
+    timeline grammar is fixed; it is kept only for the calls in perfbench/,
+    which still pass a CodecConfig().
     """
     if not (0.0 < eval_fraction < 1.0):
         raise ValueError(f"eval_fraction out of range: {eval_fraction}")
@@ -72,7 +74,7 @@ def prepare_corpus(
     kept: list[TokenSequence] = []
     for r in records:
         report.n_records += 1
-        seq = encode_patient(r, codec_cfg)
+        seq = encode_patient(r)
         if len(seq.tokens) < min_seq_tokens:
             report.n_dropped_short += 1
             continue

@@ -5,12 +5,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from chronoseq.codec import ClinicalEvent, CodecConfig, PatientRecord, Visit
-
-
-@pytest.fixture(scope="session")
-def codec_cfg():
-    return CodecConfig()
+from chronoseq.codec import ClinicalEvent, PatientRecord, Visit
 
 
 @pytest.fixture

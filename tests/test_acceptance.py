@@ -9,7 +9,6 @@ import time
 import numpy as np
 
 from chronoseq.codec import (
-    CodecConfig,
     decode_sequence,
     encode_patient,
     records_to_tables,
@@ -122,13 +121,12 @@ def test_c04_time_decomposition_convention():
 def test_c05_codec_roundtrip_thousand_records():
     t0 = time.time()
     rng = np.random.default_rng(20240501)
-    cfg = CodecConfig()
     n_ok = 0
     for _ in range(1000):
         rec = random_record(rng)
-        seq = encode_patient(rec, cfg)
-        validate_sequence(seq.tokens, cfg)  # grammar acceptance of encoder output
-        if decode_sequence(seq, cfg, anchor=rec.visits[0].start_date) == rec:
+        seq = encode_patient(rec)
+        validate_sequence(seq.tokens)  # grammar acceptance of encoder output
+        if decode_sequence(seq, anchor=rec.visits[0].start_date) == rec:
             n_ok += 1
     elapsed = time.time() - t0
     verdict("C05", n_ok == 1000 and elapsed < 10,
@@ -140,7 +138,7 @@ def test_c06_overfit_oracle():
     world = WorldConfig(start_year_range=(1990, 2021), age_range=(40, 60), visits_range=(3, 5),
                         events_per_visit_range=(1, 3))
     records = sample_hospital_records(32, seed=11, cfg=world)
-    corpus = prepare_corpus(records, CodecConfig(), context_window=128, eval_fraction=0.1, seed=0)
+    corpus = prepare_corpus(records, context_window=128, eval_fraction=0.1, seed=0)
     examples = corpus.train + corpus.eval  # memorization target: the whole corpus
     mcfg = ModelConfig(vocab_size=len(corpus.vocab), embed_dim=48, n_layers=2, n_heads=4,
                        context_window=128)
@@ -269,8 +267,7 @@ def test_c10_privacy_properties():
 def test_c11_pipeline_integration(tmp_path):
     t0 = time.time()
     records = sample_hospital_records(500, seed=42)
-    codec_cfg = CodecConfig()
-    corpus = prepare_corpus(records, codec_cfg, context_window=256, eval_fraction=0.1, seed=0)
+    corpus = prepare_corpus(records, context_window=256, eval_fraction=0.1, seed=0)
     mcfg = ModelConfig(vocab_size=len(corpus.vocab), embed_dim=48, n_layers=2, n_heads=4,
                        context_window=256)
     model = TimelineModel.initialize(mcfg, corpus.vocab, seed=0)
@@ -288,13 +285,13 @@ def test_c11_pipeline_integration(tmp_path):
         SamplingConfig(temperature=0.75, top_k=60, max_tokens=200, min_tokens=20, seed=2),
     ]
     pool = generate_pool(best, experts, [80, 80], prompts)
-    tables, report = convert_to_tables(pool, codec_cfg)
+    tables, report = convert_to_tables(pool)
     frac = report.succeeded / max(report.attempted, 1)
     fractions_sum = sum(report.fractions().values())
 
-    stats_syn = summary_stats(tables, codec_cfg)
+    stats_syn = summary_stats(tables)
     real_tables = records_to_tables(records)
-    stats_real = summary_stats(real_tables, codec_cfg)
+    stats_real = summary_stats(real_tables)
     rows = prevalence_report(real_tables, tables)
     elapsed = time.time() - t0
     verdict(

@@ -392,12 +392,11 @@ def test_backward_consumes_the_graph():
 def test_consecutive_training_steps_hold_one_graph():
     import tracemalloc
 
-    from chronoseq.codec import CodecConfig
     from chronoseq.model import ModelConfig, TimelineModel, total_loss
     from chronoseq.synthworld import sample_hospital_records
     from chronoseq.training import pack, prepare_corpus
 
-    corpus = prepare_corpus(sample_hospital_records(40, seed=2), CodecConfig(), context_window=128, seed=0)
+    corpus = prepare_corpus(sample_hospital_records(40, seed=2), context_window=128, seed=0)
     cfg = ModelConfig(vocab_size=len(corpus.vocab), embed_dim=12, n_layers=1, n_heads=2, context_window=128)
     model = TimelineModel.initialize(cfg, corpus.vocab, seed=0)
     batch = pack(corpus.train, 512, row_capacity=128)[0]

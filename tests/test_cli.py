@@ -85,17 +85,6 @@ def test_missing_file_is_validation_error(table_dir, tmp_path, capsys):
     assert "nope.csv" in capsys.readouterr().err
 
 
-def test_codec_config_file(table_dir, tmp_path):
-    cfg = tmp_path / "codec.cfg"
-    cfg.write_text("inpatient_concepts: [9201, 262]\nintra_visit_time: false\n")
-    seq = tmp_path / "seq.txt"
-    assert main(["encode", *tbl_args(table_dir), "--out", str(seq), "--codec-config", str(cfg)]) == 0
-    assert "i-D" not in seq.read_text()  # intra-visit timing disabled
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("inpatient: [1]\n")
-    assert main(["encode", *tbl_args(table_dir), "--out", str(seq), "--codec-config", str(bad)]) == 1
-
-
 def test_vocab_build_and_expand(table_dir, tmp_path):
     seq = tmp_path / "seq.txt"
     main(["encode", *tbl_args(table_dir), "--out", str(seq)])
@@ -477,7 +466,6 @@ def _config_argv(flag, cfg, table_dir, trained_run, tmp_path):
     out = str(tmp_path / "out.csv")
     dirs = ["--train-dir", str(table_dir), "--eval-dir", str(table_dir), "--synthetic-dir", str(table_dir)]
     return {
-        "--codec-config": ["encode", *tbl_args(table_dir), "--out", out, "--codec-config", cfg],
         "--train-config": ["train", *tbl_args(table_dir), "--train-config", cfg,
                            "--model-config", str(good / "model.cfg"), "--out-dir", str(tmp_path / "o")],
         "--model-config": ["train", *tbl_args(table_dir), "--train-config", str(good / "train.cfg"),
@@ -494,8 +482,6 @@ def _config_argv(flag, cfg, table_dir, trained_run, tmp_path):
 
 CONFIG_FAULTS = [
     # (flag, file text, text stderr must name besides the file)
-    ("--codec-config", "inpatient: [1]\n", "inpatient"),
-    ("--codec-config", "intra_visit_time: off\n", "intra_visit_time"),
     ("--train-config", "learning_rate: 1e-3\nbogus_field: 2\n", "bogus_field"),
     ("--train-config", "tokens_per_batch: abc\n", "tokens_per_batch"),
     ("--model-config", MODEL_CFG + "width: 3\n", "width"),
@@ -516,12 +502,12 @@ CONFIG_FAULTS = [
     ("gradcheck --config", "widget: 3\n", "widget"),
     ("gradcheck --config", "embed_dim: 6.5\n", "embed_dim"),
     ("--experts", "temperature: 0.9\ncount: 2\ncheckpoint_id: ckpt-1\n", "expert 0: unknown field(s): checkpoint_id"),
-    ("--codec-config", "long_gap_days: 2000\n", "long_gap_days"),
 ]
 
 
+# ids start at 2 so that each case keeps its id after the list's first two rows were deleted
 @pytest.mark.parametrize("flag,text,field", CONFIG_FAULTS,
-                         ids=[f"{flag}:{field}:{i}" for i, (flag, _, field) in enumerate(CONFIG_FAULTS)])
+                         ids=[f"{flag}:{field}:{i}" for i, (flag, _, field) in enumerate(CONFIG_FAULTS, start=2)])
 def test_config_file_faults_exit_1_naming_file_and_field(flag, text, field, table_dir, trained_run, tmp_path,
                                                          capsys):
     cfg = tmp_path / "faulty.cfg"
@@ -573,25 +559,6 @@ def test_readme_config_files_load_to_expected_objects(tmp_path):
                  TaskConfig(task_name="30_day_readmission_prediction", outcome_events=(9201, 262),
                             include_descendants=False, prediction_window_start=0, prediction_window_end=30,
                             max_new_tokens=128))
-
-
-@pytest.mark.parametrize("command", ["encode", "decode", "convert"])
-def test_codec_config_is_hashed_into_the_manifest(command, table_dir, tmp_path):
-    seq = tmp_path / "seq.txt"
-    assert main(["encode", *tbl_args(table_dir), "--out", str(seq)]) == 0
-    cfg = tmp_path / "codec.cfg"
-    hashes = []
-    for text in ("intra_visit_time: true\n", "intra_visit_time: false\n"):
-        cfg.write_text(text)
-        if command == "encode":
-            argv, mani = ["encode", *tbl_args(table_dir), "--out", str(tmp_path / "enc.txt")], "enc.txt.manifest.json"
-        else:
-            argv, mani = [command, "--sequences", str(seq), "--out-dir", str(tmp_path / "d")], "d/run.manifest.json"
-        assert main([*argv, "--codec-config", str(cfg)]) == 0
-        entry = json.loads((tmp_path / mani).read_text())["inputs"]["codec_config"]
-        assert entry == {"path": str(cfg), "sha256": sha256_file(cfg)}
-        hashes.append(entry["sha256"])
-    assert hashes[0] != hashes[1]
 
 
 def test_privacy_seed_flag_wins_over_config_seed(tmp_path):
@@ -669,7 +636,8 @@ def test_generate_counters_match_expert_report(trained_run, table_dir, tmp_path,
 
     seq, counters = run("with")
     rows = list(csv.DictReader(open(f"{seq}.experts.csv", newline="")))
-    assert counters == {k: sum(int(r[k]) for r in rows) for k in ("dropped_short", "hit_max_tokens")}
+    assert counters == {**{k: sum(int(r[k]) for r in rows) for k in ("dropped_short", "hit_max_tokens")},
+                        **NO_INGEST_DROPS}
     assert counters["hit_max_tokens"] > 0
     assert f"{counters['dropped_short']} of 7 sequences dropped" in capsys.readouterr().err
     monkeypatch.setattr(ManifestWriter, "add_counters", lambda self, **counts: None)
@@ -698,15 +666,80 @@ def test_threads_flag_is_rejected(trained_run, table_dir, tmp_path, capsys):
 
 
 def test_generate_rejects_codec_config(trained_run, table_dir, tmp_path, capsys):
+    """generate, and the six subcommands that used to take one, exit 1 on --codec-config: the grammar is fixed."""
+    ckpt = str(trained_run / "final.ckpt")
+    seq = tmp_path / "seq.txt"
+    assert main(["encode", *tbl_args(table_dir), "--out", str(seq)]) == 0
     experts = tmp_path / "experts.cfg"
     experts.write_text("count: 1\n")
+    task = tmp_path / "task.yml"
+    task.write_text(TASK_CFG)
+    (tmp_path / "model.cfg").write_text(MODEL_CFG)
+    (tmp_path / "train.cfg").write_text(TRAIN_CFG.format(every=0, extra=""))
+    cohort = str(_cohort_csv(table_dir, tmp_path / "cohort.csv"))
+    out, out_dir = tmp_path / "out.csv", tmp_path / "out"
     codec = tmp_path / "codec.cfg"
     codec.write_text("intra_visit_time: false\n")
+    argvs = [
+        ["generate", "--checkpoint", ckpt, "--experts", str(experts), *tbl_args(table_dir), "--out", str(out)],
+        ["encode", *tbl_args(table_dir), "--out", str(out)],
+        ["decode", "--sequences", str(seq), "--out-dir", str(out_dir)],
+        ["train", *tbl_args(table_dir), "--train-config", str(tmp_path / "train.cfg"),
+         "--model-config", str(tmp_path / "model.cfg"), "--out-dir", str(out_dir)],
+        ["convert", "--sequences", str(seq), "--out-dir", str(out_dir)],
+        ["zeroshot", "--task", str(task), "--checkpoint", ckpt, "--cohort", cohort, *tbl_args(table_dir),
+         "--out", str(out)],
+        ["probe", "--checkpoint", ckpt, "--cohort", cohort, *tbl_args(table_dir), "--out", str(out)],
+    ]
+    for argv in argvs:
+        capsys.readouterr()
+        assert main([*argv, "--codec-config", str(codec)]) == 1, argv[0]
+        assert "unrecognized arguments: --codec-config" in capsys.readouterr().err, argv[0]
+    assert not out.exists() and not out_dir.exists()
+
+
+NO_INGEST_DROPS = dict(unknown_concept_events_dropped=0, orphan_events_dropped=0, orphan_visits_dropped=0)
+
+
+def test_ingest_drop_counts_reach_the_manifest(trained_run, table_dir, tmp_path, capsys):
+    """Every command that reads tables into records counts the rows it drops in its manifest."""
+    d = tmp_path / "tables"
+    d.mkdir()
+    (d / "persons.csv").write_bytes((table_dir / "persons.csv").read_bytes())
+    # a visit of a person missing from persons.csv
+    _with_lines(table_dir / "visits.csv", d / "visits.csv", lambda ls: [*ls, "vg,ghost,9202,2001-01-01,2001-01-01,\n"])
+
+    def file_under_another_person(lines):
+        fields = lines[1].split(",")
+        fields[0] = "ghost"  # person_id; the event's visit belongs to someone else
+        return [lines[0], ",".join(fields), *lines[2:]]
+
+    _with_lines(table_dir / "events.csv", d / "events.csv", file_under_another_person)
+    expected = dict(NO_INGEST_DROPS, orphan_events_dropped=1, orphan_visits_dropped=1)
     capsys.readouterr()
-    assert main(["generate", "--checkpoint", str(trained_run / "final.ckpt"), "--experts", str(experts),
-                 *tbl_args(table_dir), "--out", str(tmp_path / "syn.txt"), "--codec-config", str(codec)]) == 1
-    assert "--codec-config" in capsys.readouterr().err
-    assert not (tmp_path / "syn.txt").exists()
+    assert main(["encode", *tbl_args(d), "--out", str(tmp_path / "seq.txt")]) == 0
+    assert "(dropped 0 unknown-concept events, 1 orphan events and 1 orphan visits)" in capsys.readouterr().out
+    manifests = {"encode": tmp_path / "seq.txt.manifest.json"}
+
+    ckpt = str(trained_run / "final.ckpt")
+    experts = tmp_path / "experts.cfg"
+    experts.write_text("max_tokens: 8\nmin_tokens: 1\ncount: 1\n")
+    task = tmp_path / "task.yml"
+    task.write_text(TASK_CFG + "max_new_tokens: 8\nn_simulations: 3\n")
+    cohort = str(_cohort_csv(table_dir, tmp_path / "cohort.csv", n=6))
+    for name, argv in (
+        ("generate", ["--checkpoint", ckpt, "--experts", str(experts), "--out", str(tmp_path / "syn.txt")]),
+        ("zeroshot", ["--task", str(task), "--checkpoint", ckpt, "--cohort", cohort, "--n-bootstrap", "5",
+                      "--out", str(tmp_path / "zs.csv")]),
+        ("probe", ["--checkpoint", ckpt, "--cohort", cohort, "--n-bootstrap", "5", "--out", str(tmp_path / "pr.csv")]),
+    ):
+        assert main([name, *argv, *tbl_args(d)]) == 0, name
+        manifests[name] = tmp_path / f"{argv[-1]}.manifest.json"
+    _train(d, tmp_path, "run", extra="max_steps: 1\n")
+    manifests["train"] = tmp_path / "run" / "run.manifest.json"
+    for name, path in manifests.items():
+        counters = json.loads(path.read_text())["counters"]
+        assert {k: counters[k] for k in expected} == expected, name
 
 
 def _with_lines(src, dst, edit):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronoseq.codec import (
+    INPATIENT_CONCEPTS,
     ClinicalEvent,
-    CodecConfig,
     LONG_GAP_DAYS,
     DecodeError,
     PatientRecord,
@@ -77,9 +77,27 @@ def test_encode_inpatient_discharge_and_intra_visit_time():
         "year:2000", "age:50", "gender:8532", "race:8527",
         "[VS]", "v:9201", "c:100", "i-D2", "d:200", "i-D3", "dis:8536", "[VE]", "[END]",
     )
-    # toggled off: duration tokens disappear
-    seq2 = encode_patient(rec, CodecConfig(intra_visit_time=False))
-    assert "i-D2" not in seq2.tokens and "dis:8536" in seq2.tokens
+
+
+def test_one_inpatient_set_in_every_consumer():
+    """A 262 visit is inpatient for the encoder, the decoder, validate_record and the hospitalized stratum."""
+    from chronoseq.codec import validate_record
+    from chronoseq.evalharness import prevalence_report
+
+    assert INPATIENT_CONCEPTS == {9201, 262}
+    d0 = dt.date(2000, 1, 1)
+    stay = Visit(262, d0, d0 + dt.timedelta(days=4), 8863, (ClinicalEvent(d0 + dt.timedelta(days=1), "drug", 200),))
+    rec = PatientRecord("in", 1950, 8532, 8527, (stay,))
+    tokens = encode_patient(rec).tokens
+    assert tokens[4:] == ("[VS]", "v:262", "i-D1", "d:200", "i-D3", "dis:8863", "[VE]", "[END]")
+    assert decode_sequence(tokens, anchor=d0, person_id="in") == rec  # the stay's end date survives
+    with pytest.raises(RecordValidationError, match="inpatient visit 0 lacks discharge type"):
+        validate_record(PatientRecord("in", 1950, 8532, 8527, (replace(stay, discharge_concept_id=None),)))
+    out = PatientRecord("out", 1950, 8532, 8527, (Visit(9202, d0, d0, None, (ClinicalEvent(d0, "drug", 200),)),))
+    tables = records_to_tables([rec, out])
+    hospitalized = {(r.domain, r.concept_id): r.real_prevalence
+                    for r in prevalence_report(tables, tables) if r.stratum == "hospitalized"}
+    assert hospitalized[("visit", 262)] == 1.0 and hospitalized[("visit", 9202)] == 0.0
 
 
 def test_encode_validates(one_visit_record):
@@ -247,4 +265,17 @@ def test_tables_drop_an_event_filed_under_another_persons_visit():
     tables.events.append(EventRow("b", a_visit.visit_id, "drug", 7, a_visit.start_date))
     records, report = tables_to_records(tables)
     assert report.n_orphan_events_dropped == 1
+    assert [[e.concept_id for e in r.visits[0].events] for r in records] == [[5], [6]]
+
+
+def test_tables_count_a_visit_of_a_person_missing_from_the_persons_table():
+    from chronoseq.codec import EventRow, VisitRow
+
+    tables = _two_person_tables()
+    d0 = tables.visits[0].start_date
+    tables.visits.append(VisitRow("vg", "ghost", 9201, d0, d0, 8536))
+    tables.events.append(EventRow("ghost", "vg", "drug", 7, d0))
+    records, report = tables_to_records(tables)
+    assert (report.n_orphan_visits_dropped, report.n_orphan_events_dropped) == (1, 1)
+    assert [r.person_id for r in records] == ["a", "b"]
     assert [[e.concept_id for e in r.visits[0].events] for r in records] == [[5], [6]]

@@ -5,7 +5,6 @@ import pytest
 
 from chronoseq.codec import (
     ClinicalEvent,
-    CodecConfig,
     PatientRecord,
     Visit,
     encode_patient,
@@ -91,7 +90,7 @@ def test_linear_probe_fit_converges_on_synthworld_cohort():
     records = sample_hospital_records(60, seed=5)
     rows = [(r.person_id, r.visits[len(r.visits) // 2 - 1].end_date, int(len(r.visits) % 2 == 0))
             for r in records if len(r.visits) >= 3]
-    data, _ = cohort_prefixes(records, rows, CodecConfig(), 256)
+    data, _ = cohort_prefixes(records, rows, context_window=256)
     from chronoseq.codec import build_vocabulary
 
     vocab = build_vocabulary([encode_patient(r) for r in records])
@@ -122,6 +121,16 @@ def test_prevalence_identity_absent_and_rowcount():
         target = records[0].visits[0].events[0].concept_id
         full_rows = [r for r in rows2 if r.stratum == "full" and r.concept_id == target]
         assert any(r.synthetic_prevalence == 0.0 and r.real_prevalence > 0.0 for r in full_rows)
+
+
+def test_prevalence_ignores_the_visits_of_a_person_missing_from_the_persons_table():
+    from chronoseq.codec import VisitRow
+
+    tables = records_to_tables(sample_hospital_records(30, seed=31))
+    expected = prevalence_report(tables, tables)
+    d0 = tables.visits[0].start_date
+    tables.visits.append(VisitRow("vg", "ghost", 9201, d0, d0, 8536))
+    assert prevalence_report(tables, tables) == expected
 
 
 def test_prevalence_rejects_empty():
@@ -200,7 +209,7 @@ def test_truncate_record_and_prefixes():
     assert truncate_record(rec, rec.visits[0].start_date - dt.timedelta(days=1)) is None
 
     rows = [(rec.person_id, cutoff, 1), ("missing", cutoff, 0)]
-    prefixes, skipped = cohort_prefixes(records, rows, CodecConfig())
+    prefixes, skipped = cohort_prefixes(records, rows)
     assert skipped == 1
     assert len(prefixes) == 1
     assert prefixes[0][0][-1] == "[VE]"  # prompt ends at a visit boundary
@@ -212,16 +221,16 @@ def test_cohort_prefixes_skip_prompts_that_fill_the_window():
     long_rec = PatientRecord("long", long_rec.birth_year, long_rec.gender_concept, long_rec.race_concept,
                              long_rec.visits)
     rows = [(r.person_id, r.visits[-1].end_date, i % 2) for i, r in enumerate([*short, long_rec])]
-    everything, skipped = cohort_prefixes([*short, long_rec], rows, CodecConfig())
+    everything, skipped = cohort_prefixes([*short, long_rec], rows)
     assert skipped == 0
     n_long = len(everything[-1][0])
     n_short = max(len(p) for p, _ in everything[:-1])
     assert n_long > 128 > n_short
-    prefixes, skipped = cohort_prefixes([*short, long_rec], rows, CodecConfig(), 128)
+    prefixes, skipped = cohort_prefixes([*short, long_rec], rows, context_window=128)
     assert skipped == 1
     assert prefixes == everything[:-1]
     # a prompt of exactly context_window tokens leaves no room for one simulated token
-    _, skipped = cohort_prefixes([long_rec], rows[-1:], CodecConfig(), n_long)
+    _, skipped = cohort_prefixes([long_rec], rows[-1:], context_window=n_long)
     assert skipped == 1
-    kept, skipped = cohort_prefixes([long_rec], rows[-1:], CodecConfig(), n_long + 1)
+    kept, skipped = cohort_prefixes([long_rec], rows[-1:], context_window=n_long + 1)
     assert skipped == 0 and len(kept) == 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chronoseq.codec import CodecConfig, TokenSequence, encode_patient, records_to_tables
+from chronoseq.codec import TokenSequence, encode_patient, records_to_tables
 from chronoseq.generation import (
     SamplingConfig,
     convert_to_tables,
@@ -19,7 +19,7 @@ from chronoseq.training import TrainConfig, prepare_corpus, train
 def tiny_trained_model():
     """A briefly trained model: enough structure to emit [END] occasionally."""
     records = sample_hospital_records(24, seed=3, cfg=WorldConfig(visits_range=(2, 3)))
-    corpus = prepare_corpus(records, CodecConfig(), context_window=128, eval_fraction=0.2, seed=0)
+    corpus = prepare_corpus(records, context_window=128, eval_fraction=0.2, seed=0)
     cfg = ModelConfig(vocab_size=len(corpus.vocab), embed_dim=12, n_layers=1, n_heads=2, context_window=128)
     model = TimelineModel.initialize(cfg, corpus.vocab, seed=0)
     tcfg = TrainConfig(max_epochs=3, tokens_per_batch=512, warmup_steps=10,

@@ -247,12 +247,11 @@ def test_pad_token_id_changes_no_loss_or_gradient_bit(blocked):
 def test_training_step_memory_is_bounded():
     import tracemalloc
 
-    from chronoseq.codec import CodecConfig
     from chronoseq.synthworld import sample_hospital_records
     from chronoseq.training import prepare_corpus
 
     # the README demo recipe: 500 synthworld patients, context 256, 2048-token batches, d=48, 2 layers, 4 heads
-    corpus = prepare_corpus(sample_hospital_records(500, seed=1), CodecConfig(), context_window=256,
+    corpus = prepare_corpus(sample_hospital_records(500, seed=1), context_window=256,
                             min_seq_tokens=20, eval_fraction=0.1, seed=0)
     cfg = ModelConfig(vocab_size=len(corpus.vocab), embed_dim=48, n_layers=2, n_heads=4, context_window=256)
     model = TimelineModel.initialize(cfg, corpus.vocab, seed=0)

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from chronoseq.codec import CodecConfig, encode_patient
+from chronoseq.codec import encode_patient
 from chronoseq.model import (
     CheckpointError,
     InferenceSession,
@@ -256,7 +256,7 @@ def test_lane_batch_rejects_overflow_at_window_edge(toy):
 
 
 def test_evaluate_loss_is_graph_free_total_loss():
-    corpus = prepare_corpus(sample_hospital_records(16, seed=4), CodecConfig(), context_window=96,
+    corpus = prepare_corpus(sample_hospital_records(16, seed=4), context_window=96,
                             eval_fraction=0.5, seed=0)
     cfg = ModelConfig(vocab_size=len(corpus.vocab), embed_dim=12, n_layers=2, n_heads=2, context_window=96)
     model = TimelineModel.initialize(cfg, corpus.vocab, seed=2)
@@ -279,7 +279,7 @@ def test_evaluate_loss_is_graph_free_total_loss():
 def test_extract_representation_properties():
     rng = np.random.default_rng(3)
     records = [random_record(rng) for _ in range(4)]
-    seqs = [encode_patient(r, CodecConfig()) for r in records]
+    seqs = [encode_patient(r) for r in records]
     from chronoseq.codec import build_vocabulary
 
     vocab = build_vocabulary(seqs)

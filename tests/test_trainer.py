@@ -1,7 +1,6 @@
 import numpy.testing as npt
 import pytest
 
-from chronoseq.codec import CodecConfig
 from chronoseq.model import ModelConfig, TimelineModel, load_checkpoint
 from chronoseq.synthworld import WorldConfig, sample_hospital_records
 from chronoseq.training import TrainConfig, TrainingDiverged, prepare_corpus, train
@@ -14,7 +13,7 @@ WORLD = WorldConfig(start_year_range=(1995, 2010), visits_range=(2, 4), events_p
 @pytest.fixture(scope="module")
 def small_corpus():
     records = sample_hospital_records(24, seed=5, cfg=WORLD)
-    return prepare_corpus(records, CodecConfig(), context_window=128, eval_fraction=0.2, seed=3)
+    return prepare_corpus(records, context_window=128, eval_fraction=0.2, seed=3)
 
 
 def make_model(corpus, seed=0):
@@ -24,7 +23,7 @@ def make_model(corpus, seed=0):
 
 def test_prepare_corpus_min_length_boundary():
     records = sample_hospital_records(50, seed=1, cfg=WORLD)
-    corpus = prepare_corpus(records, CodecConfig(), context_window=128, min_seq_tokens=20, seed=0)
+    corpus = prepare_corpus(records, context_window=128, min_seq_tokens=20, seed=0)
     lengths = [len(e) for e in corpus.train + corpus.eval]
     assert all(n >= 20 for n in lengths)
     dropped = corpus.report.n_dropped_short
@@ -35,7 +34,7 @@ def test_prepare_corpus_min_length_boundary():
 
 def test_prepare_corpus_truncates_to_context_window():
     records = sample_hospital_records(30, seed=2, cfg=WorldConfig(visits_range=(8, 12)))
-    corpus = prepare_corpus(records, CodecConfig(), context_window=48, min_seq_tokens=20, seed=0)
+    corpus = prepare_corpus(records, context_window=48, min_seq_tokens=20, seed=0)
     assert all(len(e) <= 48 for e in corpus.train + corpus.eval)
     assert corpus.report.n_truncated > 0
     for e in corpus.train:  # supervision positions survive truncation consistently
@@ -44,9 +43,9 @@ def test_prepare_corpus_truncates_to_context_window():
 
 def test_prepare_corpus_split_deterministic():
     records = sample_hospital_records(40, seed=7, cfg=WORLD)
-    c1 = prepare_corpus(records, CodecConfig(), context_window=128, seed=11)
-    c2 = prepare_corpus(records, CodecConfig(), context_window=128, seed=11)
-    c3 = prepare_corpus(records, CodecConfig(), context_window=128, seed=12)
+    c1 = prepare_corpus(records, context_window=128, seed=11)
+    c2 = prepare_corpus(records, context_window=128, seed=11)
+    c3 = prepare_corpus(records, context_window=128, seed=12)
     ids1 = [e.person_id for e in c1.eval]
     assert ids1 == [e.person_id for e in c2.eval]
     assert ids1 != [e.person_id for e in c3.eval]

@@ -345,7 +345,6 @@ def test_demo_checkpoint_readmission_estimates_are_pinned():
     many tokens and whose scores differ between patients, so a change in the simulator shows."""
     from pathlib import Path
 
-    from chronoseq.codec import CodecConfig
     from chronoseq.evalharness import cohort_prefixes
     from chronoseq.model import load_checkpoint
     from chronoseq.synthworld import INPATIENT, sample_hospital_records
@@ -365,7 +364,7 @@ def test_demo_checkpoint_readmission_estimates_are_pinned():
         if len(found[label]) < 5:
             found[label].append((rec.person_id, cut, label))
     rows = [row for pair in zip(found[1], found[0]) for row in pair]
-    cohort, skipped = cohort_prefixes(records, rows, CodecConfig(), model.config.context_window)
+    cohort, skipped = cohort_prefixes(records, rows, context_window=model.config.context_window)
     assert skipped == 0 and len(cohort) == 10
 
     m = evaluate_task(model, cohort, t, seed=7, n_bootstrap=200)
