@@ -8,6 +8,8 @@ import gc
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 __all__ = [
     "DOMAINS",
     "DOMAIN_RANK",
@@ -25,6 +27,7 @@ __all__ = [
     "validate_record",
     "records_to_tables",
     "tables_to_records",
+    "concept_incidence",
     "csv_rows",
     "read_csv_table",
     "write_csv",
@@ -42,14 +45,14 @@ class RecordValidationError(ValueError):
     """A PatientRecord, or a row of its event tables, violates a structural invariant."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(slots=True, order=True)
 class ClinicalEvent:
     date: dt.date
     domain: str
     concept_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Visit:
     visit_concept_id: int
     start_date: dt.date
@@ -58,7 +61,7 @@ class Visit:
     events: tuple[ClinicalEvent, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PatientRecord:
     person_id: str
     birth_year: int
@@ -112,7 +115,7 @@ def validate_record(record: PatientRecord):
 # flat relational form
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PersonRow:
     person_id: str
     birth_year: int
@@ -120,7 +123,7 @@ class PersonRow:
     race_concept_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class VisitRow:
     visit_id: str
     person_id: str
@@ -130,7 +133,7 @@ class VisitRow:
     discharge_concept_id: int | None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EventRow:
     person_id: str
     visit_id: str
@@ -143,7 +146,7 @@ def gc_paused(fn):
     """Run fn with the cyclic garbage collector disabled, then restore the caller's setting.
 
     Decorates the functions that build or walk whole event tables. Their rows,
-    records and per-person indexes are frozen dataclasses, tuples, sets and
+    records and per-person indexes are slotted dataclasses, tuples, arrays and
     dicts of ints, strings and dates, which form no reference cycles, so
     reference counting frees them all, and a collection during such a pass
     only rescans every live row. The collector is enabled again on return and
@@ -207,6 +210,14 @@ def _first_repeat(ids):
     return None
 
 
+def _check_unique_ids(tables: EventTables):
+    """Raise RecordValidationError on a person_id repeated in the persons table or a visit_id in the visits table."""
+    for table, column, rows in (("persons", "person_id", tables.persons), ("visits", "visit_id", tables.visits)):
+        repeat = _first_repeat(getattr(r, column) for r in rows)
+        if repeat is not None:
+            raise RecordValidationError(f"{table} table: {column} {repeat!r} appears more than once")
+
+
 @gc_paused
 def tables_to_records(tables: EventTables):
     """Group the flat tables into PatientRecords (events sorted, visits by start date).
@@ -217,10 +228,7 @@ def tables_to_records(tables: EventTables):
     of a person missing from the persons table with their events, are
     dropped and counted.
     """
-    for table, column, rows in (("persons", "person_id", tables.persons), ("visits", "visit_id", tables.visits)):
-        repeat = _first_repeat(getattr(r, column) for r in rows)
-        if repeat is not None:
-            raise RecordValidationError(f"{table} table: {column} {repeat!r} appears more than once")
+    _check_unique_ids(tables)
     report = IngestReport(
         n_persons=len(tables.persons), n_visits=len(tables.visits), n_events=len(tables.events)
     )
@@ -256,6 +264,48 @@ def tables_to_records(tables: EventTables):
         )
         records.append(PatientRecord(p.person_id, p.birth_year, p.gender_concept_id, p.race_concept_id, visits))
     return records, report
+
+
+@gc_paused
+def concept_incidence(tables: EventTables, visit_types: bool = False):
+    """The distinct (person, concept) pairs of a table set, as int arrays.
+
+    Returns (rows, codes, concepts): person tables.persons[rows[k]] has at
+    least one event of concept concepts[codes[k]], a (domain, concept_id)
+    pair. concepts is sorted and lists each concept of some pair once; the
+    pairs are sorted by row, then code. With visit_types, each visit also
+    gives its person the concept ("visit", visit_concept_id). Only what
+    tables_to_records keeps counts: events with concept_id 0, events whose
+    visit is missing or belongs to another person, and the visits of a
+    person missing from the persons table, with their events, give nothing.
+    Repeated ids raise RecordValidationError, as there.
+    """
+    person_row = {p.person_id: i for i, p in enumerate(tables.persons)}
+    # visit_id -> (person_id, persons-table row of that person or None)
+    visit_row = {v.visit_id: (v.person_id, person_row.get(v.person_id)) for v in tables.visits}
+    if len(person_row) != len(tables.persons) or len(visit_row) != len(tables.visits):
+        _check_unique_ids(tables)
+    code: dict[tuple[str, int], int] = {}  # concept -> code, in first-seen order
+    rows, codes = [], []
+    for e in tables.events:
+        owner = visit_row.get(e.visit_id)
+        if owner is None or owner[0] != e.person_id or owner[1] is None or e.concept_id == 0:
+            continue
+        rows.append(owner[1])
+        codes.append(code.setdefault((e.domain, e.concept_id), len(code)))
+    if visit_types:
+        for v in tables.visits:
+            if v.person_id in person_row:
+                rows.append(person_row[v.person_id])
+                codes.append(code.setdefault(("visit", v.visit_concept_id), len(code)))
+    if not code:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), []
+    concepts = sorted(code)
+    rank = np.empty(len(concepts), dtype=np.intp)
+    rank[[code[c] for c in concepts]] = np.arange(len(concepts))
+    pairs = np.sort(np.array(rows, dtype=np.intp) * len(concepts) + rank[np.array(codes, dtype=np.intp)])
+    pairs = pairs[np.concatenate(([True], pairs[1:] != pairs[:-1]))]  # distinct; np.unique is slower here
+    return pairs // len(concepts), pairs % len(concepts), concepts
 
 
 # ---------------------------------------------------------------------------

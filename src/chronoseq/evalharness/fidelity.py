@@ -4,7 +4,9 @@ from __future__ import annotations
 import datetime as dt
 from dataclasses import dataclass
 
-from ..codec import INPATIENT_CONCEPTS, EventTables, gc_paused, write_csv
+import numpy as np
+
+from ..codec import INPATIENT_CONCEPTS, EventTables, concept_incidence, gc_paused, write_csv
 from ..generation.stats import GENDER_FEMALE
 
 __all__ = ["PrevalenceRow", "prevalence_report", "write_prevalence_csv", "CohortSpec", "PathwayResult", "pathway_cohort"]
@@ -21,26 +23,25 @@ class PrevalenceRow:
     synthetic_prevalence: float
 
 
-def _person_concepts(tables: EventTables):
-    """person -> set of (domain, concept) including visit types as domain 'visit'."""
-    out: dict[str, set] = {p.person_id: set() for p in tables.persons}
-    for e in tables.events:
-        if e.person_id in out:
-            out[e.person_id].add((e.domain, e.concept_id))
-    for v in tables.visits:
-        if v.person_id in out:
-            out[v.person_id].add(("visit", v.visit_concept_id))
-    return out
+def _stratum_counts(tables: EventTables, incidence, index: dict) -> dict[str, tuple[list[int], int]]:
+    """{stratum: (the stratum's persons with each concept, in index order; the stratum's size)}.
 
-
-def _strata_members(tables: EventTables) -> dict[str, set]:
-    """Person ids of each stratum; only persons of the persons table are members."""
-    full = {p.person_id for p in tables.persons}
-    return {
-        "full": full,
-        "female": {p.person_id for p in tables.persons if p.gender_concept_id == GENDER_FEMALE},
-        "hospitalized": {v.person_id for v in tables.visits if v.visit_concept_id in INPATIENT_CONCEPTS} & full,
+    incidence is concept_incidence(tables, visit_types=True). Only persons of
+    the persons table are members; the hospitalized are those with a kept
+    inpatient visit.
+    """
+    person, codes, concepts = incidence
+    inpatient = np.array([d == "visit" and c in INPATIENT_CONCEPTS for d, c in concepts], dtype=bool)
+    hospitalized = np.zeros(len(tables.persons), dtype=bool)
+    hospitalized[person[inpatient[codes]]] = True
+    members = {
+        "full": np.ones(len(tables.persons), dtype=bool),
+        "female": np.array([p.gender_concept_id == GENDER_FEMALE for p in tables.persons], dtype=bool),
+        "hospitalized": hospitalized,
     }
+    codes = np.array([index[dc] for dc in concepts], dtype=np.intp)[codes]
+    return {stratum: (np.bincount(codes[mask[person]], minlength=len(index)).tolist(), int(mask.sum()))
+            for stratum, mask in members.items()}
 
 
 @gc_paused
@@ -51,34 +52,28 @@ def prevalence_report(real: EventTables, synthetic: EventTables) -> list[Prevale
     Prevalence is the fraction of stratum persons with at least one
     occurrence; every concept in the union of the two datasets gets a row in
     every stratum (absent means 0.0). An empty stratum yields prevalence 0.
+    Occurrences are those of concept_incidence: rows that tables_to_records
+    drops count for nothing.
     """
     if not real.persons or not synthetic.persons:
         raise ValueError("both datasets must be nonempty")
-    pc_real = _person_concepts(real)
-    pc_syn = _person_concepts(synthetic)
-    concepts = sorted({dc for s in pc_real.values() for dc in s} | {dc for s in pc_syn.values() for dc in s})
-    strata_real = _strata_members(real)
-    strata_syn = _strata_members(synthetic)
+    inc_real = concept_incidence(real, visit_types=True)
+    inc_syn = concept_incidence(synthetic, visit_types=True)
+    concepts = sorted(set(inc_real[2]) | set(inc_syn[2]))
+    index = {dc: j for j, dc in enumerate(concepts)}
+    counts_real = _stratum_counts(real, inc_real, index)
+    counts_syn = _stratum_counts(synthetic, inc_syn, index)
     rows = []
     for stratum in STRATA:
-        members_r = strata_real[stratum]
-        members_s = strata_syn[stratum]
-        counts_r = {dc: 0 for dc in concepts}
-        counts_s = {dc: 0 for dc in concepts}
-        for pid in members_r:
-            for dc in pc_real[pid]:
-                counts_r[dc] += 1
-        for pid in members_s:
-            for dc in pc_syn[pid]:
-                counts_s[dc] += 1
-        for domain, concept in concepts:
+        (with_real, n_real), (with_syn, n_syn) = counts_real[stratum], counts_syn[stratum]
+        for j, (domain, concept) in enumerate(concepts):
             rows.append(
                 PrevalenceRow(
                     stratum=stratum,
                     domain=domain,
                     concept_id=concept,
-                    real_prevalence=counts_r[(domain, concept)] / len(members_r) if members_r else 0.0,
-                    synthetic_prevalence=counts_s[(domain, concept)] / len(members_s) if members_s else 0.0,
+                    real_prevalence=with_real[j] / n_real if n_real else 0.0,
+                    synthetic_prevalence=with_syn[j] / n_syn if n_syn else 0.0,
                 )
             )
     return rows

@@ -55,24 +55,27 @@ def _nearest(a: np.ndarray, b: np.ndarray, self_pairs: bool = False):
 
     Returns (row minima over b, column minima over a, row argmins into b);
     argmin ties go to the lowest index of b. With self_pairs (b is a), a row's
-    distance to itself is excluded. Each block is one float32 product
-    |a| + |b| - 2 a.b^T: entries are 0/1 and every partial sum is an integer no
-    larger than the profile width, so the distances are exact integers under
-    any BLAS summation order.
+    distance to itself is excluded. The operands are augmented once per call,
+    to [a, |a|, 1] and [-2b, 1, |b|], so that each block is one float32 product
+    giving |a| + |b| - 2 a.b^T directly: its entries are small integers and
+    every partial sum is an integer of magnitude below 4 x the profile width,
+    so the distances are exact integers under any BLAS summation order.
     """
     if len(b) == 0:
         raise ValueError("empty synthetic set")
-    a32 = a.astype(np.float32)
-    b32 = a32 if self_pairs else b.astype(np.float32)
-    a_bits, b_bits = a32.sum(axis=1), b32.sum(axis=1)
+    w = a.shape[1]
+    left = np.ones((len(a), w + 2), dtype=np.float32)  # [a, |a|, 1]
+    left[:, :w] = a
+    left[:, w] = left[:, :w].sum(axis=1)
+    right = np.ones((len(b), w + 2), dtype=np.float32)  # [-2b, 1, |b|]
+    right[:, :w] = b
+    right[:, w + 1] = right[:, :w].sum(axis=1)
+    right[:, :w] *= -2.0
     row_min = np.empty(len(a), dtype=np.float32)
     col_min = np.full(len(b), np.inf, dtype=np.float32)
     row_arg = np.empty(len(a), dtype=np.intp)
     for i in range(0, len(a), _CHUNK):
-        d = a32[i:i + _CHUNK] @ b32.T
-        d *= -2.0
-        d += a_bits[i:i + _CHUNK, None]
-        d += b_bits
+        d = left[i:i + _CHUNK] @ right.T
         k = np.arange(len(d))
         if self_pairs:
             d[k, i + k] = np.inf

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..codec import EventTables
+from ..codec import EventTables, concept_incidence
 
 __all__ = ["ProfileSpec", "build_profiles"]
 
@@ -34,17 +34,14 @@ class ProfileSpec:
         person prevalence (ties by domain then id), plus observed demographics."""
         genders = tuple(sorted({p.gender_concept_id for p in tables.persons}))
         races = tuple(sorted({p.race_concept_id for p in tables.persons}))
-        seen: dict[tuple[str, int], set] = {}
-        for e in tables.events:
-            seen.setdefault((e.domain, e.concept_id), set()).add(e.person_id)
-        ranked = sorted(seen.items(), key=lambda kv: (-len(kv[1]), kv[0][0], kv[0][1]))
-        return cls(gender_concepts=genders, race_concepts=races,
-                   concepts=tuple(dc for dc, _ in ranked[:top_k_concepts]))
+        _, codes, concepts = concept_incidence(tables)
+        # concepts is sorted by (domain, id), so a stable sort keeps that order among ties
+        ranked = np.argsort(-np.bincount(codes, minlength=len(concepts)), kind="stable")[:top_k_concepts]
+        return cls(gender_concepts=genders, race_concepts=races, concepts=tuple(concepts[j] for j in ranked))
 
 
 def build_profiles(tables: EventTables, spec: ProfileSpec) -> np.ndarray:
     """(n_persons, spec.dimension) uint8 matrix, person order = persons table order."""
-    concept_index = {dc: i for i, dc in enumerate(spec.concepts)}
     gender_index = {g: i for i, g in enumerate(spec.gender_concepts)}
     race_index = {r: i for i, r in enumerate(spec.race_concepts)}
     n_gender, n_race = len(spec.gender_concepts), len(spec.race_concepts)
@@ -55,7 +52,6 @@ def build_profiles(tables: EventTables, spec: ProfileSpec) -> np.ndarray:
         if v.person_id not in first_visit_year or y < first_visit_year[v.person_id]:
             first_visit_year[v.person_id] = y
     rows = np.zeros((len(tables.persons), spec.dimension), dtype=np.uint8)
-    person_row = {p.person_id: i for i, p in enumerate(tables.persons)}
     for i, p in enumerate(tables.persons):
         g = gender_index.get(p.gender_concept_id)
         if g is not None:
@@ -67,10 +63,8 @@ def build_profiles(tables: EventTables, spec: ProfileSpec) -> np.ndarray:
         if year is not None:
             decade = min(max((year - p.birth_year) // 10, 0), _AGE_DECADES - 1)
             rows[i, n_gender + n_race + decade] = 1
-    for e in tables.events:
-        j = concept_index.get((e.domain, e.concept_id))
-        if j is not None:
-            i = person_row.get(e.person_id)
-            if i is not None:
-                rows[i, base_concepts + j] = 1
+    person, codes, concepts = concept_incidence(tables)
+    spec_column = {dc: base_concepts + j for j, dc in enumerate(spec.concepts)}
+    column = np.array([spec_column.get(dc, -1) for dc in concepts], dtype=np.intp)[codes]
+    rows[person[column >= 0], column[column >= 0]] = 1
     return rows

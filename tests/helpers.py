@@ -209,3 +209,105 @@ def chi2_sf_even(x: float, dof: int) -> float:
         term *= half / k
         acc += term
     return float(np.exp(-half) * acc)
+
+
+# ---------------------------------------------------------------------------
+# per-row table oracles: the loops prevalence_report, ProfileSpec.from_tables
+# and build_profiles ran before they shared codec.concept_incidence
+
+
+def kept_events(tables):
+    """The event rows tables_to_records keeps, tested one row at a time: a known
+    concept, a visit that exists and is the event person's, and that person in the
+    persons table."""
+    persons = {p.person_id for p in tables.persons}
+    visit_person = {v.visit_id: v.person_id for v in tables.visits}
+    return [e for e in tables.events
+            if e.concept_id != 0 and visit_person.get(e.visit_id) == e.person_id and e.person_id in persons]
+
+
+def prevalence_reference(real, synthetic):
+    """[PrevalenceRow] from per-person concept sets and per-stratum member sets."""
+    from chronoseq.codec import INPATIENT_CONCEPTS
+    from chronoseq.evalharness import PrevalenceRow
+    from chronoseq.evalharness.fidelity import STRATA
+    from chronoseq.generation.stats import GENDER_FEMALE
+
+    def person_concepts(tables):
+        out = {p.person_id: set() for p in tables.persons}
+        for e in kept_events(tables):
+            out[e.person_id].add((e.domain, e.concept_id))
+        for v in tables.visits:
+            if v.person_id in out:
+                out[v.person_id].add(("visit", v.visit_concept_id))
+        return out
+
+    def strata_members(tables):
+        full = {p.person_id for p in tables.persons}
+        return {
+            "full": full,
+            "female": {p.person_id for p in tables.persons if p.gender_concept_id == GENDER_FEMALE},
+            "hospitalized": {v.person_id for v in tables.visits if v.visit_concept_id in INPATIENT_CONCEPTS} & full,
+        }
+
+    pc_real, pc_syn = person_concepts(real), person_concepts(synthetic)
+    concepts = sorted({dc for s in pc_real.values() for dc in s} | {dc for s in pc_syn.values() for dc in s})
+    strata_real, strata_syn = strata_members(real), strata_members(synthetic)
+    rows = []
+    for stratum in STRATA:
+        members_r, members_s = strata_real[stratum], strata_syn[stratum]
+        counts_r = {dc: 0 for dc in concepts}
+        counts_s = {dc: 0 for dc in concepts}
+        for pid in members_r:
+            for dc in pc_real[pid]:
+                counts_r[dc] += 1
+        for pid in members_s:
+            for dc in pc_syn[pid]:
+                counts_s[dc] += 1
+        for domain, concept in concepts:
+            rows.append(PrevalenceRow(
+                stratum, domain, concept,
+                counts_r[(domain, concept)] / len(members_r) if members_r else 0.0,
+                counts_s[(domain, concept)] / len(members_s) if members_s else 0.0,
+            ))
+    return rows
+
+
+def concept_person_counts(tables):
+    """{(domain, concept_id): number of distinct persons with a kept event of it}."""
+    seen = {}
+    for e in kept_events(tables):
+        seen.setdefault((e.domain, e.concept_id), set()).add(e.person_id)
+    return {dc: len(pids) for dc, pids in seen.items()}
+
+
+def profile_spec_reference(tables, top_k_concepts):
+    """ProfileSpec with the concepts ranked by (-persons, domain, id)."""
+    from chronoseq.privacy import ProfileSpec
+
+    ranked = sorted(concept_person_counts(tables).items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1]))
+    return ProfileSpec(gender_concepts=tuple(sorted({p.gender_concept_id for p in tables.persons})),
+                       race_concepts=tuple(sorted({p.race_concept_id for p in tables.persons})),
+                       concepts=tuple(dc for dc, _ in ranked[:top_k_concepts]))
+
+
+def build_profiles_reference(tables, spec):
+    """The (n_persons, spec.dimension) uint8 profiles, set one bit at a time."""
+    n_demo = spec.dimension - len(spec.concepts)
+    n_gender, n_race = len(spec.gender_concepts), len(spec.race_concepts)
+    first_year = {}
+    for v in tables.visits:
+        first_year[v.person_id] = min(first_year.get(v.person_id, v.start_date.year), v.start_date.year)
+    rows = np.zeros((len(tables.persons), spec.dimension), dtype=np.uint8)
+    person_row = {p.person_id: i for i, p in enumerate(tables.persons)}
+    for i, p in enumerate(tables.persons):
+        if p.gender_concept_id in spec.gender_concepts:
+            rows[i, spec.gender_concepts.index(p.gender_concept_id)] = 1
+        if p.race_concept_id in spec.race_concepts:
+            rows[i, n_gender + spec.race_concepts.index(p.race_concept_id)] = 1
+        if p.person_id in first_year:
+            rows[i, n_gender + n_race + min(max((first_year[p.person_id] - p.birth_year) // 10, 0), 11)] = 1
+    for e in kept_events(tables):
+        if (e.domain, e.concept_id) in spec.concepts:
+            rows[person_row[e.person_id], n_demo + spec.concepts.index((e.domain, e.concept_id))] = 1
+    return rows

@@ -176,6 +176,38 @@ def test_privacy_cli(tmp_path):
     assert "nnaa_risk" in content and "overall" in content
 
 
+def test_prevalence_and_privacy_csvs_are_pinned(tmp_path):
+    """Golden sha256 digests recorded before the audit path moved to array code: three
+    seeded synthworld sets per case, audited against an independent set and against
+    a copy of the training set."""
+    pinned = {
+        ("a", "synthetic", "prevalence"): "9b7ffb43953721c9ac40197ae94d637cfab74c230e9ff4882e4b0c1cf1eb9cf2",
+        ("a", "synthetic", "privacy"): "8c4fedfbee1817a24412dae8706dcb93a00c23834d7e5aaa7147fca2ff820092",
+        ("a", "train", "prevalence"): "7609fb87a19bafc4dac5dd1a3f9878aab8d1030493812779aac863c322a88815",
+        ("a", "train", "privacy"): "7ef9cf95a845334db5ed78a5f418a2fef5193e1c03c966a722e58cdd04041d45",
+        ("b", "synthetic", "prevalence"): "65d820b34f121c44685c5aaddfcf4fa401623c60cd6bcffde23579cf937b5fcb",
+        ("b", "synthetic", "privacy"): "795186778dee24cf7700f1d5131e0216bd528919e3f04e9b03a48a21e56fbc26",
+        ("b", "train", "prevalence"): "6df8d416dfed3a6514ff80e96b8f39a3bc5e2bba3ada1c11d9df2c567a2c000f",
+        ("b", "train", "privacy"): "d9014fc9ac9082ec6603bbaa6c489172bd1d9368c072fa1f2a0afe4ed91f4074",
+    }
+    got = {}
+    for case, (n, seeds) in {"a": (150, (11, 12, 13)), "b": (90, (21, 22, 23))}.items():
+        dirs = {}
+        for name, seed in zip(("train", "eval", "synthetic"), seeds):
+            dirs[name] = tmp_path / case / name
+            write_tables(records_to_tables(sample_hospital_records(n, seed=seed)), dirs[name])
+        for synth in ("synthetic", "train"):
+            out = tmp_path / f"{case}_{synth}_prevalence.csv"
+            assert main(["prevalence", "--real-dir", str(dirs["train"]), "--synthetic-dir", str(dirs[synth]),
+                         "--out", str(out)]) == 0
+            got[(case, synth, "prevalence")] = sha256_file(out)
+            out = tmp_path / f"{case}_{synth}_privacy.csv"
+            assert main(["privacy", "--train-dir", str(dirs["train"]), "--eval-dir", str(dirs["eval"]),
+                         "--synthetic-dir", str(dirs[synth]), "--out", str(out), "--seed", "3"]) == 0
+            got[(case, synth, "privacy")] = sha256_file(out)
+    assert got == pinned
+
+
 def test_simstudy_cli(tmp_path):
     out = tmp_path / "curves.csv"
     rc = main(["simstudy", "--out", str(out), "--seed", "0", "--steps", "200", "--samples", "100"])

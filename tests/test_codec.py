@@ -249,12 +249,16 @@ def _two_person_tables():
 
 @pytest.mark.parametrize("table, column", [("persons", "person_id"), ("visits", "visit_id")])
 def test_tables_reject_a_repeated_id(table, column):
+    from chronoseq.codec import concept_incidence
+
     tables = _two_person_tables()
     rows = getattr(tables, table)
     repeated = getattr(rows[0], column)
     rows[1] = replace(rows[1], **{column: repeated})
-    with pytest.raises(RecordValidationError, match=f"{table} table: {column} '{repeated}' appears more than once"):
-        tables_to_records(tables)
+    for ingest in (tables_to_records, concept_incidence):
+        with pytest.raises(RecordValidationError,
+                           match=f"{table} table: {column} '{repeated}' appears more than once"):
+            ingest(tables)
 
 
 def test_tables_drop_an_event_filed_under_another_persons_visit():
@@ -279,3 +283,32 @@ def test_tables_count_a_visit_of_a_person_missing_from_the_persons_table():
     assert (report.n_orphan_visits_dropped, report.n_orphan_events_dropped) == (1, 1)
     assert [r.person_id for r in records] == ["a", "b"]
     assert [[e.concept_id for e in r.visits[0].events] for r in records] == [[5], [6]]
+
+
+def test_row_types_are_slotted_value_objects():
+    import dataclasses
+    import pickle
+
+    from chronoseq.codec import EventRow, PersonRow, VisitRow
+
+    d0, d1 = dt.date(2000, 1, 1), dt.date(2000, 1, 3)
+    event = ClinicalEvent(d0, "drug", 7)
+    rows = [
+        event,
+        Visit(9201, d0, d1, 8536, (event,)),
+        PatientRecord("a", 1950, 8532, 8527, (Visit(9202, d0, d0, None, (event,)),)),
+        PersonRow("a", 1950, 8532, 8527),
+        VisitRow("v1", "a", 9201, d0, d1, 8536),
+        EventRow("a", "v1", "drug", 7, d0),
+    ]
+    for row in rows:
+        cls = type(row)
+        assert "__slots__" in vars(cls) and not hasattr(row, "__dict__"), cls.__name__
+        twin = dataclasses.replace(row)
+        assert twin == row and twin is not row, cls.__name__
+        assert pickle.loads(pickle.dumps(row)) == row, cls.__name__
+        first = dataclasses.fields(cls)[0].name
+        assert dataclasses.replace(row, **{first: None}) != row, cls.__name__
+    events = [ClinicalEvent(d1, "condition", 1), ClinicalEvent(d0, "procedure", 2), ClinicalEvent(d0, "drug", 9),
+              ClinicalEvent(d0, "drug", 3)]
+    assert sorted(events) == [events[3], events[2], events[1], events[0]]  # by date, then domain name, then id

@@ -1,4 +1,5 @@
 import datetime as dt
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from chronoseq.evalharness import (
 from chronoseq.evalharness.fidelity import STRATA
 from chronoseq.model import ModelConfig, TimelineModel
 from chronoseq.synthworld import WorldConfig, sample_hospital_records
+from helpers import prevalence_reference
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +133,69 @@ def test_prevalence_ignores_the_visits_of_a_person_missing_from_the_persons_tabl
     d0 = tables.visits[0].start_date
     tables.visits.append(VisitRow("vg", "ghost", 9201, d0, d0, 8536))
     assert prevalence_report(tables, tables) == expected
+
+
+def _without_events(records, every):
+    """records with the events of every `every`-th person removed (visits kept)."""
+    return [replace(r, visits=tuple(replace(v, events=()) for v in r.visits)) if k % every == 0 else r
+            for k, r in enumerate(records)]
+
+
+@pytest.mark.parametrize("n,seed", [(40, 1), (120, 2), (300, 3)])
+def test_prevalence_matches_the_per_row_reference(n, seed):
+    real = sample_hospital_records(n, seed=seed)
+    synthetic = _without_events(sample_hospital_records(n // 2 + 7, seed=seed + 100), every=5)
+    cases = {
+        "independent": (real, synthetic),
+        "identical": (real, real),
+        # a side with no female and a side with no inpatient person: empty strata
+        "no female": (real, [r for r in synthetic if r.gender_concept != 8532]),
+        "no inpatient": ([r for r in real if all(v.visit_concept_id not in (9201, 262) for v in r.visits)],
+                         synthetic),
+        # a drug the synthetic side never records: a concept in one dataset only
+        "one-sided concept": (real, [replace(r, visits=tuple(
+            replace(v, events=tuple(e for e in v.events if e.concept_id != 1125315)) for v in r.visits))
+            for r in synthetic]),
+    }
+    by_case = {}
+    for name, (a, b) in cases.items():
+        real_t, syn_t = records_to_tables(a), records_to_tables(b)
+        by_case[name] = prevalence_report(real_t, syn_t)
+        assert by_case[name] == prevalence_reference(real_t, syn_t), name  # every field, exactly
+    assert all(r.synthetic_prevalence == 0.0 for r in by_case["no female"] if r.stratum == "female")
+    assert all(r.real_prevalence == 0.0 for r in by_case["no inpatient"] if r.stratum == "hospitalized")
+    one_sided = [r for r in by_case["one-sided concept"] if r.concept_id == 1125315]
+    assert one_sided and all(r.synthetic_prevalence == 0.0 for r in one_sided)
+    assert any(r.real_prevalence > 0.0 for r in one_sided)
+
+
+def _two_person_tables():
+    """Persons a and b, one outpatient visit each, one condition event each."""
+    from chronoseq.codec import EventRow, EventTables, PersonRow, VisitRow
+
+    d = dt.date(2001, 5, 1)
+    return EventTables(
+        persons=[PersonRow("a", 1950, 8532, 8527), PersonRow("b", 1960, 8507, 8527)],
+        visits=[VisitRow("va", "a", 9202, d, d, None), VisitRow("vb", "b", 9202, d, d, None)],
+        events=[EventRow("a", "va", "condition", 320128, d), EventRow("b", "vb", "condition", 320129, d)],
+    )
+
+
+def test_prevalence_ignores_the_events_tables_to_records_drops():
+    from chronoseq.codec import EventRow, tables_to_records
+
+    tables = _two_person_tables()
+    clean = prevalence_report(tables, tables)
+    d = tables.events[0].date
+    tables.events.append(EventRow("b", "va", "drug", 1125315, d))  # b's drug filed under a's visit
+    tables.events.append(EventRow("a", "va", "drug", 0, d))  # an unknown concept
+    tables.events.append(EventRow("a", "v-missing", "drug", 1125316, d))  # a visit that does not exist
+    _, report = tables_to_records(tables)
+    assert (report.n_orphan_events_dropped, report.n_unknown_concept_events_dropped) == (2, 1)
+    rows = prevalence_report(tables, tables)
+    assert rows == clean
+    assert rows == prevalence_reference(tables, tables)
+    assert not [r for r in rows if r.domain == "drug"]
 
 
 def test_prevalence_rejects_empty():

@@ -16,6 +16,7 @@ from chronoseq.privacy import (
     run_privacy_suite,
 )
 from chronoseq.synthworld import sample_hospital_records
+from helpers import build_profiles_reference, concept_person_counts, profile_spec_reference
 
 
 def sample_profiles(rng, n, dim=48, p=None):
@@ -171,6 +172,51 @@ def test_audit_tables_end_to_end():
     assert res_copy.nnaa.score > RISK_THRESHOLD
 
 
+def _top_k_with_a_tie(tables):
+    """A k whose cut falls inside a tie: concepts k-1 and k (ranked) have equal person counts."""
+    counts = sorted(concept_person_counts(tables).values(), reverse=True)
+    return next(k for k in range(1, len(counts)) if counts[k - 1] == counts[k])
+
+
+@pytest.mark.parametrize("n,seed", [(40, 1), (120, 2), (300, 3)])
+def test_profiles_match_the_per_row_reference(n, seed):
+    from dataclasses import replace
+
+    records = sample_hospital_records(n, seed=seed)
+    records[1] = replace(records[1], visits=tuple(replace(v, events=()) for v in records[1].visits))
+    train = records_to_tables(records)
+    others = [train, records_to_tables(sample_hospital_records(n // 2 + 3, seed=seed + 50))]
+    for k in (_top_k_with_a_tie(train), 5, 64):
+        spec = ProfileSpec.from_tables(train, top_k_concepts=k)
+        assert spec == profile_spec_reference(train, k), k
+        for tables in others:
+            assert np.array_equal(build_profiles(tables, spec), build_profiles_reference(tables, spec)), k
+    assert not build_profiles(train, spec)[1, -len(spec.concepts):].any()  # visits but no events
+
+
+def test_spec_and_profiles_skip_the_events_tables_to_records_drops():
+    from chronoseq.codec import EventRow, VisitRow
+
+    tables = records_to_tables(sample_hospital_records(60, seed=7))
+    clean_spec = ProfileSpec.from_tables(tables, top_k_concepts=8)
+    clean_profiles = build_profiles(tables, clean_spec)
+    last = clean_spec.concepts[-1]
+    d = tables.visits[0].start_date
+    for k in range(40):  # persons missing from the persons table, each with the spec's last concept
+        tables.visits.append(VisitRow(f"vg{k}", f"ghost{k}", 9202, d, d, None))
+        tables.events.append(EventRow(f"ghost{k}", f"vg{k}", last[0], last[1], d))
+    p0, v1 = tables.persons[0].person_id, tables.visits[-41]
+    tables.events.append(EventRow(p0, v1.visit_id, last[0], last[1], d))  # filed under another person's visit
+    tables.events.append(EventRow(p0, "v-missing", last[0], last[1], d))  # a visit that does not exist
+    tables.events.append(EventRow(p0, tables.visits[0].visit_id, last[0], 0, d))  # an unknown concept
+    assert v1.person_id != p0
+    spec = ProfileSpec.from_tables(tables, top_k_concepts=8)
+    assert spec == clean_spec  # the ghosts would rank `last` first
+    assert spec == profile_spec_reference(tables, 8)
+    assert np.array_equal(build_profiles(tables, spec), clean_profiles)
+    assert np.array_equal(build_profiles(tables, spec), build_profiles_reference(tables, spec))
+
+
 def test_default_attribute_split_disjoint():
     records = sample_hospital_records(30, seed=9)
     spec = ProfileSpec.from_tables(records_to_tables(records), top_k_concepts=16)
@@ -225,15 +271,18 @@ def test_streamed_distances_match_dense_bit_for_bit(monkeypatch):
     from chronoseq.privacy import attacks
 
     rng = np.random.default_rng(21)
-    p = rng.random(53) * 0.6 + 0.2
     sizes = (1, 255, 257, 600)  # below, off and across the row-block size
     assert attacks._CHUNK == 256
-    for i, n in enumerate(sizes):
-        train, eval_ = (sample_profiles(rng, n, dim=53, p=p)[0] for _ in range(2))
+    for i, (n, dim) in enumerate([(n, 53) for n in sizes] + [(257, 300)]):
+        p = rng.random(dim) * 0.6 + 0.2
+        train, eval_ = (sample_profiles(rng, n, dim=dim, p=p)[0] for _ in range(2))
+        train[0], eval_[-1] = 0, 1  # an all-zero and an all-one row
         synthetic = {
-            "independent": sample_profiles(rng, sizes[(i + 1) % 4], dim=53, p=p)[0],
+            "independent": sample_profiles(rng, sizes[(i + 1) % 4], dim=dim, p=p)[0],
             "copy": train.copy(),
             "duplicated rows": np.repeat(train[: (n + 1) // 2], 2, axis=0)[:n],  # forces argmin ties
+            "all zero": np.zeros((n, dim), dtype=np.uint8),
+            "all one": np.ones((n, dim), dtype=np.uint8),
         }
         for flip in (0.01, 0.05, 0.2):
             synthetic[f"flipped {flip}"] = train ^ (rng.random(train.shape) < flip).astype(np.uint8)
