@@ -1,12 +1,11 @@
 """Fidelity checks: concept prevalence comparison and treatment-pathway cohorts."""
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..codec import INPATIENT_CONCEPTS, EventTables, concept_incidence, gc_paused, write_csv
+from ..codec import INPATIENT_CONCEPTS, EventTables, concept_incidence, gc_paused, tables_to_records, write_csv
 from ..generation.stats import GENDER_FEMALE
 
 __all__ = ["PrevalenceRow", "prevalence_report", "write_prevalence_csv", "CohortSpec", "PathwayResult", "pathway_cohort"]
@@ -121,26 +120,20 @@ def pathway_cohort(tables: EventTables, spec: CohortSpec) -> PathwayResult:
     history before it and who have >= 1 qualifying exposure in each of the
     n_intervals consecutive windows [index + k*interval, index + (k+1)*interval).
 
-    Prior observation is measured from the person's first recorded event.
-    Event order within a day never matters (only dates are compared).
+    Prior observation is measured from the person's first recorded visit or
+    event. Event order within a day never matters (only dates are compared).
+    Only the rows tables_to_records keeps count, as in concept_incidence.
     """
-    first_event: dict[str, dt.date] = {}
-    exposures: dict[str, list[dt.date]] = {}
-    for e in tables.events:
-        if e.person_id not in first_event or e.date < first_event[e.person_id]:
-            first_event[e.person_id] = e.date
-        if e.domain == spec.domain and e.concept_id in spec.index_concepts:
-            exposures.setdefault(e.person_id, []).append(e.date)
-    for v in tables.visits:
-        if v.person_id not in first_event or v.start_date < first_event[v.person_id]:
-            first_event[v.person_id] = v.start_date
+    records, _ = tables_to_records(tables)
     cohort = []
-    for p in tables.persons:
-        dates = exposures.get(p.person_id)
+    for rec in records:
+        events = [e for v in rec.visits for e in v.events]
+        dates = [e.date for e in events if e.domain == spec.domain and e.concept_id in spec.index_concepts]
         if not dates:
             continue
         index = min(dates)
-        if (index - first_event[p.person_id]).days < spec.lookback_days:
+        first_event = min([v.start_date for v in rec.visits] + [e.date for e in events])
+        if (index - first_event).days < spec.lookback_days:
             continue
         offsets = sorted((d - index).days for d in dates)
         ok = True
@@ -151,6 +144,6 @@ def pathway_cohort(tables: EventTables, spec: CohortSpec) -> PathwayResult:
                 ok = False
                 break
         if ok:
-            cohort.append(p.person_id)
+            cohort.append(rec.person_id)
     n = len(tables.persons)
     return PathwayResult(cohort=cohort, n_persons=n, prevalence=len(cohort) / n if n else 0.0, spec=spec)

@@ -88,16 +88,28 @@ def _nucleus(p: np.ndarray, top_p: float) -> np.ndarray:
     return order[: int(np.searchsorted(csum, top_p, side="left")) + 1]
 
 
+_DRAW_ROWS = 16  # rows per block of a batched draw
+
+
 def sample_token_id(probs: np.ndarray, rng):
     """One draw from a (V,) distribution with a Generator, or one per row of a
     (B, V) batch with the (B,) uniforms already drawn. Row i draws what the
     (V,) call would from a Generator whose next uniform is the i-th.
+
+    A batch is drawn in blocks of _DRAW_ROWS rows, so its cumulative sums and
+    comparisons take a fixed (_DRAW_ROWS, V) whatever B is; a row's cumulative
+    sum does not depend on its block, so neither does its draw.
     """
-    csum = np.cumsum(probs, axis=-1)
-    if csum.ndim == 1:
+    if probs.ndim == 1:
+        csum = np.cumsum(probs)
         return int(np.searchsorted(csum, rng.random() * csum[-1], side="right"))
-    target = np.asarray(rng) * csum[:, -1]
-    return (csum <= target[:, None]).sum(axis=1)  # searchsorted(side="right") per row
+    u = np.asarray(rng)
+    ids = np.empty(probs.shape[0], dtype=np.int64)
+    for lo in range(0, probs.shape[0], _DRAW_ROWS):
+        csum = np.cumsum(probs[lo : lo + _DRAW_ROWS], axis=1)
+        target = u[lo : lo + _DRAW_ROWS] * csum[:, -1]
+        ids[lo : lo + _DRAW_ROWS] = (csum <= target[:, None]).sum(axis=1)  # searchsorted(side="right") per row
+    return ids
 
 
 def sample_sequence(

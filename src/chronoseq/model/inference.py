@@ -42,10 +42,13 @@ def _layer_norm(x, g, b):
 
 
 def _softmax(x):
-    e = x - x.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)  # in place: one (..., V) temporary, not three
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+    """Softmax over the last axis, computed in x's own buffer: x is overwritten
+    and returned, so callers pass an array nothing else reads (every caller
+    passes one it has just computed) and a step holds no second copy of it."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 @lru_cache(maxsize=8)
@@ -187,13 +190,15 @@ class _LaneGroup:
     def keep(self, idx) -> None:
         if idx.size == self.n_lanes and (idx == np.arange(idx.size)).all():
             return
-        self.k = [k[idx] for k in self.k]
-        self.v = [v[idx] for v in self.v]
+        for cache in (self.k, self.v):  # one array at a time: each old one goes before the next copy
+            for i in range(len(cache)):
+                cache[i] = cache[i][idx]
 
     def grow(self, window: int) -> None:
         cap = min(2 * self.k[0].shape[2], window - self.prefix_len)
-        self.k = [_grown(k, 2, cap) for k in self.k]
-        self.v = [_grown(v, 2, cap) for v in self.v]
+        for cache in (self.k, self.v):
+            for i in range(len(cache)):
+                cache[i] = _grown(cache[i], 2, cap)
 
     def attend(self, i, q, k, v):
         """One score block over the prefix and this group's suffix; q is (B, H, dh), pre-scaled."""

@@ -21,9 +21,11 @@ temperature, top-k, top-p or penalty), with one uniform per live lane from
 the patient's own stream.
 
 The waves of a whole cohort share one lane batch (simulate_cohort):
-patients join while it has room and leave once their estimate is done, so
-a step carries the lanes of several patients instead of one patient's
-stragglers.
+patients join while it has room, up to BATCH_LANES lanes, and leave once
+their estimate is done, so a step carries the lanes of several patients
+instead of one patient's stragglers. The batch cap is wider than the wave
+cap, so the next patient's first wave can join before the running one is
+down to its last few lanes.
 """
 from __future__ import annotations
 
@@ -39,10 +41,14 @@ from ..model.inference import _softmax
 from .tasks import TaskConfig, expand_outcomes
 
 __all__ = ["SimulationEstimate", "CohortRun", "WindowRule", "classify_continuation", "simulate_probability",
-           "simulate_cohort", "RESAMPLE_CAP_FACTOR", "MAX_LANES"]
+           "simulate_cohort", "RESAMPLE_CAP_FACTOR", "MAX_LANES", "BATCH_LANES"]
 
 RESAMPLE_CAP_FACTOR = 4
-MAX_LANES = 64
+MAX_LANES = 64  # lanes of one wave; it fixes how a patient consumes its uniforms, and so its estimate
+# Lanes of the whole batch, chosen by peak RSS on the benchmark's zeroshot
+# cohorts (seed 1): 48.7 MB with a 64-lane batch, 50.1 MB at 96 and 52.2 MB
+# at 128, against a 10% bound; 128 lanes ran about as fast as 96.
+BATCH_LANES = 96
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -149,17 +155,17 @@ class CohortRun:
 def simulate_cohort(model, prefixes, rngs, task: TaskConfig, outcome_ids) -> CohortRun:
     """One estimate per prefix, all patients' futures decoded in one shared lane batch.
 
-    Patient i draws only from rngs[i]. A wave joins the batch when the batch
-    has room for it, that is when its lanes and the live ones number at most
-    MAX_LANES, or when the batch is empty, so the batch never holds more
-    lanes than a wave may have. A patient's next wave waits from the step
-    its previous wave decides; waiting waves join first, in that order, and
-    while none waits the next patients are admitted as long as their first
-    wave fits: a patient's prefix is prefilled on admission, and its
-    session is released once its estimate is done. Each step samples one
-    token per lane from one batched logits call, each patient drawing
-    rng.random(its live lanes), so a patient's estimate does not depend on
-    which patients share the batch.
+    Patient i draws only from rngs[i]. A wave (at most MAX_LANES lanes)
+    joins the batch when the batch has room for it, that is when its lanes
+    and the live ones number at most BATCH_LANES, or when the batch is
+    empty. A patient's next wave waits from the step its previous wave
+    decides; waiting waves join first, in that order, and while none waits
+    the next patients are admitted as long as their first wave fits: a
+    patient's prefix is prefilled on admission, and its session is released
+    once its estimate is done. Each step samples one token per lane from one
+    batched logits call, each patient drawing rng.random(its live lanes), so
+    a patient's estimate does not depend on which patients share the batch,
+    nor on BATCH_LANES; only the number of steps does.
     """
     vocab = model.vocab
     rule = WindowRule(vocab.tokens, outcome_ids, task.prediction_window_start, task.prediction_window_end)
@@ -171,7 +177,7 @@ def simulate_cohort(model, prefixes, rngs, task: TaskConfig, outcome_ids) -> Coh
     steps = lane_tokens = 0
 
     def room_for(width):
-        return not active or batch.n_lanes + width <= MAX_LANES
+        return not active or batch.n_lanes + width <= BATCH_LANES
 
     while True:
         while waiting and room_for(waiting[0].width):

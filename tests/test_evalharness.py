@@ -10,6 +10,7 @@ from chronoseq.codec import (
     Visit,
     encode_patient,
     records_to_tables,
+    tables_to_records,
 )
 from chronoseq.evalharness import (
     CohortSpec,
@@ -258,6 +259,16 @@ def test_pathway_invariant_to_same_day_event_order():
     ev = list(tables.events)
     tables.events = list(reversed(ev))
     assert pathway_cohort(tables, SPEC).cohort == ["a"]
+
+
+def test_pathway_counts_only_the_events_ingestion_keeps():
+    """Exposures filed under another person's visit are dropped by tables_to_records, so they qualify no one."""
+    a = pathway_person("a", 400, [0, 100, 220, 340, 460, 580, 700, 820, 940, 1060])
+    tables = records_to_tables([a, pathway_person("b", 400, [])])
+    b_visit = next(v.visit_id for v in tables.visits if v.person_id == "b")
+    tables.events = [replace(e, visit_id=b_visit) if e.domain == "drug" else e for e in tables.events]
+    assert tables_to_records(tables)[1].n_orphan_events_dropped == 10
+    assert pathway_cohort(tables, SPEC).cohort == []
 
 
 # ---------------------------------------------------------------------------

@@ -164,11 +164,12 @@ def test_batched_rows_match_single_row_calls_bit_for_bit():
     rng = np.random.default_rng(23)
     for cfg in (SamplingConfig(), SamplingConfig(temperature=0.7, top_k=30, top_p=0.9, repetition_penalty=1.3),
                 SamplingConfig(top_p=0.95)):
-        logits = rng.normal(scale=3.0, size=(7, 200))
-        probs = np.stack([apply_decoding_controls(lg, rng.integers(0, 200, size=5), cfg) for lg in logits])
-        draws = sample_token_id(probs, np.random.default_rng(5).random(7))
-        one_by_one = np.random.default_rng(5)
-        assert draws.tolist() == [sample_token_id(row, one_by_one) for row in probs]
+        for B in (7, 37, 96):  # within one row block, several ending on a partial one, whole blocks
+            logits = rng.normal(scale=3.0, size=(B, 200))
+            probs = np.stack([apply_decoding_controls(lg, rng.integers(0, 200, size=5), cfg) for lg in logits])
+            draws = sample_token_id(probs, np.random.default_rng(5).random(B))
+            one_by_one = np.random.default_rng(5)
+            assert draws.tolist() == [sample_token_id(row, one_by_one) for row in probs]
 
 
 def test_zero_shot_draws_what_neutral_generation_draws():
@@ -179,7 +180,7 @@ def test_zero_shot_draws_what_neutral_generation_draws():
         logits = rng.normal(scale=scale, size=(9, 300))
         logits[:, :4] = -1e30  # impossible tokens, as the Markov test models write them
         u = np.random.default_rng(7).random(9)
-        probs = _softmax(logits)
+        probs = _softmax(logits.copy())  # _softmax overwrites its argument
         draws = sample_token_id(probs, u)
         g = np.random.default_rng(7)
         for i, row in enumerate(logits):

@@ -14,7 +14,8 @@ from chronoseq.zeroshot import (
     simulate_cohort,
     simulate_probability,
 )
-from chronoseq.zeroshot.simulate import MAX_LANES
+from chronoseq.zeroshot import simulate
+from chronoseq.zeroshot.simulate import BATCH_LANES, MAX_LANES
 from helpers import MarkovLanes, MarkovModel, enumerate_outcome_probability
 
 
@@ -312,7 +313,7 @@ def _composition_cases(model, prefixes, t, seed=5):
     one_by_one = [simulate_cohort(model, [p], [rng], t, outcome_ids) for p, rng in zip(prefixes, rngs())]
     assert together.lane_tokens == sum(r.lane_tokens for r in one_by_one)  # the same futures, token for token
     assert together.decode_steps < sum(r.decode_steps for r in one_by_one)  # in fewer, wider steps
-    return alone
+    return together
 
 
 def test_estimates_do_not_depend_on_batch_composition():
@@ -320,24 +321,39 @@ def test_estimates_do_not_depend_on_batch_composition():
     cfg = ModelConfig(vocab_size=len(vocab), embed_dim=12, n_layers=2, n_heads=2, context_window=32)
     model = TimelineModel.initialize(cfg, vocab, seed=3)
     t = task(n_simulations=12, prediction_window_end=60, max_new_tokens=12)
-    # 7 patients x 12 lanes exceed MAX_LANES, so admission waits for room;
+    # 9 patients x 12 lanes exceed BATCH_LANES, so admission waits for room;
     # the last prefix fills the window and leaves no room to decode
-    prefixes = [PREFIX[: 4 + i % 2] + ("D5", "c:200") * (i // 2) for i in range(7)] + [PREFIX[:4] + ("D5",) * 28]
-    alone = _composition_cases(model, prefixes, t)
-    assert alone[-1].capped and alone[-1].n_attempts == alone[-1].n_censored == 48
+    prefixes = [PREFIX[: 4 + i % 2] + ("D5", "c:200") * (i // 2) for i in range(9)] + [PREFIX[:4] + ("D5",) * 28]
+    last = _composition_cases(model, prefixes, t).estimates[-1]
+    assert last.capped and last.n_attempts == last.n_censored == 48
 
 
 def test_markov_estimates_do_not_depend_on_batch_composition(monkeypatch):
     model = MarkovModel({"default": {"D30": 0.3, "c:100": 0.2, "c:200": 0.35, "[END]": 0.15},
                          "c:100": {"[END]": 0.6, "D30": 0.4}}, extra_tokens=PREFIX)
     prefixes = [PREFIX, PREFIX[:4] + ("c:100",), PREFIX[:4] + ("c:200", "D30")] * 3
-    widths = []
+    widths, waves = [], []
     next_logits = MarkovLanes.next_logits
     monkeypatch.setattr(MarkovLanes, "next_logits", lambda self: widths.append(self.n_lanes) or next_logits(self))
+    launch = simulate._Patient._launch
+    monkeypatch.setattr(simulate._Patient, "_launch", lambda self: waves.append(launch(self)) or waves[-1])
     t = task(n_simulations=20, prediction_window_end=60)
     _composition_cases(model, prefixes, t)
-    assert max(widths) <= MAX_LANES  # a wave joins only when the batch has room for it
+    assert max(widths) <= BATCH_LANES  # a wave joins only when the batch has room for it
+    assert max(waves) <= MAX_LANES
     assert max(widths) > 20  # and steps carry lanes of several patients
+
+    # two first waves of 40 lanes: together more than a wave may have, but they fit in the batch
+    t = task(n_simulations=40, prediction_window_end=60)
+    widths.clear()
+    wide = _composition_cases(model, prefixes[:2], t)
+    assert MAX_LANES < max(widths) <= BATCH_LANES
+    monkeypatch.setattr(simulate, "BATCH_LANES", MAX_LANES)
+    widths.clear()
+    narrow = _composition_cases(model, prefixes[:2], t)
+    assert max(widths) <= MAX_LANES
+    assert (narrow.estimates, narrow.lane_tokens) == (wide.estimates, wide.lane_tokens)
+    assert wide.decode_steps < narrow.decode_steps
 
 
 def test_demo_checkpoint_readmission_estimates_are_pinned():
@@ -373,3 +389,33 @@ def test_demo_checkpoint_readmission_estimates_are_pinned():
         (3, 20, 21), (7, 20, 31), (5, 20, 24), (4, 20, 34), (6, 20, 28)]
     assert (m.decode_steps, m.lane_tokens) == (52, 1651)
     assert len(set(m.scores)) > 1
+
+
+def test_zero_shot_memory_is_bounded():
+    """evaluate_task on the demo checkpoint with two 48-lane first waves at a time, a full batch."""
+    import tracemalloc
+    from pathlib import Path
+
+    from chronoseq.evalharness import cohort_prefixes
+    from chronoseq.model import load_checkpoint
+    from chronoseq.synthworld import INPATIENT, sample_hospital_records
+
+    model, _, _ = load_checkpoint(Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "demo_best.ckpt")
+    t = TaskConfig("readmission", (9201, 262), prediction_window_start=0, prediction_window_end=30,
+                   max_new_tokens=64, n_simulations=48)
+    records = sample_hospital_records(300, seed=21)
+    rows = []  # cut after each patient's first inpatient stay that has a later visit; labels only alternate
+    for rec in records:
+        k = next((k for k, v in enumerate(rec.visits[:-1]) if v.visit_concept_id == INPATIENT), None)
+        if k is not None and len(rows) < 10:
+            rows.append((rec.person_id, rec.visits[k].end_date, len(rows) % 2))
+    cohort, _ = cohort_prefixes(records, rows, context_window=model.config.context_window)
+    tracemalloc.start()
+    try:
+        evaluate_task(model, cohort, t, seed=7, n_bootstrap=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 3.43 MB measured with numpy 2.4.6, so the bound leaves about 17% headroom;
+    # a 128-lane batch reads 4.28 MB and a 256-lane one 6.78 MB
+    assert peak < 4.0e6, f"peak {peak / 1e6:.2f} MB"
