@@ -27,6 +27,8 @@ __all__ = [
     "cross_entropy",
     "tied_cross_entropy",
     "gelu",
+    "GELU_C",
+    "GELU_A",
     "dropout",
     "total_sum",
     "mean_all",
@@ -425,19 +427,20 @@ def tied_cross_entropy(hidden, emb, targets):
     return out
 
 
-_GELU_C = np.sqrt(2.0 / np.pi)
-_GELU_A = 0.044715
+# tanh-GELU constants, shared with the graph-free decoder in model/inference.py
+GELU_C = np.sqrt(2.0 / np.pi)
+GELU_A = 0.044715
 
 
 def gelu(x):
     """tanh-approximation GELU (GPT-2 convention)."""
     xd = x.data
     x2 = xd * xd
-    th = np.tanh(_GELU_C * (xd + _GELU_A * x2 * xd))
+    th = np.tanh(GELU_C * (xd + GELU_A * x2 * xd))
     out = Tensor(0.5 * xd * (1.0 + th), parents=(x,), name="gelu")
 
     def bw(g):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
+        du = GELU_C * (1.0 + 3.0 * GELU_A * x2)
         local = 0.5 * (1.0 + th) + 0.5 * xd * (1.0 - th * th) * du
         _accum(x, g * local, owned=True)
 

@@ -2,7 +2,9 @@
 
 AUROC is the Mann-Whitney statistic with ties counted half; AUPRC integrates
 the precision envelope over recall steps. Both are pinned to O(n^2)
-brute-force oracles in the test suite.
+brute-force oracles in the test suite. Each is computed for a whole block of
+bootstrap resamples at once, from every resample's counts of positives and
+negatives at each distinct score; a plain call is the one-row case.
 """
 from __future__ import annotations
 
@@ -31,43 +33,73 @@ def _validate(scores, labels):
 
 def auroc(scores, labels) -> float:
     """Probability a random positive outscores a random negative (ties = 1/2)."""
-    return _auroc(*_validate(scores, labels))
-
-
-def _auroc(s, y, n_pos) -> float:
-    """auroc of validated inputs. Each positive counts the negatives below it
-    and half those tied with it; the numerator is an exact half-integer."""
-    neg = np.sort(s[y == 0])
-    pos = s[y == 1]
-    below = np.searchsorted(neg, pos, side="left")
-    tied = np.searchsorted(neg, pos, side="right") - below
-    return float((below.sum() + 0.5 * tied.sum()) / (n_pos * (len(y) - n_pos)))
+    return float(_auroc_rows(*_one_row(scores, labels))[0])
 
 
 def auprc(scores, labels) -> float:
     """Area under the precision envelope across recall steps."""
-    return _auprc(*_validate(scores, labels))
+    return float(_auprc_rows(*_one_row(scores, labels))[0])
 
 
-def _auprc(s, y, n_pos) -> float:
-    """auprc of validated inputs."""
-    order = np.argsort(-s, kind="mergesort")
-    s_sorted = s[order]
-    y_sorted = y[order]
-    tp = np.cumsum(y_sorted)
-    fp = np.cumsum(1 - y_sorted)
-    # thresholds sit at the last index of each tied score group
-    last_of_group = np.nonzero(np.append(np.diff(s_sorted) != 0, True))[0]
-    precision = tp[last_of_group] / (tp[last_of_group] + fp[last_of_group])
-    recall = tp[last_of_group] / n_pos
-    # envelope: best precision achievable at or beyond each recall level
-    env = np.maximum.accumulate(precision[::-1])[::-1]
-    prev_recall = np.concatenate([[0.0], recall[:-1]])
-    return float(np.sum((recall - prev_recall) * env))
+def _score_keys(s, y):
+    """Each example's key 2 * (rank of its score among the distinct scores) + label,
+    and the number of distinct scores."""
+    values, rank = np.unique(s, return_inverse=True)
+    return 2 * rank.reshape(-1) + y, values.size
 
 
-_VALIDATED = {auroc: _auroc, auprc: _auprc}  # metric -> the same metric without input checks
-_DRAW_CELLS = 1 << 20  # resample indices drawn per rng call, to bound memory
+def _counts(keys, n_values, idx):
+    """Positives and negatives of each resample (a row of example indices) at
+    each distinct score, lowest score first: two (R, n_values) integer arrays."""
+    R = idx.shape[0]
+    key = keys[idx]
+    key += np.arange(0, R * 2 * n_values, 2 * n_values)[:, None]
+    c = np.bincount(key.reshape(-1), minlength=R * 2 * n_values).reshape(R, n_values, 2)
+    return c[:, :, 1], c[:, :, 0]
+
+
+def _one_row(scores, labels):
+    """The checked inputs' own counts, as one resample."""
+    s, y, _ = _validate(scores, labels)
+    return _counts(*_score_keys(s, y), np.arange(len(y))[None])
+
+
+def _auroc_rows(pos, neg):
+    """auroc of each row of counts. Each positive counts the negatives below it
+    and half those tied with it; the numerator is an exact half-integer."""
+    below = (pos * (np.cumsum(neg, axis=1) - neg)).sum(axis=1)
+    tied = (pos * neg).sum(axis=1)
+    return (below + 0.5 * tied) / (pos.sum(axis=1) * neg.sum(axis=1))
+
+
+def _auprc_rows(pos, neg):
+    """auprc of each row of counts. A threshold sits at each distinct score a
+    row holds, highest first; its term is the recall step times the best
+    precision at or beyond it."""
+    pos, neg = pos[:, ::-1], neg[:, ::-1]
+    tp = np.cumsum(pos, axis=1)
+    held = (pos + neg) > 0
+    precision = np.divide(tp, tp + np.cumsum(neg, axis=1), out=np.zeros(tp.shape), where=held)
+    env = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]  # 0 at unheld scores changes no maximum
+    recall = tp / tp[:, -1:]  # an unheld score repeats the recall before it
+    terms = (np.diff(recall, axis=1, prepend=0.0) * env)[held]
+    return _run_sums(terms, held.sum(axis=1))
+
+
+def _run_sums(terms, lengths):
+    """The sum of each row's run of terms, the runs laid end to end. Rows of one
+    length are summed as one 2-D block over its last axis, which numpy sums
+    pairwise per row exactly as np.sum sums that row alone."""
+    out = np.empty(lengths.size)
+    starts = np.cumsum(lengths) - lengths
+    for k in np.unique(lengths):
+        rows = np.flatnonzero(lengths == k)
+        out[rows] = terms[starts[rows, None] + np.arange(k)].sum(axis=1)
+    return out
+
+
+_ROWS = {auroc: _auroc_rows, auprc: _auprc_rows}  # metric -> the same metric over rows of counts
+_DRAW_CELLS = 1 << 17  # resample indices per block, to bound memory: a block takes under 100 bytes a cell
 
 
 @dataclass(frozen=True)
@@ -81,28 +113,32 @@ class BootstrapResult:
 
 
 def bootstrap_metric(scores, labels, metric_fn, n_resamples: int = 1000, seed: int = 0) -> BootstrapResult:
-    """Percentile bootstrap: resample pairs, skip single-class resamples.
+    """Percentile bootstrap of auroc or auprc: resample pairs, skip single-class resamples.
 
     Resample indices come from one rng call per block of resamples, which
-    draws the same stream as one call per resample. The inputs are checked
-    once; auroc and auprc then run without re-checking each resample.
+    draws the same stream as one call per resample; the metric then runs
+    over the whole block at once.
     """
+    if metric_fn not in _ROWS:
+        raise ValueError("metric_fn must be auroc or auprc")
+    if n_resamples < 1:
+        raise ValueError(f"n_resamples must be at least 1, got {n_resamples}")
     s, y, _ = _validate(scores, labels)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB007]))
     point = metric_fn(s, y)
-    fn = _VALIDATED.get(metric_fn) or (lambda s_, y_, _n_pos: metric_fn(s_, y_))
+    rows, (keys, n_values) = _ROWS[metric_fn], _score_keys(s, y)
     n = len(s)
     values = []
     block = max(1, _DRAW_CELLS // n)
     for start in range(0, n_resamples, block):
         idx = rng.integers(0, n, size=(min(block, n_resamples - start), n))
-        ys = y[idx]
-        n_pos = ys.sum(axis=1)
-        for row in np.nonzero((n_pos > 0) & (n_pos < n))[0]:
-            values.append(fn(s[idx[row]], ys[row], int(n_pos[row])))
+        n_pos = y[idx].sum(axis=1)
+        idx = idx[(n_pos > 0) & (n_pos < n)]
+        if idx.size:
+            values.append(rows(*_counts(keys, n_values, idx)))
     if not values:
         raise ValueError("every bootstrap resample was single-class")
-    arr = np.array(values)
+    arr = np.concatenate(values)
     return BootstrapResult(
         point=point,
         sd=float(arr.std(ddof=1)) if len(arr) > 1 else 0.0,

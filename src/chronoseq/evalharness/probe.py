@@ -38,6 +38,8 @@ def linear_probe(
     """labeled_sequences: iterable of (tokens, label). The model stays frozen;
     only the logistic layer is trained, on a seeded split, and metrics are
     reported on the held-out part with bootstrap uncertainty."""
+    if n_bootstrap < 1:
+        raise ValueError(f"n_bootstrap must be at least 1, got {n_bootstrap}")
     data = list(labeled_sequences)
     if len(data) < 4:
         raise ValueError("need at least 4 labeled sequences to split")

@@ -88,7 +88,7 @@ def _nucleus(p: np.ndarray, top_p: float) -> np.ndarray:
     return order[: int(np.searchsorted(csum, top_p, side="left")) + 1]
 
 
-_DRAW_ROWS = 16  # rows per block of a batched draw
+_SPAN = 32  # tokens per span of a draw's first-level search
 
 
 def sample_token_id(probs: np.ndarray, rng):
@@ -96,20 +96,47 @@ def sample_token_id(probs: np.ndarray, rng):
     (B, V) batch with the (B,) uniforms already drawn. Row i draws what the
     (V,) call would from a Generator whose next uniform is the i-th.
 
-    A batch is drawn in blocks of _DRAW_ROWS rows, so its cumulative sums and
-    comparisons take a fixed (_DRAW_ROWS, V) whatever B is; a row's cumulative
-    sum does not depend on its block, so neither does its draw.
+    The draw inverts the running sum by indexed search: it sums each
+    _SPAN-token span (the short tail span last), takes the running sum of
+    those sums, finds the span where it passes u times the total, and runs
+    the sum inside that span only. The (V,) draw is the one-row case of the
+    (B, V) one, with the same arithmetic. Should rounding leave the target
+    at or past the span's own running total, the draw is the span's last
+    token of nonzero weight, so it is never a zero-weight or out-of-range id.
     """
     if probs.ndim == 1:
-        csum = np.cumsum(probs)
-        return int(np.searchsorted(csum, rng.random() * csum[-1], side="right"))
-    u = np.asarray(rng)
-    ids = np.empty(probs.shape[0], dtype=np.int64)
-    for lo in range(0, probs.shape[0], _DRAW_ROWS):
-        csum = np.cumsum(probs[lo : lo + _DRAW_ROWS], axis=1)
-        target = u[lo : lo + _DRAW_ROWS] * csum[:, -1]
-        ids[lo : lo + _DRAW_ROWS] = (csum <= target[:, None]).sum(axis=1)  # searchsorted(side="right") per row
-    return ids
+        csum = _span_sums(probs).cumsum()  # array methods: generation calls this once per token
+        target = rng.random() * csum[-1]
+        k = min(int(csum.searchsorted(target, side="right")), csum.size - 1)
+        span = probs[k * _SPAN : (k + 1) * _SPAN]
+        if k:
+            target -= csum[k - 1]
+        j = int(span.cumsum().searchsorted(target, side="right"))
+        if j == span.size:
+            j -= 1 + int((span[::-1] > 0).argmax())
+        return k * _SPAN + j
+    B, V = probs.shape
+    csum = np.cumsum(_span_sums(probs), axis=1)
+    target = np.asarray(rng) * csum[:, -1]
+    k = np.minimum((csum <= target[:, None]).sum(axis=1), csum.shape[1] - 1)  # searchsorted(side="right") per row
+    rows = np.arange(B)
+    target -= np.where(k > 0, csum[rows, k - 1], 0.0)
+    cols = (k * _SPAN)[:, None] + np.arange(_SPAN)
+    span = probs[rows[:, None], np.minimum(cols, V - 1)]
+    if V % _SPAN:
+        span[cols >= V] = 0.0  # the tail span's missing tokens
+    j = (np.cumsum(span, axis=1) <= target[:, None]).sum(axis=1)
+    last = _SPAN - 1 - np.argmax(span[:, ::-1] > 0, axis=1)
+    return k * _SPAN + np.minimum(j, last)
+
+
+def _span_sums(probs):
+    """The sums of each row's _SPAN-token spans, the tail span last."""
+    full = probs.shape[-1] - probs.shape[-1] % _SPAN
+    sums = probs[..., :full].reshape(*probs.shape[:-1], -1, _SPAN).sum(axis=-1)
+    if full == probs.shape[-1]:
+        return sums
+    return np.concatenate((sums, probs[..., full:].sum(axis=-1, keepdims=True)), axis=-1)
 
 
 def sample_sequence(

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..autodiff import LAYER_NORM_EPS
+from ..autodiff import GELU_A, GELU_C, LAYER_NORM_EPS
 
 if TYPE_CHECKING:
     from .bundle import TimelineModel
@@ -30,8 +30,7 @@ _LANE_START_CAP = 8  # suffix slots per lane before the first doubling
 
 
 def _gelu(x):
-    c = np.sqrt(2.0 / np.pi)
-    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x * x * x)))
+    return 0.5 * x * (1.0 + np.tanh(GELU_C * (x + GELU_A * x * x * x)))
 
 
 def _layer_norm(x, g, b):
@@ -206,11 +205,15 @@ class _LaneGroup:
         sk, sv = self.k[i], self.v[i]
         sk[:, :, L] = k[:, :, 0]
         sv[:, :, L] = v[:, :, 0]
-        pre = q.transpose(1, 0, 2) @ self.session._k[i][:, :P].transpose(0, 2, 1)  # (H, B, P)
-        suf = q[:, :, None] @ sk[:, :, : L + 1].transpose(0, 1, 3, 2)  # (B, H, 1, L + 1)
-        probs = _softmax(np.concatenate([pre.transpose(1, 0, 2)[:, :, None], suf], axis=-1))
+        scores = np.empty((q.shape[0], q.shape[1], 1, P + L + 1))  # prefix then suffix, written in place
+        np.matmul(q.transpose(1, 0, 2), self.session._k[i][:, :P].transpose(0, 2, 1),
+                  out=scores[:, :, 0, :P].transpose(1, 0, 2))  # (H, B, P)
+        np.matmul(q[:, :, None], sk[:, :, : L + 1].transpose(0, 1, 3, 2), out=scores[..., P:])  # (B, H, 1, L + 1)
+        probs = _softmax(scores)
         pre_ctx = probs[:, :, 0, :P].transpose(1, 0, 2) @ self.session._v[i][:, :P]  # (H, B, dh)
-        return probs[..., P:] @ sv[:, :, : L + 1] + pre_ctx.transpose(1, 0, 2)[:, :, None]
+        ctx = probs[..., P:] @ sv[:, :, : L + 1]
+        ctx += pre_ctx.transpose(1, 0, 2)[:, :, None]
+        return ctx
 
 
 class LaneBatch:

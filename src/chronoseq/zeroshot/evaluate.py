@@ -43,6 +43,8 @@ def evaluate_task(
     perfbench/workloads.py."""
     if n_threads != 1:
         raise ValueError(f"n_threads must be 1, got {n_threads}")
+    if n_bootstrap < 1:
+        raise ValueError(f"n_bootstrap must be at least 1, got {n_bootstrap}")
     cohort = list(cohort)
     labels = [int(lbl) for _, lbl in cohort]
     if len(set(labels)) < 2:

@@ -165,7 +165,8 @@ def simulate_cohort(model, prefixes, rngs, task: TaskConfig, outcome_ids) -> Coh
     once its estimate is done. Each step samples one token per lane from one
     batched logits call, each patient drawing rng.random(its live lanes), so
     a patient's estimate does not depend on which patients share the batch,
-    nor on BATCH_LANES; only the number of steps does.
+    nor on BATCH_LANES; only the number of steps does. One WindowRule pass
+    then classifies every live lane's token.
     """
     vocab = model.vocab
     rule = WindowRule(vocab.tokens, outcome_ids, task.prediction_window_start, task.prediction_window_end)
@@ -188,7 +189,7 @@ def simulate_cohort(model, prefixes, rngs, task: TaskConfig, outcome_ids) -> Coh
             i = next(queue, None)
             if i is None:
                 break
-            p = _Patient(i, model, prefixes[i], rule, task, rngs[i])
+            p = _Patient(i, model, prefixes[i], task, rngs[i])
             if p.done:
                 estimates[i] = p.estimate()
             else:
@@ -200,10 +201,11 @@ def simulate_cohort(model, prefixes, rngs, task: TaskConfig, outcome_ids) -> Coh
         ids = sample_token_id(_softmax(batch.next_logits()), uniforms)
         steps += 1
         lane_tokens += ids.size
+        accrued, verdict = rule.step(np.concatenate([p.accrued for p in active]), ids)
         kept, stepping, lo = [], [], 0
         for p in active:
             hi = lo + p.n_live
-            rows = p.step(ids[lo:hi])
+            rows = p.step(accrued[lo:hi], verdict[lo:hi])
             if rows.size:
                 kept.append(lo + rows)
                 stepping.append(p)
@@ -230,10 +232,10 @@ class _Patient:
     budget runs out are censored.
     """
 
-    def __init__(self, index, model, prefix_tokens, rule, task, rng):
+    def __init__(self, index, model, prefix_tokens, task, rng):
         session = model.open_session()
         session.prefill([model.vocab.id_of(t) for t in prefix_tokens])
-        self.index, self.session, self.rule, self.rng = index, session, rule, rng
+        self.index, self.session, self.rng = index, session, rng
         self.budget = min(task.max_new_tokens, model.config.context_window - session.length)
         self.n = task.n_simulations
         self.cap = RESAMPLE_CAP_FACTOR * self.n
@@ -280,10 +282,10 @@ class _Patient:
         self.accrued = np.zeros(width, dtype=np.int64)
         return width
 
-    def step(self, ids) -> np.ndarray:
-        """Classify one token per live lane; returns the positions in ids of
-        the lanes that go on stepping (none once the wave has decided)."""
-        self.accrued, verdict = self.rule.step(self.accrued, ids)
+    def step(self, accrued, verdict) -> np.ndarray:
+        """Take the live lanes' accrued days and verdicts after one token each
+        (WindowRule.step); returns the positions of the lanes that go on
+        stepping (none once the wave has decided)."""
         self.verdicts[self.live] = verdict
         completions = np.cumsum(_COMPLETES[self.verdicts])
         still = (verdict == _OPEN) & (completions[self.live] < self.need)
@@ -292,7 +294,7 @@ class _Patient:
             self._close()
             return np.empty(0, dtype=np.int64)
         rows = np.flatnonzero(still)
-        self.live, self.accrued = self.live[rows], self.accrued[rows]
+        self.live, self.accrued = self.live[rows], accrued[rows]
         return rows
 
     def _close(self) -> None:

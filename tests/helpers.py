@@ -193,6 +193,34 @@ def auprc_bruteforce(scores, labels) -> float:
     return area
 
 
+def auroc_per_resample(s, y, n_pos) -> float:
+    """AUROC of one checked resample, as bootstrap_metric computed it once per
+    resample before it computed a whole block of resamples at once."""
+    neg = np.sort(s[y == 0])
+    pos = s[y == 1]
+    below = np.searchsorted(neg, pos, side="left")
+    tied = np.searchsorted(neg, pos, side="right") - below
+    return float((below.sum() + 0.5 * tied.sum()) / (n_pos * (len(y) - n_pos)))
+
+
+def auprc_per_resample(s, y, n_pos) -> float:
+    """AUPRC of one checked resample, as bootstrap_metric computed it once per
+    resample before it computed a whole block of resamples at once."""
+    order = np.argsort(-s, kind="mergesort")
+    s_sorted = s[order]
+    y_sorted = y[order]
+    tp = np.cumsum(y_sorted)
+    fp = np.cumsum(1 - y_sorted)
+    # thresholds sit at the last index of each tied score group
+    last_of_group = np.nonzero(np.append(np.diff(s_sorted) != 0, True))[0]
+    precision = tp[last_of_group] / (tp[last_of_group] + fp[last_of_group])
+    recall = tp[last_of_group] / n_pos
+    # envelope: best precision achievable at or beyond each recall level
+    env = np.maximum.accumulate(precision[::-1])[::-1]
+    prev_recall = np.concatenate([[0.0], recall[:-1]])
+    return float(np.sum((recall - prev_recall) * env))
+
+
 # ---------------------------------------------------------------------------
 # exact chi-square survival function for even degrees of freedom
 

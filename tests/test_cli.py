@@ -384,6 +384,26 @@ def test_zeroshot_missing_ancestry_is_validation_error(trained_run, table_dir, t
     assert rc == 1
 
 
+@pytest.mark.parametrize("n_bootstrap", ["0", "-2"])
+def test_bad_n_bootstrap_exits_1_before_any_simulation_or_prefill(trained_run, table_dir, tmp_path, monkeypatch,
+                                                                  capsys, n_bootstrap):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before n_bootstrap was checked")
+
+    monkeypatch.setattr("chronoseq.zeroshot.evaluate.simulate_cohort", never)
+    monkeypatch.setattr("chronoseq.evalharness.probe.extract_representation", never)
+    task = tmp_path / "task.yml"
+    task.write_text(TASK_CFG + "max_new_tokens: 8\nn_simulations: 3\n")
+    ckpt = str(trained_run / "final.ckpt")
+    cohort = str(_cohort_csv(table_dir, tmp_path / "cohort.csv", n=6))
+    for argv in (["zeroshot", "--task", str(task)], ["probe"]):
+        capsys.readouterr()
+        assert main([*argv, "--checkpoint", ckpt, "--cohort", cohort, *tbl_args(table_dir),
+                     "--n-bootstrap", n_bootstrap, "--out", str(tmp_path / "out.csv")]) == 1
+        assert f"n_bootstrap must be at least 1, got {n_bootstrap}" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 TRAIN_CFG = ("learning_rate: 1e-3\nwarmup_steps: 5\nmax_epochs: 3\ntokens_per_batch: 512\n"
              "checkpoint_every_steps: {every}\nearly_stop_patience: 1000000\nmin_seq_tokens: 10\nseed: 0\n{extra}")
 

@@ -187,3 +187,101 @@ def test_zero_shot_draws_what_neutral_generation_draws():
             neutral = apply_decoding_controls(row, [], SamplingConfig())
             npt.assert_array_equal(probs[i], neutral)
             assert draws[i] == sample_token_id(neutral, g)
+
+
+class _FixedUniform:
+    """A stand-in Generator whose random() returns one fixed value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+_EDGE_U = (0.0, 0.5, np.nextafter(1.0, 0.0))
+
+
+def _assert_valid_draws(probs, us=_EDGE_U):
+    """Every draw, one-row and batched, is an in-range id of nonzero weight, and both agree."""
+    for u in us:
+        tid = sample_token_id(probs, _FixedUniform(u))
+        assert 0 <= tid < probs.size and probs[tid] > 0, (u, tid)
+    batched = sample_token_id(np.stack([probs] * len(us)), np.array(us))
+    assert batched.tolist() == [sample_token_id(probs, _FixedUniform(u)) for u in us]
+
+
+@pytest.mark.parametrize("V", [1, 5, 31, 32, 33, 64, 96, 97, 1241])
+def test_draw_edge_cases_give_nonzero_weight_ids(V):
+    rng = np.random.default_rng(V)
+    _assert_valid_draws(_softmax(rng.normal(size=V)))
+    one = np.zeros(V)
+    one[V // 2] = 1.0  # a single nonzero token
+    _assert_valid_draws(one)
+    assert {sample_token_id(one, _FixedUniform(u)) for u in _EDGE_U} == {V // 2}
+    for k in (1, 2, 7):  # top-k zeroes most tokens, whole spans and the tail included
+        if k < V:
+            probs = apply_decoding_controls(rng.normal(size=V), [], SamplingConfig(top_k=k))
+            _assert_valid_draws(probs)
+    if V > 40:
+        zeroed = _softmax(rng.normal(size=V))
+        zeroed[32:64] = 0.0  # a whole zero span
+        zeroed[-3:] = 0.0  # a zero-weight tail
+        zeroed[:3] = 0.0
+        zeroed /= zeroed.sum()
+        _assert_valid_draws(zeroed)
+
+
+def test_target_past_the_span_running_total_takes_its_last_nonzero_token():
+    """A span's pairwise sum can exceed its running sum: with u just below 1 the
+    target then passes every running sum inside the span."""
+    probs = np.array([1.0] + [1e-16] * 30 + [0.0])
+    probs /= probs.sum()
+    u = np.nextafter(1.0, 0.0)
+    assert u * probs.sum() >= np.cumsum(probs)[-1]  # the case this test is about
+    assert sample_token_id(probs, _FixedUniform(u)) == 30
+    assert sample_token_id(np.stack([probs, probs]), np.array([u, 0.0])).tolist() == [30, 0]
+
+
+def test_batched_draws_follow_the_exact_probabilities_chi2():
+    V = 109  # three whole spans and a 13-token tail
+    weights = np.random.default_rng(41).uniform(0.5, 1.5, size=V)
+    weights[32:64] = 0.0  # a whole zero span
+    weights[92:96] = 0.0  # a zero-weight end of a span, as top-k leaves one
+    probs = weights / weights.sum()
+    rng = np.random.default_rng(43)
+    n, chunk = 100_000, 10_000
+    counts = np.zeros(V)
+    for _ in range(n // chunk):
+        ids = sample_token_id(np.broadcast_to(probs, (chunk, V)), rng.random(chunk))
+        counts += np.bincount(ids, minlength=V)
+    keep = probs > 0
+    assert counts[~keep].sum() == 0
+    expected = probs[keep] * n
+    chi2 = float(((counts[keep] - expected) ** 2 / expected).sum())
+    assert keep.sum() % 2 == 1  # an even number of degrees of freedom, for chi2_sf_even
+    assert chi2_sf_even(chi2, dof=int(keep.sum()) - 1) > 0.01
+
+
+def test_draws_equal_the_full_running_sum_search_away_from_boundaries():
+    """The span search draws what one running sum over the whole row draws, except
+    where the target lies within rounding (1e-12 of the total) of a boundary."""
+    rng = np.random.default_rng(47)
+    rows = near = 0
+    for V in (5, 31, 32, 33, 64, 65, 300, 1241):
+        for _ in range(25):
+            logits = rng.normal(scale=float(rng.choice([0.3, 3.0, 30.0])), size=(500, V))
+            if V > 32:
+                logits[:, rng.random(V) < 0.2] = -np.inf  # zero-weight tokens
+            probs = _softmax(logits)
+            u = rng.random(500)
+            csum = np.cumsum(probs, axis=1)
+            target = u * csum[:, -1]
+            want = (csum <= target[:, None]).sum(axis=1)  # np.searchsorted(csum, target, side="right") per row
+            boundary = (np.abs(csum - target[:, None]) <= 1e-12 * csum[:, -1:]).any(axis=1)
+            got = sample_token_id(probs, u)
+            assert (got[~boundary] == want[~boundary]).all()
+            rows += 500
+            near += int(boundary.sum())
+    assert rows == 100_000
+    assert near <= 5, f"{near} of {rows} targets lie within 1e-12 of a boundary"
