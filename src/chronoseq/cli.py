@@ -20,6 +20,7 @@ from .codec import (
     build_vocabulary,
     decode_sequence,
     encode_patient,
+    ingest_report,
     read_sequences,
     read_tables,
     records_to_tables,
@@ -109,13 +110,22 @@ def _tables(mani, args, dir_flag=None):
     return read_tables(*(path for _, path, _ in files))
 
 
+def _drop_counters(mani, tables, label=""):
+    """Enter the rows the ingestion of tables dropped into the manifest's counters, prefixed "{label}_"
+    when a label is given (e.g. synthetic_orphan_events_dropped). Read from the table set's one ingestion."""
+    report = ingest_report(tables)
+    prefix = f"{label}_" if label else ""
+    mani.add_counters(**{f"{prefix}unknown_concept_events_dropped": report.n_unknown_concept_events_dropped,
+                         f"{prefix}orphan_events_dropped": report.n_orphan_events_dropped,
+                         f"{prefix}orphan_visits_dropped": report.n_orphan_visits_dropped})
+
+
 def _records(mani, args):
     """(records, IngestReport) of the --persons/--visits/--events tables; the rows dropped on the way
     enter the manifest's counters."""
-    records, report = tables_to_records(_tables(mani, args))
-    mani.add_counters(unknown_concept_events_dropped=report.n_unknown_concept_events_dropped,
-                      orphan_events_dropped=report.n_orphan_events_dropped,
-                      orphan_visits_dropped=report.n_orphan_visits_dropped)
+    tables = _tables(mani, args)
+    records, report = tables_to_records(tables)
+    _drop_counters(mani, tables)
     return records, report
 
 
@@ -306,7 +316,8 @@ def _cmd_generate(args):
                for r in corpus.per_expert))
     mani.add_output("expert_report", report_path)
     counts = dict(dropped_short=sum(r.dropped_short for r in corpus.per_expert),
-                  hit_max_tokens=sum(r.hit_max_tokens for r in corpus.per_expert))
+                  hit_max_tokens=sum(r.hit_max_tokens for r in corpus.per_expert),
+                  generated_tokens=sum(r.generated_tokens for r in corpus.per_expert))
     mani.add_counters(**counts)
     mani.write(_manifest_path(args, args.out))
     print(f"generate: {counts['dropped_short']} of {sum(r.generated for r in corpus.per_expert)} sequences "
@@ -398,8 +409,11 @@ def _cmd_probe(args):
 
 def _cmd_prevalence(args):
     mani = ManifestWriter("prevalence", args.seed, {})
-    rows = prevalence_report(_tables(mani, args, "--real-dir"), _tables(mani, args, "--synthetic-dir"))
+    real, synthetic = _tables(mani, args, "--real-dir"), _tables(mani, args, "--synthetic-dir")
+    rows = prevalence_report(real, synthetic)
     write_prevalence_csv(args.out, rows)
+    _drop_counters(mani, real, "real")
+    _drop_counters(mani, synthetic, "synthetic")
     mani.add_output("report", args.out)
     mani.write(_manifest_path(args, args.out))
     print(f"prevalence report: {len(rows)} rows -> {args.out}")
@@ -410,8 +424,10 @@ def _cmd_pathway(args):
     mani = ManifestWriter("pathway", args.seed, {"cohort_spec": args.cohort_spec})
     spec = _config_input(mani, "cohort_spec", args.cohort_spec, "--cohort-spec", CohortSpec,
                          defaults={"name": "pathway"})
-    result = pathway_cohort(_tables(mani, args), spec)
+    tables = _tables(mani, args)
+    result = pathway_cohort(tables, spec)
     write_csv(args.out, ["person_id"], ([pid] for pid in result.cohort))
+    _drop_counters(mani, tables)
     mani.add_output("cohort", args.out)
     mani.write(_manifest_path(args, args.out))
     print(f"{spec.name}: {len(result.cohort)}/{result.n_persons} persons ({result.prevalence:.4%})")
@@ -431,6 +447,8 @@ def _cmd_privacy(args):
     write_privacy_csv(args.out, result)
     mani.add_output("scores", args.out)
     mani.add_counters(**result.counters)
+    for label, t in zip(("train", "eval", "synthetic"), tables):
+        _drop_counters(mani, t, label)
     mani.write(_manifest_path(args, args.out))
     for name, score in result.rows():
         print(f"{name}: {score:.4f} ({'PASS' if score < result.threshold else 'FAIL'})")

@@ -42,8 +42,8 @@ from .tokens import (
     VS,
 )
 
-__all__ = ["CodecConfig", "TokenSequence", "DecodeError", "encode_patient", "encode_prefix", "decode_sequence",
-           "parse_prefix", "validate_sequence"]
+__all__ = ["CodecConfig", "TokenSequence", "DecodeError", "encode_patient", "encode_prefix", "sequence_length",
+           "decode_sequence", "parse_prefix", "validate_sequence"]
 
 
 class CodecConfig:
@@ -119,6 +119,27 @@ def encode_patient(record: PatientRecord) -> TokenSequence:
             tokens.append(att_token(gap))
     tokens.append(END)
     return TokenSequence(tuple(tokens), person_id=record.person_id, att_days=tuple(att_days))
+
+
+def sequence_length(record: PatientRecord) -> int:
+    """len(encode_patient(record).tokens) of a record that passes validate_record, without building the tokens.
+
+    Four prefix tokens and [END]; per visit [VS], the visit type, its events
+    and [VE], and a gap token before each later visit; an inpatient visit
+    adds its discharge token and an i-D token at each date its day cursor
+    moves forward to (each later event date, then the end date).
+    """
+    n = 4 + 4 * len(record.visits)
+    for visit in record.visits:
+        n += len(visit.events)
+        if visit.visit_concept_id in INPATIENT_CONCEPTS:
+            cursor = visit.start_date
+            for e in visit.events:
+                if e.date > cursor:
+                    n += 1
+                    cursor = e.date
+            n += 1 + (visit.end_date > cursor)
+    return n
 
 
 def encode_prefix(record: PatientRecord) -> TokenSequence:

@@ -77,13 +77,19 @@ def _auprc_rows(pos, neg):
     row holds, highest first; its term is the recall step times the best
     precision at or beyond it."""
     pos, neg = pos[:, ::-1], neg[:, ::-1]
+    held = np.logical_or(pos, neg)
     tp = np.cumsum(pos, axis=1)
-    held = (pos + neg) > 0
-    precision = np.divide(tp, tp + np.cumsum(neg, axis=1), out=np.zeros(tp.shape), where=held)
-    env = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]  # 0 at unheld scores changes no maximum
-    recall = tp / tp[:, -1:]  # an unheld score repeats the recall before it
-    terms = (np.diff(recall, axis=1, prepend=0.0) * env)[held]
-    return _run_sums(terms, held.sum(axis=1))
+    seen = np.cumsum(neg, axis=1)
+    seen += tp
+    # Before a row's first held score tp and seen are 0: a divisor of 1 reads precision 0 there. An unheld
+    # score after it repeats the precision of the held score before it. Neither changes a held score's envelope.
+    np.maximum(seen, 1, out=seen)
+    env = tp / seen
+    np.maximum.accumulate(env[:, ::-1], axis=1, out=env[:, ::-1])
+    step = tp / tp[:, -1:]  # recall; an unheld score repeats the recall before it
+    np.subtract(step[:, 1:], step[:, :-1], out=step[:, 1:])
+    step *= env
+    return _run_sums(np.compress(held.ravel(), step.ravel()), held.sum(axis=1))  # compress: a faster step[held]
 
 
 def _run_sums(terms, lengths):

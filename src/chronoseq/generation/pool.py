@@ -27,6 +27,7 @@ class ExpertReport:
     kept: int
     dropped_short: int
     hit_max_tokens: int
+    generated_tokens: int  # tokens sampled after the prompt, summed over every sequence, kept or dropped
 
 
 @dataclass
@@ -77,13 +78,15 @@ def generate_pool(
     provenance: list[Provenance] = []
     reports = []
     for e_idx, (cfg, count) in enumerate(zip(experts, counts)):
-        rep = ExpertReport(expert=e_idx, requested=count, generated=0, kept=0, dropped_short=0, hit_max_tokens=0)
+        rep = ExpertReport(expert=e_idx, requested=count, generated=0, kept=0, dropped_short=0, hit_max_tokens=0,
+                           generated_tokens=0)
         reports.append(rep)
         for s_idx in range(count):
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, s_idx]))
             prompt = _prompt_for(prompts, rng)
             seq = sample_sequence(model, prompt, cfg, rng, person_id=f"syn-{e_idx}-{s_idx}")
             rep.generated += 1
+            rep.generated_tokens += len(seq.tokens) - len(prompt)
             if seq.hit_max_tokens:
                 rep.hit_max_tokens += 1
             if len(seq.tokens) < cfg.min_tokens:

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..codec import EventTables, encode_patient, gc_paused, tables_to_records, write_csv
+from ..codec import EventTables, gc_paused, sequence_length, tables_to_records, validate_record, write_csv
 
 __all__ = ["SummaryStats", "summary_stats", "write_stats_csv", "GENDER_FEMALE"]
 
@@ -42,18 +42,19 @@ class SummaryStats:
 def summary_stats(tables: EventTables) -> SummaryStats:
     """Median age, percent female, and visit/token count quartiles.
 
-    Age is taken at the first recorded visit. Token counts re-encode each
-    person with the same codec used for training, so real and synthetic
-    tables are measured with one yardstick. Invariant under person_id
-    relabeling.
+    Age is taken at the first recorded visit. A token count is the length
+    of the person's sequence under the codec used for training
+    (codec.sequence_length, which counts without encoding), so real and
+    synthetic tables are measured with one yardstick. Invariant under
+    person_id relabeling.
     """
     records, _ = tables_to_records(tables)
     if not records:
         raise ValueError("empty tables")
     ages, visit_counts, token_counts, female = [], [], [], 0
     for r in records:
-        # encode_patient validates first: a person with no visit row raises RecordValidationError naming them
-        token_counts.append(len(encode_patient(r).tokens))
+        validate_record(r)  # a person with no visit row raises RecordValidationError naming them
+        token_counts.append(sequence_length(r))
         ages.append(r.visits[0].start_date.year - r.birth_year)
         visit_counts.append(len(r.visits))
         if r.gender_concept == GENDER_FEMALE:

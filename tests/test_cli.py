@@ -2,11 +2,12 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from chronoseq.cli import main
-from chronoseq.codec import PatientRecord, records_to_tables, write_tables
+from chronoseq.codec import PatientRecord, read_sequences, records_to_tables, tables_to_records, write_tables
 from chronoseq.manifest import sha256_file
 from chronoseq.synthworld import WorldConfig, sample_hospital_records
 
@@ -654,7 +655,9 @@ def test_privacy_counters_leave_scores_byte_identical(tmp_path, monkeypatch):
     with_block, mani = run("with")
     train = read_tables(*(tmp_path / "train" / f for f in ("persons.csv", "visits.csv", "events.csv")))
     assert mani["counters"] == dict(profile_bits=ProfileSpec.from_tables(train).dimension, train_persons=60,
-                                    eval_persons=50, synthetic_persons=40, nnaa_sample=30, membership_targets=100)
+                                    eval_persons=50, synthetic_persons=40, nnaa_sample=30, membership_targets=100,
+                                    **{f"{label}_{k}": 0 for label in ("train", "eval", "synthetic")
+                                       for k in NO_INGEST_DROPS})
     monkeypatch.setattr(ManifestWriter, "add_counters", lambda self, **counts: None)
     without_block, mani = run("without")
     assert mani["counters"] == {}
@@ -688,6 +691,8 @@ def test_generate_counters_match_expert_report(trained_run, table_dir, tmp_path,
 
     seq, counters = run("with")
     rows = list(csv.DictReader(open(f"{seq}.experts.csv", newline="")))
+    # every sampled token counts, the dropped sequences' too: at least the kept sequences' tokens after the prompt
+    assert counters.pop("generated_tokens") >= sum(len(s.tokens) - 4 for s in read_sequences(seq)) > 0
     assert counters == {**{k: sum(int(r[k]) for r in rows) for k in ("dropped_short", "hit_max_tokens")},
                         **NO_INGEST_DROPS}
     assert counters["hit_max_tokens"] > 0
@@ -792,6 +797,73 @@ def test_ingest_drop_counts_reach_the_manifest(trained_run, table_dir, tmp_path,
     for name, path in manifests.items():
         counters = json.loads(path.read_text())["counters"]
         assert {k: counters[k] for k in expected} == expected, name
+
+
+def test_audit_manifests_count_each_table_sets_drops(table_dir, tmp_path):
+    """privacy, prevalence and pathway record each table set's drop counts, as tables_to_records reports them."""
+    from chronoseq.codec import read_tables
+
+    dirty = tmp_path / "dirty"
+    dirty.mkdir()
+    (dirty / "persons.csv").write_bytes((table_dir / "persons.csv").read_bytes())
+    _with_lines(table_dir / "visits.csv", dirty / "visits.csv",
+                lambda ls: [*ls, "vg,ghost,9202,2001-01-01,2001-01-01,\n"])  # a visit of a missing person
+
+    def one_unknown_and_one_orphan(lines):
+        unknown = lines[1].split(",")
+        unknown[3] = "0"
+        orphan = lines[2].split(",")
+        orphan[1] = "v-missing"
+        return [*lines, ",".join(unknown), ",".join(orphan)]
+
+    _with_lines(table_dir / "events.csv", dirty / "events.csv", one_unknown_and_one_orphan)
+    _, report = tables_to_records(read_tables(*(dirty / f"{name}.csv" for name in ("persons", "visits", "events"))))
+    drops = dict(unknown_concept_events_dropped=report.n_unknown_concept_events_dropped,
+                 orphan_events_dropped=report.n_orphan_events_dropped,
+                 orphan_visits_dropped=report.n_orphan_visits_dropped)
+    assert drops == dict(unknown_concept_events_dropped=1, orphan_events_dropped=1, orphan_visits_dropped=1)
+
+    def counters(argv, out):
+        assert main([*argv, "--out", str(out)]) == 0, argv[0]
+        return json.loads(Path(f"{out}.manifest.json").read_text())["counters"]
+
+    got = counters(["prevalence", "--real-dir", str(table_dir), "--synthetic-dir", str(dirty)], tmp_path / "prev.csv")
+    assert got == {**{f"real_{k}": 0 for k in drops}, **{f"synthetic_{k}": v for k, v in drops.items()}}
+    got = counters(["privacy", "--train-dir", str(dirty), "--eval-dir", str(table_dir), "--synthetic-dir", str(dirty),
+                    "--seed", "0"], tmp_path / "privacy.csv")
+    assert {k: got[k] for k in got if k.endswith("_dropped")} == {
+        **{f"train_{k}": v for k, v in drops.items()}, **{f"eval_{k}": 0 for k in drops},
+        **{f"synthetic_{k}": v for k, v in drops.items()}}
+    spec = tmp_path / "spec.cfg"
+    spec.write_text("name: demo\nindex_concepts: [1125315]\n")
+    got = counters(["pathway", *tbl_args(dirty), "--cohort-spec", str(spec)], tmp_path / "cohort.csv")
+    assert got == drops
+
+
+@pytest.mark.parametrize("command", ["encode", "privacy", "prevalence"])
+def test_an_unknown_event_domain_exits_1_naming_the_file_and_line(command, table_dir, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    for name in ("persons.csv", "visits.csv"):
+        (bad / name).write_bytes((table_dir / name).read_bytes())
+
+    def measurement(lines):
+        fields = lines[3].split(",")
+        fields[2] = "measurement"
+        return [*lines[:3], ",".join(fields), *lines[4:]]
+
+    _with_lines(table_dir / "events.csv", bad / "events.csv", measurement)
+    out = tmp_path / "out.csv"
+    argv = {
+        "encode": ["encode", *tbl_args(bad)],
+        "privacy": ["privacy", "--train-dir", str(table_dir), "--eval-dir", str(table_dir), "--synthetic-dir", str(bad)],
+        "prevalence": ["prevalence", "--real-dir", str(table_dir), "--synthetic-dir", str(bad)],
+    }[command]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad / 'events.csv'}, line 4: unknown domain 'measurement'" in err
+    assert not out.exists()
 
 
 def _with_lines(src, dst, edit):

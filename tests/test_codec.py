@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronoseq.codec import (
+    DOMAINS,
     INPATIENT_CONCEPTS,
     ClinicalEvent,
     LONG_GAP_DAYS,
@@ -20,11 +21,14 @@ from chronoseq.codec import (
     read_csv_table,
     read_tables,
     records_to_tables,
+    sequence_length,
+    sorted_events,
     tables_to_records,
     validate_sequence,
     write_csv,
     write_tables,
 )
+from chronoseq.synthworld import sample_hospital_records
 from conftest import random_record
 
 
@@ -197,6 +201,44 @@ def test_roundtrip_property(seed):
     assert decode_sequence(encode_patient(rec)) == rec
 
 
+@st.composite
+def _records_with_stays(draw):
+    """Valid records whose inpatient stays hold same-day and multi-day events (start and end days included)."""
+    start = dt.date(2000, 1, 1) + dt.timedelta(days=draw(st.integers(0, 3000)))
+    visits = []
+    for _ in range(draw(st.integers(1, 5))):
+        inpatient = draw(st.booleans())
+        stay = draw(st.integers(0, 12)) if inpatient else 0
+        offsets = draw(st.lists(st.integers(0, stay), max_size=6))  # repeats: events on one day
+        domains = draw(st.lists(st.sampled_from(DOMAINS), min_size=len(offsets), max_size=len(offsets)))
+        events = sorted_events(ClinicalEvent(start + dt.timedelta(days=o), d, 1 + k)
+                               for k, (o, d) in enumerate(zip(offsets, domains)))
+        vtype = draw(st.sampled_from(sorted(INPATIENT_CONCEPTS))) if inpatient else 9202
+        end = start + dt.timedelta(days=stay)
+        visits.append(Visit(vtype, start, end, 8536 if inpatient else None, events))
+        start = end + dt.timedelta(days=draw(st.integers(0, 1500)))
+    return PatientRecord("p", 1940, 8532, 8527, tuple(visits))
+
+
+@given(_records_with_stays())
+@settings(max_examples=200, deadline=None)
+def test_sequence_length_counts_the_tokens_encode_builds(record):
+    assert sequence_length(record) == len(encode_patient(record).tokens)
+
+
+def test_sequence_length_on_stays_and_synthworld_records():
+    d0, d3, d5 = dt.date(2000, 1, 1), dt.date(2000, 1, 4), dt.date(2000, 1, 6)
+    stay = Visit(9201, d0, d5, 8536, (ClinicalEvent(d0, "drug", 1), ClinicalEvent(d3, "condition", 2),
+                                      ClinicalEvent(d3, "drug", 3), ClinicalEvent(d5, "procedure", 4)))
+    same_day = Visit(262, d5, d5, 8863, (ClinicalEvent(d5, "drug", 5), ClinicalEvent(d5, "drug", 6)))
+    record = PatientRecord("p", 1950, 8532, 8527, (stay, same_day))
+    # prefix 4; stay: [VS] v: drug i-D3 condition drug i-D2 procedure dis: [VE]; gap; [VS] v: 2 events dis: [VE]; [END]
+    assert sequence_length(record) == len(encode_patient(record).tokens) == 4 + 10 + 1 + 6 + 1
+    for seed in (1, 2, 3):
+        for rec in sample_hospital_records(60, seed=seed):
+            assert sequence_length(rec) == len(encode_patient(rec).tokens)
+
+
 def test_long_gap_roundtrip_is_lossy_but_consistent():
     d0 = dt.date(2000, 1, 1)
     rec = PatientRecord(
@@ -233,7 +275,7 @@ def test_tables_drop_unknown_concepts():
     tables = records_to_tables([rec])
     from chronoseq.codec import EventRow
 
-    tables.events.append(EventRow("p", tables.visits[0].visit_id, "condition", 0, d0))
+    tables = replace(tables, events=tables.events + (EventRow("p", tables.visits[0].visit_id, "condition", 0, d0),))
     records, report = tables_to_records(tables)
     assert report.n_unknown_concept_events_dropped == 1
     assert len(records[0].visits[0].events) == 1
@@ -254,7 +296,7 @@ def test_tables_reject_a_repeated_id(table, column):
     tables = _two_person_tables()
     rows = getattr(tables, table)
     repeated = getattr(rows[0], column)
-    rows[1] = replace(rows[1], **{column: repeated})
+    tables = replace(tables, **{table: (rows[0], rows[1]._replace(**{column: repeated}))})
     for ingest in (tables_to_records, concept_incidence):
         with pytest.raises(RecordValidationError,
                            match=f"{table} table: {column} '{repeated}' appears more than once"):
@@ -266,7 +308,7 @@ def test_tables_drop_an_event_filed_under_another_persons_visit():
 
     tables = _two_person_tables()
     a_visit = tables.visits[0]
-    tables.events.append(EventRow("b", a_visit.visit_id, "drug", 7, a_visit.start_date))
+    tables = replace(tables, events=tables.events + (EventRow("b", a_visit.visit_id, "drug", 7, a_visit.start_date),))
     records, report = tables_to_records(tables)
     assert report.n_orphan_events_dropped == 1
     assert [[e.concept_id for e in r.visits[0].events] for r in records] == [[5], [6]]
@@ -277,31 +319,51 @@ def test_tables_count_a_visit_of_a_person_missing_from_the_persons_table():
 
     tables = _two_person_tables()
     d0 = tables.visits[0].start_date
-    tables.visits.append(VisitRow("vg", "ghost", 9201, d0, d0, 8536))
-    tables.events.append(EventRow("ghost", "vg", "drug", 7, d0))
+    tables = replace(tables, visits=tables.visits + (VisitRow("vg", "ghost", 9201, d0, d0, 8536),),
+                     events=tables.events + (EventRow("ghost", "vg", "drug", 7, d0),))
     records, report = tables_to_records(tables)
     assert (report.n_orphan_visits_dropped, report.n_orphan_events_dropped) == (1, 1)
     assert [r.person_id for r in records] == ["a", "b"]
     assert [[e.concept_id for e in r.visits[0].events] for r in records] == [[5], [6]]
 
 
+def test_an_unknown_domain_in_tables_built_in_memory_raises():
+    from chronoseq.codec import EventRow, concept_incidence, ingest_report
+
+    tables = _two_person_tables()
+    d0 = tables.visits[0].start_date
+    tables = replace(tables, events=tables.events + (EventRow("b", tables.visits[1].visit_id, "measurement", 7, d0),))
+    for ingest in (tables_to_records, concept_incidence, ingest_report):
+        with pytest.raises(RecordValidationError, match="person b: unknown domain 'measurement'"):
+            ingest(tables)
+
+
+def test_ingestion_results_are_kept_and_read_only():
+    from chronoseq.codec import concept_incidence, ingest_report
+
+    tables = records_to_tables(sample_hospital_records(20, seed=5))
+    records, report = tables_to_records(tables)
+    assert ingest_report(tables) is report and tables_to_records(tables)[0] == records
+    rows, codes, concepts = concept_incidence(tables, visit_types=True)
+    assert concept_incidence(tables, visit_types=True)[0] is rows
+    assert not rows.flags.writeable and not codes.flags.writeable
+    # without visit types: the same pairs less the visit concepts, which sort last
+    plain = concept_incidence(tables)
+    n = len(plain[2])
+    assert concepts[:n] == plain[2] and all(d == "visit" for d, _ in concepts[n:])
+    assert np.array_equal(plain[0], rows[codes < n]) and np.array_equal(plain[1], codes[codes < n])
+
+
 def test_row_types_are_slotted_value_objects():
     import dataclasses
     import pickle
 
-    from chronoseq.codec import EventRow, PersonRow, VisitRow
+    from chronoseq.codec import EventRow, EventTables, PersonRow, VisitRow
 
     d0, d1 = dt.date(2000, 1, 1), dt.date(2000, 1, 3)
     event = ClinicalEvent(d0, "drug", 7)
-    rows = [
-        event,
-        Visit(9201, d0, d1, 8536, (event,)),
-        PatientRecord("a", 1950, 8532, 8527, (Visit(9202, d0, d0, None, (event,)),)),
-        PersonRow("a", 1950, 8532, 8527),
-        VisitRow("v1", "a", 9201, d0, d1, 8536),
-        EventRow("a", "v1", "drug", 7, d0),
-    ]
-    for row in rows:
+    for row in (event, Visit(9201, d0, d1, 8536, (event,)),
+                PatientRecord("a", 1950, 8532, 8527, (Visit(9202, d0, d0, None, (event,)),))):
         cls = type(row)
         assert "__slots__" in vars(cls) and not hasattr(row, "__dict__"), cls.__name__
         twin = dataclasses.replace(row)
@@ -309,6 +371,22 @@ def test_row_types_are_slotted_value_objects():
         assert pickle.loads(pickle.dumps(row)) == row, cls.__name__
         first = dataclasses.fields(cls)[0].name
         assert dataclasses.replace(row, **{first: None}) != row, cls.__name__
+    # the table rows are immutable values: named tuples
+    for row in (PersonRow("a", 1950, 8532, 8527), VisitRow("v1", "a", 9201, d0, d1, 8536),
+                EventRow("a", "v1", "drug", 7, d0)):
+        cls = type(row)
+        first = row._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(row, first, None)
+        assert not hasattr(row, "__dict__"), cls.__name__
+        assert row._replace(**{first: None}) != row and row._replace() == row, cls.__name__
+        assert pickle.loads(pickle.dumps(row)) == row, cls.__name__
+        assert cls(*row) == row and cls(*row) is not row, cls.__name__
+    tables = EventTables([PersonRow("a", 1950, 8532, 8527)], [VisitRow("v1", "a", 9201, d0, d1, 8536)],
+                         [EventRow("a", "v1", "drug", 7, d0)])
+    assert all(type(getattr(tables, name)) is tuple for name in ("persons", "visits", "events"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tables.events = ()
     events = [ClinicalEvent(d1, "condition", 1), ClinicalEvent(d0, "procedure", 2), ClinicalEvent(d0, "drug", 9),
               ClinicalEvent(d0, "drug", 3)]
     assert sorted(events) == [events[3], events[2], events[1], events[0]]  # by date, then domain name, then id

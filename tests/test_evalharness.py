@@ -132,7 +132,7 @@ def test_prevalence_ignores_the_visits_of_a_person_missing_from_the_persons_tabl
     tables = records_to_tables(sample_hospital_records(30, seed=31))
     expected = prevalence_report(tables, tables)
     d0 = tables.visits[0].start_date
-    tables.visits.append(VisitRow("vg", "ghost", 9201, d0, d0, 8536))
+    tables = replace(tables, visits=tables.visits + (VisitRow("vg", "ghost", 9201, d0, d0, 8536),))
     assert prevalence_report(tables, tables) == expected
 
 
@@ -188,9 +188,11 @@ def test_prevalence_ignores_the_events_tables_to_records_drops():
     tables = _two_person_tables()
     clean = prevalence_report(tables, tables)
     d = tables.events[0].date
-    tables.events.append(EventRow("b", "va", "drug", 1125315, d))  # b's drug filed under a's visit
-    tables.events.append(EventRow("a", "va", "drug", 0, d))  # an unknown concept
-    tables.events.append(EventRow("a", "v-missing", "drug", 1125316, d))  # a visit that does not exist
+    tables = replace(tables, events=tables.events + (
+        EventRow("b", "va", "drug", 1125315, d),  # b's drug filed under a's visit
+        EventRow("a", "va", "drug", 0, d),  # an unknown concept
+        EventRow("a", "v-missing", "drug", 1125316, d),  # a visit that does not exist
+    ))
     _, report = tables_to_records(tables)
     assert (report.n_orphan_events_dropped, report.n_unknown_concept_events_dropped) == (2, 1)
     rows = prevalence_report(tables, tables)
@@ -256,8 +258,7 @@ def test_pathway_six_person_fixture():
 def test_pathway_invariant_to_same_day_event_order():
     p = pathway_person("a", 400, [0, 100, 220, 340, 460, 580, 700, 820, 940, 1060])
     tables = records_to_tables([p])
-    ev = list(tables.events)
-    tables.events = list(reversed(ev))
+    tables = replace(tables, events=tuple(reversed(tables.events)))
     assert pathway_cohort(tables, SPEC).cohort == ["a"]
 
 
@@ -266,7 +267,7 @@ def test_pathway_counts_only_the_events_ingestion_keeps():
     a = pathway_person("a", 400, [0, 100, 220, 340, 460, 580, 700, 820, 940, 1060])
     tables = records_to_tables([a, pathway_person("b", 400, [])])
     b_visit = next(v.visit_id for v in tables.visits if v.person_id == "b")
-    tables.events = [replace(e, visit_id=b_visit) if e.domain == "drug" else e for e in tables.events]
+    tables = replace(tables, events=[e._replace(visit_id=b_visit) if e.domain == "drug" else e for e in tables.events])
     assert tables_to_records(tables)[1].n_orphan_events_dropped == 10
     assert pathway_cohort(tables, SPEC).cohort == []
 

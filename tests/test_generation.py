@@ -72,6 +72,31 @@ def test_generate_pool_provenance_counts_and_filter(tiny_trained_model):
     assert len(pool.provenance) == len(pool.sequences)
 
 
+def test_generate_pool_counts_every_sampled_token(tiny_trained_model, monkeypatch):
+    """generated_tokens sums the tokens after the prompt over every sequence, the dropped ones too."""
+    from chronoseq.generation import pool as pool_module
+
+    model, records = tiny_trained_model
+    prompts = [(f"year:{y}", f"age:{a}", f"gender:{g}", f"race:{r}") for y, a, g, r in demographics_of(records)]
+    sampled = []
+    sample = pool_module.sample_sequence
+
+    def recording(model, prompt, cfg, rng, person_id=None):
+        seq = sample(model, prompt, cfg, rng, person_id=person_id)
+        sampled.append((seq, prompt))
+        return seq
+
+    monkeypatch.setattr(pool_module, "sample_sequence", recording)
+    experts = [SamplingConfig(temperature=1.2, max_tokens=60, min_tokens=55, seed=5),
+               SamplingConfig(temperature=0.8, max_tokens=50, min_tokens=55, seed=6)]
+    pool = generate_pool(model, experts, [6, 4], prompts)
+    assert sum(r.dropped_short for r in pool.per_expert) > 0 and len(pool) > 0
+    assert len(sampled) == 10
+    assert sum(r.generated_tokens for r in pool.per_expert) == sum(len(s.tokens) - len(p) for s, p in sampled)
+    assert [r.generated_tokens for r in pool.per_expert] == [
+        sum(len(s.tokens) - len(p) for s, p in sampled[:6]), sum(len(s.tokens) - len(p) for s, p in sampled[6:])]
+
+
 def test_generate_pool_reproducible_and_independent_of_pool_size(tiny_trained_model):
     model, records = tiny_trained_model
     prompts = [(f"year:{y}", f"age:{a}", f"gender:{g}", f"race:{r}") for y, a, g, r in demographics_of(records)]
@@ -145,10 +170,12 @@ def test_summary_stats_single_person_quartiles():
 
 
 def test_summary_stats_names_a_person_without_visits():
+    from dataclasses import replace
+
     from chronoseq.codec import PersonRow, RecordValidationError
 
     tables = records_to_tables(sample_hospital_records(3, seed=4))
-    tables.persons.append(PersonRow("lonely", 1950, 8532, 8527))
+    tables = replace(tables, persons=tables.persons + (PersonRow("lonely", 1950, 8532, 8527),))
     with pytest.raises(RecordValidationError, match="person lonely: no visits"):
         summary_stats(tables)
 

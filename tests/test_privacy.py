@@ -195,6 +195,8 @@ def test_profiles_match_the_per_row_reference(n, seed):
 
 
 def test_spec_and_profiles_skip_the_events_tables_to_records_drops():
+    from dataclasses import replace
+
     from chronoseq.codec import EventRow, VisitRow
 
     tables = records_to_tables(sample_hospital_records(60, seed=7))
@@ -202,13 +204,17 @@ def test_spec_and_profiles_skip_the_events_tables_to_records_drops():
     clean_profiles = build_profiles(tables, clean_spec)
     last = clean_spec.concepts[-1]
     d = tables.visits[0].start_date
-    for k in range(40):  # persons missing from the persons table, each with the spec's last concept
-        tables.visits.append(VisitRow(f"vg{k}", f"ghost{k}", 9202, d, d, None))
-        tables.events.append(EventRow(f"ghost{k}", f"vg{k}", last[0], last[1], d))
-    p0, v1 = tables.persons[0].person_id, tables.visits[-41]
-    tables.events.append(EventRow(p0, v1.visit_id, last[0], last[1], d))  # filed under another person's visit
-    tables.events.append(EventRow(p0, "v-missing", last[0], last[1], d))  # a visit that does not exist
-    tables.events.append(EventRow(p0, tables.visits[0].visit_id, last[0], 0, d))  # an unknown concept
+    p0, v1 = tables.persons[0].person_id, tables.visits[-1]
+    ghosts = range(40)  # persons missing from the persons table, each with the spec's last concept
+    tables = replace(
+        tables,
+        visits=tables.visits + tuple(VisitRow(f"vg{k}", f"ghost{k}", 9202, d, d, None) for k in ghosts),
+        events=tables.events + tuple(EventRow(f"ghost{k}", f"vg{k}", last[0], last[1], d) for k in ghosts) + (
+            EventRow(p0, v1.visit_id, last[0], last[1], d),  # filed under another person's visit
+            EventRow(p0, "v-missing", last[0], last[1], d),  # a visit that does not exist
+            EventRow(p0, tables.visits[0].visit_id, last[0], 0, d),  # an unknown concept
+        ),
+    )
     assert v1.person_id != p0
     spec = ProfileSpec.from_tables(tables, top_k_concepts=8)
     assert spec == clean_spec  # the ghosts would rank `last` first
@@ -358,3 +364,44 @@ def test_identity_rejects_non_binary_profiles(independent_sets, value):
     with pytest.raises(ValueError, match="population: profiles must hold only 0 and 1"):
         identity_disclosure(_with_entry(train, value), synth, np.arange(12))
 
+
+
+def test_each_derived_product_is_computed_once_per_table_set(monkeypatch):
+    """One ingestion per table set; the spec once per (set, k); profiles once per (set, spec)."""
+    from chronoseq.codec import records as records_module
+    from chronoseq.evalharness import CohortSpec, pathway_cohort, prevalence_report
+    from chronoseq.generation import summary_stats
+    from chronoseq.privacy import profiles as profiles_module
+
+    calls = []
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def counted(tables, *args):
+            calls.append((name, id(tables), *args))
+            return fn(tables, *args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(records_module, "_ingest")
+    counting(profiles_module, "_ranked_spec")
+    counting(profiles_module, "_profiles")
+    train, eval_, syn, syn2 = (records_to_tables(sample_hospital_records(n, seed=s))
+                               for n, s in ((60, 1), (50, 2), (40, 3), (45, 4)))
+    first = [audit_tables(train, eval_, syn, seed=0), prevalence_report(train, syn), summary_stats(syn),
+             pathway_cohort(syn, CohortSpec("p", frozenset({1125315})))]
+    spec = ProfileSpec.from_tables(train)
+    expected = {("_ingest", id(t)) for t in (train, eval_, syn)} | {("_ranked_spec", id(train), 64)} | {
+        ("_profiles", id(t), spec) for t in (train, eval_, syn)}
+    assert sorted(calls, key=repr) == sorted(expected, key=repr)
+    again = [audit_tables(train, eval_, syn, seed=0), prevalence_report(train, syn), summary_stats(syn),
+             pathway_cohort(syn, CohortSpec("p", frozenset({1125315})))]
+    assert again == first
+    assert len(calls) == len(expected)  # nothing recomputed
+    audit_tables(train, eval_, syn2, seed=0)
+    assert sorted(calls[len(expected):], key=repr) == sorted([("_ingest", id(syn2)), ("_profiles", id(syn2), spec)],
+                                                            key=repr)
+    assert not build_profiles(train, spec).flags.writeable
+    with pytest.raises(ValueError):
+        build_profiles(train, spec)[0, 0] = 1
