@@ -315,24 +315,55 @@ def gather_rows(table, idx):
 
 LAYER_NORM_EPS = 1e-5  # shared with the graph-free decoder in model/inference.py
 
+# float64 elements per operand in one row tile (256 KiB): layer_norm, gelu,
+# attention and the cross-entropy ops run their elementwise work tile by tile,
+# so a tile's temporaries stay in cache and no whole-array temporary is made.
+# Every row's arithmetic is the same at any tile size.
+_TILE = 32768
+
+
+def _tiles(n_rows, row_size):
+    """Slices of consecutive rows, each at most _TILE elements (and at least one row)."""
+    step = max(1, _TILE // max(1, row_size))
+    return [slice(r, r + step) for r in range(0, n_rows, step)]
+
+
+def _rows(a):
+    """a as (rows, last axis), a view where a's layout allows."""
+    return a.reshape(-1, a.shape[-1])
+
 
 def layer_norm(x, gain, bias):
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (x.data - mu) * inv
-    out = Tensor(gain.data * xhat + bias.data, parents=(x, gain, bias), name="layer_norm")
+    xs = _rows(x.data)
+    n = xs.shape[1]
+    xhat = np.empty(xs.shape)
+    inv = np.empty((len(xs), 1))
+    y = np.empty(xs.shape)
+    tiles = _tiles(*xs.shape)
+    for r in tiles:
+        xc = xs[r] - xs[r].mean(axis=-1, keepdims=True)  # centred once; (xc * xc).sum / n is what var computes
+        inv[r] = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / n + LAYER_NORM_EPS)
+        np.multiply(xc, inv[r], out=xhat[r])
+        y[r] = gain.data * xhat[r] + bias.data
+    out = Tensor(y.reshape(x.data.shape), parents=(x, gain, bias), name="layer_norm")
 
     def bw(g):
+        # the gain and bias gradients sum over rows, so they stay whole-array: tiles would reorder those sums
         if gain.requires_grad:
-            _accum(gain, _unbroadcast(g * xhat, gain.data.shape), owned=True)
+            _accum(gain, _unbroadcast(g * xhat.reshape(g.shape), gain.data.shape), owned=True)
         if bias.requires_grad:
             _accum_unbroadcast(bias, g)
         if x.requires_grad:
-            gx = g * gain.data
-            m1 = gx.mean(axis=-1, keepdims=True)
-            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            _accum(x, (gx - m1 - xhat * m2) * inv, owned=True)
+            gs = _rows(g)
+            gxs = np.empty(xhat.shape)
+            for r in tiles:
+                gx = np.multiply(gs[r], gain.data, out=gxs[r])
+                m1 = gx.mean(axis=-1, keepdims=True)
+                m2 = (gx * xhat[r]).mean(axis=-1, keepdims=True)
+                gx -= m1
+                gx -= xhat[r] * m2
+                gx *= inv[r]
+            _accum(x, gxs.reshape(x.data.shape), owned=True)
 
     out.backward_fn = bw if out.requires_grad else None
     return out
@@ -343,49 +374,67 @@ def attention(qkv, mask, scale, rate=0.0, rng=None):
 
     mask is an additive (T, T) array or None. The attention weights pass
     through inverted dropout at `rate`, drawn from rng as the dropout op
-    draws. One node: the score steps run in place and only the probabilities
-    (and the dropout keep-mask) stay for backward, which writes dq, dk and dv
-    into one gradient array for qkv.
+    draws, with one keep-mask over all of them. One node: only the
+    probabilities (and the keep-mask) stay for backward, which writes dq, dk
+    and dv into one gradient array for qkv. Both passes run in row tiles
+    along qkv's second axis (the sequences of a block, or the heads of one
+    sequence); each product is per (sequence, head) either way.
     """
     q, k, v = qkv.data[0], qkv.data[1], qkv.data[2]
-    p = np.matmul(q, np.swapaxes(k, -1, -2))
-    p *= scale
-    if mask is not None:
-        p += mask
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p = np.empty((*q.shape[:-1], k.shape[-2]))
     keep = _keep_mask(p.shape, rate, rng)
-    out = Tensor(np.matmul(_dropped(p, keep, rate), v), parents=(qkv,), name="attention")
+    y = np.empty((*p.shape[:-1], v.shape[-1]))
+    tiles = _tiles(len(p), p[0].size)
+    for r in tiles:
+        pt = np.matmul(q[r], np.swapaxes(k[r], -1, -2), out=p[r])
+        pt *= scale
+        if mask is not None:
+            pt += mask
+        pt -= pt.max(axis=-1, keepdims=True)
+        np.exp(pt, out=pt)
+        pt /= pt.sum(axis=-1, keepdims=True)
+        np.matmul(_dropped(pt, _at(keep, r), rate), v[r], out=y[r])
+    out = Tensor(y, parents=(qkv,), name="attention")
 
     def bw(g):
-        dv = np.matmul(np.swapaxes(_dropped(p, keep, rate), -1, -2), g)
-        ds = _dropped(np.matmul(g, np.swapaxes(v, -1, -2)), keep, rate)
-        ds -= (ds * p).sum(axis=-1, keepdims=True)
-        ds *= p
-        ds *= scale
         gqkv = np.zeros_like(qkv.data)  # qkv's memory layout, so the reductions after it sum in the same order
-        gqkv[0] += np.matmul(ds, k)
-        gqkv[1] += np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), ds), -1, -2)
-        gqkv[2] += dv
+        for r in tiles:
+            pt, kt = p[r], _at(keep, r)
+            gqkv[2][r] += np.matmul(np.swapaxes(_dropped(pt, kt, rate), -1, -2), g[r])
+            ds = _dropped(np.matmul(g[r], np.swapaxes(v[r], -1, -2)), kt, rate)
+            ds -= (ds * pt).sum(axis=-1, keepdims=True)
+            ds *= pt
+            ds *= scale
+            gqkv[0][r] += np.matmul(ds, k[r])
+            gqkv[1][r] += np.swapaxes(np.matmul(np.swapaxes(q[r], -1, -2), ds), -1, -2)
         _accum(qkv, gqkv, owned=True)
 
     out.backward_fn = bw if out.requires_grad else None
     return out
 
 
+def _at(keep, r):
+    """Rows r of a keep-mask (None stays None)."""
+    return None if keep is None else keep[r]
+
+
 def _nll(z, t):
     """Shift logit rows z (N, C) by their max in place -> (log-sum-exp of the shifted rows, NLL of targets t)."""
-    z -= z.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1))
+    lse = np.empty(len(z))
+    for r in _tiles(*z.shape):
+        zt = z[r]
+        zt -= zt.max(axis=-1, keepdims=True)
+        lse[r] = np.log(np.exp(zt).sum(axis=-1))
     return lse, lse - z[np.arange(len(t)), t]
 
 
 def _nll_grad(z, lse, t, g):
     """Overwrite shifted logits z with the gradient of sum(g * NLL) with respect to them."""
-    z -= lse[:, None]  # the softmax is built only when a gradient is asked for
-    np.exp(z, out=z)
-    z *= g[:, None]
+    for r in _tiles(*z.shape):
+        zt = z[r]
+        zt -= lse[r, None]  # the softmax is built only when a gradient is asked for
+        np.exp(zt, out=zt)
+        zt *= g[r, None]
     z[np.arange(len(t)), t] -= g
     return z
 
@@ -432,17 +481,37 @@ GELU_C = np.sqrt(2.0 / np.pi)
 GELU_A = 0.044715
 
 
+def _gelu_parts(x):
+    """(x^2, tanh of the GELU argument) of an array x."""
+    x2 = x * x
+    return x2, np.tanh(GELU_C * (x + GELU_A * x2 * x))
+
+
 def gelu(x):
-    """tanh-approximation GELU (GPT-2 convention)."""
-    xd = x.data
-    x2 = xd * xd
-    th = np.tanh(GELU_C * (xd + GELU_A * x2 * xd))
-    out = Tensor(0.5 * xd * (1.0 + th), parents=(x,), name="gelu")
+    """tanh-approximation GELU (GPT-2 convention).
+
+    Only the output is kept: backward recomputes x^2 and the tanh tile by
+    tile from the input, which the graph holds anyway.
+    """
+    xs = _rows(x.data)
+    y = np.empty(xs.shape)
+    tiles = _tiles(*xs.shape)
+    for r in tiles:
+        xt = xs[r]
+        th = _gelu_parts(xt)[1]
+        y[r] = 0.5 * xt * (1.0 + th)
+    out = Tensor(y.reshape(x.data.shape), parents=(x,), name="gelu")
 
     def bw(g):
-        du = GELU_C * (1.0 + 3.0 * GELU_A * x2)
-        local = 0.5 * (1.0 + th) + 0.5 * xd * (1.0 - th * th) * du
-        _accum(x, g * local, owned=True)
+        xs, gs = _rows(x.data), _rows(g)
+        gx = np.empty(xs.shape)
+        for r in tiles:
+            xt = xs[r]
+            x2, th = _gelu_parts(xt)
+            du = GELU_C * (1.0 + 3.0 * GELU_A * x2)
+            local = 0.5 * (1.0 + th) + 0.5 * xt * (1.0 - th * th) * du
+            np.multiply(gs[r], local, out=gx[r])
+        _accum(x, gx.reshape(x.data.shape), owned=True)
 
     out.backward_fn = bw if out.requires_grad else None
     return out

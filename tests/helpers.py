@@ -3,6 +3,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from chronoseq.autodiff.tensor import (
+    GELU_A,
+    GELU_C,
+    LAYER_NORM_EPS,
+    Tensor,
+    _accum,
+    _accum_unbroadcast,
+    _dropped,
+    _keep_mask,
+    _unbroadcast,
+)
 from chronoseq.codec.vocab import Vocabulary
 
 SPECIALS = ["[PAD]", "[VS]", "[VE]", "[LT]", "[END]"]
@@ -339,3 +350,91 @@ def build_profiles_reference(tables, spec):
         if (e.domain, e.concept_id) in spec.concepts:
             rows[person_row[e.person_id], n_demo + spec.concepts.index((e.domain, e.concept_id))] = 1
     return rows
+
+
+# ---------------------------------------------------------------------------
+# whole-array autodiff ops: the reference the row-tiled ops must match bit for bit
+
+
+def layer_norm_whole(x, gain, bias):
+    """layer_norm over the whole array at once, with var recomputing the row mean."""
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = x.data.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    xhat = (x.data - mu) * inv
+    out = Tensor(gain.data * xhat + bias.data, parents=(x, gain, bias), name="layer_norm")
+
+    def bw(g):
+        if gain.requires_grad:
+            _accum(gain, _unbroadcast(g * xhat, gain.data.shape), owned=True)
+        if bias.requires_grad:
+            _accum_unbroadcast(bias, g)
+        if x.requires_grad:
+            gx = g * gain.data
+            m1 = gx.mean(axis=-1, keepdims=True)
+            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+            _accum(x, (gx - m1 - xhat * m2) * inv, owned=True)
+
+    out.backward_fn = bw if out.requires_grad else None
+    return out
+
+
+def gelu_whole(x):
+    """tanh-GELU over the whole array at once, keeping x^2 and the tanh for backward."""
+    xd = x.data
+    x2 = xd * xd
+    th = np.tanh(GELU_C * (xd + GELU_A * x2 * xd))
+    out = Tensor(0.5 * xd * (1.0 + th), parents=(x,), name="gelu")
+
+    def bw(g):
+        du = GELU_C * (1.0 + 3.0 * GELU_A * x2)
+        local = 0.5 * (1.0 + th) + 0.5 * xd * (1.0 - th * th) * du
+        _accum(x, g * local, owned=True)
+
+    out.backward_fn = bw if out.requires_grad else None
+    return out
+
+
+def attention_whole(qkv, mask, scale, rate=0.0, rng=None):
+    """Fused attention over all (sequence, head) score matrices at once."""
+    q, k, v = qkv.data[0], qkv.data[1], qkv.data[2]
+    p = np.matmul(q, np.swapaxes(k, -1, -2))
+    p *= scale
+    if mask is not None:
+        p += mask
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    keep = _keep_mask(p.shape, rate, rng)
+    out = Tensor(np.matmul(_dropped(p, keep, rate), v), parents=(qkv,), name="attention")
+
+    def bw(g):
+        dv = np.matmul(np.swapaxes(_dropped(p, keep, rate), -1, -2), g)
+        ds = _dropped(np.matmul(g, np.swapaxes(v, -1, -2)), keep, rate)
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        gqkv = np.zeros_like(qkv.data)
+        gqkv[0] += np.matmul(ds, k)
+        gqkv[1] += np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), ds), -1, -2)
+        gqkv[2] += dv
+        _accum(qkv, gqkv, owned=True)
+
+    out.backward_fn = bw if out.requires_grad else None
+    return out
+
+
+def nll_whole(z, t):
+    """_nll over all logit rows at once (z is shifted in place)."""
+    z -= z.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=-1))
+    return lse, lse - z[np.arange(len(t)), t]
+
+
+def nll_grad_whole(z, lse, t, g):
+    """_nll_grad over all logit rows at once (z is overwritten)."""
+    z -= lse[:, None]
+    np.exp(z, out=z)
+    z *= g[:, None]
+    z[np.arange(len(t)), t] -= g
+    return z

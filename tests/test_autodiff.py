@@ -8,6 +8,7 @@ import numpy.testing as npt
 import pytest
 
 import chronoseq.autodiff as ad
+import chronoseq.autodiff.tensor as tensor
 from chronoseq.autodiff import (
     GradCheckError,
     Tensor,
@@ -35,8 +36,9 @@ from chronoseq.autodiff import (
     transpose,
 )
 from chronoseq.autodiff.special import digamma_value, lgamma_value
-from chronoseq.autodiff.tensor import _accum
+from chronoseq.autodiff.tensor import _accum, _nll, _nll_grad
 from chronoseq.model.transformer import MASK_NEG
+from helpers import attention_whole, gelu_whole, layer_norm_whole, nll_grad_whole, nll_whole
 
 
 def _causal(T):
@@ -230,10 +232,26 @@ def _op_case(op_case):
     return lambda: _sum_sq(mean_all(x)), [x]
 
 
-@pytest.mark.parametrize("op_case", OP_CASES)
-def test_each_op_passes_grad_check(op_case):
+# the row-tiled ops, checked again at one row per tile: the cases' shapes fit one tile at the module's size
+TILED_OP_CASES = ["layer_norm", "attention", "attention_causal_dropout", "gelu", "cross_entropy", "tied_cross_entropy"]
+
+
+@pytest.mark.parametrize("op_case", OP_CASES + [f"{case}-tiled" for case in TILED_OP_CASES])
+def test_each_op_passes_grad_check(op_case, monkeypatch):
+    op_case, tiled = op_case.removesuffix("-tiled"), op_case.endswith("-tiled")
+    real_tiles, counts = tensor._tiles, []
+
+    def counted(n_rows, row_size):
+        tiles = real_tiles(n_rows, row_size)
+        counts.append(len(tiles))
+        return tiles
+
+    if tiled:
+        monkeypatch.setattr(tensor, "_TILE", 1)
+        monkeypatch.setattr(tensor, "_tiles", counted)
     fn, params = _op_case(op_case)
     assert grad_check(fn, params) < 1e-6
+    assert not tiled or min(counts) >= 2
 
 
 def test_every_exported_op_has_a_grad_check_case():
@@ -304,6 +322,60 @@ def test_attention_matches_the_ops_it_replaces(lead, causal, rate):
     fused = _outputs_and_grads(lambda x: attention(x, mask, 0.7, rate, rngs[1]), [qkv])
     _assert_all_equal(reference, fused)
     assert rngs[0].random() == rngs[1].random()  # the same draws, so later dropout layers see the same stream
+
+
+# rows per tile: one row, a size that leaves a partial last tile, all rows in one tile
+TILE_ROWS = pytest.mark.parametrize("tile_rows", [1, 2, 5], ids=["one_row", "partial_tile", "one_tile"])
+
+
+def _patch_tile(monkeypatch, tile_rows, row_size):
+    monkeypatch.setattr(tensor, "_TILE", tile_rows * row_size)
+
+
+@TILE_ROWS
+@pytest.mark.parametrize("x_shape", [(5, 6), (5, 1, 6)], ids=["2d", "3d"])
+def test_layer_norm_is_the_same_at_every_tile_size(tile_rows, x_shape, monkeypatch):
+    rng = np.random.default_rng(21)
+    inputs = [rng.normal(size=x_shape), rng.normal(size=6) + 1.0, rng.normal(size=6)]
+    reference = _outputs_and_grads(layer_norm_whole, inputs)
+    _patch_tile(monkeypatch, tile_rows, 6)
+    _assert_all_equal(reference, _outputs_and_grads(layer_norm, inputs))
+
+
+@TILE_ROWS
+def test_gelu_is_the_same_at_every_tile_size(tile_rows, monkeypatch):
+    inputs = [3.0 * np.random.default_rng(22).normal(size=(5, 8))]
+    reference = _outputs_and_grads(gelu_whole, inputs)
+    _patch_tile(monkeypatch, tile_rows, 8)
+    _assert_all_equal(reference, _outputs_and_grads(gelu, inputs))
+
+
+@TILE_ROWS
+@pytest.mark.parametrize("lead,rate", [((), 0.0), ((), 0.1), ((5,), 0.0), ((5,), 0.1)],
+                         ids=["heads", "heads_dropout", "block", "block_dropout"])
+def test_attention_is_the_same_at_every_tile_size(tile_rows, lead, rate, monkeypatch):
+    # unbatched (H, T, dh) tiles over heads, a block (B, H, T, dh) over its sequences
+    H, T, dh = (5, 4, 3) if not lead else (2, 4, 3)
+    qkv = np.random.default_rng(23).normal(size=(3, *lead, H, T, dh))
+    mask = _causal(T)
+    rngs = [np.random.default_rng(6), np.random.default_rng(6)]
+    reference = _outputs_and_grads(lambda x: attention_whole(x, mask, 0.7, rate, rngs[0]), [qkv])
+    _patch_tile(monkeypatch, tile_rows, (H if lead else 1) * T * T)
+    tiled = _outputs_and_grads(lambda x: attention(x, mask, 0.7, rate, rngs[1]), [qkv])
+    _assert_all_equal(reference, tiled)
+    assert rngs[0].random() == rngs[1].random()  # one keep-mask draw over the whole shape
+
+
+@TILE_ROWS
+def test_nll_and_its_gradient_are_the_same_at_every_tile_size(tile_rows, monkeypatch):
+    rng = np.random.default_rng(24)
+    z, t, g = 4.0 * rng.normal(size=(5, 9)), rng.integers(0, 9, size=5), rng.normal(size=5)
+    z_whole, z_tiled = z.copy(), z.copy()
+    reference = nll_whole(z_whole, t)
+    _patch_tile(monkeypatch, tile_rows, 9)
+    tiled = _nll(z_tiled, t)
+    _assert_all_equal([*reference, z_whole], [*tiled, z_tiled])
+    _assert_all_equal([nll_grad_whole(z_whole, reference[0], t, g)], [_nll_grad(z_tiled, tiled[0], t, g)])
 
 
 @pytest.mark.parametrize("x_shape", [(4, 3), (2, 4, 3)], ids=["2d", "3d"])
