@@ -93,7 +93,6 @@ def gamma_nll(pre: T.Tensor, t) -> T.Tensor:
     beta = np.logaddexp(0.0, pre.data[:, 1]) + _POSITIVE_EPS
     log_beta, log_t = np.log(beta), np.log(t)
     log_pdf = ((alpha * log_beta - lgamma_value(alpha)) + (alpha - 1.0) * log_t) - beta * t
-    out = T.Tensor(-log_pdf, parents=(pre,), name="gamma_nll")
 
     def bw(g):
         # the order of the terms and the C-ordered (K, 2) gradient each decide the last bits of every gradient
@@ -101,5 +100,4 @@ def gamma_nll(pre: T.Tensor, t) -> T.Tensor:
         gpre *= 1.0 / (1.0 + np.exp(-pre.data))
         T._accum(pre, gpre, owned=True)
 
-    out.backward_fn = bw if out.requires_grad else None
-    return out
+    return T.Tensor(-log_pdf, parents=(pre,), backward_fn=bw, name="gamma_nll")

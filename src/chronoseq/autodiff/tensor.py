@@ -47,7 +47,7 @@ class Tensor:
         self.owns_grad = False  # may .grad be written in place, or does it alias another array?
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
         self.parents = parents if self.requires_grad else ()
-        self.backward_fn = backward_fn if self.requires_grad else None
+        self.backward_fn = backward_fn if self.requires_grad else None  # the one gate; every op passes its closure
         self.name = name
 
     @property
@@ -67,10 +67,6 @@ def parameter(data, name=""):
 
 def constant(data, name=""):
     return Tensor(data, requires_grad=False, name=name)
-
-
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else constant(x)
 
 
 def _accum(t: Tensor, g: np.ndarray, owned=False):
@@ -185,45 +181,34 @@ def first_nonfinite(root: Tensor):
 
 
 def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data + b.data, parents=(a, b), name="add")
-
     def bw(g):
         _accum_unbroadcast(a, g)
         _accum_unbroadcast(b, g)
 
-    out.backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(a.data + b.data, parents=(a, b), backward_fn=bw, name="add")
 
 
 def scale(a, s: float):
-    out = Tensor(a.data * s, parents=(a,), name="scale")
-
     def bw(g):
         _accum(a, g * s, owned=True)
 
-    out.backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(a.data * s, parents=(a,), backward_fn=bw, name="scale")
 
 
 def matmul(a, b):
-    out = Tensor(np.matmul(a.data, b.data), parents=(a, b), name="matmul")
-
     def bw(g):
         if a.requires_grad:
             _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape), owned=True)
         if b.requires_grad:
             _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape), owned=True)
 
-    out.backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(np.matmul(a.data, b.data), parents=(a, b), backward_fn=bw, name="matmul")
 
 
 def linear(x, w, b):
     """x @ w + b as one node, which keeps no copy of x @ w."""
     y = np.matmul(x.data, w.data)
     y += b.data
-    out = Tensor(y, parents=(x, w, b), name="linear")
 
     def bw(g):
         if x.requires_grad:
@@ -232,8 +217,7 @@ def linear(x, w, b):
             _accum(w, _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w.data.shape), owned=True)
         _accum_unbroadcast(b, g)
 
-    out.backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(y, parents=(x, w, b), backward_fn=bw, name="linear")
 
 
 # ---------------------------------------------------------------------------
@@ -241,30 +225,24 @@ def linear(x, w, b):
 
 
 def reshape(a, shape):
-    out = Tensor(a.data.reshape(shape), parents=(a,), name="reshape")
-
     def bw(g):
         _accum(a, g.reshape(a.data.shape))
 
-    out.backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(a.data.reshape(shape), parents=(a,), backward_fn=bw, name="reshape")
 
 
 def transpose(a, axes):
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-    out = Tensor(np.transpose(a.data, axes), parents=(a,), name="transpose")
 
     def bw(g):
         _accum(a, np.transpose(g, inv))
 
-    out.backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(np.transpose(a.data, axes), parents=(a,), backward_fn=bw, name="transpose")
 
 
 def concat(tensors, axis):
     tensors = tuple(tensors)
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), parents=tensors, name="concat")
     sizes = [t.data.shape[axis] for t in tensors]
     bounds = np.cumsum([0] + sizes)
 
@@ -274,26 +252,22 @@ def concat(tensors, axis):
             sl[axis] = slice(lo, hi)
             _accum(t, g[tuple(sl)])
 
-    out.backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(np.concatenate([t.data for t in tensors], axis=axis), parents=tensors, backward_fn=bw,
+                  name="concat")
 
 
 def index_axis0(a, i: int):
     """Select one slice along the first axis (e.g. q/k/v from a stacked tensor)."""
-    out = Tensor(a.data[i], parents=(a,), name="index_axis0")
-
     def bw(g):
         _accum_at(a, i, g)
 
-    out.backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(a.data[i], parents=(a,), backward_fn=bw, name="index_axis0")
 
 
 def gather_rows(table, idx):
     """Row lookup table[idx] along the first axis; idx may be any integer shape
     (token embeddings, hidden states at the ATT slots)."""
     idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(table.data[idx], parents=(table,), name="gather_rows")
     flat = idx.ravel()
     increasing = flat.size < 2 or (flat[0] >= 0 and bool((np.diff(flat) > 0).all()))
 
@@ -305,8 +279,7 @@ def gather_rows(table, idx):
         np.add.at(full, idx, g)
         _accum(table, full, owned=True)
 
-    out.backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(table.data[idx], parents=(table,), backward_fn=bw, name="gather_rows")
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +318,6 @@ def layer_norm(x, gain, bias):
         inv[r] = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / n + LAYER_NORM_EPS)
         np.multiply(xc, inv[r], out=xhat[r])
         y[r] = gain.data * xhat[r] + bias.data
-    out = Tensor(y.reshape(x.data.shape), parents=(x, gain, bias), name="layer_norm")
 
     def bw(g):
         # the gain and bias gradients sum over rows, so they stay whole-array: tiles would reorder those sums
@@ -365,8 +337,7 @@ def layer_norm(x, gain, bias):
                 gx *= inv[r]
             _accum(x, gxs.reshape(x.data.shape), owned=True)
 
-    out.backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(y.reshape(x.data.shape), parents=(x, gain, bias), backward_fn=bw, name="layer_norm")
 
 
 def attention(qkv, mask, scale, rate=0.0, rng=None):
@@ -394,7 +365,6 @@ def attention(qkv, mask, scale, rate=0.0, rng=None):
         np.exp(pt, out=pt)
         pt /= pt.sum(axis=-1, keepdims=True)
         np.matmul(_dropped(pt, _at(keep, r), rate), v[r], out=y[r])
-    out = Tensor(y, parents=(qkv,), name="attention")
 
     def bw(g):
         gqkv = np.zeros_like(qkv.data)  # qkv's memory layout, so the reductions after it sum in the same order
@@ -409,8 +379,7 @@ def attention(qkv, mask, scale, rate=0.0, rng=None):
             gqkv[1][r] += np.swapaxes(np.matmul(np.swapaxes(q[r], -1, -2), ds), -1, -2)
         _accum(qkv, gqkv, owned=True)
 
-    out.backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(y, parents=(qkv,), backward_fn=bw, name="attention")
 
 
 def _at(keep, r):
@@ -444,13 +413,11 @@ def cross_entropy(logits, targets):
     t = np.asarray(targets, dtype=np.int64)
     z = logits.data.copy()
     lse, nll = _nll(z, t)
-    out = Tensor(nll, parents=(logits,), name="cross_entropy")
 
     def bw(g):
         _accum(logits, _nll_grad(z, lse, t, g), owned=True)
 
-    out.backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(nll, parents=(logits,), backward_fn=bw, name="cross_entropy")
 
 
 def tied_cross_entropy(hidden, emb, targets):
@@ -463,7 +430,6 @@ def tied_cross_entropy(hidden, emb, targets):
     t = np.asarray(targets, dtype=np.int64)
     z = np.matmul(hidden.data, emb.data.T)
     lse, nll = _nll(z, t)
-    out = Tensor(nll, parents=(hidden, emb), name="tied_cross_entropy")
 
     def bw(g):
         gz = _nll_grad(z, lse, t, g)
@@ -472,8 +438,7 @@ def tied_cross_entropy(hidden, emb, targets):
         if emb.requires_grad:
             _accum(emb, np.matmul(hidden.data.T, gz).T)  # a transposed view, as matmul through transpose gave
 
-    out.backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(nll, parents=(hidden, emb), backward_fn=bw, name="tied_cross_entropy")
 
 
 # tanh-GELU constants, shared with the graph-free decoder in model/inference.py
@@ -500,7 +465,6 @@ def gelu(x):
         xt = xs[r]
         th = _gelu_parts(xt)[1]
         y[r] = 0.5 * xt * (1.0 + th)
-    out = Tensor(y.reshape(x.data.shape), parents=(x,), name="gelu")
 
     def bw(g):
         xs, gs = _rows(x.data), _rows(g)
@@ -513,8 +477,7 @@ def gelu(x):
             np.multiply(gs[r], local, out=gx[r])
         _accum(x, gx.reshape(x.data.shape), owned=True)
 
-    out.backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(y.reshape(x.data.shape), parents=(x,), backward_fn=bw, name="gelu")
 
 
 def dropout(x, rate: float, rng: np.random.Generator):
@@ -522,13 +485,11 @@ def dropout(x, rate: float, rng: np.random.Generator):
     if rate <= 0.0:
         return x
     keep = _keep_mask(x.data.shape, rate, rng)
-    out = Tensor(_dropped(x.data, keep, rate), parents=(x,), name="dropout")
 
     def bw(g):
         _accum(x, _dropped(g, keep, rate), owned=True)
 
-    out.backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(_dropped(x.data, keep, rate), parents=(x,), backward_fn=bw, name="dropout")
 
 
 def _keep_mask(shape, rate, rng):
@@ -542,21 +503,16 @@ def _dropped(a, keep, rate):
 
 
 def total_sum(x):
-    out = Tensor(x.data.sum(), parents=(x,), name="sum")
-
     def bw(g):
         _accum(x, np.full_like(x.data, float(g)), owned=True)
 
-    out.backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(x.data.sum(), parents=(x,), backward_fn=bw, name="sum")
 
 
 def mean_all(x):
     n = x.data.size
-    out = Tensor(x.data.mean(), parents=(x,), name="mean")
 
     def bw(g):
         _accum(x, np.full_like(x.data, float(g) / n), owned=True)
 
-    out.backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(x.data.mean(), parents=(x,), backward_fn=bw, name="mean")

@@ -52,7 +52,7 @@ from .manifest import ManifestWriter
 from .model import ModelConfig, TimelineModel, load_checkpoint
 from .model.diagnostics import toy_grad_check
 from .privacy import audit_tables, write_privacy_csv
-from .simstudy import EncoderConfig, run_comparison, write_curves_csv
+from .simstudy import run_comparison, write_curves_csv
 from .synthworld import demographics_of
 from .training import TrainConfig, TrainingDiverged, prepare_corpus, train
 from .zeroshot import ConceptAncestry, TaskConfig, evaluate_task
@@ -234,6 +234,10 @@ def _cmd_train(args):
         seed=tcfg.seed,
         max_year_class=mcfg.max_td_year_class,
     )
+    rep = corpus.report
+    mani.add_counters(records=rep.n_records, sequences_dropped_short=rep.n_dropped_short,
+                      sequences_truncated=rep.n_truncated, train_sequences=rep.n_train, eval_sequences=rep.n_eval,
+                      year_class_clamped=sum(ex.sup.n_year_clamped for ex in corpus.train + corpus.eval))
     mcfg = replace(mcfg, vocab_size=len(corpus.vocab))
     if args.resume is None:
         model, resume_state = TimelineModel.initialize(mcfg, corpus.vocab, seed=tcfg.seed), None
@@ -460,9 +464,7 @@ def _cmd_simstudy(args):
     mani = ManifestWriter(
         "simstudy", args.seed or 0, {"steps": args.steps, "samples": args.samples, "early_stop": args.early_stop}
     )
-    cfg = EncoderConfig(steps=args.steps)
-    result = run_comparison(cfg, n_samples=args.samples, seed=mani.seed,
-                            stop_at_convergence=args.early_stop)
+    result = run_comparison(args.steps, n_samples=args.samples, seed=mani.seed, stop_at_convergence=args.early_stop)
     write_curves_csv(args.out, result)
     mani.add_output("curves", args.out)
     mani.write(_manifest_path(args, args.out))

@@ -327,12 +327,13 @@ def _ingest(tables: EventTables) -> _Ingestion:
     return _Ingestion(kept_visits, kept_events, report, person, codes, concepts, n_event_concepts)
 
 
-_VISIT_ORDER = operator.itemgetter(3, 0)  # (start_date, visit_id)
+_VISIT_ORDER = operator.itemgetter(3)  # start_date; the sort is stable, so same-day visits keep their table order
 
 
 @gc_paused
 def tables_to_records(tables: EventTables):
-    """Group the flat tables into PatientRecords (events sorted, visits by start date).
+    """Group the flat tables into PatientRecords (events sorted, visits by
+    start date, same-day visits in visits-table order).
 
     Only the rows the ingestion keeps count, and its IngestReport is
     returned: a person_id repeated in the persons table, a visit_id repeated

@@ -5,8 +5,7 @@ import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from .codec import TokenSequence
-from .tokens import END, MAX_ATT_DAYS, PAD, SPECIAL_TOKENS, UnknownTokenError, classify_token
+from .tokens import END, MAX_ATT_DAYS, SPECIAL_TOKENS, UnknownTokenError, classify_token
 
 __all__ = ["Vocabulary", "ExpandReport", "build_vocabulary", "expand_vocabulary"]
 
@@ -41,10 +40,6 @@ class Vocabulary:
 
     def encode(self, tokens) -> list[int]:
         return [self._index[t] for t in tokens]
-
-    @property
-    def pad_id(self) -> int:
-        return self._index[PAD]
 
     @property
     def end_id(self) -> int:
@@ -108,8 +103,7 @@ def build_vocabulary(corpus) -> Vocabulary:
     n_seq = 0
     for seq in corpus:
         n_seq += 1
-        tokens = seq.tokens if isinstance(seq, TokenSequence) else seq
-        observed.update(tokens)
+        observed.update(seq.tokens)
     if n_seq == 0:
         raise ValueError("cannot build a vocabulary from an empty corpus")
     base = list(SPECIAL_TOKENS) + list(_ATT_RANGE)

@@ -112,7 +112,6 @@ class PathwayResult:
     cohort: list[str]
     n_persons: int
     prevalence: float
-    spec: CohortSpec
 
 
 def pathway_cohort(tables: EventTables, spec: CohortSpec) -> PathwayResult:
@@ -146,4 +145,4 @@ def pathway_cohort(tables: EventTables, spec: CohortSpec) -> PathwayResult:
         if ok:
             cohort.append(rec.person_id)
     n = len(tables.persons)
-    return PathwayResult(cohort=cohort, n_persons=n, prevalence=len(cohort) / n if n else 0.0, spec=spec)
+    return PathwayResult(cohort=cohort, n_persons=n, prevalence=len(cohort) / n if n else 0.0)

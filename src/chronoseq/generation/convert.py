@@ -42,9 +42,8 @@ def convert_to_tables(corpus) -> tuple[EventTables, ConversionReport]:
     records = []
     for seq in sequences:
         report.attempted += 1
-        lenient = bool(getattr(seq, "hit_max_tokens", False))
         try:
-            rec = decode_sequence(seq, person_id=f"s{report.succeeded + 1}", lenient_tail=lenient)
+            rec = decode_sequence(seq, person_id=f"s{report.succeeded + 1}", lenient_tail=seq.hit_max_tokens)
         except DecodeError as e:
             report.failures[e.reason] = report.failures.get(e.reason, 0) + 1
             continue

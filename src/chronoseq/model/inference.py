@@ -305,18 +305,9 @@ class LaneBatch:
 
 
 def extract_representation(model: TimelineModel, tokens) -> np.ndarray:
-    """Final-layer hidden state at the last non-pad position; dimension embed_dim."""
+    """Final-layer hidden state at the last of the tokens (strings); dimension embed_dim."""
     if len(tokens) == 0:
         raise ValueError("cannot extract a representation from an empty sequence")
-    pad_id = model.vocab.pad_id
-    if tokens and isinstance(tokens[0], str):
-        ids = [model.vocab.id_of(t) for t in tokens]
-    else:
-        ids = [int(t) for t in tokens]
-    while ids and ids[-1] == pad_id:
-        ids.pop()
-    if not ids:
-        raise ValueError("sequence contains only padding")
     session = InferenceSession(model)
-    session.prefill(ids)
+    session.prefill([model.vocab.id_of(t) for t in tokens])
     return session.last_hidden().copy()

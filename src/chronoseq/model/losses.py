@@ -33,7 +33,7 @@ from .config import ModelConfig
 from .params import ModelParams
 from .transformer import hidden_states, segment_causal_mask
 
-__all__ = ["td_loss", "tte_loss", "total_loss", "evaluate_loss", "LossBreakdown"]
+__all__ = ["td_loss", "tte_loss", "total_loss", "evaluate_loss"]
 
 
 def td_loss(params: ModelParams, cfg: ModelConfig, hidden_at_att: Tensor, year_t, month_t, day_t) -> Tensor:
@@ -64,12 +64,9 @@ def tte_loss(params: ModelParams, hidden_at_att: Tensor, tte_t) -> Tensor:
     return total_sum(gamma_nll(linear(h, params["tte.fc2.w"], params["tte.fc2.b"]), tte_t))
 
 
-class LossBreakdown(dict):
-    """total/ntp/td/tte components, each already normalized per non-pad token."""
-
-
 def total_loss(params: ModelParams, cfg: ModelConfig, batch, dropout_rng=None):
-    """Combined objective over one packed batch -> (scalar Tensor, LossBreakdown).
+    """Combined objective over one packed batch -> (scalar Tensor, dict of
+    total/ntp/td/tte, each already normalized per non-pad token).
 
     Per-token next-token cross-entropy everywhere it has a same-sequence
     target, plus TD and TTE at time-token positions only, summed and divided
@@ -101,7 +98,7 @@ def total_loss(params: ModelParams, cfg: ModelConfig, batch, dropout_rng=None):
 
     total = tree_sum(ntp_terms + td_terms + tte_terms)
     total = scale(total, 1.0 / n_tokens)
-    breakdown = LossBreakdown(
+    breakdown = dict(
         total=float(total.data),
         ntp=sum(float(t.data) for t in ntp_terms) / n_tokens,
         td=sum(float(t.data) for t in td_terms) / n_tokens,

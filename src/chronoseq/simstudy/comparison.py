@@ -10,7 +10,6 @@ from ..autodiff.tensor import first_nonfinite
 from ..codec import write_csv
 from ..training.optimizer import AdamW
 from .encoder import (
-    EncoderConfig,
     batch_accuracy,
     batch_loss,
     encode_summation_batch,
@@ -22,6 +21,13 @@ from .logic import LOGIC_DOMAIN, logic_label
 __all__ = ["SimDataset", "sample_dataset", "AccuracyCurve", "ComparisonResult", "run_comparison", "write_curves_csv"]
 
 TARGET_ACCURACY = 0.99  # full-train accuracy that counts as converged
+
+# the one training recipe of the study, shared by both models
+_BATCH_SIZE = 128
+_EVAL_EVERY = 100  # steps between full-train accuracy evaluations
+_LEARNING_RATE = 1e-3
+_WEIGHT_DECAY = 0.01
+_WARMUP_STEPS = 500
 
 
 @dataclass
@@ -86,14 +92,12 @@ class ComparisonResult:
     seed: int
 
 
-def _train_one(name, encode_fn, dataset, cfg: EncoderConfig, seed: int, max_steps: int,
-               stop_at=None) -> AccuracyCurve:
-    params = init_encoder_params(cfg, seed)
-    opt = AdamW(params, lr=cfg.learning_rate, weight_decay=cfg.weight_decay,
-                warmup_steps=cfg.warmup_steps)
+def _train_one(name, encode_fn, dataset, seed: int, max_steps: int, stop_at=None) -> AccuracyCurve:
+    params = init_encoder_params(seed)
+    opt = AdamW(params, lr=_LEARNING_RATE, weight_decay=_WEIGHT_DECAY, warmup_steps=_WARMUP_STEPS)
     curve = AccuracyCurve(model=name)
     full = dataset.full()
-    curve.points.append((0, batch_accuracy(params, cfg, encode_fn, full)))
+    curve.points.append((0, batch_accuracy(params, encode_fn, full)))
     if stop_at is not None and curve.points[-1][1] >= stop_at:
         return curve
     n = len(dataset)
@@ -102,17 +106,17 @@ def _train_one(name, encode_fn, dataset, cfg: EncoderConfig, seed: int, max_step
     while step < max_steps:
         order = np.random.default_rng(np.random.SeedSequence([seed, 0xE90C, epoch])).permutation(n)
         epoch += 1
-        for lo in range(0, n, cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
+        for lo in range(0, n, _BATCH_SIZE):
+            idx = order[lo : lo + _BATCH_SIZE]
             params.zero_grads()
-            loss = batch_loss(params, cfg, encode_fn, dataset.batch(idx))
+            loss = batch_loss(params, encode_fn, dataset.batch(idx))
             if not np.isfinite(loss.data):
                 raise RuntimeError(f"{name}: non-finite loss at step {step + 1} (op {first_nonfinite(loss)!r})")
             backward(loss)
             opt.step()
             step += 1
-            if step % cfg.eval_every == 0:
-                acc = batch_accuracy(params, cfg, encode_fn, full)
+            if step % _EVAL_EVERY == 0:
+                acc = batch_accuracy(params, encode_fn, full)
                 curve.points.append((step, acc))
                 if stop_at is not None and acc >= stop_at:
                     return curve
@@ -122,13 +126,13 @@ def _train_one(name, encode_fn, dataset, cfg: EncoderConfig, seed: int, max_step
 
 
 def run_comparison(
-    cfg: EncoderConfig = EncoderConfig(),
+    steps: int = 20000,
     n_samples: int = 1000,
     seed: int = 0,
     stop_at_convergence: bool = False,
 ) -> ComparisonResult:
-    """Train both models on identical data; record full-train accuracy every
-    eval_every steps (step 0 included).
+    """Train both models on identical data for up to steps steps; record
+    full-train accuracy every _EVAL_EVERY steps (step 0 included).
 
     With stop_at_convergence, the time-token model halts at its first
     evaluation >= TARGET_ACCURACY and the summation model trains only up to
@@ -139,14 +143,13 @@ def run_comparison(
         "timetoken",
         encode_timetoken_batch,
         dataset,
-        cfg,
         seed,
-        cfg.steps,
+        steps,
         stop_at=TARGET_ACCURACY if stop_at_convergence else None,
     )
     conv = tt_curve.first_step_reaching(TARGET_ACCURACY)
-    sum_steps = cfg.steps if not stop_at_convergence else (conv if conv is not None else cfg.steps)
-    sum_curve = _train_one("summation", encode_summation_batch, dataset, cfg, seed, max(sum_steps, 0))
+    sum_steps = steps if not stop_at_convergence else (conv if conv is not None else steps)
+    sum_curve = _train_one("summation", encode_summation_batch, dataset, seed, max(sum_steps, 0))
     return ComparisonResult(
         timetoken=tt_curve,
         summation=sum_curve,

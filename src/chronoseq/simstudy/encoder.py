@@ -8,8 +8,6 @@ summed embeddings (x1+t1, x2+t2).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..autodiff import (
@@ -30,7 +28,7 @@ from ..autodiff import (
 from ..model.params import ModelParams, init_params
 from .logic import LOGIC_DOMAIN
 
-__all__ = ["EncoderConfig", "CLS_ID", "X_BASE", "T_BASE", "VOCAB_SIZE", "init_encoder_params",
+__all__ = ["CLS_ID", "X_BASE", "T_BASE", "VOCAB_SIZE", "init_encoder_params",
            "encode_timetoken_batch", "encode_summation_batch", "classifier_logits", "batch_loss", "batch_accuracy"]
 
 CLS_ID = 0
@@ -39,29 +37,17 @@ T_BASE = 3  # ids 3..31 for time values 0..28 (shared by t and delta-t)
 VOCAB_SIZE = T_BASE + LOGIC_DOMAIN["t_max"] + 1
 _MAX_LEN = 4
 
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    embed_dim: int = 16
-    n_layers: int = 2
-    n_heads: int = 2
-    intermediate_dim: int = 32
-    steps: int = 20000
-    batch_size: int = 128
-    eval_every: int = 100
-    learning_rate: float = 1e-3
-    weight_decay: float = 0.01
-    warmup_steps: int = 500
-
-    @property
-    def head_dim(self) -> int:
-        return self.embed_dim // self.n_heads
+# the one encoder recipe of the study, shared by both models
+_EMBED_DIM = 16
+_N_LAYERS = 2
+_N_HEADS = 2
+_INTERMEDIATE_DIM = 32
 
 
-def init_encoder_params(cfg: EncoderConfig, seed: int) -> ModelParams:
-    d, f = cfg.embed_dim, cfg.intermediate_dim
+def init_encoder_params(seed: int) -> ModelParams:
+    d, f = _EMBED_DIM, _INTERMEDIATE_DIM
     shapes = {"tok_emb": (VOCAB_SIZE, d), "pos_emb": (_MAX_LEN, d)}
-    for i in range(cfg.n_layers):
+    for i in range(_N_LAYERS):
         p = f"enc{i}."
         shapes.update({
             p + "qkv.w": (d, 3 * d), p + "qkv.b": (3 * d,),
@@ -75,11 +61,11 @@ def init_encoder_params(cfg: EncoderConfig, seed: int) -> ModelParams:
     return init_params(shapes, seed)
 
 
-def _encoder_stack(params: ModelParams, cfg: EncoderConfig, x: Tensor) -> Tensor:
+def _encoder_stack(params: ModelParams, x: Tensor) -> Tensor:
     """(B, L, d) -> (B, L, d), bidirectional post-norm blocks."""
     B, L, d = x.data.shape
-    H, dh = cfg.n_heads, cfg.head_dim
-    for i in range(cfg.n_layers):
+    H, dh = _N_HEADS, _EMBED_DIM // _N_HEADS
+    for i in range(_N_LAYERS):
         p = f"enc{i}."
         qkv = linear(x, params[p + "qkv.w"], params[p + "qkv.b"])
         qkv = transpose(reshape(qkv, (B, L, 3, H, dh)), (2, 0, 3, 1, 4))  # (3, B, H, L, dh)
@@ -93,7 +79,7 @@ def _encoder_stack(params: ModelParams, cfg: EncoderConfig, x: Tensor) -> Tensor
     return x
 
 
-def encode_timetoken_batch(params: ModelParams, cfg: EncoderConfig, x1, t1, x2, t2) -> Tensor:
+def encode_timetoken_batch(params: ModelParams, x1, t1, x2, t2) -> Tensor:
     """Inputs as three tokens: e_x1, e_dt, e_x2 (plus CLS); only the interval enters."""
     B = len(x1)
     dt = np.asarray(t2) - np.asarray(t1)
@@ -108,10 +94,10 @@ def encode_timetoken_batch(params: ModelParams, cfg: EncoderConfig, x1, t1, x2, 
     )
     x = gather_rows(params["tok_emb"], ids)  # (B, 4, d)
     x = add(x, gather_rows(params["pos_emb"], np.arange(4)))
-    return _encoder_stack(params, cfg, x)
+    return _encoder_stack(params, x)
 
 
-def encode_summation_batch(params: ModelParams, cfg: EncoderConfig, x1, t1, x2, t2) -> Tensor:
+def encode_summation_batch(params: ModelParams, x1, t1, x2, t2) -> Tensor:
     """Inputs as two positions carrying e_x + e_t sums (plus CLS)."""
     B = len(x1)
     x_ids = np.stack([X_BASE + np.asarray(x1, np.int64), X_BASE + np.asarray(x2, np.int64)], axis=1)
@@ -120,7 +106,7 @@ def encode_summation_batch(params: ModelParams, cfg: EncoderConfig, x1, t1, x2, 
     cls = gather_rows(params["tok_emb"], np.full((B, 1), CLS_ID, dtype=np.int64))
     x = concat([cls, summed], axis=1)  # (B, 3, d)
     x = add(x, gather_rows(params["pos_emb"], np.arange(3)))
-    return _encoder_stack(params, cfg, x)
+    return _encoder_stack(params, x)
 
 
 def classifier_logits(params: ModelParams, hidden: Tensor) -> Tensor:
@@ -129,15 +115,15 @@ def classifier_logits(params: ModelParams, hidden: Tensor) -> Tensor:
     return linear(cls, params["head.w"], params["head.b"])
 
 
-def batch_loss(params: ModelParams, cfg: EncoderConfig, encode_fn, batch) -> Tensor:
+def batch_loss(params: ModelParams, encode_fn, batch) -> Tensor:
     x1, t1, x2, t2, y = batch
-    hidden = encode_fn(params, cfg, x1, t1, x2, t2)
+    hidden = encode_fn(params, x1, t1, x2, t2)
     logits = classifier_logits(params, hidden)
     return mean_all(cross_entropy(logits, np.asarray(y, dtype=np.int64)))
 
 
-def batch_accuracy(params: ModelParams, cfg: EncoderConfig, encode_fn, batch) -> float:
+def batch_accuracy(params: ModelParams, encode_fn, batch) -> float:
     x1, t1, x2, t2, y = batch
-    hidden = encode_fn(params, cfg, x1, t1, x2, t2)
+    hidden = encode_fn(params, x1, t1, x2, t2)
     logits = classifier_logits(params, hidden)
     return float((logits.data.argmax(axis=1) == np.asarray(y)).mean())

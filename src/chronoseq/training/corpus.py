@@ -58,15 +58,13 @@ def prepare_corpus(
     eval_fraction: float = 0.1,
     seed: int = 0,
     max_year_class: int = 10,
-    vocab: Vocabulary | None = None,
 ) -> PreparedCorpus:
     """Encode records, drop sequences under min_seq_tokens, truncate to the
     context window, and split train/eval with a seeded shuffle.
 
-    The vocabulary is built over every retained sequence unless one is
-    supplied (fine-tuning on new data). codec_cfg is unused, since the
-    timeline grammar is fixed; it is kept only for the calls in perfbench/,
-    which still pass a CodecConfig().
+    The vocabulary is built over every retained sequence. codec_cfg is
+    unused, since the timeline grammar is fixed; it is kept only for the
+    calls in perfbench/, which still pass a CodecConfig().
     """
     if not (0.0 < eval_fraction < 1.0):
         raise ValueError(f"eval_fraction out of range: {eval_fraction}")
@@ -84,8 +82,7 @@ def prepare_corpus(
         kept.append(seq)
     if not kept:
         raise ValueError("no sequences left after the minimum-length filter")
-    if vocab is None:
-        vocab = build_vocabulary(kept)
+    vocab = build_vocabulary(kept)
     order = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED])).permutation(len(kept))
     n_eval = max(1, int(round(len(kept) * eval_fraction))) if len(kept) > 1 else 0
     eval_idx = set(order[:n_eval].tolist())

@@ -27,7 +27,7 @@ from chronoseq.generation import (
 from chronoseq.model import ModelConfig, TimelineModel
 from chronoseq.model.diagnostics import toy_grad_check
 from chronoseq.privacy import RISK_THRESHOLD, attribute_inference, membership_inference, nnaa_risk
-from chronoseq.simstudy import EncoderConfig, handcrafted_activations, handcrafted_forward, run_comparison
+from chronoseq.simstudy import handcrafted_activations, handcrafted_forward, run_comparison
 from chronoseq.synthworld import WorldConfig, demographics_of, sample_hospital_records
 from chronoseq.training import TrainConfig, prepare_corpus, train
 from chronoseq.zeroshot import TaskConfig, simulate_probability
@@ -68,13 +68,13 @@ def test_c01_handcrafted_router_exact():
 
 
 def test_c02_simulation_study_five_seeds():
-    cfg = EncoderConfig()  # embed 16, 2 layers, intermediate 32, batch 128, 20000 steps
+    # the study's fixed recipe: embed 16, 2 layers, intermediate 32, batch 128, 20000 steps at most
     converged = 0
     gapped = 0
     tt_final, sum_final = [], []
     details = []
     for seed in range(5):
-        res = run_comparison(cfg, n_samples=1000, seed=seed, stop_at_convergence=True)
+        res = run_comparison(n_samples=1000, seed=seed, stop_at_convergence=True)
         tt_final.append(res.timetoken.points[-1][1])
         sum_final.append(res.summation.points[-1][1])
         if res.convergence_step is not None:

@@ -1,4 +1,5 @@
-"""Every function, class and public method in `src/chronoseq` has a caller.
+"""Every function, class and public method in `src/chronoseq` has a caller,
+and every defaulted parameter of one is set by some caller.
 
 A caller is a use of the name, as an `ast.Name` or an `ast.Attribute`,
 anywhere in `src/` or `perfbench/` outside the definition itself. Imports,
@@ -7,7 +8,8 @@ so a collision can hide dead code from this test but never flags live code.
 
 Names that only the tests call stay only when they are a reference the
 tests check the pipeline against; each is listed in TEST_REFERENCE_API with
-its reason.
+its reason. Defaulted parameters that only the tests set stay only when they
+are a seam the tests need; each is listed in TEST_SEAMS with its reason.
 """
 import ast
 from pathlib import Path
@@ -22,6 +24,14 @@ TEST_REFERENCE_API = {
     "validate_sequence": "the grammar check that the acceptance tests apply to generated sequences",
     "recompose_interval": "the inverse that checks decompose_interval round-trips",
     "handcrafted_forward": "the paper's hand-built router for the logic task",
+}
+
+TEST_SEAMS = {
+    ("main", "argv"): "the tests drive the CLI in process",
+    ("sample_hospital_records", "cfg"): "the test worlds set their own WorldConfig",
+    ("decode_sequence", "anchor"): "the C05 round trip decodes against each record's own first date",
+    ("train", "stop_when"): "the C06 overfit oracle stops training once the batch is memorized",
+    ("fit_logistic", "tol"): "the scale-equivariance test tightens the convergence tolerance",
 }
 
 
@@ -66,3 +76,75 @@ def test_every_public_name_has_a_caller():
     assert not dead, "defined in src/chronoseq but used nowhere in src/ or perfbench/:\n" + "\n".join(dead)
     stale = sorted(TEST_REFERENCE_API.keys() - uncalled.keys())
     assert not stale, f"TEST_REFERENCE_API lists names that are defined nowhere or have callers now: {stale}"
+
+
+def _defaulted(fn, method):
+    """(name, position or None for keyword-only) of each parameter of fn that has a default;
+    a method's positions do not count self or cls."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    skip = 1 if method and not any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list) else 0
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+    return out + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def _defaulted_parameters():
+    """(callable name, parameter, position, where) of every defaulted parameter of a module-level
+    function, a method or an explicit __init__ (filed under its class). Dataclass fields are not
+    parameters here: the config loaders set them by name, and the reports count into them."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        rel = path.relative_to(ROOT)
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for param, pos in _defaulted(node, method=False):
+                    yield node.name, param, pos, f"{rel}:{node.lineno}"
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        name = node.name if item.name == "__init__" else item.name
+                        for param, pos in _defaulted(item, method=True):
+                            yield name, param, pos, f"{rel}:{item.lineno}"
+
+
+def _calls():
+    """name -> [ast.Call] of every call in the caller directories, by the called name; a cls(...)
+    call inside a classmethod is filed under its class."""
+    calls: dict[str, list] = {}
+    for root in CALLER_DIRS:
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            own_class = {}
+            for cls in ast.walk(tree):
+                if isinstance(cls, ast.ClassDef):
+                    for item in cls.body:
+                        if isinstance(item, ast.FunctionDef) and any(
+                                getattr(d, "id", None) == "classmethod" for d in item.decorator_list):
+                            own_class.update((id(n), cls.name) for n in ast.walk(item) if isinstance(n, ast.Call))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+                if name == "cls" and id(node) in own_class:
+                    name = own_class[id(node)]
+                if name is not None:
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _sets(call, param, pos):
+    """Does the call pass param, by keyword or at its position? A * or ** argument may pass anything."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    return pos is not None and (len(call.args) > pos or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    calls = _calls()
+    unset = {(name, param): where for name, param, pos, where in _defaulted_parameters()
+             if not any(_sets(c, param, pos) for c in calls.get(name, ()))}
+    dead = sorted(f"{name}({param}) ({unset[name, param]})" for name, param in unset.keys() - TEST_SEAMS.keys())
+    assert not dead, ("defaulted in src/chronoseq but set by no call in src/ or perfbench/:\n" + "\n".join(dead))
+    stale = sorted(TEST_SEAMS.keys() - unset.keys())
+    assert not stale, f"TEST_SEAMS lists parameters that are defined nowhere or have callers now: {stale}"

@@ -242,6 +242,44 @@ def test_train_outputs(trained_run):
     assert mani["subcommand"] == "train"
 
 
+def test_train_manifest_counts_what_corpus_preparation_dropped(table_dir, tmp_path, monkeypatch):
+    """The corpus counters equal the report of the prepare_corpus call the run made, and
+    counting leaves the checkpoint and the loss curves byte-identical."""
+    import chronoseq.cli as cli
+    from chronoseq.manifest import ManifestWriter
+
+    real_prepare, calls = cli.prepare_corpus, []
+
+    def prepare_corpus(*args, **kwargs):
+        calls.append(real_prepare(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(cli, "prepare_corpus", prepare_corpus)
+    # a window, a length floor and a year-class cap that each cut something from these tables
+    (tmp_path / "t.cfg").write_text("warmup_steps: 5\ntokens_per_batch: 512\nmin_seq_tokens: 20\nmax_steps: 2\n")
+    (tmp_path / "m.cfg").write_text("embed_dim: 12\nn_layers: 1\nn_heads: 2\ncontext_window: 32\n"
+                                    "max_td_year_class: 1\n")
+
+    def run(name):
+        assert main(["train", *tbl_args(table_dir), "--train-config", str(tmp_path / "t.cfg"),
+                     "--model-config", str(tmp_path / "m.cfg"), "--out-dir", str(tmp_path / name)]) == 0
+        return tmp_path / name
+
+    counted = run("counted")
+    counters = json.loads((counted / "run.manifest.json").read_text())["counters"]
+    corpus, = calls
+    rep = corpus.report
+    expected = dict(records=rep.n_records, sequences_dropped_short=rep.n_dropped_short,
+                    sequences_truncated=rep.n_truncated, train_sequences=rep.n_train, eval_sequences=rep.n_eval,
+                    year_class_clamped=sum(ex.sup.n_year_clamped for ex in corpus.train + corpus.eval))
+    assert {k: counters[k] for k in expected} == expected
+    assert expected["records"] == 30 and min(expected.values()) > 0
+    monkeypatch.setattr(ManifestWriter, "add_counters", lambda self, **counts: None)
+    uncounted = run("uncounted")
+    for name in ("final.ckpt", "loss_curves.csv"):
+        assert sha256_file(counted / name) == sha256_file(uncounted / name), name
+
+
 def test_train_unknown_field_is_validation_error(table_dir, tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("learning_rate: 1e-3\nbogus_field: 2\n")

@@ -268,6 +268,37 @@ def test_tables_roundtrip(tmp_path):
     assert back_rows == [("a", "1.5"), ('say "hi", then go', "")]
 
 
+def _same_day_tenth_visit():
+    """Visits 1-9 ten days apart and a 10th on the 9th's day. records_to_tables names them
+    v1..v10, and as strings "v10" sorts before "v9"."""
+    start = dt.date(2000, 1, 1)
+    visits = []
+    for k in range(9):
+        day = start + dt.timedelta(days=10 * k)
+        visits.append(Visit(9202, day, day, None, (ClinicalEvent(day, "condition", 100 + k),)))
+    visits.append(Visit(9203, day, day, None, (ClinicalEvent(day, "condition", 200),)))
+    return PatientRecord("p1", 1950, 8532, 8527, tuple(visits))
+
+
+def test_same_day_visits_keep_their_order_through_tables(tmp_path):
+    from chronoseq.generation import convert_to_tables
+
+    rec = _same_day_tenth_visit()
+    tables = records_to_tables([rec])
+    assert [v[0] for v in tables.visits[-2:]] == ["v9", "v10"]
+    back, _ = tables_to_records(tables)
+    assert back == [rec]
+    paths = write_tables(tables, tmp_path)
+    back, _ = tables_to_records(read_tables(paths["persons"], paths["visits"], paths["events"]))
+    assert back == [rec]
+    seq = encode_patient(rec)
+    converted, report = convert_to_tables([seq])
+    assert report.succeeded == 1
+    back, _ = tables_to_records(converted)
+    assert [v.visit_concept_id for v in back[0].visits][-2:] == [9202, 9203]
+    assert encode_patient(back[0]).tokens == seq.tokens
+
+
 def test_tables_drop_unknown_concepts():
     d0 = dt.date(2000, 1, 1)
     rec = PatientRecord("p", 1950, 8532, 8527, (Visit(9202, d0, d0, None,

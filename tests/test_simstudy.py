@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from chronoseq.simstudy import (
-    EncoderConfig,
     handcrafted_activations,
     handcrafted_forward,
     logic_label,
@@ -78,30 +77,27 @@ def test_dataset_sampling_deterministic_and_labeled():
 
 
 def test_encoders_forward_shapes_and_grads():
-    cfg = EncoderConfig()
-    params = init_encoder_params(cfg, seed=0)
+    params = init_encoder_params(seed=0)
     data = sample_dataset(32, seed=0)
     batch = data.full()
     for enc in (encode_timetoken_batch, encode_summation_batch):
-        loss = batch_loss(params, cfg, enc, batch)
+        loss = batch_loss(params, enc, batch)
         assert np.isfinite(loss.data)
-        acc = batch_accuracy(params, cfg, enc, batch)
+        acc = batch_accuracy(params, enc, batch)
         assert 0.0 <= acc <= 1.0
 
 
 def test_untrained_accuracy_in_majority_band():
     data = sample_dataset(1000, seed=1)
     base = max(data.y.mean(), 1 - data.y.mean())
-    cfg = EncoderConfig()
-    params = init_encoder_params(cfg, seed=3)
-    acc = batch_accuracy(params, cfg, encode_timetoken_batch, data.full())
+    params = init_encoder_params(seed=3)
+    acc = batch_accuracy(params, encode_timetoken_batch, data.full())
     assert 0.2 <= acc <= base + 0.05  # untrained: at or below the majority rate
 
 
 def test_run_comparison_deterministic_per_seed():
-    cfg = EncoderConfig(steps=200, eval_every=100)
-    r1 = run_comparison(cfg, n_samples=200, seed=9)
-    r2 = run_comparison(cfg, n_samples=200, seed=9)
+    r1 = run_comparison(200, n_samples=200, seed=9)
+    r2 = run_comparison(200, n_samples=200, seed=9)
     assert r1.timetoken.points == r2.timetoken.points
     assert r1.summation.points == r2.summation.points
     # curves include step 0 and the cadence
@@ -110,8 +106,7 @@ def test_run_comparison_deterministic_per_seed():
 
 
 def test_curves_csv(tmp_path):
-    cfg = EncoderConfig(steps=100, eval_every=50)
-    res = run_comparison(cfg, n_samples=100, seed=2)
+    res = run_comparison(100, n_samples=100, seed=2)
     from chronoseq.simstudy import write_curves_csv
 
     out = tmp_path / "curves.csv"
