@@ -1,9 +1,11 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
-Training math runs in float64 so finite-difference gradient checks are
-decisive; inference code paths may downcast outside this module.
+Every array is float64, so finite-difference gradient checks are decisive;
+the graph-free decoder in model/inference.py runs in float64 too.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -289,16 +291,26 @@ def gather_rows(table, idx):
 LAYER_NORM_EPS = 1e-5  # shared with the graph-free decoder in model/inference.py
 
 # float64 elements per operand in one row tile (256 KiB): layer_norm, gelu,
-# attention and the cross-entropy ops run their elementwise work tile by tile,
+# attention and cross_entropy run their elementwise work tile by tile,
 # so a tile's temporaries stay in cache and no whole-array temporary is made.
 # Every row's arithmetic is the same at any tile size.
 _TILE = 32768
 
 
-def _tiles(n_rows, row_size):
-    """Slices of consecutive rows, each at most _TILE elements (and at least one row)."""
-    step = max(1, _TILE // max(1, row_size))
-    return [slice(r, r + step) for r in range(0, n_rows, step)]
+# rows of hidden per tile of the tied head, whose (rows, V) logits are the only
+# ones that exist at once. Unlike _TILE, this size moves bits at the ulp level:
+# a BLAS product can round a row differently with the number of rows, and the
+# embedding gradient sums the tiles' products. A multiple of 32, so that a
+# whole tile's sum does not depend on the BLAS thread count; 128 was the
+# fastest of 32 to 512 rows for a 1900 x 1241 head (2-vCPU Xeon, 1 and 2
+# BLAS threads).
+_HEAD_ROWS = 128
+
+
+def _tiles(n_rows, row_size, rows=None):
+    """Slices of consecutive rows: `rows` rows each, or by default at most _TILE elements (and at least one row)."""
+    step = rows or max(1, _TILE // max(1, row_size))
+    return [slice(r, min(r + step, n_rows)) for r in range(0, n_rows, step)]
 
 
 def _rows(a):
@@ -345,31 +357,47 @@ def attention(qkv, mask, scale, rate=0.0, rng=None):
 
     mask is an additive (T, T) array or None. The attention weights pass
     through inverted dropout at `rate`, drawn from rng as the dropout op
-    draws, with one keep-mask over all of them. One node: only the
-    probabilities (and the keep-mask) stay for backward, which writes dq, dk
-    and dv into one gradient array for qkv. Both passes run in row tiles
-    along qkv's second axis (the sequences of a block, or the heads of one
-    sequence); each product is per (sequence, head) either way.
+    draws, with one keep-mask over all of them. One node that keeps its
+    output, each score row's max and sum, and the keep-mask: backward
+    recomputes each tile's probabilities with the forward's own operations,
+    so they have the forward's bits, and writes dq, dk and dv into one
+    gradient array for qkv. Both passes run in
+    row tiles along qkv's second axis (the sequences of a block, or the heads
+    of one sequence), with one probability buffer reused across the tiles;
+    each product is per (sequence, head) either way.
     """
     q, k, v = qkv.data[0], qkv.data[1], qkv.data[2]
-    p = np.empty((*q.shape[:-1], k.shape[-2]))
-    keep = _keep_mask(p.shape, rate, rng)
-    y = np.empty((*p.shape[:-1], v.shape[-1]))
-    tiles = _tiles(len(p), p[0].size)
-    for r in tiles:
-        pt = np.matmul(q[r], np.swapaxes(k[r], -1, -2), out=p[r])
+    p_shape = (*q.shape[:-1], k.shape[-2])
+    keep = _keep_mask(p_shape, rate, rng)
+    y = np.empty((*p_shape[:-1], v.shape[-1]))
+    tiles = _tiles(p_shape[0], math.prod(p_shape[1:]))
+    step = tiles[0].stop if tiles else 0  # rows of the largest tile
+    rmax, rsum = np.empty((*p_shape[:-1], 1)), np.empty((*p_shape[:-1], 1))
+
+    def probs(r, buf, forward=False):
+        """softmax(q k^T * scale + mask) of tile r, written into buf; forward also sets the row max and sum."""
+        pt = np.matmul(q[r], np.swapaxes(k[r], -1, -2), out=buf[:r.stop - r.start])
         pt *= scale
         if mask is not None:
             pt += mask
-        pt -= pt.max(axis=-1, keepdims=True)
+        if forward:
+            np.max(pt, axis=-1, keepdims=True, out=rmax[r])
+        pt -= rmax[r]
         np.exp(pt, out=pt)
-        pt /= pt.sum(axis=-1, keepdims=True)
-        np.matmul(_dropped(pt, _at(keep, r), rate), v[r], out=y[r])
+        if forward:
+            np.sum(pt, axis=-1, keepdims=True, out=rsum[r])
+        pt /= rsum[r]
+        return pt
+
+    buf = np.empty((step, *p_shape[1:]))
+    for r in tiles:
+        np.matmul(_dropped(probs(r, buf, forward=True), _at(keep, r), rate), v[r], out=y[r])
 
     def bw(g):
         gqkv = np.zeros_like(qkv.data)  # qkv's memory layout, so the reductions after it sum in the same order
+        buf = np.empty((step, *p_shape[1:]))
         for r in tiles:
-            pt, kt = p[r], _at(keep, r)
+            pt, kt = probs(r, buf), _at(keep, r)
             gqkv[2][r] += np.matmul(np.swapaxes(_dropped(pt, kt, rate), -1, -2), g[r])
             ds = _dropped(np.matmul(g[r], np.swapaxes(v[r], -1, -2)), kt, rate)
             ds -= (ds * pt).sum(axis=-1, keepdims=True)
@@ -423,22 +451,54 @@ def cross_entropy(logits, targets):
 def tied_cross_entropy(hidden, emb, targets):
     """cross_entropy(hidden @ emb^T, targets) as one node: the tied output head.
 
-    hidden (N, d), emb (V, d), targets (N,) ints. Only the shifted logits are
-    kept; backward overwrites them with their gradient, which is safe because
-    backward consumes the graph.
+    hidden (N, d), emb (V, d), targets (N,) ints. The product runs in tiles of
+    _HEAD_ROWS rows through one reused (rows, V) logit buffer, so no (N, V)
+    array exists. Forward keeps each row's max and log-sum-exp; backward
+    recomputes each tile's logits, turns them into that tile's gradient in
+    place and adds the tile's products into the hidden and embedding
+    gradients, the embedding's in tile order. One tile gives the bits of the
+    untiled head.
     """
     t = np.asarray(targets, dtype=np.int64)
-    z = np.matmul(hidden.data, emb.data.T)
-    lse, nll = _nll(z, t)
+    hd, ed = hidden.data, emb.data
+    tiles = _tiles(len(hd), len(ed), _HEAD_ROWS)
+    zmax, lse, z_target = np.empty(len(hd)), np.empty(len(hd)), np.empty(len(hd))
+    step = tiles[0].stop if tiles else 0  # rows of the largest tile
+
+    buf = np.empty((step, len(ed)))
+    for r in tiles:
+        z = np.matmul(hd[r], ed.T, out=buf[:r.stop - r.start])
+        np.max(z, axis=-1, out=zmax[r])
+        z -= zmax[r, None]
+        z_target[r] = z[np.arange(len(z)), t[r]]
+        np.exp(z, out=z)
+        np.log(z.sum(axis=-1), out=lse[r])
 
     def bw(g):
-        gz = _nll_grad(z, lse, t, g)
-        if hidden.requires_grad:
-            _accum(hidden, np.matmul(gz, emb.data), owned=True)
-        if emb.requires_grad:
-            _accum(emb, np.matmul(hidden.data.T, gz).T)  # a transposed view, as matmul through transpose gave
+        gh = np.empty(hd.shape) if hidden.requires_grad else None
+        gemb = prod = None
+        buf = np.empty((step, len(ed)))
+        for r in tiles:
+            z = np.matmul(hd[r], ed.T, out=buf[:r.stop - r.start])  # the forward's logits, recomputed
+            z -= zmax[r, None]
+            z -= lse[r, None]  # the softmax is built only when a gradient is asked for
+            np.exp(z, out=z)
+            z *= g[r, None]
+            z[np.arange(len(z)), t[r]] -= g[r]
+            if gh is not None:
+                np.matmul(z, ed, out=gh[r])
+            if not emb.requires_grad:
+                continue
+            if gemb is None:
+                gemb, prod = np.matmul(hd[r].T, z), np.empty((ed.shape[1], len(ed)))
+            else:
+                gemb += np.matmul(hd[r].T, z, out=prod)
+        if gh is not None:
+            _accum(hidden, gh, owned=True)
+        if gemb is not None:
+            _accum(emb, gemb.T)  # a transposed view, as matmul through transpose gave
 
-    return Tensor(nll, parents=(hidden, emb), backward_fn=bw, name="tied_cross_entropy")
+    return Tensor(lse - z_target, parents=(hidden, emb), backward_fn=bw, name="tied_cross_entropy")
 
 
 # tanh-GELU constants, shared with the graph-free decoder in model/inference.py

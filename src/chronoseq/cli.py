@@ -51,7 +51,7 @@ from .generation import (
 from .manifest import ManifestWriter
 from .model import ModelConfig, TimelineModel, load_checkpoint
 from .model.diagnostics import toy_grad_check
-from .privacy import audit_tables, write_privacy_csv
+from .privacy import RISK_THRESHOLD, audit_tables, write_privacy_csv
 from .simstudy import run_comparison, write_curves_csv
 from .synthworld import demographics_of
 from .training import TrainConfig, TrainingDiverged, prepare_corpus, train
@@ -455,8 +455,8 @@ def _cmd_privacy(args):
         _drop_counters(mani, t, label)
     mani.write(_manifest_path(args, args.out))
     for name, score in result.rows():
-        print(f"{name}: {score:.4f} ({'PASS' if score < result.threshold else 'FAIL'})")
-    print(f"overall: {'PASS' if result.passed else 'FAIL'} (threshold {result.threshold})")
+        print(f"{name}: {score:.4f} ({'PASS' if score < RISK_THRESHOLD else 'FAIL'})")
+    print(f"overall: {'PASS' if result.passed else 'FAIL'} (threshold {RISK_THRESHOLD})")
     return 0
 
 

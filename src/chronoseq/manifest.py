@@ -1,6 +1,7 @@
 """Run manifests: what ran, with which inputs/outputs, reproducibly."""
 from __future__ import annotations
 
+import ctypes
 import datetime as dt
 import hashlib
 import json
@@ -9,14 +10,29 @@ import time
 from pathlib import Path
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # linked to numpy's BLAS, so the BLAS's symbols resolve through it
 
 from . import __version__
 
-__all__ = ["sha256_file", "ManifestWriter", "THREAD_ENV_VARS"]
+__all__ = ["sha256_file", "ManifestWriter", "THREAD_ENV_VARS", "blas_threads"]
 
 # Thread-count variables of the BLAS/OpenMP runtimes, recorded as the run saw
-# them. The effective count would need threadpoolctl, which is not a dependency.
+# them; blas_threads() records the count the BLAS actually runs with.
 THREAD_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_threads() -> int | None:
+    """The thread count of numpy's BLAS, as numpy's bundled OpenBLAS reports it.
+
+    None where that BLAS is not linked (its query symbol is absent). This
+    reads the count and sets nothing.
+    """
+    try:
+        get = ctypes.CDLL(_umath_linalg.__file__).scipy_openblas_get_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
 
 
 def sha256_file(path) -> str:
@@ -59,6 +75,7 @@ class ManifestWriter:
             "version": __version__,
             "numpy_version": np.__version__,
             "thread_env": {name: os.environ.get(name) for name in THREAD_ENV_VARS},
+            "blas_threads": blas_threads(),
             "seed": self.seed,
             "config": self.config,
             "inputs": self.inputs,

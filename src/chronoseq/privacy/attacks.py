@@ -258,13 +258,12 @@ class PrivacySuiteResult:
     membership: MembershipResult
     attribute: AttributeResult
     identity: IdentityResult
-    threshold: float = RISK_THRESHOLD
     counters: dict[str, int] = field(default_factory=dict)  # input sizes, for run manifests
 
     @property
     def passed(self) -> bool:
         return all(
-            s < self.threshold
+            s < RISK_THRESHOLD
             for s in (self.nnaa.score, self.membership.score, self.attribute.score, self.identity.score)
         )
 

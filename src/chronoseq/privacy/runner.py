@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..codec import EventTables, gc_paused, write_csv
-from .attacks import PrivacySuiteResult, run_privacy_suite
+from .attacks import RISK_THRESHOLD, PrivacySuiteResult, run_privacy_suite
 from .profiles import ProfileSpec, build_profiles
 
 __all__ = ["audit_tables", "write_privacy_csv", "default_attribute_split"]
@@ -64,7 +64,7 @@ def audit_tables(
 
 
 def write_privacy_csv(path, result: PrivacySuiteResult):
-    rows = [[name, score, result.threshold, "PASS" if score < result.threshold else "FAIL"]
+    rows = [[name, score, RISK_THRESHOLD, "PASS" if score < RISK_THRESHOLD else "FAIL"]
             for name, score in result.rows()]
-    rows.append(["overall", "", result.threshold, "PASS" if result.passed else "FAIL"])
+    rows.append(["overall", "", RISK_THRESHOLD, "PASS" if result.passed else "FAIL"])
     write_csv(path, ["attack", "score", "threshold", "verdict"], rows)

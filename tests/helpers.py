@@ -438,3 +438,20 @@ def nll_grad_whole(z, lse, t, g):
     z *= g[:, None]
     z[np.arange(len(t)), t] -= g
     return z
+
+
+def tied_head_tiles(hidden, emb, t, g, rows):
+    """The tied head in tiles of `rows` rows, each tile's logits built whole.
+
+    -> (NLL, hidden gradient, the embedding-gradient contribution of each tile) under output weights g.
+    """
+    nll, gh, gemb_parts = [], [], []
+    for lo in range(0, len(hidden), rows):
+        h, tt, gt = hidden[lo:lo + rows], t[lo:lo + rows], g[lo:lo + rows]
+        z = h @ emb.T
+        lse, nll_t = nll_whole(z, tt)
+        gz = nll_grad_whole(z, lse, tt, gt)
+        nll.append(nll_t)
+        gh.append(gz @ emb)
+        gemb_parts.append((h.T @ gz).T)
+    return np.concatenate(nll), np.concatenate(gh), gemb_parts

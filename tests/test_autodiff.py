@@ -38,7 +38,7 @@ from chronoseq.autodiff import (
 from chronoseq.autodiff.special import digamma_value, lgamma_value
 from chronoseq.autodiff.tensor import _accum, _nll, _nll_grad
 from chronoseq.model.transformer import MASK_NEG
-from helpers import attention_whole, gelu_whole, layer_norm_whole, nll_grad_whole, nll_whole
+from helpers import attention_whole, gelu_whole, layer_norm_whole, nll_grad_whole, nll_whole, tied_head_tiles
 
 
 def _causal(T):
@@ -232,7 +232,7 @@ def _op_case(op_case):
     return lambda: _sum_sq(mean_all(x)), [x]
 
 
-# the row-tiled ops, checked again at one row per tile: the cases' shapes fit one tile at the module's size
+# the row-tiled ops, checked again at one row per tile: the cases' shapes fit one tile at the module's sizes
 TILED_OP_CASES = ["layer_norm", "attention", "attention_causal_dropout", "gelu", "cross_entropy", "tied_cross_entropy"]
 
 
@@ -241,13 +241,14 @@ def test_each_op_passes_grad_check(op_case, monkeypatch):
     op_case, tiled = op_case.removesuffix("-tiled"), op_case.endswith("-tiled")
     real_tiles, counts = tensor._tiles, []
 
-    def counted(n_rows, row_size):
-        tiles = real_tiles(n_rows, row_size)
+    def counted(*args):
+        tiles = real_tiles(*args)
         counts.append(len(tiles))
         return tiles
 
     if tiled:
         monkeypatch.setattr(tensor, "_TILE", 1)
+        monkeypatch.setattr(tensor, "_HEAD_ROWS", 1)
         monkeypatch.setattr(tensor, "_tiles", counted)
     fn, params = _op_case(op_case)
     assert grad_check(fn, params) < 1e-6
@@ -392,6 +393,64 @@ def test_tied_cross_entropy_matches_the_transposed_head_and_cross_entropy():
     t = rng.integers(0, 9, size=6)
     reference = _outputs_and_grads(lambda h, e: cross_entropy(matmul(h, transpose(e, (1, 0))), t), inputs)
     _assert_all_equal(reference, _outputs_and_grads(lambda h, e: tied_cross_entropy(h, e, t), inputs))
+
+
+@TILE_ROWS
+def test_tied_cross_entropy_is_the_same_as_whole_tiles_at_every_tile_size(tile_rows, monkeypatch):
+    rng = np.random.default_rng(25)
+    h, e, t, w = rng.normal(size=(5, 4)), rng.normal(size=(9, 4)), rng.integers(0, 9, size=5), rng.normal(size=5)
+
+    def run():
+        params = [parameter(h), parameter(e)]
+        out = tied_cross_entropy(*params, t)
+        backward(_dot(out, constant(w)))  # the head's output gradient is w, bit for bit
+        return [out.data] + [p.grad for p in params]
+
+    untiled = run()
+    monkeypatch.setattr(tensor, "_HEAD_ROWS", tile_rows)
+    tiled = run()
+    nll, gh, gemb_parts = tied_head_tiles(h, e, t, w, tile_rows)
+    gemb = gemb_parts[0].copy()
+    for part in gemb_parts[1:]:  # in tile order
+        gemb += part
+    _assert_all_equal([nll, gh, gemb], tiled)
+    for a, b in zip(untiled, tiled):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
+
+
+def _closure_arrays(fn):
+    """Every array a function's closure holds, through nested functions, lists and tuples."""
+    found, stack, seen = [], [fn], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif inspect.isfunction(obj):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+    return found
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.1], ids=["no_dropout", "dropout"])
+def test_attention_keeps_no_probabilities_for_backward(rate):
+    T = 6
+    mask = _causal(T)
+    qkv = parameter(np.random.default_rng(26).normal(size=(3, 2, 2, T, 3)))
+    out = attention(qkv, mask, 0.7, rate, np.random.default_rng(7))
+    square = [a for a in _closure_arrays(out.backward_fn) if a.shape[-2:] == (T, T) and a is not mask]
+    assert [a.dtype for a in square] == ([np.dtype(bool)] if rate else [])  # only the keep-mask
+
+
+def test_tied_cross_entropy_keeps_no_logits_for_backward():
+    rng = np.random.default_rng(27)
+    N, V = 5, 9
+    out = tied_cross_entropy(parameter(rng.normal(size=(N, 4))), parameter(rng.normal(size=(V, 4))),
+                             rng.integers(0, V, size=N))
+    assert [a.shape for a in _closure_arrays(out.backward_fn) if a.size >= N * V] == []
 
 
 def test_dropout_zero_rate_is_identity():

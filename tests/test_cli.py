@@ -532,6 +532,18 @@ def test_train_manifest_records_numpy_and_thread_env_without_touching_outputs(ta
     assert files_unset == files_set
 
 
+def test_manifest_records_the_blas_thread_count_the_process_runs_with(tmp_path, monkeypatch):
+    from chronoseq.manifest import ManifestWriter, blas_threads
+
+    assert ManifestWriter("encode", 0, {}).write(tmp_path / "m.json")["blas_threads"] == blas_threads()
+    # OpenBLAS reads its thread variable once, when it loads, so a fresh process is needed to see one set
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    code = "from chronoseq.manifest import blas_threads; print(blas_threads())"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == ("None" if blas_threads() is None else "1")
+
+
 def _cohort_csv(table_dir, path, n=10):
     from chronoseq.codec import read_tables, tables_to_records
 
