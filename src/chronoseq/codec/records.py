@@ -191,6 +191,10 @@ class EventTables:
             if type(rows) is not tuple:
                 object.__setattr__(self, name, tuple(rows))
 
+    def __hash__(self):
+        """The hash of the three tables, computed once: derived() keys may hold other table sets."""
+        return self.derived(_tables_hash)
+
     def derived(self, compute, *args):
         """compute(self, *args), computed on the first call with these arguments and kept with the table set.
 
@@ -203,6 +207,10 @@ class EventTables:
         except KeyError:
             value = self._derived[key] = compute(self, *args)
             return value
+
+
+def _tables_hash(tables: EventTables) -> int:
+    return hash((tables.persons, tables.visits, tables.events))
 
 
 @dataclass(frozen=True)

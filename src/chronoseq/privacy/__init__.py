@@ -7,6 +7,7 @@ from .attacks import (  # noqa: F401
     IdentityResult,
     MembershipResult,
     NnaaResult,
+    PrivacyReference,
     PrivacySuiteResult,
     attribute_inference,
     identity_disclosure,

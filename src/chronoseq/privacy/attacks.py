@@ -5,6 +5,11 @@ distance on indicator profiles, with scores framed as improvement over a
 naive baseline (floored at zero) so that statistically independent synthetic
 data scores near 0 and memorized data scores high. The PASS rule compares
 every score against the 0.333 threshold.
+
+The suite computes each distance once: `PrivacyReference` holds the train
+and eval side, and one streamed pass over [train; eval] x synthetic serves
+NNAA and membership. The per-attack functions compute the same scores on
+their own, through the same score code.
 """
 from __future__ import annotations
 
@@ -23,6 +28,7 @@ __all__ = [
     "attribute_inference",
     "identity_disclosure",
     "PrivacySuiteResult",
+    "PrivacyReference",
     "run_privacy_suite",
 ]
 
@@ -30,60 +36,88 @@ RISK_THRESHOLD = 0.333
 
 
 def _as_matrix(profiles, name: str) -> np.ndarray:
-    """A 0/1 profile matrix as float64; `name` is the argument an error reports."""
-    m = np.asarray(profiles, dtype=np.float64)
+    """A 0/1 profile matrix as uint8; `name` is the argument an error reports."""
+    m = np.asarray(profiles)
     if m.ndim != 2:
         raise ValueError(f"{name}: profiles must be a 2-D binary matrix")
-    bad = ~((m == 0.0) | (m == 1.0))  # NaN is neither
+    if m.dtype != np.uint8:
+        m = m.astype(np.float64)
+    bad = ~((m == 0) | (m == 1))  # NaN is neither
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        raise ValueError(f"{name}: profiles must hold only 0 and 1; found {m[i, j]} at row {i}, column {j}")
-    return m
+        raise ValueError(f"{name}: profiles must hold only 0 and 1; found {float(m[i, j])} at row {i}, column {j}")
+    return m.astype(np.uint8, copy=False)
 
 
-def _canonical_sort(m: np.ndarray) -> np.ndarray:
-    """Lexicographic row order so scores cannot depend on input record order."""
-    return m[np.lexsort(m.T[::-1])]
+def _canonical_order(m: np.ndarray) -> np.ndarray:
+    """Row indices in lexicographic row order, so scores cannot depend on input record order."""
+    return np.lexsort(m.T[::-1])
 
 
-# Rows of `a` per distance block: memory is O(_CHUNK x len(b)), never N x N.
+# Rows of the left operand per distance block: memory is O(_CHUNK x len(right)), never N x N.
 _CHUNK = 256
 
 
-def _nearest(a: np.ndarray, b: np.ndarray, self_pairs: bool = False):
-    """Exact Hamming nearest neighbours between binary matrices, streamed in row blocks.
-
-    Returns (row minima over b, column minima over a, row argmins into b);
-    argmin ties go to the lowest index of b. With self_pairs (b is a), a row's
-    distance to itself is excluded. The operands are augmented once per call,
-    to [a, |a|, 1] and [-2b, 1, |b|], so that each block is one float32 product
-    giving |a| + |b| - 2 a.b^T directly: its entries are small integers and
-    every partial sum is an integer of magnitude below 4 x the profile width,
-    so the distances are exact integers under any BLAS summation order.
-    """
-    if len(b) == 0:
-        raise ValueError("empty synthetic set")
-    w = a.shape[1]
-    left = np.ones((len(a), w + 2), dtype=np.float32)  # [a, |a|, 1]
-    left[:, :w] = a
+def _augment(m: np.ndarray) -> np.ndarray:
+    """The left operand [m, |m|, 1] of a distance product, as float32."""
+    w = m.shape[1]
+    left = np.ones((len(m), w + 2), dtype=np.float32)
+    left[:, :w] = m
     left[:, w] = left[:, :w].sum(axis=1)
-    right = np.ones((len(b), w + 2), dtype=np.float32)  # [-2b, 1, |b|]
-    right[:, :w] = b
-    right[:, w + 1] = right[:, :w].sum(axis=1)
-    right[:, :w] *= -2.0
-    row_min = np.empty(len(a), dtype=np.float32)
-    col_min = np.full(len(b), np.inf, dtype=np.float32)
-    row_arg = np.empty(len(a), dtype=np.intp)
-    for i in range(0, len(a), _CHUNK):
+    return left
+
+
+def _mirror(left: np.ndarray) -> np.ndarray:
+    """The right operand [-2m, 1, |m|] of the rows of a left operand [m, |m|, 1]."""
+    right = np.empty_like(left)
+    right[:, :-2] = -2.0 * left[:, :-2]
+    right[:, -2] = 1.0
+    right[:, -1] = left[:, -2]
+    return right
+
+
+def _blocks(left: np.ndarray, right: np.ndarray, self_pairs: bool = False):
+    """Yield (first row, float32 Hamming distances of left's next _CHUNK rows to every row of right).
+
+    Each block is one product [a, |a|, 1] . [-2b, 1, |b|]^T = |a| + |b| - 2 a.b^T:
+    its entries are small integers and every partial sum is an integer of
+    magnitude below 4 x the profile width, so the distances are exact
+    integers under any BLAS summation order, in whichever block a pair falls.
+    With self_pairs (right mirrors left), a row's distance to itself is inf.
+    """
+    for i in range(0, len(left), _CHUNK):
         d = left[i:i + _CHUNK] @ right.T
-        k = np.arange(len(d))
         if self_pairs:
+            k = np.arange(len(d))
             d[k, i + k] = np.inf
-        arg = d.argmin(axis=1)
-        row_arg[i:i + len(d)] = arg
-        row_min[i:i + len(d)] = d[k, arg]
-        np.minimum(col_min, d.min(axis=0), out=col_min)
-    return row_min, col_min, row_arg
+        yield i, d
+
+
+def _self_minima(left: np.ndarray) -> np.ndarray:
+    """Each row's distance to its nearest other row (leave-self-out)."""
+    out = np.empty(len(left), dtype=np.float32)
+    for i, d in _blocks(left, _mirror(left), self_pairs=True):
+        d.min(axis=1, out=out[i:i + len(d)])
+    return out
+
+
+def _minima(left: np.ndarray, right: np.ndarray, columns: bool):
+    """(each left row's minimum over right, each right row's minimum over left or None)."""
+    rows = np.empty(len(left), dtype=np.float32)
+    cols = np.full(len(right), np.inf, dtype=np.float32) if columns else None
+    for i, d in _blocks(left, right):
+        d.min(axis=1, out=rows[i:i + len(d)])
+        if columns:
+            np.minimum(cols, d.min(axis=0), out=cols)
+    return rows, cols
+
+
+def _argmins(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Each left row's nearest right row; ties go to the lowest index of right."""
+    out = np.empty(len(left), dtype=np.intp)
+    for i, d in _blocks(left, right):
+        d.argmin(axis=1, out=out[i:i + len(d)])
+    return out
 
 
 @dataclass(frozen=True)
@@ -94,14 +128,37 @@ class NnaaResult:
     n: int
 
 
-def _adversarial_accuracy(a: np.ndarray, b: np.ndarray, b_self: np.ndarray) -> float:
-    """AA(A,B): how often the nearest cross-set neighbor is farther than the
-    nearest leave-self-out within-set neighbor, averaged over both directions.
-    b_self holds b's leave-self-out minima, shared between calls."""
-    a_to_b, b_to_a, _ = _nearest(a, b)
-    term_a = (a_to_b > _nearest(a, a, self_pairs=True)[0]).mean()
-    term_b = (b_to_a > b_self).mean()
-    return 0.5 * float(term_a + term_b)
+def _nnaa_size(n_train: int, n_eval: int, n_synthetic: int, sample_size: int | None) -> int:
+    """The one size n that NNAA subsamples all three sets to."""
+    n = min(n_train, n_eval, n_synthetic)
+    if sample_size is not None:
+        n = min(n, int(sample_size))
+    if n < 10:
+        raise ValueError(f"sample size {n} too small for a stable NNAA estimate (need >= 10)")
+    return n
+
+
+def _nnaa_rng(seed: int) -> np.random.Generator:
+    """The one stream NNAA draws from: the train sample, then eval, then synthetic."""
+    return np.random.default_rng(np.random.SeedSequence([seed, 0x44AA]))
+
+
+def _sample_rows(order: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Row indices of a seeded n-row sample, drawn from positions in canonical order, in that order."""
+    return order[np.sort(rng.choice(len(order), size=n, replace=False))]
+
+
+def _nnaa_result(n: int, synth_self: np.ndarray, eval_side, train_side) -> NnaaResult:
+    """AA(eval, synthetic) - AA(train, synthetic) from minima over the samples.
+
+    Each side is (its rows' minima over the synthetic sample, its own
+    leave-self-out minima, the synthetic rows' minima over it); AA(A,B) is how
+    often the nearest cross-set neighbour is farther than the nearest
+    within-set one, averaged over both directions.
+    """
+    aa_es, aa_ts = (0.5 * float((to_synth > own).mean() + (from_synth > synth_self).mean())
+                    for to_synth, own, from_synth in (eval_side, train_side))
+    return NnaaResult(score=float(aa_es - aa_ts), aa_eval_synth=aa_es, aa_train_synth=aa_ts, n=n)
 
 
 def nnaa_risk(train, eval_, synthetic, seed: int = 0, sample_size: int | None = None) -> NnaaResult:
@@ -109,22 +166,16 @@ def nnaa_risk(train, eval_, synthetic, seed: int = 0, sample_size: int | None = 
     records sit closer to training data than held-out data (memorization).
     All three sets are subsampled (seeded, order-invariant) to one size n."""
     train, eval_, synthetic = _as_matrix(train, "train"), _as_matrix(eval_, "eval_"), _as_matrix(synthetic, "synthetic")
-    n = min(len(train), len(eval_), len(synthetic))
-    if sample_size is not None:
-        n = min(n, int(sample_size))
-    if n < 10:
-        raise ValueError(f"sample size {n} too small for a stable NNAA estimate (need >= 10)")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x44AA]))
-    parts = []
-    for m in (train, eval_, synthetic):
-        m = _canonical_sort(m)
-        idx = rng.choice(len(m), size=n, replace=False)
-        parts.append(m[np.sort(idx)])
-    train_s, eval_s, synth_s = parts
-    synth_self = _nearest(synth_s, synth_s, self_pairs=True)[0]
-    aa_es = _adversarial_accuracy(eval_s, synth_s, synth_self)
-    aa_ts = _adversarial_accuracy(train_s, synth_s, synth_self)
-    return NnaaResult(score=float(aa_es - aa_ts), aa_eval_synth=aa_es, aa_train_synth=aa_ts, n=n)
+    n = _nnaa_size(len(train), len(eval_), len(synthetic), sample_size)
+    rng = _nnaa_rng(seed)
+    train_s, eval_s, synth_s = (_augment(m[_sample_rows(_canonical_order(m), n, rng)])
+                                for m in (train, eval_, synthetic))
+    synth_right = _mirror(synth_s)
+    sides = []
+    for m in (eval_s, train_s):
+        rows, cols = _minima(m, synth_right, columns=True)
+        sides.append((rows, _self_minima(m), cols))
+    return _nnaa_result(n, _self_minima(synth_s), *sides)
 
 
 @dataclass(frozen=True)
@@ -133,6 +184,32 @@ class MembershipResult:
     best_threshold: int
     best_f1: float
     baseline_f1: float
+
+
+def _membership_result(min_d: np.ndarray, truth: np.ndarray, width: int) -> MembershipResult:
+    """Best-F1 gain of 'member iff the nearest synthetic record lies within tau bits', tau over 0..width."""
+    n_pos = int(truth.sum())
+    baseline_f1 = 2.0 * n_pos / (len(truth) + n_pos)  # all-positive classifier
+    bits = min_d.astype(np.intp)  # distances are exact integers in 0..width
+    # predicted and true-positive counts at each tau: members within tau bits
+    predicted = np.cumsum(np.bincount(bits, minlength=width + 1))
+    hits = np.cumsum(np.bincount(bits[truth], minlength=width + 1))
+    best_f1, best_tau = 0.0, 0
+    for tau in range(0, width + 1):
+        tp = float(hits[tau])
+        if tp == 0.0:
+            continue
+        precision = tp / predicted[tau]
+        recall = tp / n_pos
+        f1 = 2.0 * precision * recall / (precision + recall)
+        if f1 > best_f1:
+            best_f1, best_tau = f1, tau
+    return MembershipResult(
+        score=float(max(0.0, best_f1 - baseline_f1)),
+        best_threshold=best_tau,
+        best_f1=float(best_f1),
+        baseline_f1=float(baseline_f1),
+    )
 
 
 def membership_inference(targets, membership_truth, synthetic) -> MembershipResult:
@@ -151,32 +228,38 @@ def membership_inference(targets, membership_truth, synthetic) -> MembershipResu
         raise ValueError("membership_truth must align with targets")
     if not truth.any():
         raise ValueError("no true members among targets")
-    min_d = _nearest(targets, synthetic)[0]
-    n_pos = int(truth.sum())
-    baseline_f1 = 2.0 * n_pos / (len(targets) + n_pos)  # all-positive classifier
-    best_f1, best_tau = 0.0, 0
-    for tau in range(0, targets.shape[1] + 1):
-        pred = min_d <= tau
-        tp = float(np.sum(pred & truth))
-        if tp == 0.0:
-            continue
-        precision = tp / pred.sum()
-        recall = tp / n_pos
-        f1 = 2.0 * precision * recall / (precision + recall)
-        if f1 > best_f1:
-            best_f1, best_tau = f1, tau
-    return MembershipResult(
-        score=float(max(0.0, best_f1 - baseline_f1)),
-        best_threshold=best_tau,
-        best_f1=float(best_f1),
-        baseline_f1=float(baseline_f1),
-    )
+    min_d = _minima(_augment(targets), _mirror(_augment(synthetic)), columns=False)[0]
+    return _membership_result(min_d, truth, targets.shape[1])
 
 
 @dataclass(frozen=True)
 class AttributeResult:
     score: float
     per_attribute: tuple[tuple[int, float, float], ...]  # (column, accuracy, baseline)
+
+
+def _attribute_columns(key_attrs, sensitive_attrs):
+    key = np.asarray(key_attrs, dtype=np.int64)
+    sens = np.asarray(sensitive_attrs, dtype=np.int64)
+    if len(key) == 0 or len(sens) == 0:
+        raise ValueError("key and sensitive attribute sets must be nonempty")
+    if set(key.tolist()) & set(sens.tolist()):
+        raise ValueError("key and sensitive attribute sets must be disjoint")
+    return key, sens
+
+
+def _attribute_result(pred: np.ndarray, true: np.ndarray, sens: np.ndarray) -> AttributeResult:
+    """Entropy-weighted mean accuracy gain of predicted over true sensitive bits, floored at zero."""
+    acc = (pred == true).mean(axis=0)
+    p = true.mean(axis=0)
+    base = np.maximum(p, 1.0 - p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ent = -np.where(p > 0, p * np.log2(p), 0.0) - np.where(p < 1, (1 - p) * np.log2(1 - p), 0.0)
+    per_attribute = tuple(zip(sens.tolist(), acc.tolist(), base.tolist()))
+    if ent.sum() == 0.0:
+        return AttributeResult(score=0.0, per_attribute=per_attribute)
+    score = float(np.sum(ent * (acc - base)) / ent.sum())
+    return AttributeResult(score=max(0.0, score), per_attribute=per_attribute)
 
 
 def attribute_inference(targets, synthetic, key_attrs, sensitive_attrs) -> AttributeResult:
@@ -188,33 +271,48 @@ def attribute_inference(targets, synthetic, key_attrs, sensitive_attrs) -> Attri
     """
     targets = _as_matrix(targets, "targets")
     synthetic = _as_matrix(synthetic, "synthetic")
-    key = np.asarray(key_attrs, dtype=np.int64)
-    sens = np.asarray(sensitive_attrs, dtype=np.int64)
-    if len(key) == 0 or len(sens) == 0:
-        raise ValueError("key and sensitive attribute sets must be nonempty")
-    if set(key.tolist()) & set(sens.tolist()):
-        raise ValueError("key and sensitive attribute sets must be disjoint")
-    nn = _nearest(targets[:, key], synthetic[:, key])[2]  # ties: lowest synthetic index, deterministic
-    pred = synthetic[np.ix_(nn, sens)]
-    true = targets[:, sens]
-    acc = (pred == true).mean(axis=0)
-    p = true.mean(axis=0)
-    base = np.maximum(p, 1.0 - p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ent = -np.where(p > 0, p * np.log2(p), 0.0) - np.where(p < 1, (1 - p) * np.log2(1 - p), 0.0)
-    if ent.sum() == 0.0:
-        return AttributeResult(score=0.0, per_attribute=tuple(zip(sens.tolist(), acc.tolist(), base.tolist())))
-    score = float(np.sum(ent * (acc - base)) / ent.sum())
-    return AttributeResult(
-        score=max(0.0, score),
-        per_attribute=tuple(zip(sens.tolist(), acc.tolist(), base.tolist())),
-    )
+    key, sens = _attribute_columns(key_attrs, sensitive_attrs)
+    if len(synthetic) == 0:
+        raise ValueError("empty synthetic set")
+    nn = _argmins(_augment(targets[:, key]), _mirror(_augment(synthetic[:, key])))
+    return _attribute_result(synthetic[np.ix_(nn, sens)], targets[:, sens], sens)
 
 
 @dataclass(frozen=True)
 class IdentityResult:
     score: float
     n_disclosed: int
+
+
+def _quasi_columns(quasi_identifiers) -> np.ndarray:
+    qi = np.asarray(quasi_identifiers, dtype=np.int64)
+    if len(qi) == 0:
+        raise ValueError("quasi-identifier set must be nonempty")
+    return qi
+
+
+def _identity_groups(population: np.ndarray, qi: np.ndarray) -> dict[bytes, int]:
+    """Quasi-identifier bytes -> the population row holding them, or -1 when several rows do."""
+    groups: dict[bytes, int] = {}
+    for i, row in enumerate(population[:, qi]):
+        key = row.tobytes()
+        groups[key] = -1 if key in groups else i
+    return groups
+
+
+def _identity_result(population, groups, qi, synthetic, match_tolerance: float) -> IdentityResult:
+    """A synthetic record discloses when its quasi-identifiers match exactly one
+    population row and at least match_tolerance of the other columns agree with it."""
+    rest = np.setdiff1d(np.arange(population.shape[1]), qi)
+    match = np.array([groups.get(row.tobytes(), -1) for row in synthetic[:, qi]], dtype=np.intp)
+    hit = np.flatnonzero(match >= 0)
+    if len(rest) == 0:
+        agree = np.ones(len(hit))
+    else:
+        agree = (population[np.ix_(match[hit], rest)] == synthetic[np.ix_(hit, rest)]).mean(axis=1)
+    disclosed = int(np.count_nonzero(agree >= match_tolerance))
+    n = len(synthetic)
+    return IdentityResult(score=float(disclosed) / n if n else 0.0, n_disclosed=disclosed)  # 1/group_size == 1
 
 
 def identity_disclosure(population, synthetic, quasi_identifiers, match_tolerance: float = 0.8) -> IdentityResult:
@@ -228,28 +326,8 @@ def identity_disclosure(population, synthetic, quasi_identifiers, match_toleranc
     """
     population = _as_matrix(population, "population")
     synthetic = _as_matrix(synthetic, "synthetic")
-    qi = np.asarray(quasi_identifiers, dtype=np.int64)
-    if len(qi) == 0:
-        raise ValueError("quasi-identifier set must be nonempty")
-    rest = np.array([j for j in range(population.shape[1]) if j not in set(qi.tolist())], dtype=np.int64)
-    groups: dict[bytes, list[int]] = {}
-    for i, row in enumerate(population[:, qi].astype(np.uint8)):
-        groups.setdefault(row.tobytes(), []).append(i)
-    disclosed = 0
-    total = 0.0
-    for srow in synthetic.astype(np.uint8):
-        members = groups.get(srow[qi].tobytes())
-        if members is None or len(members) != 1:
-            continue
-        if len(rest) == 0:
-            agree = 1.0
-        else:
-            agree = float((population[members[0], rest] == srow[rest]).mean())
-        if agree >= match_tolerance:
-            disclosed += 1
-            total += 1.0  # 1/group_size with group_size == 1
-    n = len(synthetic)
-    return IdentityResult(score=total / n if n else 0.0, n_disclosed=disclosed)
+    qi = _quasi_columns(quasi_identifiers)
+    return _identity_result(population, _identity_groups(population, qi), qi, synthetic, match_tolerance)
 
 
 @dataclass
@@ -258,7 +336,7 @@ class PrivacySuiteResult:
     membership: MembershipResult
     attribute: AttributeResult
     identity: IdentityResult
-    counters: dict[str, int] = field(default_factory=dict)  # input sizes, for run manifests
+    counters: dict[str, int] = field(default_factory=dict)  # input sizes and work done, for run manifests
 
     @property
     def passed(self) -> bool:
@@ -276,6 +354,110 @@ class PrivacySuiteResult:
         ]
 
 
+class PrivacyReference:
+    """The train/eval side of the suite, built once and read by every synthetic set audited against it.
+
+    It holds the [train; eval] operands over all columns and over the key
+    columns, the sensitive columns, the identity groups of train and the
+    canonical orders; per (seed, n) it draws the NNAA train and eval samples
+    once and keeps their leave-self-out minima and the rng state from which
+    the synthetic sample is drawn. audit() then costs one streamed pass over
+    [train; eval] x synthetic (membership and both NNAA cross terms), the
+    synthetic sample's leave-self-out minima, the key-column argmin pass and
+    the identity lookups.
+    """
+
+    def __init__(self, train, eval_, key_attrs, sensitive_attrs, quasi_identifiers):
+        train, eval_ = _as_matrix(train, "train"), _as_matrix(eval_, "eval_")
+        self.key, self.sens = _attribute_columns(key_attrs, sensitive_attrs)
+        self.qi = _quasi_columns(quasi_identifiers)
+        both = np.concatenate([train, eval_])
+        self.n_train, self.n_eval, self.width = len(train), len(eval_), train.shape[1]
+        self.both = _augment(both)
+        self.key_both = _augment(both[:, self.key])
+        self.truth = both[:, self.sens]
+        self.train = train
+        self.groups = _identity_groups(train, self.qi)
+        self.orders = (_canonical_order(train), _canonical_order(eval_))
+        self._samples: dict = {}
+
+    def _nnaa_side(self, seed: int, n: int):
+        """(mask of the sampled [train; eval] rows, their leave-self-out minima in row order,
+        the rng state after the train and eval draws, distance pairs computed now) for (seed, n)."""
+        if (seed, n) in self._samples:
+            return (*self._samples[seed, n], 0)
+        rng = _nnaa_rng(seed)
+        sampled = np.zeros(len(self.both), dtype=bool)
+        own = []
+        for offset, order in zip((0, self.n_train), self.orders):
+            rows = np.sort(offset + _sample_rows(order, n, rng))
+            sampled[rows] = True
+            own.append(_self_minima(self.both[rows]))
+        self._samples[seed, n] = sampled, np.concatenate(own), rng.bit_generator.state
+        return (*self._samples[seed, n], 2 * n * n)
+
+    def audit(self, synthetic, seed: int, match_tolerance: float, sample_size: int | None) -> PrivacySuiteResult:
+        """All four attacks on one synthetic set.
+
+        The membership targets are the first k train and the first k eval persons.
+        """
+        synthetic = _as_matrix(synthetic, "synthetic")
+        n_train, n_both, n_synth = self.n_train, len(self.both), len(synthetic)
+        n = _nnaa_size(n_train, self.n_eval, n_synth, sample_size)
+        sampled, own, state, pairs = self._nnaa_side(seed, n)
+        bits = np.random.PCG64()
+        bits.state = state
+        whole = n == n_synth  # the synthetic sample is the whole set, so nearest over it is nearest over all
+        cols = slice(None) if whole else _sample_rows(_canonical_order(synthetic), n, np.random.Generator(bits))
+
+        synth_left = _augment(synthetic)
+        nearest = np.empty(n_both, dtype=np.float32)  # over all synthetic rows: membership
+        to_sample = None if whole else np.empty(2 * n, dtype=np.float32)  # sampled rows, over the synthetic sample
+        n_cols = n_synth if whole else n
+        from_train, from_eval = (np.full(n_cols, np.inf, dtype=np.float32) for _ in range(2))  # synthetic sample rows
+        done = 0
+        for i, d in _blocks(self.both, _mirror(synth_left)):
+            d.min(axis=1, out=nearest[i:i + len(d)])
+            rows = sampled[i:i + len(d)]
+            ds = (d if rows.all() else d[rows])[:, cols]  # a block may straddle the train/eval boundary
+            if not whole:
+                ds.min(axis=1, out=to_sample[done:done + len(ds)])
+            n_t = np.count_nonzero(rows[:max(0, n_train - i)])
+            if n_t:
+                np.minimum(from_train, ds[:n_t].min(axis=0), out=from_train)
+            if n_t < len(ds):
+                np.minimum(from_eval, ds[n_t:].min(axis=0), out=from_eval)
+            done += len(ds)
+        if whole:
+            to_sample = nearest[sampled]
+        nnaa = _nnaa_result(n, _self_minima(synth_left[cols]),
+                            (to_sample[n:], own[n:], from_eval), (to_sample[:n], own[:n], from_train))
+
+        k = min(n_train, self.n_eval)
+        truth = np.zeros(2 * k, dtype=bool)
+        truth[:k] = True
+        membership = _membership_result(np.concatenate([nearest[:k], nearest[n_train:n_train + k]]), truth, self.width)
+
+        nn = _argmins(self.key_both, _mirror(_augment(synthetic[:, self.key])))
+        attribute = _attribute_result(synthetic[np.ix_(nn, self.sens)], self.truth, self.sens)
+        identity = _identity_result(self.train, self.groups, self.qi, synthetic, match_tolerance)
+        return PrivacySuiteResult(
+            nnaa=nnaa,
+            membership=membership,
+            attribute=attribute,
+            identity=identity,
+            counters=dict(
+                profile_bits=self.width,
+                train_persons=n_train,
+                eval_persons=self.n_eval,
+                synthetic_persons=n_synth,
+                nnaa_sample=n,
+                membership_targets=2 * k,
+                distance_pairs=pairs + 2 * n_both * n_synth + n * n,
+            ),
+        )
+
+
 def run_privacy_suite(
     train,
     eval_,
@@ -288,26 +470,5 @@ def run_privacy_suite(
     sample_size: int | None = None,
 ) -> PrivacySuiteResult:
     """All four attacks; the membership targets are the first k train and the first k eval persons."""
-    train = _as_matrix(train, "train")
-    eval_ = _as_matrix(eval_, "eval_")
-    synthetic = _as_matrix(synthetic, "synthetic")
-    k = min(len(train), len(eval_))
-    membership_targets = np.concatenate([train[:k], eval_[:k]])
-    membership_truth = np.concatenate([np.ones(k, dtype=bool), np.zeros(k, dtype=bool)])
-    nnaa = nnaa_risk(train, eval_, synthetic, seed=seed, sample_size=sample_size)
-    return PrivacySuiteResult(
-        nnaa=nnaa,
-        membership=membership_inference(membership_targets, membership_truth, synthetic),
-        attribute=attribute_inference(
-            np.concatenate([train, eval_]), synthetic, key_attrs, sensitive_attrs
-        ),
-        identity=identity_disclosure(train, synthetic, quasi_identifiers, match_tolerance),
-        counters=dict(
-            profile_bits=train.shape[1],
-            train_persons=len(train),
-            eval_persons=len(eval_),
-            synthetic_persons=len(synthetic),
-            nnaa_sample=nnaa.n,
-            membership_targets=len(membership_targets),
-        ),
-    )
+    reference = PrivacyReference(train, eval_, key_attrs, sensitive_attrs, quasi_identifiers)
+    return reference.audit(synthetic, seed, match_tolerance, sample_size)

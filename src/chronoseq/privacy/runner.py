@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..codec import EventTables, gc_paused, write_csv
-from .attacks import RISK_THRESHOLD, PrivacySuiteResult, run_privacy_suite
+from .attacks import RISK_THRESHOLD, PrivacyReference, PrivacySuiteResult
 from .profiles import ProfileSpec, build_profiles
 
 __all__ = ["audit_tables", "write_privacy_csv", "default_attribute_split"]
@@ -50,17 +50,14 @@ def audit_tables(
         sensitive = np.asarray(sensitive_attrs, dtype=np.int64)
     if quasi_identifiers is not None:
         quasi = np.asarray(quasi_identifiers, dtype=np.int64)
-    return run_privacy_suite(
-        build_profiles(train, spec),
-        build_profiles(eval_, spec),
-        build_profiles(synthetic, spec),
-        key_attrs=keys,
-        sensitive_attrs=sensitive,
-        quasi_identifiers=quasi,
-        seed=seed,
-        match_tolerance=match_tolerance,
-        sample_size=sample_size,
-    )
+    split = tuple(tuple(a.tolist()) for a in (keys, sensitive, quasi))
+    reference = train.derived(_reference, eval_, spec, *split)
+    return reference.audit(build_profiles(synthetic, spec), seed, match_tolerance, sample_size)
+
+
+def _reference(train: EventTables, eval_: EventTables, spec: ProfileSpec, keys, sensitive, quasi) -> PrivacyReference:
+    """The train/eval side of the audit, kept with the train table set per (eval set, spec, attribute split)."""
+    return PrivacyReference(build_profiles(train, spec), build_profiles(eval_, spec), keys, sensitive, quasi)
 
 
 def write_privacy_csv(path, result: PrivacySuiteResult):

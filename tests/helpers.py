@@ -455,3 +455,86 @@ def tied_head_tiles(hidden, emb, t, g, rows):
         gh.append(gz @ emb)
         gemb_parts.append((h.T @ gz).T)
     return np.concatenate(nll), np.concatenate(gh), gemb_parts
+
+
+# ---------------------------------------------------------------------------
+# the privacy suite over dense float64 distance matrices: the reference the streamed suite must equal
+
+
+def hamming_dense(a, b):
+    """The (len(a), len(b)) Hamming distances of 0/1 rows, as one dense float64 matrix."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a @ (1.0 - b).T + (1.0 - a) @ b.T
+
+
+def self_minima_dense(m):
+    """Each row's distance to its nearest other row."""
+    d = hamming_dense(m, m)
+    np.fill_diagonal(d, np.inf)
+    return d.min(axis=1)
+
+
+def privacy_suite_dense(train, eval_, synthetic, key_attrs, sensitive_attrs, quasi_identifiers, seed,
+                        match_tolerance, sample_size):
+    """The four attacks as one composition, each distance matrix whole: (nnaa, membership, attribute, identity)."""
+    from chronoseq.privacy import AttributeResult, IdentityResult, MembershipResult, NnaaResult
+
+    t, e, s = (np.asarray(m, dtype=np.float64) for m in (train, eval_, synthetic))
+    # NNAA: one stream draws n rows of train, then eval, then synthetic, each set in lexicographic row order
+    n = min(len(t), len(e), len(s), *(() if sample_size is None else (sample_size,)))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x44AA]))
+    samples = []
+    for m in (t, e, s):
+        m = m[np.lexsort(m.T[::-1])]
+        samples.append(m[np.sort(rng.choice(len(m), size=n, replace=False))])
+    ts, es, ss = samples
+
+    def aa(a, b):
+        d = hamming_dense(a, b)
+        term_a = (d.min(axis=1) > self_minima_dense(a)).mean()
+        return 0.5 * float(term_a + (d.min(axis=0) > self_minima_dense(b)).mean())
+
+    aa_es, aa_ts = aa(es, ss), aa(ts, ss)
+    nnaa = NnaaResult(float(aa_es - aa_ts), aa_es, aa_ts, n)
+
+    # membership: the first k of train are members, the first k of eval are not; tau sweeps 0..width
+    k = min(len(t), len(e))
+    targets = np.concatenate([t[:k], e[:k]])
+    truth = np.concatenate([np.ones(k, bool), np.zeros(k, bool)])
+    min_d = hamming_dense(targets, s).min(axis=1)
+    baseline = 2.0 * k / (2 * k + k)
+    best_f1, best_tau = 0.0, 0
+    for tau in range(t.shape[1] + 1):
+        pred = min_d <= tau
+        tp = float(np.sum(pred & truth))
+        if tp == 0.0:
+            continue
+        precision, recall = tp / pred.sum(), tp / k
+        f1 = 2.0 * precision * recall / (precision + recall)
+        if f1 > best_f1:
+            best_f1, best_tau = f1, tau
+    membership = MembershipResult(float(max(0.0, best_f1 - baseline)), best_tau, float(best_f1), float(baseline))
+
+    # attribute: every train and eval row, its nearest synthetic row on the key columns (lowest index on ties)
+    key, sens = np.asarray(key_attrs), np.asarray(sensitive_attrs)
+    both = np.concatenate([t, e])
+    nn = hamming_dense(both[:, key], s[:, key]).argmin(axis=1)
+    true = both[:, sens]
+    acc = (s[np.ix_(nn, sens)] == true).mean(axis=0)
+    p = true.mean(axis=0)
+    base = np.maximum(p, 1.0 - p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ent = -np.where(p > 0, p * np.log2(p), 0.0) - np.where(p < 1, (1 - p) * np.log2(1 - p), 0.0)
+    score = 0.0 if ent.sum() == 0.0 else max(0.0, float(np.sum(ent * (acc - base)) / ent.sum()))
+    attribute = AttributeResult(score, tuple(zip(sens.tolist(), acc.tolist(), base.tolist())))
+
+    # identity: quasi-identifiers matching exactly one train row, and enough of the other columns agreeing
+    qi = list(quasi_identifiers)
+    rest = [j for j in range(t.shape[1]) if j not in qi]
+    disclosed = 0
+    for row in s:
+        matches = np.flatnonzero((t[:, qi] == row[qi]).all(axis=1))
+        if len(matches) == 1 and (not rest or (t[matches[0], rest] == row[rest]).mean() >= match_tolerance):
+            disclosed += 1
+    identity = IdentityResult(disclosed / len(s), disclosed)
+    return nnaa, membership, attribute, identity

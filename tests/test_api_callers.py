@@ -24,6 +24,11 @@ TEST_REFERENCE_API = {
     "validate_sequence": "the grammar check that the acceptance tests apply to generated sequences",
     "recompose_interval": "the inverse that checks decompose_interval round-trips",
     "handcrafted_forward": "the paper's hand-built router for the logic task",
+    "nnaa_risk": "one attack on its own: C10 runs it, and the suite's NNAA is tested against it",
+    "membership_inference": "one attack on its own: C10 runs it, and the suite's membership is tested against it",
+    "attribute_inference": "one attack on its own: C10 runs it, and the suite's attribute score is tested against it",
+    "identity_disclosure": "one attack on its own: the suite's identity score is tested against it",
+    "run_privacy_suite": "the suite on profile arrays with a reference built per call, tested against the dense oracle",
 }
 
 TEST_SEAMS = {
@@ -32,6 +37,12 @@ TEST_SEAMS = {
     ("decode_sequence", "anchor"): "the C05 round trip decodes against each record's own first date",
     ("train", "stop_when"): "the C06 overfit oracle stops training once the batch is memorized",
     ("fit_logistic", "tol"): "the scale-equivariance test tightens the convergence tolerance",
+    ("nnaa_risk", "seed"): "the per-attack tests draw NNAA samples at several seeds",
+    ("nnaa_risk", "sample_size"): "the per-attack tests subsample below the set sizes",
+    ("identity_disclosure", "match_tolerance"): "the identity tests set their own agreement tolerance",
+    ("run_privacy_suite", "seed"): "the suite tests draw NNAA samples at several seeds",
+    ("run_privacy_suite", "match_tolerance"): "the oracle tests vary the identity agreement tolerance",
+    ("run_privacy_suite", "sample_size"): "the oracle tests subsample below the set sizes",
 }
 
 

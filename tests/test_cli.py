@@ -706,6 +706,7 @@ def test_privacy_counters_leave_scores_byte_identical(tmp_path, monkeypatch):
     train = read_tables(*(tmp_path / "train" / f for f in ("persons.csv", "visits.csv", "events.csv")))
     assert mani["counters"] == dict(profile_bits=ProfileSpec.from_tables(train).dimension, train_persons=60,
                                     eval_persons=50, synthetic_persons=40, nnaa_sample=30, membership_targets=100,
+                                    distance_pairs=2 * 110 * 40 + 3 * 30 * 30,  # cross, key and NNAA self pairs
                                     **{f"{label}_{k}": 0 for label in ("train", "eval", "synthetic")
                                        for k in NO_INGEST_DROPS})
     monkeypatch.setattr(ManifestWriter, "add_counters", lambda self, **counts: None)

@@ -4,7 +4,7 @@ import pytest
 from chronoseq.codec import records_to_tables
 from chronoseq.privacy import (
     RISK_THRESHOLD,
-    NnaaResult,
+    PrivacyReference,
     ProfileSpec,
     attribute_inference,
     audit_tables,
@@ -16,7 +16,14 @@ from chronoseq.privacy import (
     run_privacy_suite,
 )
 from chronoseq.synthworld import sample_hospital_records
-from helpers import build_profiles_reference, concept_person_counts, profile_spec_reference
+from helpers import (
+    build_profiles_reference,
+    concept_person_counts,
+    hamming_dense,
+    privacy_suite_dense,
+    profile_spec_reference,
+    self_minima_dense,
+)
 
 
 def sample_profiles(rng, n, dim=48, p=None):
@@ -235,45 +242,7 @@ def test_default_attribute_split_disjoint():
 # -- streamed exact distances ------------------------------------------------
 
 
-def _dense_hamming_cross(a, b):
-    """The dense float64 (len(a), len(b)) distances the attacks computed before streaming."""
-    return a @ (1.0 - b).T + (1.0 - a) @ b.T
-
-
-def _dense_min_offdiag(d):
-    d = d.copy()
-    np.fill_diagonal(d, np.inf)
-    return d.min(axis=1)
-
-
-def _dense_nearest(a, b, self_pairs=False):
-    """The dense path behind the streamed helper's interface; the attacks read
-    only the row minima of a self_pairs call."""
-    d = _dense_hamming_cross(a, b)
-    row_min = _dense_min_offdiag(d) if self_pairs else d.min(axis=1)
-    return row_min, d.min(axis=0), d.argmin(axis=1)
-
-
-def _dense_adversarial_accuracy(a, b):
-    d = _dense_hamming_cross(a, b)
-    term_a = (d.min(axis=1) > _dense_min_offdiag(_dense_hamming_cross(a, a))).mean()
-    term_b = (d.min(axis=0) > _dense_min_offdiag(_dense_hamming_cross(b, b))).mean()
-    return 0.5 * float(term_a + term_b)
-
-
-def _distance_attacks(train, eval_, synth):
-    targets = np.concatenate([train, eval_])
-    truth = np.concatenate([np.ones(len(train), bool), np.zeros(len(eval_), bool)])
-    results = [
-        membership_inference(targets, truth, synth),
-        attribute_inference(targets, synth, np.arange(30), np.arange(30, 53)),
-    ]
-    if min(len(train), len(eval_), len(synth)) >= 10:
-        results.append(nnaa_risk(train, eval_, synth, seed=4))
-    return results
-
-
-def test_streamed_distances_match_dense_bit_for_bit(monkeypatch):
+def test_streamed_distances_match_dense_bit_for_bit():
     from chronoseq.privacy import attacks
 
     rng = np.random.default_rng(21)
@@ -281,36 +250,98 @@ def test_streamed_distances_match_dense_bit_for_bit(monkeypatch):
     assert attacks._CHUNK == 256
     for i, (n, dim) in enumerate([(n, 53) for n in sizes] + [(257, 300)]):
         p = rng.random(dim) * 0.6 + 0.2
-        train, eval_ = (sample_profiles(rng, n, dim=dim, p=p)[0] for _ in range(2))
-        train[0], eval_[-1] = 0, 1  # an all-zero and an all-one row
-        synthetic = {
+        a = sample_profiles(rng, n, dim=dim, p=p)[0]
+        a[0], a[-1] = 0, 1  # an all-zero and an all-one row
+        others = {
             "independent": sample_profiles(rng, sizes[(i + 1) % 4], dim=dim, p=p)[0],
-            "copy": train.copy(),
-            "duplicated rows": np.repeat(train[: (n + 1) // 2], 2, axis=0)[:n],  # forces argmin ties
+            "copy": a.copy(),
+            "duplicated rows": np.repeat(a[: (n + 1) // 2], 2, axis=0)[:n],  # forces argmin ties
             "all zero": np.zeros((n, dim), dtype=np.uint8),
             "all one": np.ones((n, dim), dtype=np.uint8),
+            "flipped": a ^ (rng.random(a.shape) < 0.05).astype(np.uint8),
         }
-        for flip in (0.01, 0.05, 0.2):
+        left = attacks._augment(a)
+        for name, b in others.items():
+            d = hamming_dense(a, b)
+            right = attacks._mirror(attacks._augment(b))
+            rows, cols = attacks._minima(left, right, columns=True)
+            assert np.array_equal(rows, d.min(axis=1)), (n, name)
+            assert np.array_equal(cols, d.min(axis=0)), (n, name)
+            assert np.array_equal(attacks._argmins(left, right), d.argmin(axis=1)), (n, name)
+            if len(b) > 1:
+                assert np.array_equal(attacks._self_minima(attacks._augment(b)), self_minima_dense(b)), (n, name)
+
+
+def _oracle_cases():
+    """(label, train, eval, synthetic, sample_size, match_tolerance) over the suite's edge cases."""
+    rng = np.random.default_rng(22)
+    # train rows 255, 257 and 600 put the [train; eval] boundary inside the first, second and third row block
+    for n_train, n_eval in ((255, 255), (257, 300), (600, 255)):
+        p = rng.random(53) * 0.6 + 0.2
+        train, eval_ = (sample_profiles(rng, m, dim=53, p=p)[0] for m in (n_train, n_eval))
+        train[0], eval_[-1] = 0, 1  # an all-zero and an all-one row
+        synthetic = {
+            "independent": sample_profiles(rng, n_train, dim=53, p=p)[0],
+            "smaller than train": sample_profiles(rng, 90, dim=53, p=p)[0],
+            "copy": train.copy(),
+            "duplicated rows": np.repeat(train[: (n_train + 1) // 2], 2, axis=0)[:n_train],  # forces argmin ties
+            "all zero": np.zeros((n_train, 53), dtype=np.uint8),
+            "all one": np.ones((n_train, 53), dtype=np.uint8),
+        }
+        for flip in (0.01, 0.2):
             synthetic[f"flipped {flip}"] = train ^ (rng.random(train.shape) < flip).astype(np.uint8)
         for name, synth in synthetic.items():
-            a, b = np.concatenate([train, eval_]).astype(np.float64), synth.astype(np.float64)
-            row_min, col_min, row_arg = attacks._nearest(a, b)
-            d = _dense_hamming_cross(a, b)
-            assert np.array_equal(row_min, d.min(axis=1)), (n, name)
-            assert np.array_equal(col_min, d.min(axis=0)), (n, name)
-            assert np.array_equal(row_arg, d.argmin(axis=1)), (n, name)
-            for m in (a, b):
-                assert np.array_equal(attacks._nearest(m, m, self_pairs=True)[0],
-                                      _dense_min_offdiag(_dense_hamming_cross(m, m))), (n, name)
-            streamed = _distance_attacks(train, eval_, synth)
-            with monkeypatch.context() as mp:
-                mp.setattr(attacks, "_nearest", _dense_nearest)
-                dense = _distance_attacks(train, eval_, synth)
-            assert streamed == dense, (n, name)  # every field, exactly
-            if n >= 10 and len(synth) == n:  # NNAA then keeps whole sets, in an order AA ignores
-                t, e, s = (m.astype(np.float64) for m in (train, eval_, synth))
-                aa_es, aa_ts = _dense_adversarial_accuracy(e, s), _dense_adversarial_accuracy(t, s)
-                assert streamed[2] == NnaaResult(aa_es - aa_ts, aa_es, aa_ts, n), (n, name)
+            yield f"{n_train}/{n_eval} {name}", train, eval_, synth, None, 0.8
+        for name in ("independent", "copy", "flipped 0.01"):  # a sample below every size; a lower tolerance
+            yield f"{n_train}/{n_eval} {name} sampled", train, eval_, synthetic[name], 40, 0.5
+
+
+SPLIT = dict(key_attrs=np.arange(30), sensitive_attrs=np.arange(30, 53), quasi_identifiers=np.arange(4))
+
+
+def test_privacy_suite_and_each_attack_equal_the_dense_oracle():
+    for label, train, eval_, synth, sample_size, tolerance in _oracle_cases():
+        want = privacy_suite_dense(train, eval_, synth, **SPLIT, seed=4, match_tolerance=tolerance,
+                                   sample_size=sample_size)
+        got = run_privacy_suite(train, eval_, synth, **SPLIT, seed=4, match_tolerance=tolerance,
+                                sample_size=sample_size)
+        assert (got.nnaa, got.membership, got.attribute, got.identity) == want, label  # every field, exactly
+        k = min(len(train), len(eval_))
+        alone = (
+            nnaa_risk(train, eval_, synth, seed=4, sample_size=sample_size),
+            membership_inference(np.concatenate([train[:k], eval_[:k]]),
+                                 np.concatenate([np.ones(k, bool), np.zeros(k, bool)]), synth),
+            attribute_inference(np.concatenate([train, eval_]), synth, SPLIT["key_attrs"], SPLIT["sensitive_attrs"]),
+            identity_disclosure(train, synth, SPLIT["quasi_identifiers"], match_tolerance=tolerance),
+        )
+        assert alone == want, label
+
+
+def test_audit_tables_equals_the_dense_oracle():
+    train, eval_, synth = (records_to_tables(sample_hospital_records(n, seed=s))
+                           for n, s in ((120, 1), (100, 2), (90, 3)))
+    spec = ProfileSpec.from_tables(train, top_k_concepts=24)
+    keys, sens, qi = default_attribute_split(spec)
+    for synthetic in (synth, train):
+        for sample_size in (None, 30):
+            got = audit_tables(train, eval_, synthetic, top_k_concepts=24, seed=2, sample_size=sample_size)
+            want = privacy_suite_dense(*(build_profiles(t, spec) for t in (train, eval_, synthetic)), keys, sens, qi,
+                                       seed=2, match_tolerance=0.8, sample_size=sample_size)
+            assert (got.nnaa, got.membership, got.attribute, got.identity) == want, (synthetic is train, sample_size)
+
+
+def test_distance_pairs_count_the_distances_each_call_computes():
+    rng = np.random.default_rng(23)
+    train, eval_, synth = (sample_profiles(rng, n, dim=20)[0] for n in (30, 25, 40))
+    fresh = run_privacy_suite(train, eval_, synth, np.arange(10), np.arange(10, 20), np.arange(3), seed=1,
+                              sample_size=12)
+    # [train; eval] x synthetic on all columns and on the keys, the synthetic sample's and the reference's own pairs
+    assert fresh.counters["distance_pairs"] == 2 * 55 * 40 + 12 * 12 + 2 * 12 * 12 == 4832
+    reference = PrivacyReference(train, eval_, np.arange(10), np.arange(10, 20), np.arange(3))
+    assert reference.audit(synth, 1, 0.8, 12).counters == fresh.counters
+    reused = reference.audit(synth[:30], 1, 0.8, 12)  # the same (seed, n): the reference's samples are kept
+    assert reused.counters["distance_pairs"] == 2 * 55 * 30 + 12 * 12 == 3444
+    assert reference.audit(synth, 1, 0.8, 11).counters["distance_pairs"] == 2 * 55 * 40 + 3 * 11 * 11
 
 
 def test_privacy_suite_memory_is_bounded():
@@ -325,7 +356,7 @@ def test_privacy_suite_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"  # half of one dense 2000 x 2000 float64 matrix
+    assert peak < 10e6, f"peak {peak / 1e6:.1f} MB"  # under a third of one dense 2000 x 2000 float64 matrix
 
 
 def _with_entry(m, value):
@@ -367,11 +398,13 @@ def test_identity_rejects_non_binary_profiles(independent_sets, value):
 
 
 def test_each_derived_product_is_computed_once_per_table_set(monkeypatch):
-    """One ingestion per table set; the spec once per (set, k); profiles once per (set, spec)."""
+    """One ingestion per table set; the spec once per (set, k); profiles once per (set, spec); the audit's
+    reference side once per (train set, eval set, spec, attribute split)."""
     from chronoseq.codec import records as records_module
     from chronoseq.evalharness import CohortSpec, pathway_cohort, prevalence_report
     from chronoseq.generation import summary_stats
     from chronoseq.privacy import profiles as profiles_module
+    from chronoseq.privacy import runner as runner_module
 
     calls = []
 
@@ -379,7 +412,7 @@ def test_each_derived_product_is_computed_once_per_table_set(monkeypatch):
         fn = getattr(module, name)
 
         def counted(tables, *args):
-            calls.append((name, id(tables), *args))
+            calls.append((name, id(tables), *(id(a) if a is eval_ or a is eval2 else a for a in args)))
             return fn(tables, *args)
 
         monkeypatch.setattr(module, name, counted)
@@ -387,21 +420,31 @@ def test_each_derived_product_is_computed_once_per_table_set(monkeypatch):
     counting(records_module, "_ingest")
     counting(profiles_module, "_ranked_spec")
     counting(profiles_module, "_profiles")
-    train, eval_, syn, syn2 = (records_to_tables(sample_hospital_records(n, seed=s))
-                               for n, s in ((60, 1), (50, 2), (40, 3), (45, 4)))
+    counting(runner_module, "_reference")
+    train, eval_, syn, syn2, eval2 = (records_to_tables(sample_hospital_records(n, seed=s))
+                                      for n, s in ((60, 1), (50, 2), (40, 3), (45, 4), (50, 5)))
     first = [audit_tables(train, eval_, syn, seed=0), prevalence_report(train, syn), summary_stats(syn),
              pathway_cohort(syn, CohortSpec("p", frozenset({1125315})))]
     spec = ProfileSpec.from_tables(train)
+    split = tuple(tuple(a.tolist()) for a in default_attribute_split(spec))
     expected = {("_ingest", id(t)) for t in (train, eval_, syn)} | {("_ranked_spec", id(train), 64)} | {
-        ("_profiles", id(t), spec) for t in (train, eval_, syn)}
+        ("_profiles", id(t), spec) for t in (train, eval_, syn)} | {("_reference", id(train), id(eval_), spec, *split)}
     assert sorted(calls, key=repr) == sorted(expected, key=repr)
     again = [audit_tables(train, eval_, syn, seed=0), prevalence_report(train, syn), summary_stats(syn),
              pathway_cohort(syn, CohortSpec("p", frozenset({1125315})))]
-    assert again == first
     assert len(calls) == len(expected)  # nothing recomputed
+    assert again[1:] == first[1:]
+    assert (again[0].nnaa, again[0].membership, again[0].attribute, again[0].identity) == (
+        first[0].nnaa, first[0].membership, first[0].attribute, first[0].identity)
+    n = first[0].counters["nnaa_sample"]  # the first call also drew the reference's NNAA samples
+    assert first[0].counters == {**again[0].counters, "distance_pairs": again[0].counters["distance_pairs"] + 2 * n * n}
     audit_tables(train, eval_, syn2, seed=0)
     assert sorted(calls[len(expected):], key=repr) == sorted([("_ingest", id(syn2)), ("_profiles", id(syn2), spec)],
                                                             key=repr)
+    audit_tables(train, eval2, syn, seed=0)  # another eval set: another reference
+    assert sorted(calls[len(expected) + 2:], key=repr) == sorted(
+        [("_ingest", id(eval2)), ("_profiles", id(eval2), spec), ("_reference", id(train), id(eval2), spec, *split)],
+        key=repr)
     assert not build_profiles(train, spec).flags.writeable
     with pytest.raises(ValueError):
         build_profiles(train, spec)[0, 0] = 1
