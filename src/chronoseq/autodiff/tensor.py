@@ -352,21 +352,6 @@ def layer_norm(x, gain, bias):
     return Tensor(y.reshape(x.data.shape), parents=(x, gain, bias), backward_fn=bw, name="layer_norm")
 
 
-# An additive-mask entry this far below the largest entry of its row has
-# probability exactly 0.0 for scores below 1e19 in magnitude: its exp
-# underflows. attention writes that 0.0 instead of computing it, since numpy's
-# exp is several times slower on inputs whose result underflows.
-_MASKED_GAP = 1e20
-
-
-def _masked(mask):
-    """(visible, hidden) boolean entries of an additive mask, or None when it hides nothing."""
-    if mask is None:
-        return None
-    hidden = mask < mask.max(axis=-1, keepdims=True) - _MASKED_GAP
-    return (~hidden, hidden) if hidden.any() else None
-
-
 def attention(qkv, mask, scale, rate=0.0, rng=None):
     """softmax(q k^T * scale + mask) v over stacked projections qkv (3, ..., H, T, dh) -> (..., H, T, dh).
 
@@ -379,8 +364,7 @@ def attention(qkv, mask, scale, rate=0.0, rng=None):
     gradient array for qkv. Both passes run in
     row tiles along qkv's second axis (the sequences of a block, or the heads
     of one sequence), with one probability buffer reused across the tiles;
-    each product is per (sequence, head) either way. Each pass finds once
-    which mask entries hide a score, and exponentiates only the others.
+    each product is per (sequence, head) either way.
     """
     q, k, v = qkv.data[0], qkv.data[1], qkv.data[2]
     p_shape = (*q.shape[:-1], k.shape[-2])
@@ -390,7 +374,7 @@ def attention(qkv, mask, scale, rate=0.0, rng=None):
     step = tiles[0].stop if tiles else 0  # rows of the largest tile
     rmax, rsum = np.empty((*p_shape[:-1], 1)), np.empty((*p_shape[:-1], 1))
 
-    def probs(r, buf, masked, forward=False):
+    def probs(r, buf, forward=False):
         """softmax(q k^T * scale + mask) of tile r, written into buf; forward also sets the row max and sum."""
         pt = np.matmul(q[r], np.swapaxes(k[r], -1, -2), out=buf[:r.stop - r.start])
         pt *= scale
@@ -399,27 +383,21 @@ def attention(qkv, mask, scale, rate=0.0, rng=None):
         if forward:
             np.max(pt, axis=-1, keepdims=True, out=rmax[r])
         pt -= rmax[r]
-        if masked is None:
-            np.exp(pt, out=pt)
-        else:
-            np.exp(pt, out=pt, where=masked[0])
-            np.copyto(pt, 0.0, where=masked[1])
+        np.exp(pt, out=pt)
         if forward:
             np.sum(pt, axis=-1, keepdims=True, out=rsum[r])
         pt /= rsum[r]
         return pt
 
     buf = np.empty((step, *p_shape[1:]))
-    masked = _masked(mask)
     for r in tiles:
-        np.matmul(_dropped(probs(r, buf, masked, forward=True), _at(keep, r), rate), v[r], out=y[r])
+        np.matmul(_dropped(probs(r, buf, forward=True), _at(keep, r), rate), v[r], out=y[r])
 
     def bw(g):
         gqkv = np.zeros_like(qkv.data)  # qkv's memory layout, so the reductions after it sum in the same order
         buf = np.empty((step, *p_shape[1:]))
-        masked = _masked(mask)  # derived again rather than kept with the node
         for r in tiles:
-            pt, kt = probs(r, buf, masked), _at(keep, r)
+            pt, kt = probs(r, buf), _at(keep, r)
             gqkv[2][r] += np.matmul(np.swapaxes(_dropped(pt, kt, rate), -1, -2), g[r])
             ds = _dropped(np.matmul(g[r], np.swapaxes(v[r], -1, -2)), kt, rate)
             ds -= (ds * pt).sum(axis=-1, keepdims=True)

@@ -407,30 +407,28 @@ class PrivacyReference:
         sampled, own, state, pairs = self._nnaa_side(seed, n)
         bits = np.random.PCG64()
         bits.state = state
-        whole = n == n_synth  # the synthetic sample is the whole set, so nearest over it is nearest over all
-        cols = slice(None) if whole else _sample_rows(_canonical_order(synthetic), n, np.random.Generator(bits))
+        cols = _sample_rows(_canonical_order(synthetic), n, np.random.Generator(bits))
 
-        synth_left = _augment(synthetic)
+        # the synthetic sample first, in its canonical order, then the rows it left out: its columns are a slice
+        left_out = np.setdiff1d(np.arange(n_synth), cols, assume_unique=True)
+        synth_left = _augment(synthetic[np.concatenate([cols, left_out])])
         nearest = np.empty(n_both, dtype=np.float32)  # over all synthetic rows: membership
-        to_sample = None if whole else np.empty(2 * n, dtype=np.float32)  # sampled rows, over the synthetic sample
-        n_cols = n_synth if whole else n
-        from_train, from_eval = (np.full(n_cols, np.inf, dtype=np.float32) for _ in range(2))  # synthetic sample rows
+        to_sample = np.empty(2 * n, dtype=np.float32)  # sampled rows, over the synthetic sample
+        from_train, from_eval = (np.full(n, np.inf, dtype=np.float32) for _ in range(2))  # synthetic sample rows
         done = 0
         for i, d in _blocks(self.both, _mirror(synth_left)):
-            d.min(axis=1, out=nearest[i:i + len(d)])
+            near = d[:, :n].min(axis=1)  # over the synthetic sample
+            np.minimum(near, d[:, n:].min(axis=1, initial=np.inf), out=nearest[i:i + len(d)])
             rows = sampled[i:i + len(d)]
-            ds = (d if rows.all() else d[rows])[:, cols]  # a block may straddle the train/eval boundary
-            if not whole:
-                ds.min(axis=1, out=to_sample[done:done + len(ds)])
+            ds = d[:, :n] if rows.all() else d[rows, :n]  # a block may straddle the train/eval boundary
+            to_sample[done:done + len(ds)] = near[rows]
             n_t = np.count_nonzero(rows[:max(0, n_train - i)])
             if n_t:
                 np.minimum(from_train, ds[:n_t].min(axis=0), out=from_train)
             if n_t < len(ds):
                 np.minimum(from_eval, ds[n_t:].min(axis=0), out=from_eval)
             done += len(ds)
-        if whole:
-            to_sample = nearest[sampled]
-        nnaa = _nnaa_result(n, _self_minima(synth_left[cols]),
+        nnaa = _nnaa_result(n, _self_minima(synth_left[:n]),
                             (to_sample[n:], own[n:], from_eval), (to_sample[:n], own[:n], from_train))
 
         k = min(n_train, self.n_eval)

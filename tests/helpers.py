@@ -474,17 +474,16 @@ def self_minima_dense(m):
     return d.min(axis=1)
 
 
-def privacy_suite_dense(train, eval_, synthetic, key_attrs, sensitive_attrs, quasi_identifiers, seed,
-                        match_tolerance, sample_size):
-    """The four attacks as one composition, each distance matrix whole: (nnaa, membership, attribute, identity)."""
-    from chronoseq.privacy import AttributeResult, IdentityResult, MembershipResult, NnaaResult
+def nnaa_dense(train, eval_, synthetic, seed, sample_size):
+    """AA(eval, synthetic) - AA(train, synthetic), with NNAA's sampling spelled out."""
+    from chronoseq.privacy import NnaaResult
 
-    t, e, s = (np.asarray(m, dtype=np.float64) for m in (train, eval_, synthetic))
-    # NNAA: one stream draws n rows of train, then eval, then synthetic, each set in lexicographic row order
-    n = min(len(t), len(e), len(s), *(() if sample_size is None else (sample_size,)))
+    # one stream draws n rows of train, then eval, then synthetic, each set in lexicographic row order
+    n = min(len(train), len(eval_), len(synthetic), *(() if sample_size is None else (sample_size,)))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x44AA]))
     samples = []
-    for m in (t, e, s):
+    for m in (train, eval_, synthetic):
+        m = np.asarray(m, dtype=np.float64)
         m = m[np.lexsort(m.T[::-1])]
         samples.append(m[np.sort(rng.choice(len(m), size=n, replace=False))])
     ts, es, ss = samples
@@ -495,40 +494,52 @@ def privacy_suite_dense(train, eval_, synthetic, key_attrs, sensitive_attrs, qua
         return 0.5 * float(term_a + (d.min(axis=0) > self_minima_dense(b)).mean())
 
     aa_es, aa_ts = aa(es, ss), aa(ts, ss)
-    nnaa = NnaaResult(float(aa_es - aa_ts), aa_es, aa_ts, n)
+    return NnaaResult(float(aa_es - aa_ts), aa_es, aa_ts, n)
 
-    # membership: the first k of train are members, the first k of eval are not; tau sweeps 0..width
-    k = min(len(t), len(e))
-    targets = np.concatenate([t[:k], e[:k]])
-    truth = np.concatenate([np.ones(k, bool), np.zeros(k, bool)])
-    min_d = hamming_dense(targets, s).min(axis=1)
-    baseline = 2.0 * k / (2 * k + k)
+
+def membership_dense(targets, truth, synthetic):
+    """Best-F1 gain of 'member iff the nearest synthetic row lies within tau bits', tau over 0..width."""
+    from chronoseq.privacy import MembershipResult
+
+    truth = np.asarray(truth, dtype=bool)
+    min_d = hamming_dense(targets, synthetic).min(axis=1)
+    n_pos = int(truth.sum())
+    baseline = 2.0 * n_pos / (len(truth) + n_pos)
     best_f1, best_tau = 0.0, 0
-    for tau in range(t.shape[1] + 1):
+    for tau in range(np.shape(targets)[1] + 1):
         pred = min_d <= tau
         tp = float(np.sum(pred & truth))
         if tp == 0.0:
             continue
-        precision, recall = tp / pred.sum(), tp / k
+        precision, recall = tp / pred.sum(), tp / n_pos
         f1 = 2.0 * precision * recall / (precision + recall)
         if f1 > best_f1:
             best_f1, best_tau = f1, tau
-    membership = MembershipResult(float(max(0.0, best_f1 - baseline)), best_tau, float(best_f1), float(baseline))
+    return MembershipResult(float(max(0.0, best_f1 - baseline)), best_tau, float(best_f1), float(baseline))
 
-    # attribute: every train and eval row, its nearest synthetic row on the key columns (lowest index on ties)
+
+def attribute_dense(targets, synthetic, key_attrs, sensitive_attrs):
+    """Each target's nearest synthetic row on the key columns (lowest index on ties) predicts its sensitive bits."""
+    from chronoseq.privacy import AttributeResult
+
+    t, s = np.asarray(targets, dtype=np.float64), np.asarray(synthetic, dtype=np.float64)
     key, sens = np.asarray(key_attrs), np.asarray(sensitive_attrs)
-    both = np.concatenate([t, e])
-    nn = hamming_dense(both[:, key], s[:, key]).argmin(axis=1)
-    true = both[:, sens]
+    nn = hamming_dense(t[:, key], s[:, key]).argmin(axis=1)
+    true = t[:, sens]
     acc = (s[np.ix_(nn, sens)] == true).mean(axis=0)
     p = true.mean(axis=0)
     base = np.maximum(p, 1.0 - p)
     with np.errstate(divide="ignore", invalid="ignore"):
         ent = -np.where(p > 0, p * np.log2(p), 0.0) - np.where(p < 1, (1 - p) * np.log2(1 - p), 0.0)
     score = 0.0 if ent.sum() == 0.0 else max(0.0, float(np.sum(ent * (acc - base)) / ent.sum()))
-    attribute = AttributeResult(score, tuple(zip(sens.tolist(), acc.tolist(), base.tolist())))
+    return AttributeResult(score, tuple(zip(sens.tolist(), acc.tolist(), base.tolist())))
 
-    # identity: quasi-identifiers matching exactly one train row, and enough of the other columns agreeing
+
+def identity_dense(population, synthetic, quasi_identifiers, match_tolerance):
+    """Synthetic rows whose quasi-identifiers match exactly one population row, with enough other columns agreeing."""
+    from chronoseq.privacy import IdentityResult
+
+    t, s = np.asarray(population), np.asarray(synthetic)
     qi = list(quasi_identifiers)
     rest = [j for j in range(t.shape[1]) if j not in qi]
     disclosed = 0
@@ -536,5 +547,19 @@ def privacy_suite_dense(train, eval_, synthetic, key_attrs, sensitive_attrs, qua
         matches = np.flatnonzero((t[:, qi] == row[qi]).all(axis=1))
         if len(matches) == 1 and (not rest or (t[matches[0], rest] == row[rest]).mean() >= match_tolerance):
             disclosed += 1
-    identity = IdentityResult(disclosed / len(s), disclosed)
-    return nnaa, membership, attribute, identity
+    return IdentityResult(disclosed / len(s), disclosed)
+
+
+def privacy_suite_dense(train, eval_, synthetic, key_attrs, sensitive_attrs, quasi_identifiers, seed,
+                        match_tolerance, sample_size):
+    """The four attacks as one composition, each distance matrix whole: (nnaa, membership, attribute, identity).
+
+    The membership targets are the first k train and the first k eval rows; the attribute targets are all of them.
+    """
+    k = min(len(train), len(eval_))
+    return (
+        nnaa_dense(train, eval_, synthetic, seed, sample_size),
+        membership_dense(np.concatenate([train[:k], eval_[:k]]), np.repeat([True, False], k), synthetic),
+        attribute_dense(np.concatenate([train, eval_]), synthetic, key_attrs, sensitive_attrs),
+        identity_dense(train, synthetic, quasi_identifiers, match_tolerance),
+    )

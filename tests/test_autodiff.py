@@ -367,24 +367,6 @@ def test_attention_is_the_same_at_every_tile_size(tile_rows, lead, rate, monkeyp
     assert rngs[0].random() == rngs[1].random()  # one keep-mask draw over the whole shape
 
 
-@pytest.mark.parametrize("rate", [0.0, 0.1], ids=["no_dropout", "dropout"])
-@pytest.mark.parametrize("masking", ["causal", "packed", "graded", "none"])
-def test_attention_skipping_the_exp_of_masked_scores_changes_no_bit(masking, rate):
-    # packed: three segments and two trailing rows no segment covers, which see nothing and so attend to all;
-    # graded: causal with a finite penalty of up to -3.9 on the visible entries, which must stay exponentiated
-    from chronoseq.model.transformer import segment_causal_mask
-
-    T = 40
-    lag = np.abs(np.subtract.outer(np.arange(T), np.arange(T)))
-    mask = {"causal": _causal(T), "packed": segment_causal_mask(T, [(0, 7), (7, 25), (25, 38)]),
-            "graded": _causal(T) - 0.1 * lag, "none": None}[masking]
-    qkv = 4.0 * np.random.default_rng(28).normal(size=(3, 6, 2, T, 5))
-    rngs = [np.random.default_rng(8), np.random.default_rng(8)]
-    reference = _outputs_and_grads(lambda x: attention_whole(x, mask, 0.7, rate, rngs[0]), [qkv])
-    _assert_all_equal(reference, _outputs_and_grads(lambda x: attention(x, mask, 0.7, rate, rngs[1]), [qkv]))
-    assert (tensor._masked(mask) is None) == (masking == "none")
-
-
 @TILE_ROWS
 def test_nll_and_its_gradient_are_the_same_at_every_tile_size(tile_rows, monkeypatch):
     rng = np.random.default_rng(24)

@@ -17,9 +17,13 @@ from chronoseq.privacy import (
 )
 from chronoseq.synthworld import sample_hospital_records
 from helpers import (
+    attribute_dense,
     build_profiles_reference,
     concept_person_counts,
     hamming_dense,
+    identity_dense,
+    membership_dense,
+    nnaa_dense,
     privacy_suite_dense,
     profile_spec_reference,
     self_minima_dense,
@@ -250,26 +254,41 @@ def test_streamed_distances_match_dense_bit_for_bit():
     assert attacks._CHUNK == 256
     for i, (n, dim) in enumerate([(n, 53) for n in sizes] + [(257, 300)]):
         p = rng.random(dim) * 0.6 + 0.2
-        a = sample_profiles(rng, n, dim=dim, p=p)[0]
-        a[0], a[-1] = 0, 1  # an all-zero and an all-one row
-        others = {
+        train, eval_ = (sample_profiles(rng, n, dim=dim, p=p)[0] for _ in range(2))
+        train[0], eval_[-1] = 0, 1  # an all-zero and an all-one row
+        synthetic = {
             "independent": sample_profiles(rng, sizes[(i + 1) % 4], dim=dim, p=p)[0],
-            "copy": a.copy(),
-            "duplicated rows": np.repeat(a[: (n + 1) // 2], 2, axis=0)[:n],  # forces argmin ties
+            "copy": train.copy(),
+            "duplicated rows": np.repeat(train[: (n + 1) // 2], 2, axis=0)[:n],  # forces argmin ties
             "all zero": np.zeros((n, dim), dtype=np.uint8),
             "all one": np.ones((n, dim), dtype=np.uint8),
-            "flipped": a ^ (rng.random(a.shape) < 0.05).astype(np.uint8),
         }
-        left = attacks._augment(a)
-        for name, b in others.items():
-            d = hamming_dense(a, b)
-            right = attacks._mirror(attacks._augment(b))
+        for flip in (0.01, 0.05, 0.2):
+            synthetic[f"flipped {flip}"] = train ^ (rng.random(train.shape) < flip).astype(np.uint8)
+        targets = np.concatenate([train, eval_])
+        truth = np.repeat([True, False], n)
+        left = attacks._augment(targets)
+        for name, synth in synthetic.items():
+            d = hamming_dense(targets, synth)
+            right = attacks._mirror(attacks._augment(synth))
             rows, cols = attacks._minima(left, right, columns=True)
             assert np.array_equal(rows, d.min(axis=1)), (n, name)
             assert np.array_equal(cols, d.min(axis=0)), (n, name)
             assert np.array_equal(attacks._argmins(left, right), d.argmin(axis=1)), (n, name)
-            if len(b) > 1:
-                assert np.array_equal(attacks._self_minima(attacks._augment(b)), self_minima_dense(b)), (n, name)
+            for m in (targets, synth):
+                if len(m) > 1:
+                    assert np.array_equal(attacks._self_minima(attacks._augment(m)), self_minima_dense(m)), (n, name)
+            # every result field, exactly, against the dense per-attack references
+            assert membership_inference(targets, truth, synth) == membership_dense(targets, truth, synth), (n, name)
+            assert attribute_inference(targets, synth, SPLIT["key_attrs"], SPLIT["sensitive_attrs"]) == \
+                attribute_dense(targets, synth, SPLIT["key_attrs"], SPLIT["sensitive_attrs"]), (n, name)
+            assert identity_disclosure(train, synth, SPLIT["quasi_identifiers"]) == \
+                identity_dense(train, synth, SPLIT["quasi_identifiers"], 0.8), (n, name)
+            if min(n, len(synth)) >= 10:  # NNAA needs 10 rows per set
+                assert nnaa_risk(train, eval_, synth, seed=4) == nnaa_dense(train, eval_, synth, 4, None), (n, name)
+                got = run_privacy_suite(train, eval_, synth, **SPLIT, seed=4)
+                assert (got.nnaa, got.membership, got.attribute, got.identity) == privacy_suite_dense(
+                    train, eval_, synth, **SPLIT, seed=4, match_tolerance=0.8, sample_size=None), (n, name)
 
 
 def _oracle_cases():
