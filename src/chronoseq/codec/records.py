@@ -8,7 +8,7 @@ import gc
 import operator
 import sys
 from dataclasses import dataclass, field
-from itertools import starmap
+from itertools import repeat, starmap
 from pathlib import Path
 from typing import NamedTuple
 
@@ -26,6 +26,7 @@ __all__ = [
     "EventRow",
     "EventTables",
     "IngestReport",
+    "KeptArrays",
     "RecordValidationError",
     "gc_paused",
     "validate_record",
@@ -33,6 +34,8 @@ __all__ = [
     "tables_to_records",
     "ingest_report",
     "concept_incidence",
+    "kept_arrays",
+    "min_by_row",
     "csv_rows",
     "read_csv_table",
     "write_csv",
@@ -256,17 +259,58 @@ def _check_unique_ids(tables: EventTables):
             raise RecordValidationError(f"{table} table: {column} {repeat!r} appears more than once")
 
 
+class KeptArrays(NamedTuple):
+    """Read-only arrays over the rows the ingestion keeps, in table order.
+
+    A day is a date's proleptic ordinal (date.toordinal). event_concept
+    indexes concept_incidence(tables)[2]; the event concepts sort first, so
+    it indexes the concepts with visit types too.
+    """
+
+    visit_person: np.ndarray  # int32: the persons-table row of each kept visit
+    visit_start: np.ndarray  # int32: the start day
+    visit_end: np.ndarray  # int32: the end day
+    visit_year: np.ndarray  # int32: the start year
+    visit_inpatient: np.ndarray  # bool: the visit type is in INPATIENT_CONCEPTS
+    visit_discharged: np.ndarray  # bool: the visit has a discharge type
+    event_visit: np.ndarray  # int32: the index among the kept visits of each kept event's visit
+    event_day: np.ndarray  # int32: the event's day
+    event_concept: np.ndarray  # int32: the index of the event's (domain, concept_id) among the concepts
+
+    def first_visit_year(self, n_persons: int) -> np.ndarray:
+        """The start year of each person's earliest kept visit, by persons-table row; 0 for a person without one."""
+        return min_by_row(self.visit_person, self.visit_year, n_persons, 0)
+
+
+def min_by_row(rows: np.ndarray, values: np.ndarray, n_rows: int, empty) -> np.ndarray:
+    """out[r] = min(values[rows == r]) for r in range(n_rows), or empty where no row is r."""
+    out = np.full(n_rows, empty, dtype=values.dtype)
+    order = np.lexsort((values, rows))
+    rows = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    out[rows[first]] = values[order[first]]
+    return out
+
+
 class _Ingestion(NamedTuple):
     """What the one pass of _ingest yields for a table set."""
 
     visits: tuple[VisitRow, ...]  # the kept visits, in table order
     events: tuple[EventRow, ...]  # the kept events, in table order
     report: IngestReport
+    arrays: KeptArrays
     # concept_incidence(tables, visit_types=True), arrays read-only
     person: np.ndarray
     codes: np.ndarray
     concepts: tuple[tuple[str, int], ...]
     n_event_concepts: int  # concepts[:n_event_concepts] are the event concepts; the visit types sort after them
+
+
+_START, _END, _DISCHARGE = (operator.itemgetter(k) for k in (3, 4, 5))  # VisitRow fields
+_DATE = operator.itemgetter(4)  # EventRow.date
+_ordinal = dt.date.toordinal
+_EPOCH = dt.date(1970, 1, 1).toordinal()  # day 0 of numpy's datetime64
 
 
 @gc_paused
@@ -284,17 +328,18 @@ def _ingest(tables: EventTables) -> _Ingestion:
     if len(person_row) != len(persons) or len({v[0] for v in visits}) != len(visits):
         _check_unique_ids(tables)
     code: dict[tuple[str, int], int] = {}  # concept -> code, in first-seen order
-    rows, codes = [], []
+    rows = []  # per kept visit: its person's persons-table row
+    codes = []  # per kept visit, then per kept event: its concept's code
     kept_visits = []
-    owner = {}  # visit_id of a kept visit -> (person_id, persons-table row)
+    owner = {}  # visit_id of a kept visit -> (person_id, index among the kept visits)
     for v in visits:
         row = person_row.get(v[1])
         if row is not None:
+            owner[v[0]] = (v[1], len(kept_visits))
             kept_visits.append(v)
-            owner[v[0]] = (v[1], row)
             rows.append(row)
             codes.append(code.setdefault(("visit", v[2]), len(code)))
-    kept_events = []
+    kept_events, event_visit = [], []
     n_unknown = 0
     for e in events:
         pid, vid, domain, concept, _ = e
@@ -307,7 +352,7 @@ def _ingest(tables: EventTables) -> _Ingestion:
         if o is None or o[0] != pid:
             continue
         kept_events.append(e)
-        rows.append(o[1])
+        event_visit.append(o[1])
         codes.append(code.setdefault((domain, concept), len(code)))
     report = IngestReport(
         n_persons=len(persons), n_visits=len(visits), n_events=len(events),
@@ -317,25 +362,40 @@ def _ingest(tables: EventTables) -> _Ingestion:
     )
     concepts = tuple(sorted(code))
     n = len(concepts)
+    n_visits, n_events = len(kept_visits), len(kept_events)
+    visit_person = np.array(rows, dtype=np.int32)
+    event_visit = np.array(event_visit, dtype=np.int32)
+    rank = np.empty(n, dtype=np.int32)
+    rank[[code[c] for c in concepts]] = np.arange(n)
+    rank = rank[np.array(codes, dtype=np.intp)]  # the index in concepts of each kept visit's type, then event's
     if n:
-        rank = np.empty(n, dtype=np.intp)
-        rank[[code[c] for c in concepts]] = np.arange(n)
-        pairs = np.sort(np.array(rows, dtype=np.intp) * n + rank[np.array(codes, dtype=np.intp)])
+        pairs = np.sort(np.concatenate((visit_person, visit_person[event_visit])).astype(np.intp) * n + rank)
         pairs = pairs[np.concatenate(([True], pairs[1:] != pairs[:-1]))]  # distinct; np.unique is slower here
         person, codes = (pairs // n).astype(np.int32), (pairs % n).astype(np.int32)  # int32: half the memory kept
     else:
         person = codes = np.zeros(0, dtype=np.int32)
-    person.setflags(write=False)
-    codes.setflags(write=False)
+    visit_start = np.fromiter(map(_ordinal, map(_START, kept_visits)), np.int32, n_visits)
+    inpatient = np.array([d == "visit" and c in INPATIENT_CONCEPTS for d, c in concepts], dtype=bool)
+    arrays = KeptArrays(
+        visit_person=visit_person,
+        visit_start=visit_start,
+        visit_end=np.fromiter(map(_ordinal, map(_END, kept_visits)), np.int32, n_visits),
+        visit_year=(visit_start - _EPOCH).astype("datetime64[D]").astype("datetime64[Y]").astype(np.int32) + 1970,
+        visit_inpatient=inpatient[rank[:n_visits]],
+        visit_discharged=np.fromiter(map(operator.is_not, map(_DISCHARGE, kept_visits), repeat(None)), bool,
+                                     n_visits),
+        event_visit=event_visit,
+        event_day=np.fromiter(map(_ordinal, map(_DATE, kept_events)), np.int32, n_events),
+        event_concept=rank[n_visits:],
+    )
+    for a in (person, codes, *arrays):
+        a.setflags(write=False)
     # the domains of DOMAINS all sort before "visit"
     n_event_concepts = sum(1 for d, _ in concepts if d != "visit")
     # a table from which nothing was dropped is kept as itself
-    kept_visits = visits if len(kept_visits) == len(visits) else tuple(kept_visits)
-    kept_events = events if len(kept_events) == len(events) else tuple(kept_events)
-    return _Ingestion(kept_visits, kept_events, report, person, codes, concepts, n_event_concepts)
-
-
-_VISIT_ORDER = operator.itemgetter(3)  # start_date; the sort is stable, so same-day visits keep their table order
+    kept_visits = visits if n_visits == len(visits) else tuple(kept_visits)
+    kept_events = events if n_events == len(events) else tuple(kept_events)
+    return _Ingestion(kept_visits, kept_events, report, arrays, person, codes, concepts, n_event_concepts)
 
 
 @gc_paused
@@ -362,7 +422,7 @@ def tables_to_records(tables: EventTables):
     for pid, birth_year, gender, race in tables.persons:
         visits = tuple(
             Visit(concept, start, end, discharge, tuple(starmap(ClinicalEvent, sorted(by_visit.get(vid, ())))))
-            for vid, _, concept, start, end, discharge in sorted(visits_by_person[pid], key=_VISIT_ORDER)
+            for vid, _, concept, start, end, discharge in sorted(visits_by_person[pid], key=_START)
         )
         records.append(PatientRecord(pid, birth_year, gender, race, visits))
     return records, ingestion.report
@@ -371,6 +431,11 @@ def tables_to_records(tables: EventTables):
 def ingest_report(tables: EventTables) -> IngestReport:
     """The IngestReport of tables_to_records(tables), without building the records."""
     return tables.derived(_ingest).report
+
+
+def kept_arrays(tables: EventTables) -> KeptArrays:
+    """The KeptArrays of the rows tables_to_records keeps, without building the records; its errors are raised."""
+    return tables.derived(_ingest).arrays
 
 
 def concept_incidence(tables: EventTables, visit_types: bool = False):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..codec import INPATIENT_CONCEPTS, EventTables, concept_incidence, gc_paused, tables_to_records, write_csv
+from ..codec import INPATIENT_CONCEPTS, EventTables, concept_incidence, gc_paused, kept_arrays, min_by_row, write_csv
 from ..generation.stats import GENDER_FEMALE
 
 __all__ = ["PrevalenceRow", "prevalence_report", "write_prevalence_csv", "CohortSpec", "PathwayResult", "pathway_cohort"]
@@ -123,26 +123,25 @@ def pathway_cohort(tables: EventTables, spec: CohortSpec) -> PathwayResult:
     event. Event order within a day never matters (only dates are compared).
     Only the rows tables_to_records keeps count, as in concept_incidence.
     """
-    records, _ = tables_to_records(tables)
-    cohort = []
-    for rec in records:
-        events = [e for v in rec.visits for e in v.events]
-        dates = [e.date for e in events if e.domain == spec.domain and e.concept_id in spec.index_concepts]
-        if not dates:
-            continue
-        index = min(dates)
-        first_event = min([v.start_date for v in rec.visits] + [e.date for e in events])
-        if (index - first_event).days < spec.lookback_days:
-            continue
-        offsets = sorted((d - index).days for d in dates)
-        ok = True
-        for k in range(spec.n_intervals):
-            lo = k * spec.interval_days
-            hi = lo + spec.interval_days
-            if not any(lo <= off < hi for off in offsets):
-                ok = False
-                break
-        if ok:
-            cohort.append(rec.person_id)
+    a = kept_arrays(tables)
+    _, _, concepts = concept_incidence(tables)
     n = len(tables.persons)
+    index_concept = np.array([d == spec.domain and c in spec.index_concepts for d, c in concepts], dtype=bool)
+    event_person = a.visit_person[a.event_visit]
+    exposed = index_concept[a.event_concept]
+    person, day = event_person[exposed], a.event_day[exposed]
+    never = np.iinfo(np.int32).max
+    index_day = min_by_row(person, day, n, never)
+    first_day = min_by_row(np.concatenate((a.visit_person, event_person)), np.concatenate((a.visit_start, a.event_day)),
+                           n, never)
+    eligible = (index_day != never) & (index_day.astype(np.int64) - first_day >= spec.lookback_days)
+    window = (day - index_day[person]).astype(np.int64) // spec.interval_days
+    keep = eligible[person] & (window < spec.n_intervals)
+    person, window = person[keep], window[keep]
+    order = np.lexsort((window, person))
+    person, window = person[order], window[order]
+    distinct = np.ones(len(person), dtype=bool)
+    distinct[1:] = (person[1:] != person[:-1]) | (window[1:] != window[:-1])
+    filled = np.bincount(person[distinct], minlength=n)  # windows with an exposure, per person
+    cohort = [tables.persons[i][0] for i in np.flatnonzero(eligible & (filled == spec.n_intervals)).tolist()]
     return PathwayResult(cohort=cohort, n_persons=n, prevalence=len(cohort) / n if n else 0.0)

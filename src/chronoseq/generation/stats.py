@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
-from ..codec import EventTables, gc_paused, sequence_length, tables_to_records, validate_record, write_csv
+from ..codec import EventTables, gc_paused, kept_arrays, tables_to_records, validate_record, write_csv
 
 __all__ = ["SummaryStats", "summary_stats", "write_stats_csv", "GENDER_FEMALE"]
 
@@ -43,28 +44,50 @@ def summary_stats(tables: EventTables) -> SummaryStats:
     """Median age, percent female, and visit/token count quartiles.
 
     Age is taken at the first recorded visit. A token count is the length
-    of the person's sequence under the codec used for training
-    (codec.sequence_length, which counts without encoding), so real and
-    synthetic tables are measured with one yardstick. Invariant under
-    person_id relabeling.
+    of the person's sequence under the codec used for training, counted on
+    the ingestion's kept-row arrays without building records or tokens, so
+    real and synthetic tables are measured with one yardstick. Invariant
+    under person_id relabeling.
+
+    Raises what tables_to_records raises, then ValueError on empty tables,
+    then the RecordValidationError of validate_record for the first invalid
+    person in persons-table order.
     """
-    records, _ = tables_to_records(tables)
-    if not records:
+    a = kept_arrays(tables)
+    n = len(tables.persons)
+    if not n:
         raise ValueError("empty tables")
-    ages, visit_counts, token_counts, female = [], [], [], 0
-    for r in records:
-        validate_record(r)  # a person with no visit row raises RecordValidationError naming them
-        token_counts.append(sequence_length(r))
-        ages.append(r.visits[0].start_date.year - r.birth_year)
-        visit_counts.append(len(r.visits))
-        if r.gender_concept == GENDER_FEMALE:
-            female += 1
+    birth_year = np.array(list(map(itemgetter(1), tables.persons)))  # int64, or Python ints past its range
+    visit_counts = np.bincount(a.visit_person, minlength=n)
+    first_year = a.first_visit_year(n)
+    span_start, span_end = a.visit_start[a.event_visit], a.visit_end[a.event_visit]  # per event, of its visit
+    if ((visit_counts == 0).any() or (birth_year > first_year).any() or (a.visit_end < a.visit_start).any()
+            or (a.visit_inpatient != a.visit_discharged).any()
+            or ((a.event_day < span_start) | (a.event_day > span_end)).any()):
+        # what validate_record can still find in the sorted, filtered records: build them to name the first
+        for record in tables_to_records(tables)[0]:
+            validate_record(record)
+    # sequence length: 4 prefix tokens and [END]; per visit [VS], the type, its events, [VE] and (after
+    # the first) a gap token. An inpatient visit adds its discharge token and an i-D token at each date
+    # its day cursor moves forward to: each distinct event date after its start, then its end if no
+    # event falls on it (events lie within the span) and it is after the start.
+    visit_tokens = 4 + np.bincount(a.event_visit, minlength=len(a.visit_person))
+    stay = a.visit_inpatient[a.event_visit]
+    visit, day = a.event_visit[stay], a.event_day[stay]
+    later = day > span_start[stay]
+    dates = np.unique(visit[later].astype(np.int64) << 32 | day[later])  # distinct (visit, date) pairs
+    on_end = np.zeros(len(visit_tokens), dtype=bool)
+    on_end[visit[day == span_end[stay]]] = True
+    visit_tokens += a.visit_inpatient * (1 + np.bincount(dates >> 32, minlength=len(visit_tokens))
+                                         + ((a.visit_end > a.visit_start) & ~on_end))
+    token_counts = (4 + np.bincount(a.visit_person, weights=visit_tokens, minlength=n)).astype(np.int64)
+    female = list(map(itemgetter(2), tables.persons)).count(GENDER_FEMALE)
     vq = np.percentile(visit_counts, [25, 50, 75])
     tq = np.percentile(token_counts, [25, 50, 75])
     return SummaryStats(
-        n_persons=len(records),
-        age_median=float(np.median(ages)),
-        female_fraction=female / len(records),
+        n_persons=n,
+        age_median=float(np.median(first_year - birth_year)),
+        female_fraction=female / n,
         visit_q1=float(vq[0]),
         visit_q2=float(vq[1]),
         visit_q3=float(vq[2]),

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..codec import EventTables, concept_incidence
+from ..codec import EventTables, concept_incidence, kept_arrays
 
 __all__ = ["ProfileSpec", "build_profiles"]
 
@@ -56,21 +56,16 @@ def _profiles(tables: EventTables, spec: ProfileSpec) -> np.ndarray:
     race_index = {r: i for i, r in enumerate(spec.race_concepts)}
     n_gender, n_race = len(spec.gender_concepts), len(spec.race_concepts)
     base_concepts = n_gender + n_race + _AGE_DECADES
-    first_visit_year: dict[str, int] = {}
-    for _, pid, _, start, _, _ in tables.visits:
-        y = start.year
-        if pid not in first_visit_year or y < first_visit_year[pid]:
-            first_visit_year[pid] = y
+    first_visit_year = kept_arrays(tables).first_visit_year(len(tables.persons)).tolist()
     rows = np.zeros((len(tables.persons), spec.dimension), dtype=np.uint8)
-    for i, (pid, birth_year, gender, race) in enumerate(tables.persons):
+    for i, ((_, birth_year, gender, race), year) in enumerate(zip(tables.persons, first_visit_year)):
         g = gender_index.get(gender)
         if g is not None:
             rows[i, g] = 1
         r = race_index.get(race)
         if r is not None:
             rows[i, n_gender + r] = 1
-        year = first_visit_year.get(pid)
-        if year is not None:
+        if year:  # 0: no kept visit
             decade = min(max((year - birth_year) // 10, 0), _AGE_DECADES - 1)
             rows[i, n_gender + n_race + decade] = 1
     person, codes, concepts = concept_incidence(tables)

@@ -353,6 +353,79 @@ def build_profiles_reference(tables, spec):
 
 
 # ---------------------------------------------------------------------------
+# per-record oracles: summary_stats and pathway_cohort as they ran on PatientRecords
+
+
+def sequence_length(record) -> int:
+    """len(encode_patient(record).tokens) of a record that passes validate_record, without building the tokens.
+
+    Four prefix tokens and [END]; per visit [VS], the visit type, its events
+    and [VE], and a gap token before each later visit; an inpatient visit
+    adds its discharge token and an i-D token at each date its day cursor
+    moves forward to (each later event date, then the end date).
+    """
+    from chronoseq.codec import INPATIENT_CONCEPTS
+
+    n = 4 + 4 * len(record.visits)
+    for visit in record.visits:
+        n += len(visit.events)
+        if visit.visit_concept_id in INPATIENT_CONCEPTS:
+            cursor = visit.start_date
+            for e in visit.events:
+                if e.date > cursor:
+                    n += 1
+                    cursor = e.date
+            n += 1 + (visit.end_date > cursor)
+    return n
+
+
+def summary_stats_reference(tables):
+    """SummaryStats from the records: tables_to_records, then validate_record and sequence_length per record."""
+    from chronoseq.codec import tables_to_records, validate_record
+    from chronoseq.generation import SummaryStats
+    from chronoseq.generation.stats import GENDER_FEMALE
+
+    records, _ = tables_to_records(tables)
+    if not records:
+        raise ValueError("empty tables")
+    ages, visit_counts, token_counts, female = [], [], [], 0
+    for r in records:
+        validate_record(r)
+        token_counts.append(sequence_length(r))
+        ages.append(r.visits[0].start_date.year - r.birth_year)
+        visit_counts.append(len(r.visits))
+        if r.gender_concept == GENDER_FEMALE:
+            female += 1
+    vq = np.percentile(visit_counts, [25, 50, 75])
+    tq = np.percentile(token_counts, [25, 50, 75])
+    return SummaryStats(n_persons=len(records), age_median=float(np.median(ages)),
+                        female_fraction=female / len(records),
+                        visit_q1=float(vq[0]), visit_q2=float(vq[1]), visit_q3=float(vq[2]),
+                        token_q1=float(tq[0]), token_q2=float(tq[1]), token_q3=float(tq[2]))
+
+
+def pathway_cohort_reference(tables, spec):
+    """The cohort's person ids, in persons-table order, from each record's visits and events."""
+    from chronoseq.codec import tables_to_records
+
+    cohort = []
+    for rec in tables_to_records(tables)[0]:
+        events = [e for v in rec.visits for e in v.events]
+        dates = [e.date for e in events if e.domain == spec.domain and e.concept_id in spec.index_concepts]
+        if not dates:
+            continue
+        index = min(dates)
+        first_event = min([v.start_date for v in rec.visits] + [e.date for e in events])
+        if (index - first_event).days < spec.lookback_days:
+            continue
+        offsets = [(d - index).days for d in dates]
+        if all(any(k * spec.interval_days <= off < (k + 1) * spec.interval_days for off in offsets)
+               for k in range(spec.n_intervals)):
+            cohort.append(rec.person_id)
+    return cohort
+
+
+# ---------------------------------------------------------------------------
 # whole-array autodiff ops: the reference the row-tiled ops must match bit for bit
 
 

@@ -38,6 +38,7 @@ from helpers import (
     auroc_bruteforce,
     chi2_sf_even,
     enumerate_outcome_probability,
+    pathway_cohort_reference,
 )
 
 
@@ -330,6 +331,7 @@ def test_c12_pathway_fixture():
         person("ex_skip1", 400, [0, 119, 240, 360, 480, 600, 720, 840, 960, 1070]),
     ]
     spec = CohortSpec(name="pathway", index_concepts=frozenset({555}))
-    result = pathway_cohort(records_to_tables(persons), spec)
-    ok = sorted(result.cohort) == ["in1", "in2"]
-    verdict("C12", ok, f"cohort={sorted(result.cohort)} (expected ['in1', 'in2'])")
+    tables = records_to_tables(persons)
+    result = pathway_cohort(tables, spec)
+    ok = sorted(result.cohort) == ["in1", "in2"] and result.cohort == pathway_cohort_reference(tables, spec)
+    verdict("C12", ok, f"cohort={sorted(result.cohort)} (expected ['in1', 'in2'], as the per-record reference)")

@@ -209,6 +209,39 @@ def test_prevalence_and_privacy_csvs_are_pinned(tmp_path):
     assert got == pinned
 
 
+def test_summary_and_pathway_csvs_are_pinned(tmp_path):
+    """Golden sha256 digests recorded while summary_stats and pathway_cohort still built
+    PatientRecords: convert's summary_stats.csv over the encoded sequences of seeded
+    synthworld sets, and two pathway cohorts over the sets themselves."""
+    pinned = {
+        ("a", "summary"): "bf38c1fc6a22a395c6e833d5855afe15b8d92d67bd873480a52e1c0c52f50182",
+        ("a", "pathway_wide"): "83da2aa3e14ae61fbc0c92704d93c921fe1c6d0322fe2fe15e92aa47dcc598ae",
+        ("a", "pathway_narrow"): "a945582990db662df1fe132608b174a1e210eac63bf4cd28d8faa60e08bee783",
+        ("b", "summary"): "732c9c43f596fcce684180d48df7b22d42755352fdfad387a053c57a567c43d5",
+        ("b", "pathway_wide"): "697f3554e6a537f9c89dd78c45f84f84944e2ff215a48cb7b00aa9617a9fd046",
+        ("b", "pathway_narrow"): "ed70ea05e15e01167ce38f045366e3323b930a535291b6bb713cbaa51a5265fd",
+    }
+    specs = {"pathway_wide": "index_concepts: [" + ", ".join(str(1125315 + k) for k in range(12)) + "]\n"
+                             "lookback_days: 30\ninterval_days: 30\nn_intervals: 1\n",
+             "pathway_narrow": "index_concepts: [1125315, 1125316, 1125317]\n"
+                               "lookback_days: 90\ninterval_days: 60\nn_intervals: 2\n"}
+    got = {}
+    for case, (n, seed) in {"a": (150, 11), "b": (90, 21)}.items():
+        d = tmp_path / case
+        write_tables(records_to_tables(sample_hospital_records(n, seed=seed)), d)
+        seq = tmp_path / f"{case}.txt"
+        assert main(["encode", *tbl_args(d), "--out", str(seq)]) == 0
+        assert main(["convert", "--sequences", str(seq), "--out-dir", str(tmp_path / f"{case}_converted")]) == 0
+        got[(case, "summary")] = sha256_file(tmp_path / f"{case}_converted" / "summary_stats.csv")
+        for name, text in specs.items():
+            spec, out = tmp_path / f"{name}.cfg", tmp_path / f"{case}_{name}.csv"
+            spec.write_text(text)
+            assert main(["pathway", *tbl_args(d), "--cohort-spec", str(spec), "--out", str(out)]) == 0
+            assert len(out.read_text().splitlines()) > 1  # a nonempty cohort
+            got[(case, name)] = sha256_file(out)
+    assert got == pinned
+
+
 def test_simstudy_cli(tmp_path):
     out = tmp_path / "curves.csv"
     rc = main(["simstudy", "--out", str(out), "--seed", "0", "--steps", "200", "--samples", "100"])

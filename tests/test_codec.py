@@ -21,7 +21,6 @@ from chronoseq.codec import (
     read_csv_table,
     read_tables,
     records_to_tables,
-    sequence_length,
     sorted_events,
     tables_to_records,
     validate_sequence,
@@ -30,6 +29,7 @@ from chronoseq.codec import (
 )
 from chronoseq.synthworld import sample_hospital_records
 from conftest import random_record
+from helpers import sequence_length
 
 
 def test_encode_one_visit_outpatient(one_visit_record):

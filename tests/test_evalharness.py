@@ -24,7 +24,7 @@ from chronoseq.evalharness import (
 from chronoseq.evalharness.fidelity import STRATA
 from chronoseq.model import ModelConfig, TimelineModel
 from chronoseq.synthworld import WorldConfig, sample_hospital_records
-from helpers import prevalence_reference
+from helpers import pathway_cohort_reference, prevalence_reference
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +252,7 @@ def test_pathway_six_person_fixture():
     tables = records_to_tables(persons)
     result = pathway_cohort(tables, SPEC)
     assert sorted(result.cohort) == ["in1", "in2"]
+    assert result.cohort == pathway_cohort_reference(tables, SPEC)
     assert result.prevalence == pytest.approx(2 / 6)
 
 
