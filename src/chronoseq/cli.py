@@ -447,7 +447,12 @@ def _cmd_privacy(args):
     mani.seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     cfg["seed"] = mani.seed
     tables = [_tables(mani, args, flag) for flag in ("--train-dir", "--eval-dir", "--synthetic-dir")]
-    result = audit_tables(*tables, **cfg)
+    try:
+        result = audit_tables(*tables, **cfg)
+    except ValueError as e:
+        if args.config and str(e).partition(":")[0] in cfg:  # the error names a value the file set
+            raise ValidationFailure(f"{args.config}: {e}") from None
+        raise
     write_privacy_csv(args.out, result)
     mani.add_output("scores", args.out)
     mani.add_counters(**result.counters)

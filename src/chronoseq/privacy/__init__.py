@@ -10,9 +10,7 @@ from .attacks import (  # noqa: F401
     PrivacyReference,
     PrivacySuiteResult,
     attribute_inference,
-    identity_disclosure,
     membership_inference,
     nnaa_risk,
-    run_privacy_suite,
 )
 from .runner import audit_tables, write_privacy_csv, default_attribute_split  # noqa: F401

@@ -8,8 +8,9 @@ every score against the 0.333 threshold.
 
 The suite computes each distance once: `PrivacyReference` holds the train
 and eval side, and one streamed pass over [train; eval] x synthetic serves
-NNAA and membership. The per-attack functions compute the same scores on
-their own, through the same score code.
+NNAA and membership. `nnaa_risk` runs that same pass; `membership_inference`
+and `attribute_inference` score targets of the caller's choosing through the
+suite's score code.
 """
 from __future__ import annotations
 
@@ -26,10 +27,8 @@ __all__ = [
     "nnaa_risk",
     "membership_inference",
     "attribute_inference",
-    "identity_disclosure",
     "PrivacySuiteResult",
     "PrivacyReference",
-    "run_privacy_suite",
 ]
 
 RISK_THRESHOLD = 0.333
@@ -101,15 +100,12 @@ def _self_minima(left: np.ndarray) -> np.ndarray:
     return out
 
 
-def _minima(left: np.ndarray, right: np.ndarray, columns: bool):
-    """(each left row's minimum over right, each right row's minimum over left or None)."""
-    rows = np.empty(len(left), dtype=np.float32)
-    cols = np.full(len(right), np.inf, dtype=np.float32) if columns else None
+def _minima(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Each left row's distance to its nearest right row."""
+    out = np.empty(len(left), dtype=np.float32)
     for i, d in _blocks(left, right):
-        d.min(axis=1, out=rows[i:i + len(d)])
-        if columns:
-            np.minimum(cols, d.min(axis=0), out=cols)
-    return rows, cols
+        d.min(axis=1, out=out[i:i + len(d)])
+    return out
 
 
 def _argmins(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -138,11 +134,6 @@ def _nnaa_size(n_train: int, n_eval: int, n_synthetic: int, sample_size: int | N
     return n
 
 
-def _nnaa_rng(seed: int) -> np.random.Generator:
-    """The one stream NNAA draws from: the train sample, then eval, then synthetic."""
-    return np.random.default_rng(np.random.SeedSequence([seed, 0x44AA]))
-
-
 def _sample_rows(order: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """Row indices of a seeded n-row sample, drawn from positions in canonical order, in that order."""
     return order[np.sort(rng.choice(len(order), size=n, replace=False))]
@@ -161,21 +152,76 @@ def _nnaa_result(n: int, synth_self: np.ndarray, eval_side, train_side) -> NnaaR
     return NnaaResult(score=float(aa_es - aa_ts), aa_eval_synth=aa_es, aa_train_synth=aa_ts, n=n)
 
 
+class _TrainEval:
+    """The [train; eval] side that NNAA and membership share, and the one pass over it.
+
+    It holds the [train; eval] operand over all columns and the canonical
+    orders; per (seed, n) it draws the NNAA train and eval samples once and
+    keeps their leave-self-out minima and the rng state from which the
+    synthetic sample is drawn.
+    """
+
+    def __init__(self, train: np.ndarray, eval_: np.ndarray):
+        self.n_train, self.n_eval = len(train), len(eval_)
+        self.both = _augment(np.concatenate([train, eval_]))
+        self.orders = (_canonical_order(train), _canonical_order(eval_))
+        self._samples: dict = {}
+
+    def _nnaa_side(self, seed: int, n: int):
+        """(mask of the sampled [train; eval] rows, their leave-self-out minima in row order,
+        the rng state after the train and eval draws, distance pairs computed now) for (seed, n)."""
+        if (seed, n) in self._samples:
+            return (*self._samples[seed, n], 0)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x44AA]))  # train sample, then eval, then synthetic
+        sampled = np.zeros(len(self.both), dtype=bool)
+        own = []
+        for offset, order in zip((0, self.n_train), self.orders):
+            rows = np.sort(offset + _sample_rows(order, n, rng))
+            sampled[rows] = True
+            own.append(_self_minima(self.both[rows]))
+        self._samples[seed, n] = sampled, np.concatenate(own), rng.bit_generator.state
+        return (*self._samples[seed, n], 2 * n * n)
+
+    def cross(self, synthetic: np.ndarray, seed: int, sample_size: int | None):
+        """(the NNAA result, each [train; eval] row's distance to its nearest synthetic row,
+        distance pairs computed) from one streamed pass over [train; eval] x synthetic."""
+        n_train, n_both, n_synth = self.n_train, len(self.both), len(synthetic)
+        n = _nnaa_size(n_train, self.n_eval, n_synth, sample_size)
+        sampled, own, state, pairs = self._nnaa_side(seed, n)
+        bits = np.random.PCG64()
+        bits.state = state
+        cols = _sample_rows(_canonical_order(synthetic), n, np.random.Generator(bits))
+
+        # the synthetic sample first, in its canonical order, then the rows it left out: its columns are a slice
+        left_out = np.setdiff1d(np.arange(n_synth), cols, assume_unique=True)
+        synth_left = _augment(synthetic[np.concatenate([cols, left_out])])
+        nearest = np.empty(n_both, dtype=np.float32)  # over all synthetic rows: membership
+        to_sample = np.empty(2 * n, dtype=np.float32)  # sampled rows, over the synthetic sample
+        from_train, from_eval = (np.full(n, np.inf, dtype=np.float32) for _ in range(2))  # synthetic sample rows
+        done = 0
+        for i, d in _blocks(self.both, _mirror(synth_left)):
+            near = d[:, :n].min(axis=1)  # over the synthetic sample
+            np.minimum(near, d[:, n:].min(axis=1, initial=np.inf), out=nearest[i:i + len(d)])
+            rows = sampled[i:i + len(d)]
+            ds = d[:, :n] if rows.all() else d[rows, :n]  # a block may straddle the train/eval boundary
+            to_sample[done:done + len(ds)] = near[rows]
+            n_t = np.count_nonzero(rows[:max(0, n_train - i)])
+            if n_t:
+                np.minimum(from_train, ds[:n_t].min(axis=0), out=from_train)
+            if n_t < len(ds):
+                np.minimum(from_eval, ds[n_t:].min(axis=0), out=from_eval)
+            done += len(ds)
+        nnaa = _nnaa_result(n, _self_minima(synth_left[:n]),
+                            (to_sample[n:], own[n:], from_eval), (to_sample[:n], own[:n], from_train))
+        return nnaa, nearest, pairs + n_both * n_synth + n * n
+
+
 def nnaa_risk(train, eval_, synthetic, seed: int = 0, sample_size: int | None = None) -> NnaaResult:
     """AA(eval, synthetic) - AA(train, synthetic); positive means synthetic
     records sit closer to training data than held-out data (memorization).
     All three sets are subsampled (seeded, order-invariant) to one size n."""
     train, eval_, synthetic = _as_matrix(train, "train"), _as_matrix(eval_, "eval_"), _as_matrix(synthetic, "synthetic")
-    n = _nnaa_size(len(train), len(eval_), len(synthetic), sample_size)
-    rng = _nnaa_rng(seed)
-    train_s, eval_s, synth_s = (_augment(m[_sample_rows(_canonical_order(m), n, rng)])
-                                for m in (train, eval_, synthetic))
-    synth_right = _mirror(synth_s)
-    sides = []
-    for m in (eval_s, train_s):
-        rows, cols = _minima(m, synth_right, columns=True)
-        sides.append((rows, _self_minima(m), cols))
-    return _nnaa_result(n, _self_minima(synth_s), *sides)
+    return _TrainEval(train, eval_).cross(synthetic, seed, sample_size)[0]
 
 
 @dataclass(frozen=True)
@@ -228,7 +274,7 @@ def membership_inference(targets, membership_truth, synthetic) -> MembershipResu
         raise ValueError("membership_truth must align with targets")
     if not truth.any():
         raise ValueError("no true members among targets")
-    min_d = _minima(_augment(targets), _mirror(_augment(synthetic)), columns=False)[0]
+    min_d = _minima(_augment(targets), _mirror(_augment(synthetic)))
     return _membership_result(min_d, truth, targets.shape[1])
 
 
@@ -238,14 +284,21 @@ class AttributeResult:
     per_attribute: tuple[tuple[int, float, float], ...]  # (column, accuracy, baseline)
 
 
-def _attribute_columns(key_attrs, sensitive_attrs):
-    key = np.asarray(key_attrs, dtype=np.int64)
-    sens = np.asarray(sensitive_attrs, dtype=np.int64)
-    if len(key) == 0 or len(sens) == 0:
-        raise ValueError("key and sensitive attribute sets must be nonempty")
-    if set(key.tolist()) & set(sens.tolist()):
-        raise ValueError("key and sensitive attribute sets must be disjoint")
-    return key, sens
+def _profile_columns(width: int, **index_sets) -> list[np.ndarray]:
+    """Each named set of profile columns as an int64 array, checked: nonempty, every index in
+    0..width-1 (a negative index is an error, not a count from the end), and key_attrs
+    disjoint from sensitive_attrs."""
+    out = {}
+    for name, attrs in index_sets.items():
+        cols = out[name] = np.asarray(attrs, dtype=np.int64).reshape(-1)
+        if len(cols) == 0:
+            raise ValueError(f"{name}: must name at least one profile column")
+        bad = cols[(cols < 0) | (cols >= width)]
+        if len(bad):
+            raise ValueError(f"{name}: column {bad[0]} is outside the {width}-bit profile (columns 0 to {width - 1})")
+    if set(out["key_attrs"].tolist()) & set(out["sensitive_attrs"].tolist()):
+        raise ValueError("key_attrs and sensitive_attrs must be disjoint")
+    return list(out.values())
 
 
 def _attribute_result(pred: np.ndarray, true: np.ndarray, sens: np.ndarray) -> AttributeResult:
@@ -271,7 +324,7 @@ def attribute_inference(targets, synthetic, key_attrs, sensitive_attrs) -> Attri
     """
     targets = _as_matrix(targets, "targets")
     synthetic = _as_matrix(synthetic, "synthetic")
-    key, sens = _attribute_columns(key_attrs, sensitive_attrs)
+    key, sens = _profile_columns(targets.shape[1], key_attrs=key_attrs, sensitive_attrs=sensitive_attrs)
     if len(synthetic) == 0:
         raise ValueError("empty synthetic set")
     nn = _argmins(_augment(targets[:, key]), _mirror(_augment(synthetic[:, key])))
@@ -282,13 +335,6 @@ def attribute_inference(targets, synthetic, key_attrs, sensitive_attrs) -> Attri
 class IdentityResult:
     score: float
     n_disclosed: int
-
-
-def _quasi_columns(quasi_identifiers) -> np.ndarray:
-    qi = np.asarray(quasi_identifiers, dtype=np.int64)
-    if len(qi) == 0:
-        raise ValueError("quasi-identifier set must be nonempty")
-    return qi
 
 
 def _identity_groups(population: np.ndarray, qi: np.ndarray) -> dict[bytes, int]:
@@ -313,21 +359,6 @@ def _identity_result(population, groups, qi, synthetic, match_tolerance: float) 
     disclosed = int(np.count_nonzero(agree >= match_tolerance))
     n = len(synthetic)
     return IdentityResult(score=float(disclosed) / n if n else 0.0, n_disclosed=disclosed)  # 1/group_size == 1
-
-
-def identity_disclosure(population, synthetic, quasi_identifiers, match_tolerance: float = 0.8) -> IdentityResult:
-    """Simplified meaningful-identity-disclosure rate.
-
-    A synthetic record disclosing: its quasi-identifier bits match exactly one
-    population record, and at least match_tolerance of the remaining
-    attributes agree with that record. Score averages 1/group_size over
-    disclosing records (group_size is 1 by construction here; the
-    simplification is declared, not hidden).
-    """
-    population = _as_matrix(population, "population")
-    synthetic = _as_matrix(synthetic, "synthetic")
-    qi = _quasi_columns(quasi_identifiers)
-    return _identity_result(population, _identity_groups(population, qi), qi, synthetic, match_tolerance)
 
 
 @dataclass
@@ -357,81 +388,35 @@ class PrivacySuiteResult:
 class PrivacyReference:
     """The train/eval side of the suite, built once and read by every synthetic set audited against it.
 
-    It holds the [train; eval] operands over all columns and over the key
-    columns, the sensitive columns, the identity groups of train and the
-    canonical orders; per (seed, n) it draws the NNAA train and eval samples
-    once and keeps their leave-self-out minima and the rng state from which
-    the synthetic sample is drawn. audit() then costs one streamed pass over
-    [train; eval] x synthetic (membership and both NNAA cross terms), the
-    synthetic sample's leave-self-out minima, the key-column argmin pass and
-    the identity lookups.
+    It holds the side NNAA and membership share (`_TrainEval`), the
+    [train; eval] operand over the key columns, the sensitive columns and the
+    identity groups of train. audit() then costs one `_TrainEval.cross` pass,
+    the key-column argmin pass and the identity lookups.
     """
 
     def __init__(self, train, eval_, key_attrs, sensitive_attrs, quasi_identifiers):
         train, eval_ = _as_matrix(train, "train"), _as_matrix(eval_, "eval_")
-        self.key, self.sens = _attribute_columns(key_attrs, sensitive_attrs)
-        self.qi = _quasi_columns(quasi_identifiers)
+        self.width = train.shape[1]
+        self.key, self.sens, self.qi = _profile_columns(
+            self.width, key_attrs=key_attrs, sensitive_attrs=sensitive_attrs, quasi_identifiers=quasi_identifiers)
+        self.side = _TrainEval(train, eval_)
         both = np.concatenate([train, eval_])
-        self.n_train, self.n_eval, self.width = len(train), len(eval_), train.shape[1]
-        self.both = _augment(both)
         self.key_both = _augment(both[:, self.key])
         self.truth = both[:, self.sens]
         self.train = train
         self.groups = _identity_groups(train, self.qi)
-        self.orders = (_canonical_order(train), _canonical_order(eval_))
-        self._samples: dict = {}
-
-    def _nnaa_side(self, seed: int, n: int):
-        """(mask of the sampled [train; eval] rows, their leave-self-out minima in row order,
-        the rng state after the train and eval draws, distance pairs computed now) for (seed, n)."""
-        if (seed, n) in self._samples:
-            return (*self._samples[seed, n], 0)
-        rng = _nnaa_rng(seed)
-        sampled = np.zeros(len(self.both), dtype=bool)
-        own = []
-        for offset, order in zip((0, self.n_train), self.orders):
-            rows = np.sort(offset + _sample_rows(order, n, rng))
-            sampled[rows] = True
-            own.append(_self_minima(self.both[rows]))
-        self._samples[seed, n] = sampled, np.concatenate(own), rng.bit_generator.state
-        return (*self._samples[seed, n], 2 * n * n)
 
     def audit(self, synthetic, seed: int, match_tolerance: float, sample_size: int | None) -> PrivacySuiteResult:
         """All four attacks on one synthetic set.
 
         The membership targets are the first k train and the first k eval persons.
         """
+        if not 0.0 <= match_tolerance <= 1.0:
+            raise ValueError(f"match_tolerance: must lie in [0, 1], got {match_tolerance}")
         synthetic = _as_matrix(synthetic, "synthetic")
-        n_train, n_both, n_synth = self.n_train, len(self.both), len(synthetic)
-        n = _nnaa_size(n_train, self.n_eval, n_synth, sample_size)
-        sampled, own, state, pairs = self._nnaa_side(seed, n)
-        bits = np.random.PCG64()
-        bits.state = state
-        cols = _sample_rows(_canonical_order(synthetic), n, np.random.Generator(bits))
-
-        # the synthetic sample first, in its canonical order, then the rows it left out: its columns are a slice
-        left_out = np.setdiff1d(np.arange(n_synth), cols, assume_unique=True)
-        synth_left = _augment(synthetic[np.concatenate([cols, left_out])])
-        nearest = np.empty(n_both, dtype=np.float32)  # over all synthetic rows: membership
-        to_sample = np.empty(2 * n, dtype=np.float32)  # sampled rows, over the synthetic sample
-        from_train, from_eval = (np.full(n, np.inf, dtype=np.float32) for _ in range(2))  # synthetic sample rows
-        done = 0
-        for i, d in _blocks(self.both, _mirror(synth_left)):
-            near = d[:, :n].min(axis=1)  # over the synthetic sample
-            np.minimum(near, d[:, n:].min(axis=1, initial=np.inf), out=nearest[i:i + len(d)])
-            rows = sampled[i:i + len(d)]
-            ds = d[:, :n] if rows.all() else d[rows, :n]  # a block may straddle the train/eval boundary
-            to_sample[done:done + len(ds)] = near[rows]
-            n_t = np.count_nonzero(rows[:max(0, n_train - i)])
-            if n_t:
-                np.minimum(from_train, ds[:n_t].min(axis=0), out=from_train)
-            if n_t < len(ds):
-                np.minimum(from_eval, ds[n_t:].min(axis=0), out=from_eval)
-            done += len(ds)
-        nnaa = _nnaa_result(n, _self_minima(synth_left[:n]),
-                            (to_sample[n:], own[n:], from_eval), (to_sample[:n], own[:n], from_train))
-
-        k = min(n_train, self.n_eval)
+        nnaa, nearest, pairs = self.side.cross(synthetic, seed, sample_size)
+        n_train, n_eval = self.side.n_train, self.side.n_eval
+        k = min(n_train, n_eval)
         truth = np.zeros(2 * k, dtype=bool)
         truth[:k] = True
         membership = _membership_result(np.concatenate([nearest[:k], nearest[n_train:n_train + k]]), truth, self.width)
@@ -447,26 +432,10 @@ class PrivacyReference:
             counters=dict(
                 profile_bits=self.width,
                 train_persons=n_train,
-                eval_persons=self.n_eval,
-                synthetic_persons=n_synth,
-                nnaa_sample=n,
+                eval_persons=n_eval,
+                synthetic_persons=len(synthetic),
+                nnaa_sample=nnaa.n,
                 membership_targets=2 * k,
-                distance_pairs=pairs + 2 * n_both * n_synth + n * n,
+                distance_pairs=pairs + len(self.key_both) * len(synthetic),
             ),
         )
-
-
-def run_privacy_suite(
-    train,
-    eval_,
-    synthetic,
-    key_attrs,
-    sensitive_attrs,
-    quasi_identifiers,
-    seed: int = 0,
-    match_tolerance: float = 0.8,
-    sample_size: int | None = None,
-) -> PrivacySuiteResult:
-    """All four attacks; the membership targets are the first k train and the first k eval persons."""
-    reference = PrivacyReference(train, eval_, key_attrs, sensitive_attrs, quasi_identifiers)
-    return reference.audit(synthetic, seed, match_tolerance, sample_size)

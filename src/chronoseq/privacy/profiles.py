@@ -33,6 +33,8 @@ class ProfileSpec:
         """Deterministic spec from a reference dataset: the top-k concepts by
         person prevalence (ties by domain then id), plus observed demographics.
         Computed once per table set and k."""
+        if top_k_concepts < 1:
+            raise ValueError(f"top_k_concepts: must be at least 1, got {top_k_concepts}")
         return tables.derived(_ranked_spec, top_k_concepts)
 
 

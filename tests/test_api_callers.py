@@ -1,5 +1,6 @@
 """Every function, class and public method in `src/chronoseq` has a caller,
-and every defaulted parameter of one is set by some caller.
+and every defaulted parameter of one, and every defaulted field of a
+dataclass, is set by some caller.
 
 A caller is a use of the name, as an `ast.Name` or an `ast.Attribute`,
 anywhere in `src/` or `perfbench/` outside the definition itself. Imports,
@@ -10,6 +11,13 @@ Names that only the tests call stay only when they are a reference the
 tests check the pipeline against; each is listed in TEST_REFERENCE_API with
 its reason. Defaulted parameters that only the tests set stay only when they
 are a seam the tests need; each is listed in TEST_SEAMS with its reason.
+
+A defaulted dataclass field is set by a keyword or positional argument of a
+call to its class (or a subclass), a keyword of a `replace` call, or an
+attribute assignment. Two kinds are exempt by rule: the fields of a config
+schema (a dataclass, or a base of one, that a config loader reads by name)
+and `default_factory` containers that the code fills in place. Dataclasses
+whose defaulted fields only the tests set are listed in FIELD_SEAMS.
 """
 import ast
 from pathlib import Path
@@ -27,8 +35,6 @@ TEST_REFERENCE_API = {
     "nnaa_risk": "one attack on its own: C10 runs it, and the suite's NNAA is tested against it",
     "membership_inference": "one attack on its own: C10 runs it, and the suite's membership is tested against it",
     "attribute_inference": "one attack on its own: C10 runs it, and the suite's attribute score is tested against it",
-    "identity_disclosure": "one attack on its own: the suite's identity score is tested against it",
-    "run_privacy_suite": "the suite on profile arrays with a reference built per call, tested against the dense oracle",
 }
 
 TEST_SEAMS = {
@@ -39,11 +45,19 @@ TEST_SEAMS = {
     ("fit_logistic", "tol"): "the scale-equivariance test tightens the convergence tolerance",
     ("nnaa_risk", "seed"): "the per-attack tests draw NNAA samples at several seeds",
     ("nnaa_risk", "sample_size"): "the per-attack tests subsample below the set sizes",
-    ("identity_disclosure", "match_tolerance"): "the identity tests set their own agreement tolerance",
-    ("run_privacy_suite", "seed"): "the suite tests draw NNAA samples at several seeds",
-    ("run_privacy_suite", "match_tolerance"): "the oracle tests vary the identity agreement tolerance",
-    ("run_privacy_suite", "sample_size"): "the oracle tests subsample below the set sizes",
 }
+
+FIELD_SEAMS = {
+    "WorldConfig": "the test worlds set their own WorldConfig until synthworld has callers that vary it",
+}
+
+CONFIG_LOADERS = ("load_config", "read_config", "_config_input")  # a dataclass passed to one is a config schema
+FILLERS = ("append", "extend", "insert", "add", "update", "setdefault")  # methods that fill a container in place
+
+
+def _name(node):
+    """The called or referenced name of a Name or Attribute node, else None."""
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
 
 
 def _definitions():
@@ -135,8 +149,7 @@ def _calls():
             for node in ast.walk(tree):
                 if not isinstance(node, ast.Call):
                     continue
-                f = node.func
-                name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+                name = _name(node.func)
                 if name == "cls" and id(node) in own_class:
                     name = own_class[id(node)]
                 if name is not None:
@@ -159,3 +172,91 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
     assert not dead, ("defaulted in src/chronoseq but set by no call in src/ or perfbench/:\n" + "\n".join(dead))
     stale = sorted(TEST_SEAMS.keys() - unset.keys())
     assert not stale, f"TEST_SEAMS lists parameters that are defined nowhere or have callers now: {stale}"
+
+
+def _dataclasses():
+    """name -> (ClassDef, where) of every module-level dataclass in src/chronoseq."""
+    out = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef) and any(
+                    _name(d.func if isinstance(d, ast.Call) else d) == "dataclass" for d in node.decorator_list):
+                out[node.name] = node, path.relative_to(ROOT)
+    return out
+
+
+def _bases(classes, name):
+    return [_name(b) for b in classes[name][0].bases if _name(b) in classes]
+
+
+def _fields(classes, name):
+    """[(class, field, where, has a default, has a default_factory, constructor position or None)] of a
+    dataclass, its dataclass bases' fields first."""
+    node, rel = classes[name]
+    out = [f for base in _bases(classes, name) for f in _fields(classes, base)]
+    for item in node.body:
+        if not isinstance(item, ast.AnnAssign) or not isinstance(item.target, ast.Name):
+            continue
+        v = item.value
+        kw = {k.arg: k.value for k in v.keywords} if isinstance(v, ast.Call) and _name(v.func) == "field" else None
+        if kw is None:
+            default, factory, positional = v is not None, False, True
+        else:
+            default, factory = "default" in kw or "default_factory" in kw, "default_factory" in kw
+            positional = not any(getattr(kw.get(k), "value", None) is flag
+                                 for k, flag in (("init", False), ("kw_only", True)))
+        out.append((name, item.target.id, f"{rel}:{item.lineno}", default, factory, positional))
+    position = 0
+    for i, (cls, fname, where, default, factory, positional) in enumerate(out):
+        out[i] = (cls, fname, where, default, factory, position if positional else None)
+        position += positional
+    return out
+
+
+def _field_writes():
+    """(attribute names assigned anywhere, attribute names whose value is filled in place,
+    names passed to a config loader) over the caller directories."""
+    assigned, filled, schemas = set(), set(), set()
+    for root in CALLER_DIRS:
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    name = _name(node.func)
+                    if name in CONFIG_LOADERS:
+                        schemas.update(_name(a) for a in node.args)
+                    elif name == "__setattr__" and len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
+                        assigned.add(node.args[1].value)  # object.__setattr__(self, "field", value)
+                    elif name in FILLERS and isinstance(getattr(node.func, "value", None), ast.Attribute):
+                        filled.add(node.func.value.attr)  # x.field.append(...)
+                elif isinstance(node, (ast.Attribute, ast.Subscript)) and isinstance(node.ctx, ast.Store):
+                    if isinstance(node, ast.Attribute):
+                        assigned.add(node.attr)  # x.field = ... or x.field += ...
+                    if isinstance(node.value, ast.Attribute):
+                        filled.add(node.value.attr)  # x.field[k] = ... or x.field.count = ...
+    return assigned, filled, schemas
+
+
+def test_every_defaulted_dataclass_field_is_set_by_a_caller():
+    classes, calls = _dataclasses(), _calls()
+    assigned, filled, schemas = _field_writes()
+    loaded, stack = set(), [s for s in schemas if s in classes]
+    while stack:  # a schema's bases are loaded by name too
+        name = stack.pop()
+        loaded.add(name)
+        stack += [b for b in _bases(classes, name) if b not in loaded]
+    unset = {}
+    for name in classes:
+        subclasses = [c for c in classes if name in _bases(classes, c)]
+        for cls, field, where, default, factory, pos in _fields(classes, name):
+            if cls != name or not default or name in loaded or (factory and field in filled):
+                continue
+            constructors = [c for n in (name, *subclasses) for c in calls.get(n, ())]
+            if field in assigned or any(_sets(c, field, pos) for c in constructors) or any(
+                    k.arg == field for c in calls.get("replace", ()) for k in c.keywords):
+                continue
+            unset.setdefault(name, []).append(f"{name}.{field} ({where})")
+    dead = sorted(f for name in unset.keys() - FIELD_SEAMS.keys() for f in unset[name])
+    assert not dead, "defaulted dataclass fields set by no call or assignment in src/ or perfbench/:\n" + "\n".join(
+        dead)
+    stale = sorted(FIELD_SEAMS.keys() - unset.keys())
+    assert not stale, f"FIELD_SEAMS lists dataclasses defined nowhere or whose fields have callers now: {stale}"

@@ -638,6 +638,11 @@ CONFIG_FAULTS = [
     ("gradcheck --config", "widget: 3\n", "widget"),
     ("gradcheck --config", "embed_dim: 6.5\n", "embed_dim"),
     ("--experts", "temperature: 0.9\ncount: 2\ncheckpoint_id: ckpt-1\n", "expert 0: unknown field(s): checkpoint_id"),
+    ("privacy --config", "key_attrs: [0, 999]\n", "key_attrs: column 999 is outside"),
+    ("privacy --config", "quasi_identifiers: [500]\n", "quasi_identifiers: column 500 is outside"),
+    ("privacy --config", "key_attrs: [0, 1, 2, 3, -1]\nsensitive_attrs: [52]\n", "key_attrs: column -1 is outside"),
+    ("privacy --config", "top_k_concepts: -30\n", "top_k_concepts: must be at least 1"),
+    ("privacy --config", "match_tolerance: 7.5\n", "match_tolerance: must lie in [0, 1]"),
 ]
 
 

@@ -10,10 +10,8 @@ from chronoseq.privacy import (
     audit_tables,
     build_profiles,
     default_attribute_split,
-    identity_disclosure,
     membership_inference,
     nnaa_risk,
-    run_privacy_suite,
 )
 from chronoseq.synthworld import sample_hospital_records
 from helpers import (
@@ -135,19 +133,66 @@ def test_attribute_rejects_overlap(independent_sets):
         attribute_inference(train, synth, np.arange(10), np.arange(5, 15))
 
 
+@pytest.mark.parametrize("split,field", [
+    ((np.array([0, 999]), np.arange(30, 53), np.arange(4)), "key_attrs: column 999 is outside the 53-bit profile"),
+    ((np.arange(30), np.arange(30, 53), np.array([500])), "quasi_identifiers: column 500 is outside the 53-bit"),
+    ((np.array([0, 1, 2, 3, -1]), np.array([52]), np.arange(4)), "key_attrs: column -1 is outside the 53-bit"),
+    ((np.arange(30), np.array([], dtype=np.int64), np.arange(4)), "sensitive_attrs: must name at least one"),
+    ((np.arange(30), np.arange(29, 53), np.arange(4)), "key_attrs and sensitive_attrs must be disjoint"),
+])
+def test_reference_rejects_bad_attribute_indices(split, field):
+    rng = np.random.default_rng(24)
+    train, eval_ = (sample_profiles(rng, 40, dim=53)[0] for _ in range(2))
+    with pytest.raises(ValueError, match=field):
+        PrivacyReference(train, eval_, *split)
+    if not field.startswith("quasi"):
+        with pytest.raises(ValueError, match=field):
+            attribute_inference(train, eval_, *split[:2])
+    tables = [records_to_tables(sample_hospital_records(40, seed=s)) for s in (1, 2)]
+    assert ProfileSpec.from_tables(tables[0]).dimension == 53
+    with pytest.raises(ValueError, match=field):
+        audit_tables(*tables, tables[0], key_attrs=split[0], sensitive_attrs=split[1], quasi_identifiers=split[2])
+
+
+@pytest.mark.parametrize("tolerance", [7.5, -0.1, np.nan])
+def test_audit_rejects_a_match_tolerance_outside_0_1(independent_sets, tolerance):
+    train, eval_, synth = independent_sets
+    reference = PrivacyReference(train, eval_, np.arange(24), np.arange(24, 48), np.arange(12))
+    with pytest.raises(ValueError, match="match_tolerance: must lie in \\[0, 1\\]"):
+        reference.audit(synth, 0, tolerance, None)
+    assert reference.audit(synth, 0, 1.0, None).identity == identity_dense(train, synth, np.arange(12), 1.0)
+
+
+@pytest.mark.parametrize("k", [0, -30])
+def test_profile_spec_rejects_top_k_below_1(k):
+    tables = records_to_tables(sample_hospital_records(40, seed=1))
+    with pytest.raises(ValueError, match=f"top_k_concepts: must be at least 1, got {k}"):
+        ProfileSpec.from_tables(tables, top_k_concepts=k)
+    assert len(ProfileSpec.from_tables(tables, top_k_concepts=1).concepts) == 1
+
+
+def _identity(population, synthetic, quasi_identifiers, match_tolerance):
+    """The suite's identity result with `population` as train (and as eval)."""
+    half = population.shape[1] // 2
+    reference = PrivacyReference(population, population, np.arange(half), np.arange(half, 2 * half), quasi_identifiers)
+    return reference.audit(synthetic, 0, match_tolerance, None).identity
+
+
 def test_identity_disclosure_rules():
     rng = np.random.default_rng(2)
     pop = (rng.random((300, 32)) < 0.5).astype(np.uint8)
     qi = np.arange(10)
     # every QI group duplicated -> no unique groups -> score 0
     doubled = np.concatenate([pop, pop])
-    res = identity_disclosure(doubled, pop, qi, match_tolerance=0.5)
+    res = _identity(doubled, pop, qi, match_tolerance=0.5)
     assert res.score == 0.0
+    assert res == identity_dense(doubled, pop, qi, 0.5)
     # synthetic = population with unique QIs -> score -> 1
     unique_pop = np.unique(pop, axis=0)
     qi_full = np.arange(32)
-    res2 = identity_disclosure(unique_pop, unique_pop.copy(), qi_full, match_tolerance=0.9)
+    res2 = _identity(unique_pop, unique_pop.copy(), qi_full, match_tolerance=0.9)
     assert res2.score == pytest.approx(1.0)
+    assert res2 == identity_dense(unique_pop, unique_pop, qi_full, 0.9)
 
 
 def test_monotone_under_more_copying(independent_sets):
@@ -166,9 +211,10 @@ def test_suite_threshold_rule(independent_sets):
     keys = np.arange(24)
     sens = np.arange(24, 48)
     qi = np.arange(12)
-    good = run_privacy_suite(train, eval_, synth, keys, sens, qi, seed=0)
+    reference = PrivacyReference(train, eval_, keys, sens, qi)
+    good = reference.audit(synth, 0, 0.8, None)
     assert good.passed
-    bad = run_privacy_suite(train, eval_, train.copy(), keys, sens, qi, seed=0)
+    bad = reference.audit(train.copy(), 0, 0.8, None)
     assert not bad.passed
     assert all(s < RISK_THRESHOLD for _, s in good.rows())
 
@@ -271,9 +317,7 @@ def test_streamed_distances_match_dense_bit_for_bit():
         for name, synth in synthetic.items():
             d = hamming_dense(targets, synth)
             right = attacks._mirror(attacks._augment(synth))
-            rows, cols = attacks._minima(left, right, columns=True)
-            assert np.array_equal(rows, d.min(axis=1)), (n, name)
-            assert np.array_equal(cols, d.min(axis=0)), (n, name)
+            assert np.array_equal(attacks._minima(left, right), d.min(axis=1)), (n, name)
             assert np.array_equal(attacks._argmins(left, right), d.argmin(axis=1)), (n, name)
             for m in (targets, synth):
                 if len(m) > 1:
@@ -282,11 +326,12 @@ def test_streamed_distances_match_dense_bit_for_bit():
             assert membership_inference(targets, truth, synth) == membership_dense(targets, truth, synth), (n, name)
             assert attribute_inference(targets, synth, SPLIT["key_attrs"], SPLIT["sensitive_attrs"]) == \
                 attribute_dense(targets, synth, SPLIT["key_attrs"], SPLIT["sensitive_attrs"]), (n, name)
-            assert identity_disclosure(train, synth, SPLIT["quasi_identifiers"]) == \
-                identity_dense(train, synth, SPLIT["quasi_identifiers"], 0.8), (n, name)
+            qi = SPLIT["quasi_identifiers"]  # the suite's identity code, below the NNAA size floor too
+            assert attacks._identity_result(train, attacks._identity_groups(train, qi), qi, synth, 0.8) == \
+                identity_dense(train, synth, qi, 0.8), (n, name)
             if min(n, len(synth)) >= 10:  # NNAA needs 10 rows per set
                 assert nnaa_risk(train, eval_, synth, seed=4) == nnaa_dense(train, eval_, synth, 4, None), (n, name)
-                got = run_privacy_suite(train, eval_, synth, **SPLIT, seed=4)
+                got = PrivacyReference(train, eval_, **SPLIT).audit(synth, 4, 0.8, None)
                 assert (got.nnaa, got.membership, got.attribute, got.identity) == privacy_suite_dense(
                     train, eval_, synth, **SPLIT, seed=4, match_tolerance=0.8, sample_size=None), (n, name)
 
@@ -322,8 +367,7 @@ def test_privacy_suite_and_each_attack_equal_the_dense_oracle():
     for label, train, eval_, synth, sample_size, tolerance in _oracle_cases():
         want = privacy_suite_dense(train, eval_, synth, **SPLIT, seed=4, match_tolerance=tolerance,
                                    sample_size=sample_size)
-        got = run_privacy_suite(train, eval_, synth, **SPLIT, seed=4, match_tolerance=tolerance,
-                                sample_size=sample_size)
+        got = PrivacyReference(train, eval_, **SPLIT).audit(synth, 4, tolerance, sample_size)
         assert (got.nnaa, got.membership, got.attribute, got.identity) == want, label  # every field, exactly
         k = min(len(train), len(eval_))
         alone = (
@@ -331,9 +375,8 @@ def test_privacy_suite_and_each_attack_equal_the_dense_oracle():
             membership_inference(np.concatenate([train[:k], eval_[:k]]),
                                  np.concatenate([np.ones(k, bool), np.zeros(k, bool)]), synth),
             attribute_inference(np.concatenate([train, eval_]), synth, SPLIT["key_attrs"], SPLIT["sensitive_attrs"]),
-            identity_disclosure(train, synth, SPLIT["quasi_identifiers"], match_tolerance=tolerance),
         )
-        assert alone == want, label
+        assert alone == want[:3], label
 
 
 def test_audit_tables_equals_the_dense_oracle():
@@ -352,8 +395,7 @@ def test_audit_tables_equals_the_dense_oracle():
 def test_distance_pairs_count_the_distances_each_call_computes():
     rng = np.random.default_rng(23)
     train, eval_, synth = (sample_profiles(rng, n, dim=20)[0] for n in (30, 25, 40))
-    fresh = run_privacy_suite(train, eval_, synth, np.arange(10), np.arange(10, 20), np.arange(3), seed=1,
-                              sample_size=12)
+    fresh = PrivacyReference(train, eval_, np.arange(10), np.arange(10, 20), np.arange(3)).audit(synth, 1, 0.8, 12)
     # [train; eval] x synthetic on all columns and on the keys, the synthetic sample's and the reference's own pairs
     assert fresh.counters["distance_pairs"] == 2 * 55 * 40 + 12 * 12 + 2 * 12 * 12 == 4832
     reference = PrivacyReference(train, eval_, np.arange(10), np.arange(10, 20), np.arange(3))
@@ -371,7 +413,7 @@ def test_privacy_suite_memory_is_bounded():
     train, eval_, synth = (sample_profiles(rng, 2000, dim=53, p=p)[0] for _ in range(3))
     tracemalloc.start()
     try:
-        run_privacy_suite(train, eval_, synth, np.arange(30), np.arange(30, 53), np.arange(4), seed=0)
+        PrivacyReference(train, eval_, np.arange(30), np.arange(30, 53), np.arange(4)).audit(synth, 0, 0.8, None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -410,9 +452,12 @@ def test_attribute_rejects_non_binary_profiles(independent_sets, value):
 
 @pytest.mark.parametrize("value", [0.5, 2.0, -1.0, np.nan])
 def test_identity_rejects_non_binary_profiles(independent_sets, value):
-    train, _, synth = independent_sets
-    with pytest.raises(ValueError, match="population: profiles must hold only 0 and 1"):
-        identity_disclosure(_with_entry(train, value), synth, np.arange(12))
+    train, eval_, synth = independent_sets
+    split = (np.arange(24), np.arange(24, 48), np.arange(12))
+    with pytest.raises(ValueError, match="train: profiles must hold only 0 and 1"):
+        PrivacyReference(_with_entry(train, value), eval_, *split)
+    with pytest.raises(ValueError, match="synthetic: profiles must hold only 0 and 1"):
+        PrivacyReference(train, eval_, *split).audit(_with_entry(synth, value), 0, 0.8, None)
 
 
 
